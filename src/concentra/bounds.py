@@ -308,8 +308,8 @@ def _core(lam, t, tol, odd, max_terms):
 
 
 def _check_domain(lam, t):
-    if not (lam > 1 + 1e-6):
-        raise DomainError(f"series needs lam > 1 + 1e-6, got {lam}")
+    if not (1 + 1e-6 < lam < math.inf):
+        raise DomainError(f"series needs finite lam > 1 + 1e-6, got {lam}")
     if not (0.0 < t <= 0.5):
         raise DomainError(f"series needs t in (0, 1/2], got {t}")
 
@@ -340,6 +340,27 @@ def eval_A(lam: float, t: float, tol: float = 1e-10,
 _GOLD = (math.sqrt(5) - 1) / 2
 
 T_MIN = 1e-4
+
+
+def _golden_min(f, lo, hi, tol):
+    """Golden-section minimizer of f on [lo, hi], narrowed to width <= tol.
+
+    Returns (x, f(x), final bracket width); a tie keeps the left probe.
+    Maximizers pass -f.
+    """
+    x1 = hi - _GOLD * (hi - lo)
+    x2 = lo + _GOLD * (hi - lo)
+    f1, f2 = f(x1), f(x2)
+    while hi - lo > tol:
+        if f1 <= f2:
+            hi, x2, f2 = x2, x1, f1
+            x1 = hi - _GOLD * (hi - lo)
+            f1 = f(x1)
+        else:
+            lo, x1, f1 = x1, x2, f2
+            x2 = lo + _GOLD * (hi - lo)
+            f2 = f(x2)
+    return (x1, f1, hi - lo) if f1 <= f2 else (x2, f2, hi - lo)
 
 
 def _scan_values(which: str, lam: float, ts: np.ndarray, K: int = 4096) -> np.ndarray:
@@ -379,59 +400,29 @@ def minimize_over_t(which: str, lam: float, scan_points: int = 1024,
     def f(t):
         return evalf(lam, t, tol=series_tol).value
 
-    x1 = hi - _GOLD * (hi - lo)
-    x2 = lo + _GOLD * (hi - lo)
-    f1, f2 = f(x1), f(x2)
-    while hi - lo > refine_tol:
-        if f1 <= f2:
-            hi, x2, f2 = x2, x1, f1
-            x1 = hi - _GOLD * (hi - lo)
-            f1 = f(x1)
-        else:
-            lo, x1, f1 = x1, x2, f2
-            x2 = lo + _GOLD * (hi - lo)
-            f2 = f(x2)
-    t_star = x1 if f1 <= f2 else x2
-    value = min(f1, f2)
+    t_star, value, width = _golden_min(f, lo, hi, refine_tol)
     # never report above the scan's best probe (re-evaluated in full: the
     # coarse scan truncates a positive series, so it underestimates)
     v_scan = float(evalf(lam, float(ts[i]), tol=series_tol).value)
     if v_scan < value:
         t_star, value = float(ts[i]), v_scan
-    return MinResult(float(t_star), float(value), float(hi - lo))
+    return MinResult(float(t_star), float(value), float(width))
 
 
 # ----------------------------------------------------------------------
 # named constants
 # ----------------------------------------------------------------------
 
-def _refine_max(f, lo, hi, tol=1e-10):
-    """Golden-section maximizer of a cheap scalar function."""
-    x1 = hi - _GOLD * (hi - lo)
-    x2 = lo + _GOLD * (hi - lo)
-    f1, f2 = f(x1), f(x2)
-    while hi - lo > tol:
-        if f1 >= f2:
-            hi, x2, f2 = x2, x1, f1
-            x1 = hi - _GOLD * (hi - lo)
-            f1 = f(x1)
-        else:
-            lo, x1, f1 = x1, x2, f2
-            x2 = lo + _GOLD * (hi - lo)
-            f2 = f(x2)
-    return (x1, f1) if f1 >= f2 else (x2, f2)
-
-
 def gamma2_sharp(scan_points: int = 400001, x_max: float = 20.0) -> ConstantResult:
     """sup_{x>0} 2 sin^2(x)/(pi x), with its argmax."""
     xs = np.linspace(1e-9, x_max, scan_points)
     v = 2 * np.sin(xs) ** 2 / (np.pi * xs)
     i = int(np.argmax(v))
-    f = lambda x: 2 * math.sin(x) ** 2 / (math.pi * x)
-    x_star, val = _refine_max(f, xs[max(i - 1, 0)], xs[min(i + 1, len(xs) - 1)])
+    f = lambda x: -2 * math.sin(x) ** 2 / (math.pi * x)
+    x_star, val, _ = _golden_min(f, xs[max(i - 1, 0)], xs[min(i + 1, len(xs) - 1)], 1e-10)
     cert = {"scan_points": scan_points, "x_max": x_max,
             "stationarity_residual": math.tan(x_star) - 2 * x_star}
-    return ConstantResult(val, x_star, cert)
+    return ConstantResult(-val, x_star, cert)
 
 
 def gamma4_sharp_lower(scan_points: int = 400001) -> ConstantResult:
@@ -439,9 +430,9 @@ def gamma4_sharp_lower(scan_points: int = 400001) -> ConstantResult:
     ts = np.linspace(1e-9, 0.5, scan_points)
     v = 3 * np.sin(np.pi * ts) ** 4 / (np.pi ** 4 * ts ** 3)
     i = int(np.argmax(v))
-    f = lambda t: 3 * math.sin(math.pi * t) ** 4 / (math.pi ** 4 * t ** 3)
-    t_star, val = _refine_max(f, ts[max(i - 1, 0)], ts[min(i + 1, len(ts) - 1)])
-    return ConstantResult(val, t_star, {"scan_points": scan_points})
+    f = lambda t: -3 * math.sin(math.pi * t) ** 4 / (math.pi ** 4 * t ** 3)
+    t_star, val, _ = _golden_min(f, ts[max(i - 1, 0)], ts[min(i + 1, len(ts) - 1)], 1e-10)
+    return ConstantResult(-val, t_star, {"scan_points": scan_points})
 
 
 def gamma_sharp_lower(p: float, L_max: int = 64, refine_tol: float = 1e-8) -> ConstantResult:
@@ -494,19 +485,7 @@ def asymptote_scan(lam: float, kappa_grid=None, tol: float = 1e-8) -> ConstantRe
     k0 = best[0]
     f = lambda kap: eval_B(lam, kap * scale, tol=tol).value
     lo, hi = max(k0 - 0.005, 1e-6), k0 + 0.005
-    x1 = hi - _GOLD * (hi - lo)
-    x2 = lo + _GOLD * (hi - lo)
-    f1, f2 = f(x1), f(x2)
-    while hi - lo > 1e-5:
-        if f1 <= f2:
-            hi, x2, f2 = x2, x1, f1
-            x1 = hi - _GOLD * (hi - lo)
-            f1 = f(x1)
-        else:
-            lo, x1, f1 = x1, x2, f2
-            x2 = lo + _GOLD * (hi - lo)
-            f2 = f(x2)
-    kap_star, val = (x1, f1) if f1 <= f2 else (x2, f2)
+    kap_star, val, _ = _golden_min(f, lo, hi, 1e-5)
     val = min(val, best[1])
     cert = {"lam": lam, "grid_lo": float(np.min(kappa_grid)),
             "grid_hi": float(np.max(kappa_grid)), "series_tol": tol}

@@ -370,6 +370,7 @@ def main(argv=None) -> int:
         seed = getattr(args, "seed", 0)
         t0 = time.time()
 
+        cache = None
         if args.cmd == "search" and not args.no_cache:
             cache = ResultsCache(cache_dir)
             key = config_hash("search",
@@ -386,11 +387,8 @@ def main(argv=None) -> int:
         payload = _RUNNERS[args.cmd](inputs)
         wall = time.time() - t0
         write_record(cache_dir, args.cmd, inputs, payload, wall, seed)
-        if args.cmd == "search" and not args.no_cache:
-            ResultsCache(cache_dir).put(
-                config_hash("search",
-                            {k: v for k, v in inputs.items() if k != "workers"},
-                            seed), payload)
+        if cache is not None:
+            cache.put(key, payload)
 
         if args.cmd == "curve":
             _emit(_curve_csv(payload), args.output)

@@ -189,6 +189,11 @@ def _is_prime(q: int) -> bool:
     return True
 
 
+def _check_p(p: float) -> None:
+    if not (0 < p < math.inf):
+        raise DomainError(f"need finite p > 0, got {p}")
+
+
 def exact_gamma_sharp(q: int, p: float, max_q: int = EXHAUSTIVE_CAP,
                       use_pruning: bool | None = None, workers: int = 1) -> ConcentrationReport:
     """Exact plain-grid level at target 1 by exhaustive scan.
@@ -199,8 +204,7 @@ def exact_gamma_sharp(q: int, p: float, max_q: int = EXHAUSTIVE_CAP,
     """
     if q < 2:
         raise DomainError("need q >= 2")
-    if p <= 0:
-        raise DomainError("need p > 0")
+    _check_p(p)
     if q > max_q:
         raise BudgetError(
             f"exhaustive search capped at q <= {max_q} (2^{q-1} spectra); "
@@ -309,6 +313,7 @@ def heuristic_gamma_sharp(q: int, p: float, restarts: int = 4,
     """
     if q < 3:
         raise DomainError("need q >= 3")
+    _check_p(p)
     k = np.arange(q)
     E = np.exp(2j * np.pi * np.outer(k, k) / q)
     table = dirichlet_table(q, p)
@@ -358,6 +363,7 @@ def exact_gamma_star(q: int, p: float, K: float = 1e4, max_q: int = STAR_CAP,
     """
     if q < 2:
         raise DomainError("need q >= 2")
+    _check_p(p)
     if q > max_q:
         raise BudgetError(f"half-grid exhaustive search capped at q <= {max_q}")
     Q = 2 * q
@@ -443,8 +449,8 @@ def gamma1_decay_scan(primes, config: SearchConfig = SearchConfig()) -> list:
     """
     rows = []
     for q in sorted(primes):
-        if q < 3:
-            raise DomainError("decay scan needs primes >= 3")
+        if q < 3 or not _is_prime(q):
+            raise DomainError(f"decay scan needs primes >= 3, got {q}")
         dir_best = dirichlet_table(q, 1.0)
         if q <= config.exhaustive_cap:
             rep = exact_gamma_sharp(q, 1.0, workers=config.workers)

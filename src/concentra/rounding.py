@@ -86,19 +86,6 @@ def check_hypotheses(P: CoeffPoly, q: int, c: float, p: float):
     return bool(cond_c), bool(concentr)
 
 
-def check_weak_hypothesis(P: CoeffPoly, q: int, p: float, delta: float) -> bool:
-    """Experimental weakened mass condition: sum|a_h| >= delta q^(2/p) max|a_h|.
-
-    Replaces the linear-in-q mass requirement in the regime where delta is
-    allowed to grow with q; exposed for experiments only, with no success
-    guarantee attached.
-    """
-    a = np.abs(P.coeffs)
-    if a.max() == 0:
-        raise DomainError("zero polynomial")
-    return bool(a.sum() >= delta * q ** (2.0 / p) * a.max())
-
-
 def hypothesis_constants(P: CoeffPoly, q: int, p: float) -> dict:
     """Largest constants at which each hypothesis holds for this P."""
     a = np.abs(P.coeffs)
@@ -177,6 +164,10 @@ def monte_carlo(P: CoeffPoly, q: int, p: float, eps: float, trials: int,
     """Empirical success frequency of the rounding over independent trials."""
     if trials < 1:
         raise DomainError("success frequency undefined for trials < 1")
+    if not (0 < eps < 1):
+        raise DomainError(f"need 0 < epsilon < 1, got {eps}")
+    if not (0 < p < np.inf):
+        raise DomainError(f"need finite p > 0, got {p}")
     Pn = normalize_peak(P)
     alpha = Pn.coeffs.real
     Pv = eval_grid(Pn, Grid(q)).values

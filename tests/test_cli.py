@@ -135,6 +135,38 @@ class TestDecayCommand:
             assert float(parts[2]) >= float(parts[3]) - 1e-12
 
 
+E_WIDE = {"intervals": [[0.30, 0.35], [0.65, 0.70]]}
+CONCENTRATE = ["concentrate", "--e-file", "{E}", "--epsilon", "0.05"]
+
+
+@pytest.mark.parametrize("argv", [
+    ["search", "--q", "5", "--p", "nan"],
+    ["search", "--q", "5", "--p", "inf"],
+    ["search", "--q", "5", "--p", "nan", "--mode", "star"],
+    ["search", "--q", "31", "--p", "nan", "--mode", "heuristic"],
+    [*CONCENTRATE, "--p", "nan"],
+    [*CONCENTRATE, "--p", "inf"],
+    ["curve", "--which", "B", "--lam", "inf"],
+    ["round", "--q", "97", "--n", "24", "--L", "3", "--p", "3", "--epsilon", "-1",
+     "--trials", "1"],
+    ["round", "--q", "97", "--n", "24", "--L", "3", "--p", "nan", "--epsilon", "0.2",
+     "--trials", "1"],
+    ["decay", "--primes", "4"],
+    [*CONCENTRATE, "--p", "2", "--nu", "0"],
+    [*CONCENTRATE, "--p", "2", "--theta", "0"],
+    [*CONCENTRATE, "--p", "2", "--eta", "nan"],
+], ids=["search-p-nan", "search-p-inf", "star-p-nan", "heuristic-p-nan",
+        "concentrate-p-nan", "concentrate-p-inf", "curve-lam-inf",
+        "round-epsilon-negative", "round-p-nan", "decay-non-prime", "concentrate-nu-0",
+        "concentrate-theta-0", "concentrate-eta-nan"])
+def test_bad_input_exits_2(argv, tmp_path, capsys):
+    e = tmp_path / "E.json"
+    e.write_text(json.dumps(E_WIDE))
+    argv = [a.replace("{E}", str(e)) for a in argv]
+    code, _ = run([*argv, "--cache-dir", str(tmp_path)], capsys)
+    assert code == 2
+
+
 class TestReplay:
     def test_replay_matches(self, tmp_path, capsys):
         run(["search", "--q", "5", "--p", "2", "--cache-dir", str(tmp_path)], capsys)

@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from concentra import concentrator as conc
 from concentra.errors import BudgetError, CollisionError, DomainError
@@ -63,6 +64,22 @@ class TestFindFraction:
         hit = conc.find_fraction(E, 1.0, 0.1, 10, 100, nu=11)
         assert math.gcd(hit.q, 11) == 1
 
+    @pytest.mark.parametrize("nu", [2, 3, 5, 7])
+    def test_gap_factor_targets(self, nu):
+        # with nu = 2 no target lands in E_TWO: the flagged fallback must
+        # still be one of the admissible fractions
+        for E in (E_TWO, conc.IntervalSet(((0.0, 1.0),))):
+            trace = []
+            hit = conc.find_fraction(E, 0.5, 0.05, 8, 400, nu=nu, trace=trace)
+            assert (hit.q, hit.a, hit.coverage) in trace
+            for q, a, _ in trace:
+                assert math.gcd(nu, q) == 1 and (nu * a) % q in (1, q - 1)
+        assert hit.meets_threshold
+
+    def test_rejects_zero_gap_factor(self):
+        with pytest.raises(DomainError):
+            conc.find_fraction(E_TWO, 0.5, 0.05, 8, 100, nu=0)
+
 
 class TestChooseN:
     def test_halving_delta_doubles_n(self):
@@ -121,6 +138,11 @@ class TestAssembly:
         with pytest.raises(CollisionError):
             conc.build_Q(Spectrum((0, 7), 8), 3, 7)
 
+    def test_gap_factor_assembly(self):
+        assert conc.build_Q(Spectrum((0, 2), 7), 3, 7, nu=3).freqs == (0, 6, 7, 13, 14, 20)
+        with pytest.raises(CollisionError):
+            conc.build_Q(Spectrum((0, 3), 7), 2, 7, nu=3)
+
     def test_product_with_unit_left_factor(self):
         out = conc.build_S(Spectrum((0,), 4), Spectrum((0, 1, 3), 4), 3)
         assert out.freqs == (0, 4, 12)
@@ -149,7 +171,55 @@ class TestAssembly:
             conc.build_S(Spectrum((0, 4), 5), Spectrum((0, 1), 5), 3)
 
 
+def direct_quadrature(freqs, E, p, mesh):
+    """Oracle for one mesh of ``measure``: the same circle and Simpson
+    rules, with every sample a direct sum of exponentials."""
+    h = np.asarray(freqs, dtype=np.float64)
+    f = lambda x: np.abs(np.exp(2j * np.pi * np.outer(x, h)).sum(axis=1)) ** p
+    N = mesh * max(freqs[-1], 1)
+    int_T = float(f(np.arange(N) / N).mean())
+    int_E = 0.0
+    for lo, hi in E.intervals:
+        nodes = max(8, math.ceil((hi - lo) * N))
+        n = max(2, nodes + nodes % 2)
+        y = f(np.linspace(lo, hi, n + 1))
+        int_E += (hi - lo) / n / 3 * (y[0] + y[-1] + 4 * y[1:-1:2].sum() + 2 * y[2:-2:2].sum())
+    return int_E, int_T
+
+
+class TestChirpZ:
+    @settings(max_examples=40, deadline=None)
+    @given(seed=st.integers(0, 2 ** 32 - 1), deg=st.integers(1, 2000),
+           m=st.integers(1, 300), lo=st.floats(0.0, 1.0, exclude_max=True),
+           step=st.integers(1, 10 ** 4).map(lambda k: k / 1000003))
+    def test_matches_point_evaluation(self, seed, deg, m, lo, step):
+        rng = np.random.default_rng(seed)
+        nf = int(rng.integers(1, deg + 2))
+        freqs = tuple(sorted(rng.choice(deg + 1, nf, replace=False).tolist()))
+        poly = to_coeffs(Spectrum(freqs, deg + 1))
+        got = conc._chirp_z(poly.coeffs, lo, step, m)
+        want = eval_point(poly, lo + step * np.arange(m))
+        assert np.max(np.abs(got - want)) <= 1e-10 * nf
+
+
 class TestMeasure:
+    def test_matches_direct_summation(self, rng):
+        E_THREE = conc.IntervalSet(((0.0, 0.013), (0.4, 0.6), (0.987, 1.0)), symmetric=True)
+        for _ in range(12):
+            deg = int(rng.integers(10, 501))
+            nf = int(rng.integers(1, 60))
+            freqs = tuple(sorted(rng.choice(deg, nf, replace=False).tolist()))
+            p = float(rng.choice([1.5, 2.0, 3.0, 4.0]))
+            E = E_TWO if rng.random() < 0.5 else E_THREE
+            rep = conc.measure(Spectrum(freqs, deg), E, p)
+            fine = direct_quadrature(freqs, E, p, 8)
+            coarse = direct_quadrature(freqs, E, p, 4)
+            assert rep.int_E == pytest.approx(fine[0], rel=1e-10, abs=1e-10)
+            assert rep.int_T == pytest.approx(fine[1], rel=1e-10)
+            est = abs(fine[0] - coarse[0]) + abs(fine[1] - coarse[1])
+            assert rep.quadrature_error_est == pytest.approx(
+                est + 1e-12 * (1 + fine[1]), rel=1e-6, abs=1e-9 * fine[1])
+
     def test_full_circle_ratio_one(self):
         E = conc.IntervalSet(((0.0, 1.0),))
         rep = conc.measure(Spectrum(tuple(range(6)), 6), E, 2.0)
@@ -228,3 +298,9 @@ class TestEndToEnd:
     def test_small_p_out_of_scope(self):
         with pytest.raises(DomainError):
             conc.end_to_end(E_TWO, 1.0, 0.05)
+
+    def test_uncovered_window_is_a_budget_error(self):
+        E = conc.IntervalSet(((0.499999, 0.500001),), symmetric=True)
+        assert not conc.find_fraction(E, 0.5, 0.05, 8, 40).meets_threshold
+        with pytest.raises(BudgetError):
+            conc.end_to_end(E, 2.0, 0.05, conc.EndToEndConfig(q_max=40))
