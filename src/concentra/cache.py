@@ -18,6 +18,8 @@ from pathlib import Path
 
 import numpy as np
 
+from .errors import DomainError
+
 SIG = 15
 
 
@@ -130,5 +132,17 @@ def write_record(root: Path, command: str, inputs, outputs, wall_time: float,
     return path
 
 
+def read_json(path):
+    """Parse a JSON file; an unreadable or malformed file is a DomainError."""
+    try:
+        return json.loads(Path(path).read_text())
+    except (OSError, ValueError) as e:
+        raise DomainError(f"cannot read JSON from {path}: {e}") from None
+
+
 def load_record(path) -> dict:
-    return json.loads(Path(path).read_text())
+    rec = read_json(path)
+    if not (isinstance(rec, dict)
+            and {"command", "config_hash", "inputs", "outputs"} <= rec.keys()):
+        raise DomainError(f"{path} is not a RunRecord")
+    return rec

@@ -4,7 +4,7 @@ Every subcommand writes a RunRecord into the cache directory (flag
 --cache-dir, or the CONCENTRA_CACHE environment variable); ``replay``
 re-executes a record and verifies the outputs bit-identically.  Exit codes:
 0 success, 2 domain error, 3 budget error, 4 acceptance failure (constants
-command), 1 replay mismatch.
+command), 1 replay mismatch, 5 unexpected error (traceback on stderr).
 """
 
 from __future__ import annotations
@@ -14,17 +14,18 @@ import json
 import math
 import sys
 import time
+import traceback
 
 import numpy as np
 
 from . import bounds, concentrator, discrete, rounding
 from .cache import (ResultsCache, canonical_json, config_hash,
-                    default_cache_dir, load_record, round_floats,
-                    to_jsonable, write_record)
+                    default_cache_dir, load_record, read_json,
+                    round_floats, to_jsonable, write_record)
 from .errors import BudgetError, DomainError
 from .trigpoly import Spectrum, fold_power, to_coeffs
 
-EXIT_OK, EXIT_MISMATCH, EXIT_DOMAIN, EXIT_BUDGET, EXIT_ACCEPT = 0, 1, 2, 3, 4
+EXIT_OK, EXIT_MISMATCH, EXIT_DOMAIN, EXIT_BUDGET, EXIT_ACCEPT, EXIT_ERROR = 0, 1, 2, 3, 4, 5
 
 _F = "{:.15g}".format
 
@@ -119,7 +120,7 @@ def run_search(inputs: dict) -> dict:
                 for Kk in (K / 10, K, 10 * K)}
         return out
     if mode == "exhaustive" or (mode == "auto" and q <= discrete.EXHAUSTIVE_CAP):
-        rep = discrete.exact_gamma_sharp(q, p, workers=inputs.get("workers", 1))
+        rep = discrete.exact_gamma_sharp(q, p)
     else:
         rep = discrete.heuristic_gamma_sharp(q, p,
                                              restarts=inputs.get("restarts", 4),
@@ -180,8 +181,7 @@ def run_decay(inputs: dict) -> dict:
     cfg = discrete.SearchConfig(
         exhaustive_cap=inputs.get("exhaustive_cap", 19),
         restarts=inputs.get("restarts", 4),
-        seed=inputs.get("seed", 0),
-        workers=inputs.get("workers", 1))
+        seed=inputs.get("seed", 0))
     rows = discrete.gamma1_decay_scan(inputs["primes"], cfg)
     return {"rows": rows}
 
@@ -243,7 +243,6 @@ def _build_parser():
                              "$CONCENTRA_CACHE or ./.concentra-cache)")
     common.add_argument("--output", default=None, help="also write output to file")
     common.add_argument("--seed", type=int, default=0)
-    common.add_argument("--workers", type=int, default=1)
 
     sub.add_parser("constants", parents=[common],
                    help="reproduce the named constants; exit 4 on any failure")
@@ -324,15 +323,14 @@ def _inputs_from_args(args) -> dict:
     if args.cmd == "search":
         return {"q": args.q, "p": args.p, "mode": args.mode, "K": args.K,
                 "restarts": args.restarts, "seed": args.seed,
-                "workers": args.workers,
                 "k_sensitivity": args.k_sensitivity}
     if args.cmd == "round":
         return {"q": args.q, "n": args.n, "L": args.L, "p": args.p,
                 "epsilon": args.epsilon, "trials": args.trials,
                 "seed": args.seed}
     if args.cmd == "concentrate":
-        spec = json.loads(open(args.e_file).read())
-        if "intervals" not in spec:
+        spec = read_json(args.e_file)
+        if not isinstance(spec, dict) or "intervals" not in spec:
             raise DomainError("E file must carry an 'intervals' array")
         return {"intervals": spec["intervals"], "p": args.p,
                 "epsilon": args.epsilon, "theta": args.theta, "eta": args.eta,
@@ -341,14 +339,17 @@ def _inputs_from_args(args) -> dict:
                 "trace_path": args.trace, "seed": args.seed}
     if args.cmd == "decay":
         if args.primes:
-            primes = [int(x) for x in args.primes.split(",") if x.strip()]
+            try:
+                primes = [int(x) for x in args.primes.split(",") if x.strip()]
+            except ValueError:
+                raise DomainError(f"--primes takes comma-separated integers, "
+                                  f"got {args.primes!r}") from None
         elif args.primes_up_to:
             primes = _primes_up_to(args.primes_up_to)
         else:
             raise DomainError("need --primes or --primes-up-to")
         return {"primes": primes, "exhaustive_cap": args.exhaustive_cap,
-                "restarts": args.restarts, "seed": args.seed,
-                "workers": args.workers}
+                "restarts": args.restarts, "seed": args.seed}
     raise DomainError(f"unknown command {args.cmd}")
 
 
@@ -358,8 +359,9 @@ def main(argv=None) -> int:
     try:
         if args.cmd == "replay":
             rec = load_record(args.record)
-            runner = _RUNNERS[rec["command"]]
-            fresh = runner(rec["inputs"])
+            if rec["command"] not in _RUNNERS:
+                raise DomainError(f"unknown command {rec['command']!r} in {args.record}")
+            fresh = _RUNNERS[rec["command"]](rec["inputs"])
             same = canonical_json(fresh) == canonical_json(rec["outputs"])
             sys.stdout.write(json.dumps({
                 "command": rec["command"], "config_hash": rec["config_hash"],
@@ -373,9 +375,7 @@ def main(argv=None) -> int:
         cache = None
         if args.cmd == "search" and not args.no_cache:
             cache = ResultsCache(cache_dir)
-            key = config_hash("search",
-                              {k: v for k, v in inputs.items() if k != "workers"},
-                              seed)
+            key = config_hash("search", inputs, seed)
             hit = cache.get(key)
             if hit is not None:
                 payload = dict(hit)
@@ -406,6 +406,9 @@ def main(argv=None) -> int:
     except BudgetError as e:
         sys.stderr.write(f"budget error: {e}\n")
         return EXIT_BUDGET
+    except Exception:
+        traceback.print_exc()
+        return EXIT_ERROR
 
 
 if __name__ == "__main__":

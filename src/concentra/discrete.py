@@ -5,15 +5,18 @@ The plain-grid level for exponent p is the best ratio
 {0..q-1}; the half-grid variant measures relative concentration at 1/(2q)
 over the shifted grid, under a uniform plain-grid control constant K.
 
-Search-space reductions used by the exhaustive scan (both validated
-against the unpruned scan in the test suite):
+Both exact levels come from one exhaustive scanner over spectrum masks,
+split into low and high bits whose value vectors are tabulated once
+(Horowitz-Sahni), with a score function for each level.  Its search-space
+reductions (both validated against the unpruned scan in the test suite):
 
 * translation: |f_{H+d}(x)| = |f_H(x)| pointwise, so only spectra
   containing 0 are enumerated;
 * target restoration: for any unit a mod q, the ratio of H at target a
   equals the ratio of (aH mod q) at target 1, so each enumerated spectrum
   is scored at every coprime target and the best witness is rebuilt by
-  multiplication.  For prime q this is exactly dilation-orbit dedup.
+  multiplication.  For prime q this is exactly dilation-orbit dedup, and
+  the scan skips every mask that some dilation maps to a smaller mask.
 
 The final reported ratio is always recomputed from the witness with the
 standard grid evaluator, so exhaustive results are bit-for-bit
@@ -23,8 +26,7 @@ reproducible by an independent enumeration.
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -40,7 +42,7 @@ __all__ = [
 
 EXHAUSTIVE_CAP = 26      # plain-grid cap: 2^(q-1) spectra after translation pruning
 STAR_CAP = 11            # half-grid cap: 2^(2q-1) spectra
-_BATCH = 1 << 16
+_LO = 16                 # low mask bits: one scan batch is 2^16 spectra
 _NEAR = 1e-7             # candidate slack before exact re-evaluation
 
 
@@ -72,7 +74,6 @@ class SearchConfig:
     exhaustive_cap: int = 19
     restarts: int = 4
     seed: int = 0
-    workers: int = 1
 
 
 @dataclass(frozen=True)
@@ -119,45 +120,57 @@ def _units(q: int) -> np.ndarray:
 
 
 def _canonical_weights(q: int):
-    """Bit-permutation weight matrix for dilation-orbit canonicality (prime q)."""
-    units = [c for c in range(2, q)]
-    W = np.zeros((q - 1, len(units)), dtype=np.int64)
-    for ci, c in enumerate(units):
-        for i in range(1, q):
-            W[i - 1, ci] = 1 << ((c * i) % q - 1)
-    return W
+    """Bit-permutation weight matrix for dilation-orbit canonicality (prime q):
+    W[i - 1, c - 2] is the mask bit of frequency c * i mod q."""
+    return 1 << (np.outer(np.arange(1, q), np.arange(2, q)) % q - 1)
 
 
-def _scan_chunk(q, p, masks, E, units, W):
-    """Score one chunk of 0-containing spectra at all unit targets.
+def _bit_table(n: int) -> np.ndarray:
+    """Row m holds the n bits of m, least significant first."""
+    return (np.arange(1 << n)[:, None] >> np.arange(n)) & 1
 
-    Returns (chunk_best, candidates) with candidates = list of
-    (score, mask, target) within the near-max slack of chunk_best.
+
+def _scan(E, lead, score, W=None):
+    """Exhaustive scan of the spectra of the value matrix E (row h = e(h x)).
+
+    Mask bit i selects row i + 1 if ``lead`` (row 0 always in: translation
+    pruning), else row i.  With value tables T of the low ``_LO`` bits and H
+    of the rest, batch h is ``T + H[h]``.  Under dilation weights ``W`` a
+    mask that a dilation maps lower is skipped; permuted masks split the
+    same way.  ``score`` maps a batch to a (spectra x targets) array.
+    Returns the (spectrum, target column) pairs within ``_NEAR`` of the
+    best score, and the number of (spectrum, target) evaluations.
     """
-    bits = ((masks[:, None] >> np.arange(q - 1)[None, :]) & 1)
+    rows = np.arange(1 if lead else 0, len(E))
+    lo = min(len(rows), _LO)
+    bits_lo, bits_hi = _bit_table(lo), _bit_table(len(rows) - lo)
+    T = bits_lo @ E[rows[:lo]]
+    if lead:
+        T += E[0]
+    H = bits_hi @ E[rows[lo:]]
     if W is not None:
-        canon = (bits @ W).min(axis=1)
-        keep = masks <= canon
-        masks = masks[keep]
-        bits = bits[keep]
-        if len(masks) == 0:
-            return -1.0, [], 0
-    C = np.empty((len(masks), q))
-    C[:, 0] = 1.0
-    C[:, 1:] = bits
-    V = C.astype(np.complex128) @ E
-    mp = _pow_abs(np.abs(V), p)
-    denom = mp.sum(axis=1)
-    R = 2.0 * mp[:, units] / denom[:, None]
-    best = float(R.max())
-    rows, cols = np.nonzero(R >= best - _NEAR)
-    cands = [(float(R[r, c]), int(masks[r]), int(units[c])) for r, c in zip(rows, cols)]
-    return best, cands, len(masks) * len(units)
+        P_lo, P_hi = bits_lo @ W[:lo], bits_hi @ W[lo:]
+    low = np.arange(1 << lo)
+    best, pool, evals = -1.0, [], 0
+    for h in range(len(H)):
+        masks, V = (h << lo) | low, T + H[h]
+        if W is not None:
+            keep = masks <= (P_lo + P_hi[h]).min(axis=1)
+            masks, V = masks[keep], V[keep]
+            if len(masks) == 0:
+                continue
+        R = score(V)
+        evals += R.size
+        best = max(best, float(R.max()))
+        r, c = np.nonzero(R >= best - _NEAR)
+        pool.extend(zip(R[r, c].tolist(), masks[r].tolist(), c.tolist()))
+    head = [0] if lead else []
 
+    def spectrum(m):
+        return Spectrum(tuple(head + [int(r) for i, r in enumerate(rows) if m >> i & 1]),
+                        len(E))
 
-def _mask_spectrum(q: int, mask: int, a: int = 1) -> Spectrum:
-    base = [0] + [i for i in range(1, q) if mask >> (i - 1) & 1]
-    return Spectrum(tuple(sorted((a * h) % q for h in base)), q)
+    return [(spectrum(m), c) for s, m, c in pool if s >= best - _NEAR], evals
 
 
 def _orbit(spec: Spectrum, prime: bool):
@@ -178,6 +191,20 @@ def _orbit(spec: Spectrum, prime: bool):
     return out
 
 
+def _best_of(specs, prime: bool, value):
+    """Exact re-evaluation of near-max candidates, expanded to full orbits.
+
+    Returns (top value, lexicographically least witness freqs, evaluations).
+    """
+    finals = {}
+    for spec in specs:
+        for member in _orbit(spec, prime):
+            if member.freqs not in finals:
+                finals[member.freqs] = value(member)
+    top = max(finals.values())
+    return top, min(fr for fr, v in finals.items() if v == top), len(finals)
+
+
 def _is_prime(q: int) -> bool:
     if q < 2:
         return False
@@ -195,7 +222,7 @@ def _check_p(p: float) -> None:
 
 
 def exact_gamma_sharp(q: int, p: float, max_q: int = EXHAUSTIVE_CAP,
-                      use_pruning: bool | None = None, workers: int = 1) -> ConcentrationReport:
+                      use_pruning: bool | None = None) -> ConcentrationReport:
     """Exact plain-grid level at target 1 by exhaustive scan.
 
     ``use_pruning`` controls dilation-orbit dedup (default: on for prime q);
@@ -215,34 +242,19 @@ def exact_gamma_sharp(q: int, p: float, max_q: int = EXHAUSTIVE_CAP,
     k = np.arange(q)
     E = np.exp(2j * np.pi * np.outer(k, k) / q)
     units = _units(q)
+
+    def score(V):
+        mp = _pow_abs(np.abs(V), p)
+        return 2.0 * mp[:, units] / mp.sum(axis=1)[:, None]
+
     W = _canonical_weights(q) if (use_pruning and prime) else None
-    total = 1 << (q - 1)
-    starts = list(range(0, total, _BATCH))
-    evals = 0
-
-    def job(s):
-        masks = np.arange(s, min(s + _BATCH, total), dtype=np.int64)
-        return _scan_chunk(q, p, masks, E, units, W)
-
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as ex:
-            results = list(ex.map(job, starts))
-    else:
-        results = [job(s) for s in starts]
-    best = max(r[0] for r in results)
-    pool = [c for r in results for c in r[1] if c[0] >= best - _NEAR]
-    evals = sum(r[2] for r in results)
-
-    # exact re-evaluation of every near-max candidate, expanded to full orbits
-    finals = {}
-    for _, mask, a in pool:
-        for member in _orbit(_mask_spectrum(q, mask, a), prime):
-            if member.freqs not in finals:
-                finals[member.freqs] = concentration_ratio(member, p, 1)
-    evals += len(finals)
-    top = max(finals.values())
-    witness = min(fr for fr, v in finals.items() if v == top)
-    return ConcentrationReport(q, p, 1, top, Spectrum(witness, q), "exhaustive", evals)
+    pool, evals = _scan(E, True, score, W)
+    # the ratio at target a is the ratio of a * spectrum at target 1
+    top, witness, n = _best_of(
+        (Spectrum(tuple(units[c] * h % q for h in spec.freqs), q) for spec, c in pool),
+        prime, lambda s: concentration_ratio(s, p, 1))
+    return ConcentrationReport(q, p, 1, top, Spectrum(witness, q), "exhaustive",
+                               evals + n)
 
 
 def dirichlet_table(q: int, p: float) -> DirichletTable:
@@ -364,6 +376,8 @@ def exact_gamma_star(q: int, p: float, K: float = 1e4, max_q: int = STAR_CAP,
     if q < 2:
         raise DomainError("need q >= 2")
     _check_p(p)
+    if not (0 < K < math.inf):
+        raise DomainError(f"need finite K > 0, got {K}")
     if q > max_q:
         raise BudgetError(f"half-grid exhaustive search capped at q <= {max_q}")
     Q = 2 * q
@@ -371,21 +385,8 @@ def exact_gamma_star(q: int, p: float, K: float = 1e4, max_q: int = STAR_CAP,
     E = np.exp(2j * np.pi * np.outer(k, k) / Q)
     odd = np.arange(1, Q, 2)
     even = np.arange(0, Q, 2)
-    nbits = Q - 1 if use_pruning else Q
-    total = 1 << nbits
-    best = -1.0
-    pool = []
-    evals = 0
-    for s in range(0, total, _BATCH):
-        masks = np.arange(s, min(s + _BATCH, total), dtype=np.int64)
-        bits = ((masks[:, None] >> np.arange(nbits)[None, :]) & 1)
-        C = np.empty((len(masks), Q))
-        if use_pruning:
-            C[:, 0] = 1.0
-            C[:, 1:] = bits
-        else:
-            C[:] = bits
-        V = C.astype(np.complex128) @ E
+
+    def score(V):
         mp = _pow_abs(np.abs(V), p)
         num = 2.0 * mp[:, 1]
         d_star = mp[:, odd].sum(axis=1)
@@ -394,49 +395,29 @@ def exact_gamma_star(q: int, p: float, K: float = 1e4, max_q: int = STAR_CAP,
             g = np.where(d_star > 0, num / d_star, 0.0)
             g2 = np.where(d_plain > 0, K * num / d_plain, np.inf)
             g = np.minimum(g, np.where(num > 0, g2, 0.0))
-        evals += len(masks)
-        b = float(g.max())
-        thr = max(best, b) - _NEAR
-        idx = np.nonzero(g >= thr)[0]
-        pool.extend((float(g[i]), int(masks[i])) for i in idx)
-        best = max(best, b)
+        return g[:, None]
 
-    def star_value(spec: Spectrum):
+    pool, evals = _scan(E, use_pruning, score)
+
+    def star(spec: Spectrum):
+        """(level, 2|v_1|^p, star sum, plain sum) of one spectrum."""
         vals = eval_grid(to_coeffs(spec), Grid(Q))
         mp = _pow_abs(np.abs(vals.values), p)
         num = 2.0 * float(mp[1])
         ds = float(mp[odd].sum())
         dp = float(mp[even].sum())
         if num == 0.0 or ds == 0.0:
-            return 0.0
-        g = num / ds
-        if dp > 0:
-            g = min(g, K * num / dp)
-        return g
-
-    finals = {}
-    for val, mask in pool:
-        if val < best - _NEAR:
-            continue
-        if use_pruning:
-            base = [0] + [i for i in range(1, Q) if mask >> (i - 1) & 1]
+            g = 0.0
         else:
-            base = [i for i in range(Q) if mask >> i & 1]
-        for d in range(Q):
-            t = tuple(sorted((h + d) % Q for h in base))
-            if t not in finals:
-                finals[t] = star_value(Spectrum(t, Q))
-    evals += len(finals)
-    top = max(finals.values())
-    witness = min(fr for fr, v in finals.items() if v == top)
-    spec = Spectrum(witness, Q)
+            g = min(num / ds, K * num / dp) if dp > 0 else num / ds
+        return g, num, ds, dp
+
+    top, witness, n = _best_of((spec for spec, _ in pool), False, lambda s: star(s)[0])
+    witness = Spectrum(witness, Q)
     # recheck both defining inequalities at the reported constant
-    vals = eval_grid(to_coeffs(spec), Grid(Q))
-    mp = _pow_abs(np.abs(vals.values), p)
-    num = 2.0 * float(mp[1])
-    ok = (num + 1e-12 >= top * float(mp[odd].sum())
-          and num + 1e-12 >= (top / K) * float(mp[even].sum()))
-    return StarReport(q, p, K, top, bool(ok), spec, "exhaustive", evals)
+    _, num, ds, dp = star(witness)
+    ok = num + 1e-12 >= top * ds and num + 1e-12 >= (top / K) * dp
+    return StarReport(q, p, K, top, bool(ok), witness, "exhaustive", evals + n)
 
 
 def gamma1_decay_scan(primes, config: SearchConfig = SearchConfig()) -> list:
@@ -453,7 +434,7 @@ def gamma1_decay_scan(primes, config: SearchConfig = SearchConfig()) -> list:
             raise DomainError(f"decay scan needs primes >= 3, got {q}")
         dir_best = dirichlet_table(q, 1.0)
         if q <= config.exhaustive_cap:
-            rep = exact_gamma_sharp(q, 1.0, workers=config.workers)
+            rep = exact_gamma_sharp(q, 1.0)
         else:
             rep = heuristic_gamma_sharp(q, 1.0, restarts=config.restarts,
                                         seed=config.seed)

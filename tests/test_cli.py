@@ -155,14 +155,24 @@ CONCENTRATE = ["concentrate", "--e-file", "{E}", "--epsilon", "0.05"]
     [*CONCENTRATE, "--p", "2", "--nu", "0"],
     [*CONCENTRATE, "--p", "2", "--theta", "0"],
     [*CONCENTRATE, "--p", "2", "--eta", "nan"],
+    ["search", "--q", "3", "--p", "2", "--mode", "star", "--K", "0"],
+    ["search", "--q", "3", "--p", "2", "--mode", "star", "--K", "nan"],
+    ["search", "--q", "3", "--p", "2", "--mode", "star", "--K", "-1"],
+    ["concentrate", "--e-file", "{DIR}/missing.json", "--epsilon", "0.05", "--p", "2"],
+    ["concentrate", "--e-file", "{DIR}/bad.json", "--epsilon", "0.05", "--p", "2"],
+    ["replay", "{DIR}/missing-record.json"],
+    ["decay", "--primes", "3,x"],
 ], ids=["search-p-nan", "search-p-inf", "star-p-nan", "heuristic-p-nan",
         "concentrate-p-nan", "concentrate-p-inf", "curve-lam-inf",
         "round-epsilon-negative", "round-p-nan", "decay-non-prime", "concentrate-nu-0",
-        "concentrate-theta-0", "concentrate-eta-nan"])
+        "concentrate-theta-0", "concentrate-eta-nan", "star-K-0", "star-K-nan",
+        "star-K-negative", "concentrate-e-file-missing", "concentrate-e-file-not-json",
+        "replay-record-missing", "decay-primes-not-integer"])
 def test_bad_input_exits_2(argv, tmp_path, capsys):
     e = tmp_path / "E.json"
     e.write_text(json.dumps(E_WIDE))
-    argv = [a.replace("{E}", str(e)) for a in argv]
+    (tmp_path / "bad.json").write_text("{not json")
+    argv = [a.replace("{E}", str(e)).replace("{DIR}", str(tmp_path)) for a in argv]
     code, _ = run([*argv, "--cache-dir", str(tmp_path)], capsys)
     assert code == 2
 
@@ -184,6 +194,30 @@ class TestReplay:
         code, out = run(["replay", str(rec), "--cache-dir", str(tmp_path)], capsys)
         assert code == 1
         assert json.loads(out)["match"] is False
+
+    def test_replay_record_with_workers_input(self, tmp_path, capsys):
+        # written before the --workers flag was removed; the key is ignored
+        rec = tmp_path / "search-9220fd4f07a7c1d1.json"
+        rec.write_text(json.dumps({
+            "command": "search", "config_hash": "9220fd4f07a7c1d1",
+            "inputs": {"K": 10000.0, "k_sensitivity": False, "mode": "auto",
+                       "p": 1.0, "q": 7, "restarts": 4, "seed": 0, "workers": 1},
+            "outputs": {"evaluations": 405, "method": "exhaustive", "p": 1.0,
+                        "q": 7, "ratio": 0.440249691869698, "spectrum": [1, 2, 3],
+                        "target": 1},
+            "seed": 0, "wall_time": 0.0085}))
+        code, out = run(["replay", str(rec), "--cache-dir", str(tmp_path)], capsys)
+        assert code == 0
+        assert json.loads(out)["match"] is True
+
+
+def test_unexpected_error_exits_5(tmp_path, capsys, monkeypatch):
+    def boom(inputs):
+        raise RuntimeError("boom")
+    monkeypatch.setitem(cli._RUNNERS, "constants", boom)
+    code = cli.main(["constants", "--cache-dir", str(tmp_path)])
+    assert code == 5
+    assert "RuntimeError: boom" in capsys.readouterr().err
 
 
 class TestConstantsExitCode:

@@ -54,8 +54,36 @@ class TestExactSearch:
         assert a.ratio == b.ratio
         assert a.spectrum.freqs == b.spectrum.freqs
 
+    @pytest.mark.parametrize("lead, freqs", [
+        (True, (0, 3, 17, 18)), (True, (0, 1, 2, 16)), (True, (0,)),
+        (False, (5, 17, 18)), (False, (16,)), (False, (0, 15))])
+    def test_scan_finds_each_spectrum_by_its_values(self, lead, freqs):
+        # 17 or 18 mask bits: two or four batches; value vectors of
+        # distinct spectra differ, so exactly one spectrum scores 0
+        q = 19
+        k = np.arange(q)
+        E = np.exp(2j * np.pi * np.outer(k, k) / q)
+        want = E[list(freqs)].sum(axis=0)
+        pool, evals = discrete._scan(
+            E, lead, lambda V: -np.abs(V - want).sum(axis=1)[:, None])
+        assert [(s.freqs, c) for s, c in pool] == [(freqs, 0)]
+        assert evals == 1 << (q - 1 if lead else q)
+
+    @pytest.mark.parametrize("q", [5, 19])
+    def test_dilation_pruning_keeps_one_mask_per_orbit(self, q):
+        # Burnside: a unit of order d splits the q - 1 mask bits into
+        # (q - 1)/d cycles, and phi(d) units have order d
+        orders = [d for d in range(1, q) if (q - 1) % d == 0]
+        phi = [sum(math.gcd(a, d) == 1 for a in range(1, d + 1)) for d in orders]
+        orbits = sum(f << (q - 1) // d for f, d in zip(phi, orders)) // (q - 1)
+        k = np.arange(q)
+        E = np.exp(2j * np.pi * np.outer(k, k) / q)
+        _, evals = discrete._scan(E, True, lambda V: np.zeros((len(V), 1)),
+                                  discrete._canonical_weights(q))
+        assert evals == orbits
+
     def test_matches_independent_brute_force(self):
-        for q, p in ((7, 1.0), (9, 2.0), (11, 4.0)):
+        for q, p in ((7, 1.0), (9, 2.0), (11, 4.0), (18, 2.0)):
             rep = discrete.exact_gamma_sharp(q, p)
             top, witness = brute_force_gamma_sharp(q, p)
             assert rep.ratio == top
@@ -71,11 +99,6 @@ class TestExactSearch:
         rep = discrete.exact_gamma_sharp(9, 1.7)
         again = discrete.concentration_ratio(rep.spectrum, 1.7, rep.target)
         assert abs(rep.ratio - again) <= 1e-9
-
-    def test_workers_do_not_change_result(self):
-        a = discrete.exact_gamma_sharp(12, 2.0, workers=1)
-        b = discrete.exact_gamma_sharp(12, 2.0, workers=3)
-        assert a.ratio == b.ratio and a.spectrum.freqs == b.spectrum.freqs
 
     def test_norm_comparison_inequality(self):
         # ratio_p >= 2 (ratio_p' / 2)^(p/p') for p > p', per witness
@@ -160,7 +183,7 @@ class TestStarSearch:
         assert rs[0] <= rs[1] + 1e-12 <= rs[2] + 2e-12
 
     def test_pruning_soundness(self):
-        for q in (2, 3):
+        for q in (2, 3, 9):
             a = discrete.exact_gamma_star(q, 2.0, K=100.0, use_pruning=True)
             b = discrete.exact_gamma_star(q, 2.0, K=100.0, use_pruning=False)
             assert abs(a.ratio_star - b.ratio_star) <= 1e-12
