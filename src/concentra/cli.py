@@ -144,8 +144,21 @@ def run_round(inputs: dict) -> dict:
     return out
 
 
+def _intervals(raw) -> tuple:
+    """The E file's intervals: a list of [lo, hi] pairs of finite numbers."""
+    def number(x):
+        return (isinstance(x, (int, float)) and not isinstance(x, bool)
+                and math.isfinite(x))
+    if not (isinstance(raw, list) and all(
+            isinstance(iv, list) and len(iv) == 2 and all(map(number, iv))
+            for iv in raw)):
+        raise DomainError("E file 'intervals' must be a list of [lo, hi] "
+                          "pairs of finite numbers")
+    return tuple((float(a), float(b)) for a, b in raw)
+
+
 def run_concentrate(inputs: dict) -> dict:
-    ivs = tuple((float(a), float(b)) for a, b in inputs["intervals"])
+    ivs = _intervals(inputs["intervals"])
     probe = concentrator.IntervalSet(ivs, symmetric=False)
     symmetric = probe._is_symmetric()
     if not symmetric and not inputs.get("allow_asymmetric", False):
@@ -375,7 +388,8 @@ def main(argv=None) -> int:
         cache = None
         if args.cmd == "search" and not args.no_cache:
             cache = ResultsCache(cache_dir)
-            key = config_hash("search", inputs, seed)
+            versioned = dict(inputs, algorithm=discrete.ALGORITHM_VERSION)
+            key = config_hash("search", versioned, seed)
             hit = cache.get(key)
             if hit is not None:
                 payload = dict(hit)

@@ -44,6 +44,7 @@ EXHAUSTIVE_CAP = 26      # plain-grid cap: 2^(q-1) spectra after translation pru
 STAR_CAP = 11            # half-grid cap: 2^(2q-1) spectra
 _LO = 16                 # low mask bits: one scan batch is 2^16 spectra
 _NEAR = 1e-7             # candidate slack before exact re-evaluation
+ALGORITHM_VERSION = 2    # in the search cache key; bump when an answer may change
 
 
 @dataclass(frozen=True)
@@ -94,6 +95,14 @@ def _pow_abs(m: np.ndarray, p: float) -> np.ndarray:
         m2 = m * m
         return m2 * m2
     return m ** p
+
+
+def _pow_sq(a2: np.ndarray, p: float) -> np.ndarray:
+    """|v|^p from squared moduli, in place; rounding dust below 0 is cut."""
+    if p == 2.0:
+        return a2
+    np.maximum(a2, 0.0, out=a2)
+    return np.sqrt(a2, out=a2) if p == 1.0 else np.power(a2, p / 2, out=a2)
 
 
 def ratio(values: GridValues, p: float, target: int) -> float:
@@ -274,43 +283,57 @@ def dirichlet_table(q: int, p: float) -> DirichletTable:
     return DirichletTable(q, p, rows, int(n[i]), float(ratios[i]))
 
 
+def _half_weights(q: int) -> np.ndarray:
+    """Weights of the columns 0..q//2 that sum a conjugate-symmetric grid
+    function over all q points: 1, 2, ..., 2, and 1 at q/2 for even q."""
+    k = np.arange(q // 2 + 1)
+    return np.where((k == 0) | (2 * k == q), 1.0, 2.0)
+
+
 def _ascend(q, p, E, start_set, max_steps=None):
     """Deterministic steepest-ascent over single-frequency flips, target 1.
 
-    The value vector is rebuilt exactly after each accepted flip, and any
-    denominator below 1/2 is treated as the zero polynomial (a nonempty
-    spectrum always has grid p-sum >= |f(0)|^p >= 1), so cancellation dust
-    can never win a step.
+    ``E`` holds the columns 0..q//2 of e(hk/q), enough for 0/1 coefficients
+    as |f(k/q)| = |f((q-k)/q)|.  Flipping h adds 1 + sign_h 2 Re(conj(c_k)
+    e(hk/q)) to |c_k|^2, so a step scores all q flips from the real tables
+    2 Re E and 2 Im E (row h negated while h is in).  The value vector is
+    rebuilt exactly after each accepted flip, and any denominator below 1/2
+    is treated as the zero polynomial (a nonempty spectrum always has grid
+    p-sum >= |f(0)|^p >= 1), so cancellation dust can never win a step.
     """
+    w = _half_weights(q)
     members = np.zeros(q, dtype=bool)
-    for h in start_set:
-        members[h] = True
-    cur = E[members].sum(axis=0) if members.any() else np.zeros(q, np.complex128)
+    members[list(start_set)] = True
+    sign = np.where(members, -1.0, 1.0)[:, None]
+    C2, S2 = 2.0 * E.real * sign, 2.0 * E.imag * sign
+    A, T = np.empty_like(C2), np.empty_like(C2)
     evals = 0
     if max_steps is None:
         max_steps = 4 * q
-    sign = np.where(members, -1.0, 1.0)
 
-    def score(vals):
-        mp = _pow_abs(np.abs(vals), p)
-        d = mp.sum()
-        return 0.0 if d < 0.5 else 2.0 * mp[1] / d
+    def score(mp):
+        d = mp @ w
+        with np.errstate(divide="ignore", invalid="ignore"):
+            return np.where(d >= 0.5, 2.0 * mp[..., 1] / d, 0.0)
 
-    cur_score = score(cur)
+    def rebuild():
+        cur = E[members].sum(axis=0)
+        a2 = cur.real * cur.real + cur.imag * cur.imag
+        return cur, a2, float(score(_pow_sq(a2.copy(), p)))
+
+    cur, a2, cur_score = rebuild()
     for _ in range(max_steps):
-        cand = cur[None, :] + sign[:, None] * E
-        mp = _pow_abs(np.abs(cand), p)
-        denom = mp.sum(axis=1)
-        with np.errstate(invalid="ignore"):
-            sc = np.where(denom >= 0.5, 2.0 * mp[:, 1] / denom, 0.0)
+        np.multiply(C2, cur.real, out=A)
+        A += np.multiply(S2, cur.imag, out=T)
+        A += a2 + 1.0
+        sc = score(_pow_sq(A, p))
         evals += q
         h = int(np.argmax(sc))
         if sc[h] <= cur_score + 1e-15:
             break
         members[h] = not members[h]
-        sign[h] = -sign[h]
-        cur = E[members].sum(axis=0) if members.any() else np.zeros(q, np.complex128)
-        cur_score = score(cur)
+        C2[h], S2[h] = -C2[h], -S2[h]
+        cur, a2, cur_score = rebuild()
     return np.nonzero(members)[0], cur_score, evals
 
 
@@ -318,21 +341,19 @@ def heuristic_gamma_sharp(q: int, p: float, restarts: int = 4,
                           seed: int = 0) -> ConcentrationReport:
     """Lower-bound search for the plain-grid level when 2^q is infeasible.
 
-    Every interval spectrum is scored as a candidate (so the result always
-    dominates the Dirichlet table); steepest ascent runs from the best few
-    intervals and from ``restarts`` seeded random spectra.  Deterministic
-    for a fixed seed.
+    Every interval spectrum is a candidate, scored from the Dirichlet
+    table (so the result always dominates it); steepest ascent runs from
+    the best few intervals and from ``restarts`` seeded random spectra.
+    The reported ratio is the witness re-evaluated by
+    ``concentration_ratio``.  Deterministic for a fixed seed.
     """
     if q < 3:
         raise DomainError("need q >= 3")
     _check_p(p)
     k = np.arange(q)
-    E = np.exp(2j * np.pi * np.outer(k, k) / q)
+    E = np.exp(2j * np.pi * np.outer(k, k[:q // 2 + 1]) / q)
     table = dirichlet_table(q, p)
     evals = q - 1
-    cands = []
-    for n, _ in table.rows:
-        cands.append(tuple(range(n)))
     order = sorted(table.rows, key=lambda r: -r[1])
     n_ascents = (q - 1) if q <= 64 else (8 if q <= 1024 else 3)
     starts = [tuple(range(n)) for n, _ in order[:n_ascents]]
@@ -353,13 +374,11 @@ def heuristic_gamma_sharp(q: int, p: float, restarts: int = 4,
         if sc > best_score:
             best_score = sc
             best_set = tuple(int(h) for h in members)
-    for c in cands:
-        spec = Spectrum(c, q)
-        r = concentration_ratio(spec, p, 1)
-        evals += 1
+    for n, r in table.rows:
         if r > best_score:
-            best_score, best_set = r, c
-    witness = Spectrum(tuple(best_set), q)
+            best_score, best_set = r, tuple(range(n))
+    evals += len(table.rows)
+    witness = Spectrum(best_set, q)
     final = concentration_ratio(witness, p, 1)
     return ConcentrationReport(q, p, 1, final, witness, "heuristic", evals)
 

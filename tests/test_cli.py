@@ -38,6 +38,18 @@ class TestSearchCommand:
                        "--cache-dir", str(tmp_path)], capsys)
         assert code == 3
 
+    def test_cache_line_without_algorithm_version_not_served(self, tmp_path, capsys):
+        # written before the algorithm version joined the search cache key
+        (tmp_path / "searches.jsonl").write_text(json.dumps({
+            "key": "2a0e09f4d875b16a",
+            "payload": {"q": 29, "p": 1.0, "target": 1, "ratio": 0.315523622458285,
+                        "spectrum": list(range(1, 15)), "method": "heuristic",
+                        "evaluations": 7944}}) + "\n")
+        code, out = run(["search", "--q", "29", "--p", "1", "--mode", "heuristic",
+                         "--seed", "7", "--cache-dir", str(tmp_path)], capsys)
+        assert code == 0
+        assert "cached" not in json.loads(out)
+
     def test_star_mode(self, tmp_path, capsys):
         code, out = run(["search", "--q", "2", "--p", "2", "--mode", "star",
                          "--K", "1e6", "--cache-dir", str(tmp_path)], capsys)
@@ -136,6 +148,12 @@ class TestDecayCommand:
 
 
 E_WIDE = {"intervals": [[0.30, 0.35], [0.65, 0.70]]}
+E_MALFORMED = {
+    "short-pair.json": {"intervals": [[0.3]]},
+    "not-a-list.json": {"intervals": 5},
+    "strings.json": {"intervals": [["a", "b"]]},
+    "null.json": {"intervals": [[0.3, None]]},
+}
 CONCENTRATE = ["concentrate", "--e-file", "{E}", "--epsilon", "0.05"]
 
 
@@ -162,16 +180,21 @@ CONCENTRATE = ["concentrate", "--e-file", "{E}", "--epsilon", "0.05"]
     ["concentrate", "--e-file", "{DIR}/bad.json", "--epsilon", "0.05", "--p", "2"],
     ["replay", "{DIR}/missing-record.json"],
     ["decay", "--primes", "3,x"],
+    *(["concentrate", "--e-file", "{DIR}/" + name, "--epsilon", "0.05", "--p", "2"]
+      for name in E_MALFORMED),
 ], ids=["search-p-nan", "search-p-inf", "star-p-nan", "heuristic-p-nan",
         "concentrate-p-nan", "concentrate-p-inf", "curve-lam-inf",
         "round-epsilon-negative", "round-p-nan", "decay-non-prime", "concentrate-nu-0",
         "concentrate-theta-0", "concentrate-eta-nan", "star-K-0", "star-K-nan",
         "star-K-negative", "concentrate-e-file-missing", "concentrate-e-file-not-json",
-        "replay-record-missing", "decay-primes-not-integer"])
+        "replay-record-missing", "decay-primes-not-integer",
+        *(f"concentrate-e-file-{name[:-5]}" for name in E_MALFORMED)])
 def test_bad_input_exits_2(argv, tmp_path, capsys):
     e = tmp_path / "E.json"
     e.write_text(json.dumps(E_WIDE))
     (tmp_path / "bad.json").write_text("{not json")
+    for name, spec in E_MALFORMED.items():
+        (tmp_path / name).write_text(json.dumps(spec))
     argv = [a.replace("{E}", str(e)).replace("{DIR}", str(tmp_path)) for a in argv]
     code, _ = run([*argv, "--cache-dir", str(tmp_path)], capsys)
     assert code == 2

@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from concentra import discrete
 from concentra.errors import BudgetError, DomainError
@@ -131,6 +132,58 @@ class TestHeuristic:
         a = discrete.heuristic_gamma_sharp(31, 1.0, restarts=3, seed=11)
         b = discrete.heuristic_gamma_sharp(31, 1.0, restarts=3, seed=11)
         assert a.ratio == b.ratio and a.spectrum.freqs == b.spectrum.freqs
+
+    @pytest.mark.parametrize("q, p, seed, level", [
+        (499, 1.0, 0, 0.21530799123320146),
+        (256, 4.0, 0, 0.4954249808127286),
+        (199, 3.0, 3, 0.4944885047397929)])
+    def test_pinned_levels(self, q, p, seed, level):
+        # levels only: the witness may move among equal-level ties
+        h = discrete.heuristic_gamma_sharp(q, p, restarts=4, seed=seed)
+        assert h.ratio == pytest.approx(level, rel=1e-12, abs=0)
+
+
+@st.composite
+def spectra(draw):
+    q = draw(st.integers(3, 64))
+    bits = draw(st.lists(st.booleans(), min_size=q, max_size=q))
+    return q, tuple(h for h in range(q) if bits[h])
+
+
+class TestAscentStep:
+    """One step of the half-spectrum ascent against the full-grid evaluator."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(spectra(), st.sampled_from([1.0, 2.0, 3.0, 4.0]))
+    def test_step_matches_oracle(self, spec, p):
+        q, H = spec
+        k = np.arange(q)
+        E = np.exp(2j * np.pi * np.outer(k, k[:q // 2 + 1]) / q)
+        flips = [tuple(sorted(set(H) ^ {h})) for h in range(q)]
+        oracle = [discrete.concentration_ratio(Spectrum(f, q), p, 1) for f in flips]
+        tables, pow_sq = [], discrete._pow_sq
+
+        def spy(a2, power):
+            if a2.ndim == 2:
+                tables.append(a2.copy())
+            return pow_sq(a2, power)
+
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(discrete, "_pow_sq", spy)
+            members, score, evals = discrete._ascend(q, p, E, H, max_steps=1)
+        got = tuple(int(h) for h in members)
+        here = discrete.concentration_ratio(Spectrum(got, q), p, 1)
+        assert evals == q
+        assert abs(score - here) <= 1e-12
+        if got == H:
+            assert max(oracle) <= here + 1e-12
+        else:
+            assert oracle[flips.index(got)] >= max(oracle) - 1e-12
+        if p == 2.0:
+            # Parseval: flipping h in or out gives grid 2-sum q(|H| +- 1)
+            denom = tables[0] @ discrete._half_weights(q)
+            want = q * (len(H) + np.where(np.isin(k, H), -1.0, 1.0))
+            np.testing.assert_allclose(denom, want, rtol=1e-9, atol=1e-9)
 
 
 class TestDirichletTable:
