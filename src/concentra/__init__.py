@@ -1,9 +1,8 @@
 """concentra: numerical laboratory for L^p norm concentration of idempotent
 trigonometric polynomials on cyclic grids and on the torus."""
 
-from .trigpoly import (CoeffPoly, Grid, GridValues, Spectrum, complement,
-                       dilate, dirichlet_value, eval_grid, eval_point,
-                       fold_power, to_coeffs)
+from .trigpoly import (CoeffPoly, Grid, GridValues, Spectrum, dirichlet_value,
+                       eval_grid, eval_point, fold_power, to_coeffs)
 from .bounds import (ConstantResult, MinResult, SeriesEval, asymptote_scan,
                      eval_A, eval_B, gamma1_certified_lower, gamma2_sharp,
                      gamma4_sharp_lower, gamma_sharp_lower, gamma_star_lower,
@@ -13,13 +12,11 @@ from .discrete import (ConcentrationReport, DirichletTable, SearchConfig,
                        exact_gamma_sharp, exact_gamma_star,
                        gamma1_decay_scan, heuristic_gamma_sharp, ratio)
 from .rounding import (MomentReport, MonteCarloReport, RoundingTrial,
-                       bernoulli_round, bernoulli_round_complex,
-                       check_hypotheses, monte_carlo, moment_check,
-                       normalize_peak, verify_trial)
+                       bernoulli_round, hypothesis_constants, monte_carlo,
+                       moment_check, normalize_peak, verify_trial)
 from .concentrator import (EndToEndConfig, EndToEndResult, FractionHit,
-                           IntervalSet, Plan, TorusReport, build_Q, build_S,
-                           choose_n, end_to_end, find_fraction, measure,
-                           shift_stability_ratio)
+                           IntervalSet, Plan, TorusReport, build_Q, choose_n,
+                           end_to_end, find_fraction, measure)
 from .errors import BudgetError, CollisionError, DomainError
 
 __version__ = "0.1.0"

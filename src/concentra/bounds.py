@@ -112,7 +112,7 @@ def _ln_zeta_tail(lam: float, n: int) -> float:
     return base + math.log1p(rel)
 
 
-def zeta_value(lam: float, tail: float = 1e-14) -> float:
+def zeta_value(lam: float) -> float:
     """zeta(lam) by direct summation with an integral tail correction."""
     if lam <= 1:
         raise DomainError("zeta needs lam > 1")
@@ -307,7 +307,9 @@ def _core(lam, t, tol, odd, max_terms):
     return _core_mode_path(lam, t, tol, odd, max_terms)
 
 
-def _check_domain(lam, t):
+def _check_domain(lam, t, tol):
+    if not (0 < tol < math.inf):
+        raise DomainError(f"series needs a finite tolerance > 0, got {tol}")
     if not (1 + 1e-6 < lam < math.inf):
         raise DomainError(f"series needs finite lam > 1 + 1e-6, got {lam}")
     if not (0.0 < t <= 0.5):
@@ -317,7 +319,7 @@ def _check_domain(lam, t):
 def eval_B(lam: float, t: float, tol: float = 1e-10,
            max_terms: int = MAX_TERMS) -> SeriesEval:
     """Full-grid series B(lam, t); tail_bound is a rigorous remainder bound."""
-    _check_domain(lam, t)
+    _check_domain(lam, t, tol)
     core, bound, used = _core(lam, t, tol / 2, odd=False, max_terms=max_terms)
     pref = math.exp(lam * (math.log(math.pi * t) - math.log(math.sin(math.pi * t))))
     value = pref + 2 * core
@@ -328,7 +330,7 @@ def eval_B(lam: float, t: float, tol: float = 1e-10,
 def eval_A(lam: float, t: float, tol: float = 1e-10,
            max_terms: int = MAX_TERMS) -> SeriesEval:
     """Half-grid (odd-frequency) series A(lam, t)."""
-    _check_domain(lam, t)
+    _check_domain(lam, t, tol)
     core, bound, used = _core(lam, t, tol, odd=True, max_terms=max_terms)
     return SeriesEval(lam, t, core, bound + 8 * EPS * abs(core), used, tol)
 
@@ -378,8 +380,8 @@ def _scan_values(which: str, lam: float, ts: np.ndarray, K: int = 4096) -> np.nd
 
 
 def minimize_over_t(which: str, lam: float, scan_points: int = 1024,
-                    refine_tol: float = 1e-8, t_min: float = T_MIN) -> MinResult:
-    """Global minimum of B or A over t in [t_min, 1/2].
+                    refine_tol: float = 1e-8) -> MinResult:
+    """Global minimum of B or A over t in [T_MIN, 1/2].
 
     Dense uniform scan (>= 512 points) locates the basin; golden-section
     refinement narrows it to ``refine_tol``; the reported value is a series
@@ -391,7 +393,7 @@ def minimize_over_t(which: str, lam: float, scan_points: int = 1024,
         raise DomainError("minimize_over_t needs lam > 1")
     evalf = eval_A if which == "A" else eval_B
     series_tol = refine_tol / 10
-    ts = np.linspace(t_min, 0.5, max(scan_points, 512))
+    ts = np.linspace(T_MIN, 0.5, max(scan_points, 512))
     coarse = _scan_values(which, lam, ts)
     i = int(np.argmin(coarse))      # first occurrence: smallest t wins ties
     lo = ts[max(i - 1, 0)]
@@ -413,29 +415,36 @@ def minimize_over_t(which: str, lam: float, scan_points: int = 1024,
 # named constants
 # ----------------------------------------------------------------------
 
-def gamma2_sharp(scan_points: int = 400001, x_max: float = 20.0) -> ConstantResult:
+_SUP_SCAN_POINTS = 400001    # scan of the closed-form suprema (gamma2, gamma4)
+_SUP_X_MAX = 20.0            # right end of the gamma2 scan in x
+_L_MAX = 64                  # last power L of the gamma_sharp_lower sweep
+_REFINE_TOL = 1e-8           # minimizer width of the series-based constants
+_ASYMPTOTE_TOL = 1e-8        # series tolerance of asymptote_scan
+
+
+def gamma2_sharp() -> ConstantResult:
     """sup_{x>0} 2 sin^2(x)/(pi x), with its argmax."""
-    xs = np.linspace(1e-9, x_max, scan_points)
+    xs = np.linspace(1e-9, _SUP_X_MAX, _SUP_SCAN_POINTS)
     v = 2 * np.sin(xs) ** 2 / (np.pi * xs)
     i = int(np.argmax(v))
     f = lambda x: -2 * math.sin(x) ** 2 / (math.pi * x)
     x_star, val, _ = _golden_min(f, xs[max(i - 1, 0)], xs[min(i + 1, len(xs) - 1)], 1e-10)
-    cert = {"scan_points": scan_points, "x_max": x_max,
+    cert = {"scan_points": _SUP_SCAN_POINTS, "x_max": _SUP_X_MAX,
             "stationarity_residual": math.tan(x_star) - 2 * x_star}
     return ConstantResult(-val, x_star, cert)
 
 
-def gamma4_sharp_lower(scan_points: int = 400001) -> ConstantResult:
+def gamma4_sharp_lower() -> ConstantResult:
     """max_{0<t<1/2} 3 sin^4(pi t) / (pi^4 t^3)."""
-    ts = np.linspace(1e-9, 0.5, scan_points)
+    ts = np.linspace(1e-9, 0.5, _SUP_SCAN_POINTS)
     v = 3 * np.sin(np.pi * ts) ** 4 / (np.pi ** 4 * ts ** 3)
     i = int(np.argmax(v))
     f = lambda t: -3 * math.sin(math.pi * t) ** 4 / (math.pi ** 4 * t ** 3)
     t_star, val, _ = _golden_min(f, ts[max(i - 1, 0)], ts[min(i + 1, len(ts) - 1)], 1e-10)
-    return ConstantResult(-val, t_star, {"scan_points": scan_points})
+    return ConstantResult(-val, t_star, {"scan_points": _SUP_SCAN_POINTS})
 
 
-def gamma_sharp_lower(p: float, L_max: int = 64, refine_tol: float = 1e-8) -> ConstantResult:
+def gamma_sharp_lower(p: float) -> ConstantResult:
     """Lower bound 2 sup_{L>=1} 1/min_t B(L p, t) for the plain-grid level.
 
     For p <= 2 only the L = 1 term is a valid witness route; for p > 2 the
@@ -447,9 +456,9 @@ def gamma_sharp_lower(p: float, L_max: int = 64, refine_tol: float = 1e-8) -> Co
     sweep = []
     best = 0.0
     stagnant = 0
-    L_hi = 1 if p <= 2 else L_max
+    L_hi = 1 if p <= 2 else _L_MAX
     for L in range(1, L_hi + 1):
-        m = minimize_over_t("B", p * L, refine_tol=refine_tol)
+        m = minimize_over_t("B", p * L, refine_tol=_REFINE_TOL)
         g = 2.0 / m.value
         sweep.append({"L": L, "min_B": m.value, "t_star": m.t_star, "gamma": g})
         if g > best + 1e-6:
@@ -459,45 +468,44 @@ def gamma_sharp_lower(p: float, L_max: int = 64, refine_tol: float = 1e-8) -> Co
             stagnant += 1
             if stagnant >= 2:
                 break
-    cert = {"L_sweep": sweep, "refine_tol": refine_tol}
+    cert = {"L_sweep": sweep, "refine_tol": _REFINE_TOL}
     return ConstantResult(best, None, cert)
 
 
-def asymptote_scan(lam: float, kappa_grid=None, tol: float = 1e-8) -> ConstantResult:
+def asymptote_scan(lam: float) -> ConstantResult:
     """min over kappa of B(lam, kappa*sqrt(6/lam)); argmax field holds kappa*.
 
-    The default grid starts at 0.05: the large-lam minimizer sits near
+    The kappa grid starts at 0.05: the large-lam minimizer sits near
     kappa ~ 0.225, so grids starting higher miss the basin entirely.
     """
-    if kappa_grid is None:
-        kappa_grid = np.arange(0.05, 3.0 + 1e-12, 0.005)
+    kappa_grid = np.arange(0.05, 3.0 + 1e-12, 0.005)
     scale = math.sqrt(6.0 / lam)
     best = None
-    for kap in np.asarray(kappa_grid, dtype=np.float64):
+    for kap in kappa_grid:
         t = kap * scale
         if not (0.0 < t < 0.5):
             continue
-        v = eval_B(lam, t, tol=tol).value
+        v = eval_B(lam, t, tol=_ASYMPTOTE_TOL).value
         if best is None or v < best[1]:
             best = (float(kap), v)
     if best is None:
         raise DomainError("no kappa grid point lands t in (0, 1/2)")
     k0 = best[0]
-    f = lambda kap: eval_B(lam, kap * scale, tol=tol).value
+    f = lambda kap: eval_B(lam, kap * scale, tol=_ASYMPTOTE_TOL).value
     lo, hi = max(k0 - 0.005, 1e-6), k0 + 0.005
     kap_star, val, _ = _golden_min(f, lo, hi, 1e-5)
     val = min(val, best[1])
     cert = {"lam": lam, "grid_lo": float(np.min(kappa_grid)),
-            "grid_hi": float(np.max(kappa_grid)), "series_tol": tol}
+            "grid_hi": float(np.max(kappa_grid)), "series_tol": _ASYMPTOTE_TOL}
     return ConstantResult(float(val), float(kap_star), cert)
 
 
-def gamma_star_lower(p: float, refine_tol: float = 1e-8) -> ConstantResult:
+def gamma_star_lower(p: float) -> ConstantResult:
     """Lower bound 1/min_t A(p, t) for the half-grid relative level."""
     if p <= 1:
         raise DomainError("needs p > 1")
-    m = minimize_over_t("A", p, refine_tol=refine_tol)
-    cert = {"t_star": m.t_star, "min_A": m.value, "refine_tol": refine_tol}
+    m = minimize_over_t("A", p, refine_tol=_REFINE_TOL)
+    cert = {"t_star": m.t_star, "min_A": m.value, "refine_tol": _REFINE_TOL}
     return ConstantResult(1.0 / m.value, m.t_star, cert)
 
 

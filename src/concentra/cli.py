@@ -95,6 +95,8 @@ def run_constants(inputs: dict) -> dict:
 def run_curve(inputs: dict) -> dict:
     which = inputs["which"]
     lam = inputs["lam"]
+    if inputs["points"] < 1:
+        raise DomainError(f"need --points >= 1, got {inputs['points']}")
     ts = np.linspace(inputs["t_min"], inputs["t_max"], inputs["points"])
     tol = inputs.get("tol", 1e-10)
     f = bounds.eval_A if which == "A" else bounds.eval_B
@@ -135,12 +137,12 @@ def run_round(inputs: dict) -> dict:
     Pn = rounding.normalize_peak(P)
     rep = rounding.monte_carlo(P, q, p, eps, inputs["trials"], inputs.get("seed", 0))
     out = to_jsonable(rep)
-    out["hypotheses"] = rounding.hypothesis_constants(Pn, q, p)
+    hyp = rounding.hypothesis_constants(Pn, q, p)
     c_probe = inputs.get("c_probe", 0.3)
-    cond_c, concentr = rounding.check_hypotheses(Pn, q, c_probe, p)
-    out["hypotheses"]["c_probe"] = c_probe
-    out["hypotheses"]["cond_c_at_probe"] = cond_c
-    out["hypotheses"]["concentr_at_probe"] = concentr
+    hyp["c_probe"] = c_probe
+    hyp["cond_c_at_probe"] = c_probe <= hyp["c_cond_c"]
+    hyp["concentr_at_probe"] = c_probe <= hyp["c_concentr"]
+    out["hypotheses"] = hyp
     return out
 
 
@@ -328,6 +330,8 @@ def _primes_up_to(n: int):
 
 
 def _inputs_from_args(args) -> dict:
+    if args.seed < 0:
+        raise DomainError(f"--seed must be >= 0, got {args.seed}")
     if args.cmd == "constants":
         return {}
     if args.cmd == "curve":

@@ -30,9 +30,13 @@ from . import discrete
 
 __all__ = [
     "IntervalSet", "Plan", "TorusReport", "FractionHit", "EndToEndConfig",
-    "EndToEndResult", "find_fraction", "choose_n", "build_Q", "build_S",
-    "measure", "end_to_end", "shift_stability_ratio",
+    "EndToEndResult", "find_fraction", "choose_n", "build_Q", "measure",
+    "end_to_end",
 ]
+
+_WITNESS_CAP = 18        # exhaustive witness search up to this q, heuristic beyond
+_WITNESS_RESTARTS = 4    # random restarts of the heuristic witness search
+_SAMPLE_CAP = 1 << 25    # most samples one quadrature rule may take
 
 
 @dataclass(frozen=True)
@@ -94,7 +98,6 @@ class Plan:
     n: int
     R: Spectrum          # grid witness, degree < q (undilated)
     nu: int = 1
-    shifted: bool = False
 
 
 @dataclass(frozen=True)
@@ -124,10 +127,7 @@ class EndToEndConfig:
     q_max: int = 4000
     nu: int = 1
     mesh_per_unit_degree: int = 8
-    exhaustive_cap: int = 18
-    heuristic_restarts: int = 4
     seed: int = 0
-    sample_cap: int = 1 << 25
 
 
 @dataclass(frozen=True)
@@ -141,8 +141,7 @@ class EndToEndResult:
 
 
 def find_fraction(E: IntervalSet, theta: float, eta: float, q0: int,
-                  q_max: int, nu: int = 1, shifted: bool = False,
-                  trace: list | None = None) -> FractionHit:
+                  q_max: int, nu: int = 1, trace: list | None = None) -> FractionHit:
     """First fraction (smallest q, then a) whose window covers E well.
 
     Scans q in (q0, q_max] with gcd(nu, q) = 1 and all reduced residues,
@@ -163,15 +162,12 @@ def find_fraction(E: IntervalSet, theta: float, eta: float, q0: int,
         if math.gcd(nu, q) != 1:
             continue
         w = theta / (q * q)
-        if shifted:
-            cands = [a for a in range(q) if math.gcd(2 * a + 1, 2 * q) == 1]
-            centers = [(2 * a + 1) / (2 * q) for a in cands]
-        else:
-            cands = [a for a in range(1, q) if math.gcd(a, q) == 1]
-            centers = [a / q for a in cands]
-        for a, c in zip(cands, centers):
+        for a in range(1, q):
+            if math.gcd(a, q) != 1:
+                continue
             if nu > 1 and (nu * a) % q not in (1, q - 1):
                 continue
+            c = a / q
             cov = min(E.window_overlap(c - w, c + w) / (2 * w), 1.0)
             if trace is not None:
                 trace.append((q, a, cov))
@@ -208,25 +204,6 @@ def build_Q(R: Spectrum, n: int, q: int, nu: int = 1) -> Spectrum:
     return Spectrum(tuple(nu * h + q * m for m in range(n) for h in R.freqs), q * n)
 
 
-def build_S(R1: Spectrum, R2: Spectrum, q: int, mode: str = "q_plus_1") -> Spectrum:
-    """Product spectrum h1 + f*h2 with f = q+1 or 2q+1.
-
-    On the q-point (resp. 2q-point) grid the assembled polynomial takes the
-    pointwise product of the factors' values; any repeated frequency sum is
-    rejected since the result would not be an idempotent.
-    """
-    if mode == "q_plus_1":
-        f = q + 1
-    elif mode == "two_q_plus_1":
-        f = 2 * q + 1
-    else:
-        raise DomainError("mode must be q_plus_1 or two_q_plus_1")
-    sums = [h1 + f * h2 for h2 in R2.freqs for h1 in R1.freqs]
-    if len(set(sums)) != len(sums):
-        raise CollisionError("frequency collision in product assembly")
-    return Spectrum(tuple(sorted(sums)), max(sums) + 1)
-
-
 def _chirp_z(c: np.ndarray, x0: float, dx: float, m: int) -> np.ndarray:
     """sum_h c_h e(h (x0 + j dx)) for j = 0..m-1, by one chirp-z transform.
 
@@ -245,13 +222,12 @@ def _chirp_z(c: np.ndarray, x0: float, dx: float, m: int) -> np.ndarray:
     return np.exp(1j * np.pi * dx * j * j) * conv
 
 
-def _quadrature(c: CoeffPoly, deg: int, E: IntervalSet, p: float, mesh: int,
-                sample_cap: int):
+def _quadrature(c: CoeffPoly, deg: int, E: IntervalSet, p: float, mesh: int):
     """(int_E, int_T) of |c|^p at one mesh: the circle rule is one size-N
     transform, and each interval's composite Simpson rule one chirp-z."""
     N = mesh * max(deg, 1)
-    if N > sample_cap:
-        raise BudgetError(f"quadrature needs {N} samples > cap {sample_cap}")
+    if N > _SAMPLE_CAP:
+        raise BudgetError(f"quadrature needs {N} samples > cap {_SAMPLE_CAP}")
     int_T = float(np.mean(np.abs(eval_grid(c, Grid(N)).values) ** p))
     int_E = 0.0
     for lo, hi in E.intervals:
@@ -264,8 +240,7 @@ def _quadrature(c: CoeffPoly, deg: int, E: IntervalSet, p: float, mesh: int,
 
 
 def measure(Q: Spectrum, E: IntervalSet, p: float,
-            mesh_per_unit_degree: int = 8,
-            sample_cap: int = 1 << 25) -> TorusReport:
+            mesh_per_unit_degree: int = 8) -> TorusReport:
     """Quadrature of |Q|^p over E and over the whole circle, at the mesh
     and at half of it; their difference is the reported error estimate."""
     if mesh_per_unit_degree < 4:
@@ -275,8 +250,8 @@ def measure(Q: Spectrum, E: IntervalSet, p: float,
     c = to_coeffs(Q)
     deg = Q.freqs[-1]
     mesh = mesh_per_unit_degree
-    e_f, t_f = _quadrature(c, deg, E, p, mesh, sample_cap)
-    e_c, t_c = _quadrature(c, deg, E, p, max(4, mesh // 2), sample_cap)
+    e_f, t_f = _quadrature(c, deg, E, p, mesh)
+    e_c, t_c = _quadrature(c, deg, E, p, max(4, mesh // 2))
     est = abs(e_f - e_c) + abs(t_f - t_c) + 1e-12 * (1.0 + abs(t_f))
     ratio = min(e_f / t_f if t_f > 0 else 0.0, 1.0)
     pe = abs(t_f - len(Q)) / len(Q) if p == 2.0 else None
@@ -285,10 +260,10 @@ def measure(Q: Spectrum, E: IntervalSet, p: float,
 
 def _witness_for(q: int, p: float, target: int, cfg: EndToEndConfig) -> Spectrum:
     """Best known grid witness concentrated at the given coprime target."""
-    if q <= cfg.exhaustive_cap:
+    if q <= _WITNESS_CAP:
         rep = discrete.exact_gamma_sharp(q, p)
     else:
-        rep = discrete.heuristic_gamma_sharp(q, p, restarts=cfg.heuristic_restarts,
+        rep = discrete.heuristic_gamma_sharp(q, p, restarts=_WITNESS_RESTARTS,
                                              seed=cfg.seed)
     binv = pow(target, -1, q)
     return Spectrum(tuple(sorted(binv * h % q for h in rep.spectrum.freqs)), q)
@@ -338,22 +313,6 @@ def end_to_end(E: IntervalSet, p: float, eps: float,
     predicted = discrete.concentration_ratio(W, p, b)
     n = choose_n(p, eps, config.theta / q)
     Q = build_Q(W, n, q, nu)
-    report = measure(Q, E, p, config.mesh_per_unit_degree, config.sample_cap)
-    plan = Plan(a, q, config.theta, n, W, nu, False)
+    report = measure(Q, E, p, config.mesh_per_unit_degree)
+    plan = Plan(a, q, config.theta, n, W, nu)
     return EndToEndResult(plan, report, Q, predicted, Q.min_gap(), pathway)
-
-
-def shift_stability_ratio(spec: Spectrum, q: int, p: float, t: float) -> float:
-    """Empirical grid-shift stability quotient for one polynomial and shift:
-
-        sum_k | |P(t+k/q)|^p - |P(k/q)|^p |  /  (|qt| sum_k |P(k/q)|^p).
-    """
-    if t == 0:
-        raise DomainError("need a nonzero shift")
-    c = to_coeffs(spec).coeffs
-    h = np.arange(len(c))
-    base = eval_grid(CoeffPoly(c), Grid(q)).values
-    shifted = eval_grid(CoeffPoly(c * np.exp(2j * np.pi * h * t)), Grid(q)).values
-    num = float(np.sum(np.abs(np.abs(shifted) ** p - np.abs(base) ** p)))
-    den = abs(q * t) * float(np.sum(np.abs(base) ** p))
-    return num / den

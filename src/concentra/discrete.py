@@ -44,7 +44,7 @@ EXHAUSTIVE_CAP = 26      # plain-grid cap: 2^(q-1) spectra after translation pru
 STAR_CAP = 11            # half-grid cap: 2^(2q-1) spectra
 _LO = 16                 # low mask bits: one scan batch is 2^16 spectra
 _NEAR = 1e-7             # candidate slack before exact re-evaluation
-ALGORITHM_VERSION = 2    # in the search cache key; bump when an answer may change
+ALGORITHM_VERSION = 3    # in the search cache key; bump when an answer may change
 
 
 @dataclass(frozen=True)
@@ -230,20 +230,20 @@ def _check_p(p: float) -> None:
         raise DomainError(f"need finite p > 0, got {p}")
 
 
-def exact_gamma_sharp(q: int, p: float, max_q: int = EXHAUSTIVE_CAP,
+def exact_gamma_sharp(q: int, p: float,
                       use_pruning: bool | None = None) -> ConcentrationReport:
     """Exact plain-grid level at target 1 by exhaustive scan.
 
     ``use_pruning`` controls dilation-orbit dedup (default: on for prime q);
     translation reduction is always applied.  Raises BudgetError beyond
-    ``max_q`` and points the caller at the heuristic search.
+    ``EXHAUSTIVE_CAP`` and points the caller at the heuristic search.
     """
     if q < 2:
         raise DomainError("need q >= 2")
     _check_p(p)
-    if q > max_q:
+    if q > EXHAUSTIVE_CAP:
         raise BudgetError(
-            f"exhaustive search capped at q <= {max_q} (2^{q-1} spectra); "
+            f"exhaustive search capped at q <= {EXHAUSTIVE_CAP} (2^{q-1} spectra); "
             f"use heuristic_gamma_sharp for q = {q}")
     prime = _is_prime(q)
     if use_pruning is None:
@@ -377,13 +377,12 @@ def heuristic_gamma_sharp(q: int, p: float, restarts: int = 4,
     for n, r in table.rows:
         if r > best_score:
             best_score, best_set = r, tuple(range(n))
-    evals += len(table.rows)
     witness = Spectrum(best_set, q)
     final = concentration_ratio(witness, p, 1)
     return ConcentrationReport(q, p, 1, final, witness, "heuristic", evals)
 
 
-def exact_gamma_star(q: int, p: float, K: float = 1e4, max_q: int = STAR_CAP,
+def exact_gamma_star(q: int, p: float, K: float = 1e4,
                      use_pruning: bool = True) -> StarReport:
     """Exact half-grid relative level with plain-grid control constant K.
 
@@ -397,8 +396,8 @@ def exact_gamma_star(q: int, p: float, K: float = 1e4, max_q: int = STAR_CAP,
     _check_p(p)
     if not (0 < K < math.inf):
         raise DomainError(f"need finite K > 0, got {K}")
-    if q > max_q:
-        raise BudgetError(f"half-grid exhaustive search capped at q <= {max_q}")
+    if q > STAR_CAP:
+        raise BudgetError(f"half-grid exhaustive search capped at q <= {STAR_CAP}")
     Q = 2 * q
     k = np.arange(Q)
     E = np.exp(2j * np.pi * np.outer(k, k) / Q)

@@ -21,9 +21,11 @@ from .trigpoly import CoeffPoly, Grid, Spectrum, eval_grid, to_coeffs
 
 __all__ = [
     "RoundingTrial", "MomentReport", "MonteCarloReport",
-    "check_hypotheses", "bernoulli_round", "bernoulli_round_complex",
-    "verify_trial", "monte_carlo", "moment_check", "normalize_peak",
+    "hypothesis_constants", "bernoulli_round", "verify_trial", "monte_carlo",
+    "moment_check", "normalize_peak",
 ]
+
+_BLOCK = 1024            # moment_check trials drawn from each Philox stream
 
 
 @dataclass(frozen=True)
@@ -57,7 +59,8 @@ class MonteCarloReport:
 
 
 def _stream(seed: int, index: int) -> np.random.Generator:
-    return np.random.Generator(np.random.Philox(key=[seed & (2**64 - 1), index]))
+    key = np.array([seed & (2**64 - 1), index], dtype=np.uint64)
+    return np.random.Generator(np.random.Philox(key=key))
 
 
 def normalize_peak(P: CoeffPoly) -> CoeffPoly:
@@ -68,26 +71,14 @@ def normalize_peak(P: CoeffPoly) -> CoeffPoly:
     return CoeffPoly(P.coeffs / m, nonneg=P.nonneg)
 
 
-def check_hypotheses(P: CoeffPoly, q: int, c: float, p: float):
-    """Evaluate the two rounding hypotheses at constant c.
+def hypothesis_constants(P: CoeffPoly, q: int, p: float) -> dict:
+    """Largest constants c at which each rounding hypothesis holds for P.
 
     (i)  c q max|a_h| <= sum|a_h| <= c^-1 |P(1/q)|
     (ii) |P(1/q)| >= c (sum_k |P(k/q)|^p)^(1/p)
     """
-    if len(P.coeffs) > q:
-        raise DomainError("polynomial degree must be < q")
-    a = np.abs(P.coeffs)
-    sigma = float(a.sum())
-    vals = eval_grid(P, Grid(q)).values
-    P1 = float(abs(vals[1])) if q > 1 else float(abs(vals[0]))
-    cond_c = (c * q * float(a.max()) <= sigma) and (c * sigma <= P1)
-    lp = float(np.sum(np.abs(vals) ** p)) ** (1.0 / p)
-    concentr = P1 >= c * lp
-    return bool(cond_c), bool(concentr)
-
-
-def hypothesis_constants(P: CoeffPoly, q: int, p: float) -> dict:
-    """Largest constants at which each hypothesis holds for this P."""
+    if q < 2 or len(P.coeffs) > q:
+        raise DomainError("need q >= 2 and polynomial degree < q")
     a = np.abs(P.coeffs)
     sigma = float(a.sum())
     vals = eval_grid(P, Grid(q)).values
@@ -108,8 +99,7 @@ def bernoulli_round(P: CoeffPoly, seed: int) -> Spectrum:
     (seed, h)-derived uniform falls below a_h.  Pure function of (P, seed).
     """
     if not P.nonneg:
-        raise DomainError("bernoulli_round needs the nonneg flag "
-                          "(see bernoulli_round_complex for the unchecked variant)")
+        raise DomainError("bernoulli_round needs the nonneg flag")
     a = P.coeffs.real
     m = a.max()
     if m <= 0:
@@ -118,24 +108,6 @@ def bernoulli_round(P: CoeffPoly, seed: int) -> Spectrum:
     u = _stream(seed, 0).random(len(alpha))
     keep = u < alpha
     return Spectrum(tuple(int(h) for h in np.nonzero(keep)[0]), len(alpha))
-
-
-def bernoulli_round_complex(P: CoeffPoly, seed: int) -> CoeffPoly:
-    """Unchecked variant for complex coefficients (experiments only).
-
-    Keeps unimodular coefficients a_h/|a_h| with probability |a_h|/max|a_h|.
-    The result is NOT an idempotent unless P was nonnegative.
-    """
-    a = np.abs(P.coeffs)
-    m = a.max()
-    if m <= 0:
-        raise DomainError("zero polynomial")
-    alpha = a / m
-    u = _stream(seed, 0).random(len(alpha))
-    keep = u < alpha
-    with np.errstate(invalid="ignore", divide="ignore"):
-        units = np.where(a > 0, P.coeffs / np.where(a > 0, a, 1.0), 0.0)
-    return CoeffPoly(np.where(keep, units, 0.0))
 
 
 def verify_trial(P: CoeffPoly, Q: Spectrum, q: int, p: float,
@@ -162,6 +134,8 @@ def verify_trial(P: CoeffPoly, Q: Spectrum, q: int, p: float,
 def monte_carlo(P: CoeffPoly, q: int, p: float, eps: float, trials: int,
                 seed: int) -> MonteCarloReport:
     """Empirical success frequency of the rounding over independent trials."""
+    if q < 2:
+        raise DomainError(f"need grid size q >= 2, got {q}")
     if trials < 1:
         raise DomainError("success frequency undefined for trials < 1")
     if not (0 < eps < 1):
@@ -190,8 +164,7 @@ def monte_carlo(P: CoeffPoly, q: int, p: float, eps: float, trials: int,
                             {"q10": float(q10), "q50": float(q50), "q90": float(q90)})
 
 
-def moment_check(b, alpha, p: float, trials: int, seed: int,
-                 block: int = 1024) -> MomentReport:
+def moment_check(b, alpha, p: float, trials: int, seed: int) -> MomentReport:
     """Empirical p-th moment of sum_k b_k (X_k - alpha_k), normalized by
     max|b|^p (1 + sum alpha)^(p/2).
 
@@ -212,7 +185,7 @@ def moment_check(b, alpha, p: float, trials: int, seed: int,
     done = 0
     bi = 0
     while done < trials:
-        nblk = min(block, trials - done)
+        nblk = min(_BLOCK, trials - done)
         u = _stream(seed, bi).random((nblk, len(alpha)))
         X = (u < alpha[None, :]).astype(np.float64)
         S = (X - alpha[None, :]) @ b

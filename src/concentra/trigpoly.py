@@ -12,8 +12,7 @@ shared mutable state.
 
 from __future__ import annotations
 
-import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -22,7 +21,7 @@ from .errors import DomainError
 __all__ = [
     "Spectrum", "CoeffPoly", "Grid", "GridValues",
     "dirichlet_value", "to_coeffs", "eval_point", "eval_grid",
-    "fold_power", "dilate", "complement",
+    "fold_power",
 ]
 
 
@@ -85,20 +84,16 @@ class CoeffPoly:
 
 @dataclass(frozen=True)
 class Grid:
-    """Cyclic evaluation grid: points k/q, or (2k+1)/(2q) when shifted."""
+    """Cyclic evaluation grid: points k/q."""
 
     q: int
-    shifted: bool = False
 
     def __post_init__(self):
         if self.q < 1:
             raise DomainError("grid size q must be >= 1")
 
     def points(self) -> np.ndarray:
-        k = np.arange(self.q)
-        if self.shifted:
-            return (2 * k + 1) / (2 * self.q)
-        return k / self.q
+        return np.arange(self.q) / self.q
 
 
 @dataclass(frozen=True, eq=False)
@@ -178,16 +173,10 @@ def _fold_mod(coeffs: np.ndarray, q: int) -> np.ndarray:
 def eval_grid(p: CoeffPoly, g: Grid) -> GridValues:
     """Evaluate on all grid points with a size-q discrete Fourier transform.
 
-    Coefficients with index >= q alias: index h lands on h mod q.  On the
-    shifted grid each a_h is pre-twisted by e(h/(2q)) before folding, which
-    turns the half-step shift into a plain q-point transform.
+    Coefficients with index >= q alias: index h lands on h mod q.
     """
     q = g.q
-    c = p.coeffs
-    if g.shifted:
-        h = np.arange(len(c))
-        c = c * np.exp(1j * np.pi * h / q)
-    folded = _fold_mod(c, q)
+    folded = _fold_mod(p.coeffs, q)
     # values[k] = sum_h c_h e(hk/q) = q * ifft(c)[k]
     vals = np.fft.ifft(folded) * q
     return GridValues(g, vals)
@@ -217,19 +206,3 @@ def fold_power(p: CoeffPoly, L: int, q: int) -> CoeffPoly:
     if not im_ok or np.any(re < 0):
         raise DomainError("folded power has non-clampable negative/complex residue")
     return CoeffPoly(re.astype(np.complex128), nonneg=True)
-
-
-def dilate(s: Spectrum, nu: int, new_bound: int) -> Spectrum:
-    """Frequency dilation h -> nu*h (no modular reduction)."""
-    if nu < 1:
-        raise DomainError("dilation factor must be >= 1")
-    if s.freqs and nu * s.freqs[-1] >= new_bound:
-        raise DomainError("new_bound too small for dilated spectrum")
-    return Spectrum(tuple(nu * h for h in s.freqs), new_bound)
-
-
-def complement(s: Spectrum) -> Spectrum:
-    """Complement spectrum {0..q-1} \\ H within the context modulus."""
-    q = s.degree_bound
-    have = set(s.freqs)
-    return Spectrum(tuple(h for h in range(q) if h not in have), q)

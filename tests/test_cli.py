@@ -182,13 +182,26 @@ CONCENTRATE = ["concentrate", "--e-file", "{E}", "--epsilon", "0.05"]
     ["decay", "--primes", "3,x"],
     *(["concentrate", "--e-file", "{DIR}/" + name, "--epsilon", "0.05", "--p", "2"]
       for name in E_MALFORMED),
+    ["search", "--q", "31", "--p", "1", "--mode", "heuristic", "--seed", "-1"],
+    ["round", "--q", "97", "--n", "24", "--L", "3", "--p", "3", "--epsilon", "0.2",
+     "--trials", "1", "--seed", "-1"],
+    ["round", "--q", "1", "--n", "1", "--L", "1", "--p", "3", "--epsilon", "0.2",
+     "--trials", "1"],
+    ["curve", "--which", "B", "--lam", "2", "--points", "-1"],
+    ["curve", "--which", "B", "--lam", "2", "--points", "0"],
+    ["curve", "--which", "B", "--lam", "2", "--tol", "0"],
+    ["curve", "--which", "A", "--lam", "2", "--tol", "-1"],
+    ["curve", "--which", "B", "--lam", "2", "--tol", "nan"],
 ], ids=["search-p-nan", "search-p-inf", "star-p-nan", "heuristic-p-nan",
         "concentrate-p-nan", "concentrate-p-inf", "curve-lam-inf",
         "round-epsilon-negative", "round-p-nan", "decay-non-prime", "concentrate-nu-0",
         "concentrate-theta-0", "concentrate-eta-nan", "star-K-0", "star-K-nan",
         "star-K-negative", "concentrate-e-file-missing", "concentrate-e-file-not-json",
         "replay-record-missing", "decay-primes-not-integer",
-        *(f"concentrate-e-file-{name[:-5]}" for name in E_MALFORMED)])
+        *(f"concentrate-e-file-{name[:-5]}" for name in E_MALFORMED),
+        "heuristic-seed-negative", "round-seed-negative", "round-q-1",
+        "curve-points-negative", "curve-points-0", "curve-tol-0", "curve-tol-negative",
+        "curve-tol-nan"])
 def test_bad_input_exits_2(argv, tmp_path, capsys):
     e = tmp_path / "E.json"
     e.write_text(json.dumps(E_WIDE))

@@ -142,6 +142,12 @@ class TestHeuristic:
         h = discrete.heuristic_gamma_sharp(q, p, restarts=4, seed=seed)
         assert h.ratio == pytest.approx(level, rel=1e-12, abs=0)
 
+    def test_dirichlet_rows_counted_once(self, monkeypatch):
+        # with ascents that cost nothing, only the q - 1 table rows remain
+        monkeypatch.setattr(discrete, "_ascend",
+                            lambda q, p, E, st, max_steps=None: (np.array(st), 0.0, 0))
+        assert discrete.heuristic_gamma_sharp(41, 1.0).evaluations == 40
+
 
 @st.composite
 def spectra(draw):

@@ -16,27 +16,30 @@ def folded_kernel_power(n, L, q):
 class TestHypotheses:
     def test_constant_poly_fails_first(self):
         P = CoeffPoly(np.array([1.0 + 0j]), nonneg=True)
-        cond_c, _ = rounding.check_hypotheses(P, 10, 0.5, 2.0)
-        assert cond_c is False
+        consts = rounding.hypothesis_constants(P, 10, 2.0)
+        assert consts["c_cond_c"] < 0.5
 
     def test_full_kernel_fails_second(self):
         q = 8
         P = to_coeffs(Spectrum(tuple(range(q)), q))   # vanishes off 0
-        _, concentr = rounding.check_hypotheses(P, q, 0.1, 2.0)
-        assert concentr is False
+        consts = rounding.hypothesis_constants(P, q, 2.0)
+        assert consts["c_concentr"] < 0.1
 
     def test_folded_power_passes_at_small_c(self):
         q, n, L = 499, 125, 3
         P = rounding.normalize_peak(folded_kernel_power(n, L, q))
         consts = rounding.hypothesis_constants(P, q, 3.0)
         c = 0.9 * min(consts["c_cond_c"], consts["c_concentr"])
-        cond_c, concentr = rounding.check_hypotheses(P, q, c, 3.0)
-        assert cond_c and concentr
+        # both hypotheses, evaluated from their definitions at c
+        a = np.abs(P.coeffs)
+        vals = np.abs(eval_point(P, np.arange(q) / q))
+        assert c * q * a.max() <= a.sum() <= vals[1] / c
+        assert vals[1] >= c * np.sum(vals ** 3) ** (1 / 3)
 
     def test_degree_guard(self):
         P = to_coeffs(Spectrum(tuple(range(6)), 6))
         with pytest.raises(DomainError):
-            rounding.check_hypotheses(P, 4, 0.1, 2.0)
+            rounding.hypothesis_constants(P, 4, 2.0)
 
 
 class TestBernoulliRound:
@@ -76,12 +79,10 @@ class TestBernoulliRound:
         with pytest.raises(DomainError):
             rounding.bernoulli_round(CoeffPoly(np.zeros(3, complex), nonneg=True), 0)
 
-    def test_complex_variant_unimodular(self):
-        c = np.array([2.0, 1.0 + 1.0j, 0.0, -3.0])
-        out = rounding.bernoulli_round_complex(CoeffPoly(c), 3)
-        nz = out.coeffs[np.abs(out.coeffs) > 0]
-        assert np.allclose(np.abs(nz), 1.0)
-        assert abs(out.coeffs[2]) == 0
+    def test_seeds_above_2_63_draw_distinct_streams(self):
+        a = rounding._stream(2**64 - 2, 0).random(4)
+        b = rounding._stream(2**64 - 3, 0).random(4)
+        assert not np.array_equal(a, b)
 
 
 class TestVerifyTrial:

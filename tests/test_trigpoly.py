@@ -4,9 +4,8 @@ import numpy as np
 import pytest
 
 from concentra.errors import DomainError
-from concentra.trigpoly import (CoeffPoly, Grid, Spectrum, complement, dilate,
-                                dirichlet_value, eval_grid, eval_point,
-                                fold_power, to_coeffs)
+from concentra.trigpoly import (CoeffPoly, Grid, Spectrum, dirichlet_value,
+                                eval_grid, eval_point, fold_power, to_coeffs)
 
 
 def direct_kernel_sum(n, x):
@@ -94,11 +93,10 @@ class TestEvalGrid:
             coeffs = rng.normal(size=d) + 1j * rng.normal(size=d)
             p = CoeffPoly(coeffs)
             scale = np.abs(coeffs).sum()
-            for shifted in (False, True):
-                g = Grid(q, shifted)
-                got = eval_grid(p, g).values
-                want = eval_point(p, g.points())
-                assert np.max(np.abs(got - want)) <= 1e-10 * max(scale, 1)
+            g = Grid(q)
+            got = eval_grid(p, g).values
+            want = eval_point(p, g.points())
+            assert np.max(np.abs(got - want)) <= 1e-10 * max(scale, 1)
 
     def test_parseval(self, rng):
         for _ in range(50):
@@ -169,45 +167,3 @@ class TestFoldPower:
     def test_rejects_bad_power(self):
         with pytest.raises(DomainError):
             fold_power(to_coeffs(Spectrum((0,), 2)), 0, 4)
-
-
-class TestDilate:
-    def test_unit(self):
-        assert dilate(Spectrum((0, 1, 2), 3), 1, 3).freqs == (0, 1, 2)
-
-    def test_by_ten(self):
-        assert dilate(Spectrum((0, 1, 2), 3), 10, 30).freqs == (0, 10, 20)
-
-    def test_substitution_identity(self, rng):
-        s = Spectrum((0, 2, 5), 6)
-        d = dilate(s, 7, 50)
-        for _ in range(100):
-            x = float(rng.uniform(0, 1))
-            a = eval_point(to_coeffs(d), x)
-            b = eval_point(to_coeffs(s), (7 * x) % 1.0)
-            assert abs(a - b) <= 1e-10 * 3
-
-    def test_bound_violation(self):
-        with pytest.raises(DomainError):
-            dilate(Spectrum((0, 1, 2), 3), 10, 20)
-
-
-class TestComplement:
-    def test_small(self):
-        assert complement(Spectrum((0,), 3)).freqs == (1, 2)
-
-    def test_moduli_match_off_zero(self, rng):
-        q = 17
-        freqs = tuple(sorted(rng.choice(q, 6, replace=False).tolist()))
-        s = Spectrum(freqs, q)
-        a = eval_grid(to_coeffs(s), Grid(q))
-        b = eval_grid(to_coeffs(complement(s)), Grid(q))
-        assert np.max(np.abs(a.moduli()[1:] - b.moduli()[1:])) <= 1e-9
-        assert abs(b.values[0] - (q - 6)) <= 1e-9
-
-    def test_full_goes_to_empty(self):
-        q = 5
-        c = complement(Spectrum(tuple(range(q)), q))
-        assert c.freqs == ()
-        v = eval_grid(to_coeffs(c), Grid(q)).values
-        assert np.allclose(v, 0.0)
