@@ -26,7 +26,7 @@ print(f"witness grid level (prediction): {res.predicted_ratio:.4f}")
 print(f"achieved concentration:          {rep.ratio:.4f}")
 print(f"full-circle integral {rep.int_T:.4f} vs frequency count "
       f"{len(res.spectrum)} (rel err {rep.parseval_rel_err:.1e}); "
-      f"quadrature error estimate {rep.quadrature_error_est:.1e}")
+      f"rounding bound of the exact integrals {rep.quadrature_error_est:.1e}")
 
 print("\n=== Forcing spectral gaps ===\n")
 res3 = conc.end_to_end(E, 2.0, 0.05, conc.EndToEndConfig(nu=3))

@@ -302,7 +302,8 @@ def _build_parser():
     k.add_argument("--nu", type=int, default=1)
     k.add_argument("--q0", type=int, default=8)
     k.add_argument("--q-max", type=int, default=4000)
-    k.add_argument("--mesh", type=int, default=8)
+    k.add_argument("--mesh", type=int, default=8,
+                   help="quadrature samples per unit degree (p not even)")
     k.add_argument("--allow-asymmetric", action="store_true")
     k.add_argument("--trace", default=None,
                    help="write a CSV of examined (q, a, coverage) candidates")

@@ -350,25 +350,28 @@ def heuristic_gamma_sharp(q: int, p: float, restarts: int = 4,
     if q < 3:
         raise DomainError("need q >= 3")
     _check_p(p)
+    if restarts < 0:
+        raise DomainError(f"need restarts >= 0, got {restarts}")
     k = np.arange(q)
     E = np.exp(2j * np.pi * np.outer(k, k[:q // 2 + 1]) / q)
     table = dirichlet_table(q, p)
     evals = q - 1
     order = sorted(table.rows, key=lambda r: -r[1])
     n_ascents = (q - 1) if q <= 64 else (8 if q <= 1024 else 3)
-    starts = [tuple(range(n)) for n, _ in order[:n_ascents]]
-    n_interval_starts = len(starts)
-    rng = np.random.default_rng(seed)
-    for _ in range(restarts):
-        density = rng.uniform(0.05, 0.6)
-        mask = rng.random(q) < density
-        mask[0] = True
-        starts.append(tuple(np.nonzero(mask)[0]))
+
+    def starts():
+        """(start, step cap): the best intervals, then random spectra drawn lazily."""
+        yield from ((tuple(range(n)), None) for n, _ in order[:n_ascents])
+        rng = np.random.default_rng(seed)
+        for _ in range(restarts):
+            density = rng.uniform(0.05, 0.6)
+            mask = rng.random(q) < density
+            mask[0] = True
+            # random starts sit far from any optimum; cap their walk at large q
+            yield tuple(np.nonzero(mask)[0]), (64 if q > 512 else None)
     best_set = None
     best_score = -1.0
-    for si, st in enumerate(starts):
-        # random starts sit far from any optimum; cap their walk at large q
-        cap = 64 if (q > 512 and si >= n_interval_starts) else None
+    for st, cap in starts():
         members, sc, ev = _ascend(q, p, E, st, max_steps=cap)
         evals += ev
         if sc > best_score:
@@ -446,6 +449,8 @@ def gamma1_decay_scan(primes, config: SearchConfig = SearchConfig()) -> list:
     decay diagnostics.  The liminf exponent itself is reported as data,
     never asserted.
     """
+    if config.restarts < 0:
+        raise DomainError(f"need restarts >= 0, got {config.restarts}")
     rows = []
     for q in sorted(primes):
         if q < 3 or not _is_prime(q):

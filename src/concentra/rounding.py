@@ -172,6 +172,8 @@ def moment_check(b, alpha, p: float, trials: int, seed: int) -> MomentReport:
     (seed, block index); results are reproducible for fixed arguments.
     """
     b = np.asarray(b, dtype=np.complex128)
+    if not np.any(b.imag):
+        b = b.real           # a real product: about three times faster
     alpha = np.asarray(alpha, dtype=np.float64)
     if len(b) != len(alpha):
         raise DomainError("b and alpha must have equal length")

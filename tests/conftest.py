@@ -1,8 +1,13 @@
 import numpy as np
 import pytest
+from hypothesis import settings
 
 from concentra.discrete import concentration_ratio
 from concentra.trigpoly import Spectrum
+
+# every run draws the same examples; each test keeps its own max_examples
+settings.register_profile("derandomized", derandomize=True, database=None)
+settings.load_profile("derandomized")
 
 
 @pytest.fixture

@@ -1,4 +1,5 @@
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -6,7 +7,8 @@ from hypothesis import given, settings, strategies as st
 
 from concentra import concentrator as conc
 from concentra.errors import BudgetError, CollisionError, DomainError
-from concentra.trigpoly import Spectrum, dirichlet_value, eval_point, to_coeffs
+from concentra.rounding import bernoulli_round
+from concentra.trigpoly import Spectrum, dirichlet_value, eval_point, fold_power, to_coeffs
 
 E_TWO = conc.IntervalSet(((0.30, 0.35), (0.65, 0.70)), symmetric=True)
 
@@ -152,6 +154,36 @@ def direct_quadrature(freqs, E, p, mesh):
     return int_E, int_T
 
 
+def exact_integrals(freqs, E, p):
+    """Oracle for p in {2, 4}: the coefficients of |Q|^p as integer
+    autocorrelation counts, integrated over E with Fraction-exact phases."""
+    ind = np.zeros(freqs[-1] + 1, dtype=np.int64)
+    ind[list(freqs)] = 1
+    w = np.convolve(ind, ind[::-1])
+    if p == 4:
+        w = np.convolve(w, w)
+    w = w[len(w) // 2:].tolist()          # d = 0, 1, ...; w(-d) = w(d)
+
+    def sin_phase(d, x):
+        return math.sin(2 * math.pi * float(Fraction(x) * d % 1))
+
+    terms = [w[0] * math.fsum(hi - lo for lo, hi in E.intervals)]
+    for d in range(1, len(w)):
+        if w[d]:
+            s = math.fsum(sin_phase(d, hi) - sin_phase(d, lo) for lo, hi in E.intervals)
+            terms.append(w[d] * s / (math.pi * d))
+    return math.fsum(terms), float(w[0])
+
+
+def assert_within_bound(rep, freqs, E, p):
+    int_E, int_T = exact_integrals(freqs, E, p)
+    assert abs(rep.int_E - int_E) <= rep.quadrature_error_est
+    assert abs(rep.int_T - int_T) <= rep.quadrature_error_est
+    # at these sizes the FFT error bound is below 1/2, so the integer
+    # coefficients of |Q|^p are recovered exactly
+    assert rep.int_T == int_T
+
+
 class TestChirpZ:
     @settings(max_examples=40, deadline=None)
     @given(seed=st.integers(0, 2 ** 32 - 1), deg=st.integers(1, 2000),
@@ -177,6 +209,12 @@ class TestMeasure:
             p = float(rng.choice([1.5, 2.0, 3.0, 4.0]))
             E = E_TWO if rng.random() < 0.5 else E_THREE
             rep = conc.measure(Spectrum(freqs, deg), E, p)
+            if p in (2.0, 4.0):
+                # even p is exact up to rounding: the same-rule Simpson
+                # oracle no longer applies, the exact counts do
+                assert_within_bound(rep, freqs, E, p)
+                assert rep.quadrature_error_est <= 1e-10 * rep.int_T
+                continue
             fine = direct_quadrature(freqs, E, p, 8)
             coarse = direct_quadrature(freqs, E, p, 4)
             assert rep.int_E == pytest.approx(fine[0], rel=1e-10, abs=1e-10)
@@ -208,10 +246,57 @@ class TestMeasure:
             conc.measure(Spectrum((0, 1), 2), E_TWO, 2.0, mesh_per_unit_degree=2)
 
     def test_richardson_estimate_covers_halving(self):
+        # the mesh is used at p that is not even only
         Q = Spectrum((0, 3, 11, 17), 18)
-        fine = conc.measure(Q, E_TWO, 2.0, mesh_per_unit_degree=16)
-        half = conc.measure(Q, E_TWO, 2.0, mesh_per_unit_degree=8)
+        fine = conc.measure(Q, E_TWO, 3.0, mesh_per_unit_degree=16)
+        half = conc.measure(Q, E_TWO, 3.0, mesh_per_unit_degree=8)
         assert abs(fine.int_T - half.int_T) < fine.quadrature_error_est
+
+
+class TestExactEven:
+    @settings(max_examples=40, deadline=None)
+    @given(seed=st.integers(0, 2 ** 32 - 1), deg=st.integers(0, 300),
+           p=st.sampled_from([2.0, 4.0]),
+           ends=st.lists(st.floats(0.0, 1.0), min_size=2, max_size=6, unique=True))
+    def test_within_bound_of_exact_counts(self, seed, deg, p, ends):
+        ends = sorted(ends)[: len(ends) // 2 * 2]
+        E = conc.IntervalSet(tuple(zip(ends[::2], ends[1::2])))
+        rng = np.random.default_rng(seed)
+        nf = int(rng.integers(1, deg + 2))
+        freqs = tuple(sorted(rng.choice(deg + 1, nf, replace=False).tolist()))
+        assert_within_bound(conc.measure(Spectrum(freqs, deg + 1), E, p), freqs, E, p)
+
+    @pytest.mark.parametrize("seed", [25, 142, 160])
+    def test_rounded_idempotent_within_bound(self, seed):
+        # the mesh-doubling estimate fell below the true error on these
+        P = fold_power(to_coeffs(Spectrum(tuple(range(900)), 3001)), 2, 3001)
+        Q = bernoulli_round(P, seed)
+        for p in (2.0, 4.0):
+            assert_within_bound(conc.measure(Q, E_TWO, p), Q.freqs, E_TWO, p)
+
+    @pytest.mark.parametrize("x", [0.0, 1.0, 0.5, 0.31, 0.6885, 0.013, 1e-5, 2.0 ** -70, 5e-324])
+    def test_phases_reduced_exactly(self, x):
+        d = np.array([0, 1, 2, 3, 1000, 399732, 2 ** 24 - 1, 2 ** 30 - 1], dtype=np.int64)
+        want = [float(Fraction(x) * int(v) % 1) for v in d]
+        assert conc._frac_times(d, x).tolist() == want
+
+    def test_smooth_size(self):
+        def smooth(m):
+            for f in (2, 3, 5):
+                while m % f == 0:
+                    m //= f
+            return m == 1
+        sizes = [conc._smooth_size(n) for n in range(1, 3001)]
+        want = [next(m for m in range(n, 2 * n + 1) if smooth(m)) for n in range(1, 3001)]
+        assert sizes == want
+
+    def test_smooth_size_over_cap_is_a_budget_error(self, monkeypatch):
+        Q = Spectrum((0, 486), 487)      # p deg + 1 = 973, next 5-smooth size 1000
+        monkeypatch.setattr(conc, "_SAMPLE_CAP", 999)
+        with pytest.raises(BudgetError):
+            conc.measure(Q, E_TWO, 2.0)
+        monkeypatch.setattr(conc, "_SAMPLE_CAP", 1000)
+        assert conc.measure(Q, E_TWO, 2.0).int_T == 2.0
 
 
 class TestEndToEnd:
