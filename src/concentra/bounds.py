@@ -165,15 +165,6 @@ def _coeff_tail(lam: float, c: np.ndarray) -> float:
 # direct partial sums of the scaled series
 # ----------------------------------------------------------------------
 
-def _h_sum_bound(lam: float, K: int) -> float:
-    """Upper bound on sum_{k<=K} k^(1-lam)."""
-    if lam > 2:
-        return 1.0 + 1.0 / (lam - 2)
-    if abs(lam - 2) < 1e-12:
-        return math.log(K) + 1.0
-    return (K ** (2 - lam)) / (2 - lam) + 1.0
-
-
 def _direct_scaled_sum(lam: float, t: float, K: int, odd: bool):
     """(partial sum of (|sin k pi t|/(k sin pi t))^lam over k<=K in D, roundoff bound)."""
     S = math.sin(math.pi * t)
@@ -197,16 +188,23 @@ def _direct_scaled_sum(lam: float, t: float, K: int, odd: bool):
         chunks.append(float(np.sum(term)))
         start = stop
     total = math.fsum(chunks)
-    # Argument roundoff: |d term| <= lam * rho^(lam-1) * 3 eps pi t / S with
-    # rho_k <= min(1, 1/(kS)); sum the envelope of rho^(lam-1) in closed form.
+    return total, _sum_slack(lam, t, K, count, total), count
+
+
+def _sum_slack(lam: float, t: float, K: int, count: int, total: float) -> float:
+    """Roundoff bound of a partial sum to K, of ``count`` terms, equal to ``total``.
+
+    Argument roundoff: |d term| <= lam * rho^(lam-1) * 3 eps pi t / S with
+    rho_k <= min(1, 1/(kS)); sum the envelope of rho^(lam-1) in closed form.
+    """
+    S = math.sin(math.pi * t)
     if lam > 2.001:
         env = (1.0 / S) * (1.0 + 1.0 / (lam - 2))
     elif lam > 1.999:
         env = (1.0 / S) * (1.0 + math.log(max(K * S, 2.0)))
     else:
         env = 1.0 / S + S ** (1 - lam) * K ** (2 - lam) / (2 - lam)
-    slack = 3 * EPS * lam * (pt / S) * min(float(count), env) + 32 * EPS * abs(total)
-    return total, slack, count
+    return 3 * EPS * lam * (math.pi * t / S) * min(float(count), env) + 32 * EPS * abs(total)
 
 
 # ----------------------------------------------------------------------
@@ -288,8 +286,14 @@ def _core_mode_path(lam, t, tol, odd, max_terms):
 def _core_envelope_path(lam, t, tol, odd, max_terms):
     S = math.sin(math.pi * t)
     lnS = math.log(S)
-    # K from  S^-lam * K^(1-lam)/(lam-1) <= tol, solved in logs
-    lnK = -(math.log(tol) + lam * lnS + math.log(lam - 1)) / (lam - 1)
+    # Reserve an a-priori bound on the roundoff added to the truncation bound,
+    # here and by the callers' 8 eps |value|: each term is <= min(1, (kS)^-lam),
+    # so the sum is <= 1 + lam / ((lam - 1) S), and B's prefactor is (pi t / S)^lam.
+    total = 1.0 + lam / ((lam - 1) * S)
+    pref = math.exp(min(lam * math.log(math.pi * t / S), 700.0))
+    reserve = _sum_slack(lam, t, max_terms, max_terms, total) + 8 * EPS * (total + pref)
+    # K from  S^-lam * K^(1-lam)/(lam-1) <= tol - reserve, solved in logs
+    lnK = -(math.log(max(tol - reserve, tol / 2)) + lam * lnS + math.log(lam - 1)) / (lam - 1)
     K = int(math.ceil(math.exp(min(lnK, 60.0)))) + 1 if lnK < 60 else max_terms
     K = max(32, min(K, max_terms))
     ln_bound = -lam * lnS + _ln_zeta_tail(lam, K + 1)

@@ -303,7 +303,8 @@ def _build_parser():
     k.add_argument("--q0", type=int, default=8)
     k.add_argument("--q-max", type=int, default=4000)
     k.add_argument("--mesh", type=int, default=8,
-                   help="quadrature samples per unit degree (p not even)")
+                   help="samples per unit degree of the torus integrals at p "
+                        "that is not even (rounded up to a 5-smooth FFT size)")
     k.add_argument("--allow-asymmetric", action="store_true")
     k.add_argument("--trace", default=None,
                    help="write a CSV of examined (q, a, coverage) candidates")
@@ -333,6 +334,8 @@ def _primes_up_to(n: int):
 def _inputs_from_args(args) -> dict:
     if args.seed < 0:
         raise DomainError(f"--seed must be >= 0, got {args.seed}")
+    if getattr(args, "restarts", 0) < 0:
+        raise DomainError(f"--restarts must be >= 0, got {args.restarts}")
     if args.cmd == "constants":
         return {}
     if args.cmd == "curve":

@@ -4,11 +4,12 @@ prescribed symmetric union of intervals.
 The pipeline localizes the set with a rational window a/q +- theta/q^2,
 picks a grid witness concentrated at the matching target, multiplies by a
 peaking kernel sampled at qt, and measures the achieved concentration by
-integrals of |Q|^p for the assembled spectrum: at even p exactly, from one
-FFT of |Q|^p and closed-form set integrals, with a stated rounding bound;
-at other p by the equispaced circle rule (one FFT) and composite Simpson
-per interval (one chirp-z transform each, as its nodes form an arithmetic
-progression), run again at half the mesh for an estimate, not a bound.
+integrals of |Q|^p for the assembled spectrum.  One rule serves every p:
+sample Q at a 5-smooth size N, take the coefficients of |Q|^p from one FFT
+and integrate them over the circle and over E in closed form.  At even p
+the coefficients are exact up to a stated rounding bound; at other p they
+are those of the trigonometric interpolant, and the rule run again at half
+the mesh gives an error estimate, not a bound.
 
 Only the peak-at-0 Dirichlet pathway is implemented, so the pipeline
 requires p > 1; the large-gap peaking functions needed both for p <= 1 and
@@ -23,7 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import BudgetError, CollisionError, DomainError
-from .trigpoly import CoeffPoly, Grid, Spectrum, eval_grid, to_coeffs
+from .trigpoly import Grid, Spectrum, eval_grid, to_coeffs
 from . import discrete
 
 __all__ = [
@@ -103,8 +104,11 @@ class TorusReport:
     """Integrals of |Q|^p over E and over the circle.
 
     ``quadrature_error_est`` bounds the rounding error of each at even p
-    (see ``_exact_even``).  At other p it is the difference from the rules
-    at half of ``mesh`` samples per unit degree: an estimate, not a bound.
+    (see ``_integrals``).  At other p it is an estimate, not a bound: the
+    difference from the rule at half of ``mesh`` samples per unit degree,
+    plus that rounding term, the size of the top coefficients of |Q|^p the
+    grid resolves and 1e-12 (1 + int_T).  ``mesh`` is used at p that is not
+    even only.
     """
 
     int_E: float
@@ -200,41 +204,6 @@ def build_Q(R: Spectrum, n: int, q: int, nu: int = 1) -> Spectrum:
     return Spectrum(tuple(nu * h + q * m for m in range(n) for h in R.freqs), q * n)
 
 
-def _chirp_z(c: np.ndarray, x0: float, dx: float, m: int) -> np.ndarray:
-    """sum_h c_h e(h (x0 + j dx)) for j = 0..m-1, by one chirp-z transform.
-
-    With h j = (h^2 + j^2 - (j - h)^2) / 2 the sum is a convolution of the
-    chirped coefficients c_h e(h x0 + dx h^2/2) with the chirp e(-dx k^2/2),
-    done by FFT at a power-of-two length >= len(c) + m - 1 (Bluestein).
-    """
-    H = len(c)
-    L = 1 << (H + m - 2).bit_length()
-    h = np.arange(H, dtype=np.float64)
-    k = np.arange(1 - H, m, dtype=np.float64)
-    a = c * np.exp(2j * np.pi * (x0 * h + 0.5 * dx * h * h))
-    w = np.exp(-1j * np.pi * dx * k * k)
-    conv = np.fft.ifft(np.fft.fft(a, L) * np.fft.fft(w, L))[H - 1: H - 1 + m]
-    j = k[H - 1:]
-    return np.exp(1j * np.pi * dx * j * j) * conv
-
-
-def _quadrature(c: CoeffPoly, deg: int, E: IntervalSet, p: float, mesh: int):
-    """(int_E, int_T) of |c|^p at one mesh: the circle rule is one size-N
-    transform, and each interval's composite Simpson rule one chirp-z."""
-    N = mesh * max(deg, 1)
-    if N > _SAMPLE_CAP:
-        raise BudgetError(f"quadrature needs {N} samples > cap {_SAMPLE_CAP}")
-    int_T = float(np.mean(np.abs(eval_grid(c, Grid(N)).values) ** p))
-    int_E = 0.0
-    for lo, hi in E.intervals:
-        nodes = max(8, int(math.ceil((hi - lo) * N)))
-        n = max(2, nodes + nodes % 2)
-        dx = (hi - lo) / n
-        y = np.abs(_chirp_z(c.coeffs, lo, dx, n + 1)) ** p
-        int_E += float(dx / 3 * (y[0] + y[-1] + 4 * y[1:-1:2].sum() + 2 * y[2:-2:2].sum()))
-    return int_E, int_T
-
-
 def _smooth_size(n: int) -> int:
     """Smallest 5-smooth integer >= n, a fast FFT length: the least
     f 2^a >= n over f = 3^i 5^j below 2n."""
@@ -253,60 +222,73 @@ def _frac_times(d: np.ndarray, x: float) -> np.ndarray:
     return ((((d * hi) % (1 << max(K - 32, 0))) << 32) + d * lo) % den / den
 
 
-def _exact_even(Q: Spectrum, E: IntervalSet, k: int):
-    """(int_E, int_T, rounding bound) of g = |Q|^p, p = 2k, without quadrature:
-    g has degree p deg/2, so one FFT of its samples at N > p deg points gives
-    its coefficients g(d), and int_T = g(0), int_E = sum_d g(d) int_E e(dx) dx.
+def _integrals(Q: Spectrum, E: IntervalSet, p: float, N: int, even: bool):
+    """(int_E, int_T, rounding bound) of g = |Q|^p from one FFT of its samples
+    at N points.  Q has a 0/1 spectrum, so g(-x) = g(x) and its coefficients
+    g(d) are real: int_T = g(0) and, over the intervals (lo, hi) of E,
+    int_E = g(0)|E| + sum_{d>=1} g(d) (sin 2 pi d hi - sin 2 pi d lo) / (pi d).
+
+    At even p = 2k, g has degree k deg < N/2, so its g(d), d <= k deg, are
+    exact up to rounding.  At other p they are those of the trigonometric
+    interpolant of the samples, for d < N/2; at even N the Nyquist term is
+    dropped.  The bound then also carries the largest |g(d)| for
+    3N/8 <= d < N/2, the size of what the grid barely resolves, as an
+    estimate of the aliasing error: the difference from a nested half-size
+    rule is the Nyquist coefficient alone, which can be small by chance.
 
     Error model, to first order in u = 2^-53: a length-N transform with its
     scaling errs by at most eps = 8 u log2 N of its output's 2-norm (Higham's
     radix-2 constant, rounded up), a sine by 2 ulp; all else rounds correctly.
     By Parseval, with n = |Q| = sup |Q| and rms(g) <= (n^p g(0))^(1/2), the
     g(d) then err by at most b = n^(p/2) (p n^(-1/2) eps + (eps + (p + 5) u)
-    g(0)^(1/2)) in 2-norm.  They are integers (Q has a 0/1 spectrum): if
-    b < 1/2 they are rounded to them, else b bounds the error of int_T and,
-    by Bessel, adds sqrt(|E|) b to int_E.
+    g(0)^(1/2)) in 2-norm.  At even p they are integers: if b < 1/2 they are
+    rounded to them, else b bounds the error of int_T and, by Bessel, adds
+    sqrt(|E|) b to int_E.
     Exact phases, sines (22 u per endpoint) and sums over m intervals add
     u (2m (28 + 2m) / pi sum_{d>=1} |g(d)| / d + (m + 5) g(0)) to int_E.
     """
-    p, n, deg, m = 2 * k, len(Q), Q.freqs[-1], len(E.intervals)
-    N = _smooth_size(p * deg + 1)
     if N > _SAMPLE_CAP:
-        raise BudgetError(f"exact rule needs {N} samples > cap {_SAMPLE_CAP}")
+        raise BudgetError(f"quadrature needs {N} samples > cap {_SAMPLE_CAP}")
+    n, m = len(Q), len(E.intervals)
+    D = int(p) // 2 * Q.freqs[-1] if even else (N - 1) // 2
     v = eval_grid(to_coeffs(Q), Grid(N)).values
-    g = (v.real ** 2 + v.imag ** 2) ** k
-    gh = np.fft.rfft(g)[: k * deg + 1].real / N
+    g = (v.real ** 2 + v.imag ** 2) ** (p / 2)
+    gh = np.fft.rfft(g)[: D + 1].real / N
     u, eps = 2.0 ** -53, 8 * 2.0 ** -53 * math.log2(max(N, 2))
     b = np.power(float(n), p / 2) * (p * eps * n ** -0.5 + (eps + (p + 5) * u) * abs(gh[0]) ** 0.5)
-    if b < 0.5:
+    if even and b < 0.5:
         gh, b = np.rint(gh), 0.0
-    d = np.arange(1, k * deg + 1)
+    d = np.arange(1, D + 1)
     S = sum(np.sin(2 * np.pi * _frac_times(d, hi)) - np.sin(2 * np.pi * _frac_times(d, lo))
             for lo, hi in E.intervals)
     int_E = math.fsum((gh[1:] * S / (np.pi * d)).tolist()) + gh[0] * E.measure()
     phase = u * (2 * m * (28 + 2 * m) / math.pi * np.sum(np.abs(gh[1:]) / d) + (m + 5) * gh[0])
-    return int_E, float(gh[0]), float((1.0 + math.sqrt(E.measure())) * b + phase)
+    bound = (1.0 + math.sqrt(E.measure())) * b + phase
+    if not even:
+        bound += np.abs(gh[3 * N // 8:]).max()
+    return int_E, float(gh[0]), float(bound)
 
 
 def measure(Q: Spectrum, E: IntervalSet, p: float,
             mesh_per_unit_degree: int = 8) -> TorusReport:
-    """|Q|^p integrated over E and over the whole circle: exactly at even p,
-    else by quadrature at the mesh and at half of it (see TorusReport)."""
+    """|Q|^p integrated over E and over the whole circle by ``_integrals``:
+    exactly at even p, else from the interpolant at the 5-smooth size
+    N >= mesh deg and again at half the mesh (see TorusReport)."""
     if mesh_per_unit_degree < 4:
         raise DomainError("mesh_per_unit_degree must be >= 4 (per-oscillation floor)")
     if not Q.freqs:
         raise DomainError("cannot measure the zero polynomial")
-    mesh = mesh_per_unit_degree
+    mesh, deg = mesh_per_unit_degree, Q.freqs[-1]
     if p > 0 and p % 2 == 0:
-        e_f, t_f, est = _exact_even(Q, E, int(p) // 2)
+        int_E, int_T, est = _integrals(Q, E, p, _smooth_size(int(p) * deg + 1), True)
     else:
-        c, deg = to_coeffs(Q), Q.freqs[-1]
-        e_f, t_f = _quadrature(c, deg, E, p, mesh)
-        e_c, t_c = _quadrature(c, deg, E, p, max(4, mesh // 2))
-        est = abs(e_f - e_c) + abs(t_f - t_c) + 1e-12 * (1.0 + abs(t_f))
-    ratio = min(e_f / t_f if t_f > 0 else 0.0, 1.0)
-    pe = abs(t_f - len(Q)) / len(Q) if p == 2.0 else None
-    return TorusReport(e_f, t_f, ratio, mesh, est, pe)
+        rule = lambda m: _integrals(Q, E, p, _smooth_size(m * max(deg, 1)), False)
+        int_E, int_T, est = rule(mesh)
+        e_c, t_c, _ = rule(max(4, mesh // 2))
+        est += abs(int_E - e_c) + abs(int_T - t_c) + 1e-12 * (1.0 + abs(int_T))
+    ratio = min(int_E / int_T if int_T > 0 else 0.0, 1.0)
+    pe = abs(int_T - len(Q)) / len(Q) if p == 2.0 else None
+    return TorusReport(int_E, int_T, ratio, mesh, est, pe)
 
 
 def _witness_for(q: int, p: float, target: int, cfg: EndToEndConfig) -> Spectrum:

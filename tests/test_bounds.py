@@ -89,6 +89,12 @@ class TestTailRigor:
                 e2 = f(lam, t, tol=1e-14, max_terms=2 ** 18)
                 assert abs(e1.value - e2.value) < e1.tail_bound
 
+    def test_envelope_path_meets_its_tolerance(self):
+        # K is sized for the tolerance less the roundoff added after the sum
+        ev = bounds.eval_B(4.0, 5 / 64)
+        assert ev.converged
+        assert abs(ev.value - closed_B4(5 / 64)) <= ev.tail_bound
+
     def test_A_monotone_in_lam(self):
         for t in (0.1, 0.2, 0.3, 0.45):
             vals = [bounds.eval_A(lam, t, tol=1e-10).value

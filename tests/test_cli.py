@@ -194,6 +194,8 @@ CONCENTRATE = ["concentrate", "--e-file", "{E}", "--epsilon", "0.05"]
     ["curve", "--which", "B", "--lam", "2", "--tol", "nan"],
     ["search", "--q", "5", "--p", "2", "--mode", "heuristic", "--restarts", "-3"],
     ["decay", "--primes", "3", "--restarts", "-1"],
+    ["search", "--q", "5", "--p", "2", "--mode", "exhaustive", "--restarts", "-3"],
+    ["search", "--q", "5", "--p", "2", "--mode", "star", "--restarts", "-3"],
 ], ids=["search-p-nan", "search-p-inf", "star-p-nan", "heuristic-p-nan",
         "concentrate-p-nan", "concentrate-p-inf", "curve-lam-inf",
         "round-epsilon-negative", "round-p-nan", "decay-non-prime", "concentrate-nu-0",
@@ -203,7 +205,8 @@ CONCENTRATE = ["concentrate", "--e-file", "{E}", "--epsilon", "0.05"]
         *(f"concentrate-e-file-{name[:-5]}" for name in E_MALFORMED),
         "heuristic-seed-negative", "round-seed-negative", "round-q-1",
         "curve-points-negative", "curve-points-0", "curve-tol-0", "curve-tol-negative",
-        "curve-tol-nan", "heuristic-restarts-negative", "decay-restarts-negative"])
+        "curve-tol-nan", "heuristic-restarts-negative", "decay-restarts-negative",
+        "exhaustive-restarts-negative", "star-restarts-negative"])
 def test_bad_input_exits_2(argv, tmp_path, capsys):
     e = tmp_path / "E.json"
     e.write_text(json.dumps(E_WIDE))

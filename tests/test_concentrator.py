@@ -138,11 +138,17 @@ class TestAssembly:
             conc.build_Q(Spectrum((0, 3), 7), 2, 7, nu=3)
 
 
-def direct_quadrature(freqs, E, p, mesh):
-    """Oracle for one mesh of ``measure``: the same circle and Simpson
-    rules, with every sample a direct sum of exponentials."""
+def direct_samples(freqs, x):
+    """|sum_h e(h x)| at the points x, each a direct sum of exponentials."""
     h = np.asarray(freqs, dtype=np.float64)
-    f = lambda x: np.abs(np.exp(2j * np.pi * np.outer(x, h)).sum(axis=1)) ** p
+    return np.concatenate([np.abs(np.exp(2j * np.pi * np.outer(xs, h)).sum(axis=1))
+                           for xs in np.array_split(x, len(x) // 2048 + 1)])
+
+
+def simpson_reference(freqs, E, p, mesh):
+    """Reference for ``measure`` at any p: the equispaced circle rule and a
+    composite Simpson rule per interval at ``mesh`` samples per unit degree."""
+    f = lambda x: direct_samples(freqs, x) ** p
     N = mesh * max(freqs[-1], 1)
     int_T = float(f(np.arange(N) / N).mean())
     int_E = 0.0
@@ -154,6 +160,26 @@ def direct_quadrature(freqs, E, p, mesh):
     return int_E, int_T
 
 
+def sin_phase(d, x):
+    return math.sin(2 * math.pi * float(Fraction(x) * d % 1))
+
+
+def interpolant_integrals(freqs, E, p, N):
+    """FFT-free oracle for one rule of ``measure`` at p that is not even:
+    samples of |Q|^p by direct summation, the coefficients g(d), d < N/2, of
+    their interpolant by direct cosine sums, integrated with exact phases.
+    Returns (int_E, int_T, largest |g(d)| for 3N/8 <= d < N/2)."""
+    g = direct_samples(freqs, np.arange(N) / N) ** p
+    j = np.arange(N)
+    gh = np.concatenate([np.cos(2 * np.pi * (np.outer(ds, j) % N) / N) @ g / N
+                         for ds in np.array_split(np.arange((N + 1) // 2), N // 512 + 1)])
+    terms = [gh[0] * math.fsum(hi - lo for lo, hi in E.intervals)]
+    for d in range(1, len(gh)):
+        s = math.fsum(sin_phase(d, hi) - sin_phase(d, lo) for lo, hi in E.intervals)
+        terms.append(gh[d] * s / (math.pi * d))
+    return math.fsum(terms), float(gh[0]), float(np.abs(gh[3 * N // 8:]).max())
+
+
 def exact_integrals(freqs, E, p):
     """Oracle for p in {2, 4}: the coefficients of |Q|^p as integer
     autocorrelation counts, integrated over E with Fraction-exact phases."""
@@ -163,10 +189,6 @@ def exact_integrals(freqs, E, p):
     if p == 4:
         w = np.convolve(w, w)
     w = w[len(w) // 2:].tolist()          # d = 0, 1, ...; w(-d) = w(d)
-
-    def sin_phase(d, x):
-        return math.sin(2 * math.pi * float(Fraction(x) * d % 1))
-
     terms = [w[0] * math.fsum(hi - lo for lo, hi in E.intervals)]
     for d in range(1, len(w)):
         if w[d]:
@@ -182,21 +204,6 @@ def assert_within_bound(rep, freqs, E, p):
     # at these sizes the FFT error bound is below 1/2, so the integer
     # coefficients of |Q|^p are recovered exactly
     assert rep.int_T == int_T
-
-
-class TestChirpZ:
-    @settings(max_examples=40, deadline=None)
-    @given(seed=st.integers(0, 2 ** 32 - 1), deg=st.integers(1, 2000),
-           m=st.integers(1, 300), lo=st.floats(0.0, 1.0, exclude_max=True),
-           step=st.integers(1, 10 ** 4).map(lambda k: k / 1000003))
-    def test_matches_point_evaluation(self, seed, deg, m, lo, step):
-        rng = np.random.default_rng(seed)
-        nf = int(rng.integers(1, deg + 2))
-        freqs = tuple(sorted(rng.choice(deg + 1, nf, replace=False).tolist()))
-        poly = to_coeffs(Spectrum(freqs, deg + 1))
-        got = conc._chirp_z(poly.coeffs, lo, step, m)
-        want = eval_point(poly, lo + step * np.arange(m))
-        assert np.max(np.abs(got - want)) <= 1e-10 * nf
 
 
 class TestMeasure:
@@ -215,13 +222,28 @@ class TestMeasure:
                 assert_within_bound(rep, freqs, E, p)
                 assert rep.quadrature_error_est <= 1e-10 * rep.int_T
                 continue
-            fine = direct_quadrature(freqs, E, p, 8)
-            coarse = direct_quadrature(freqs, E, p, 4)
+            fine = interpolant_integrals(freqs, E, p, conc._smooth_size(8 * freqs[-1]))
+            coarse = interpolant_integrals(freqs, E, p, conc._smooth_size(4 * freqs[-1]))
             assert rep.int_E == pytest.approx(fine[0], rel=1e-10, abs=1e-10)
             assert rep.int_T == pytest.approx(fine[1], rel=1e-10)
-            est = abs(fine[0] - coarse[0]) + abs(fine[1] - coarse[1])
+            est = abs(fine[0] - coarse[0]) + abs(fine[1] - coarse[1]) + fine[2]
             assert rep.quadrature_error_est == pytest.approx(
                 est + 1e-12 * (1 + fine[1]), rel=1e-6, abs=1e-9 * fine[1])
+
+    @settings(max_examples=30, deadline=None, derandomize=True)
+    @given(seed=st.integers(0, 2 ** 32 - 1), deg=st.integers(1, 300),
+           p=st.sampled_from([1.5, 3.0]),
+           ends=st.lists(st.floats(0.0, 1.0), min_size=2, max_size=6, unique=True))
+    def test_estimate_covers_simpson_reference(self, seed, deg, p, ends):
+        ends = sorted(ends)[: len(ends) // 2 * 2]
+        E = conc.IntervalSet(tuple(zip(ends[::2], ends[1::2])))
+        rng = np.random.default_rng(seed)
+        nf = int(rng.integers(1, deg + 2))
+        freqs = tuple(sorted(rng.choice(deg + 1, nf, replace=False).tolist()))
+        rep = conc.measure(Spectrum(freqs, deg + 1), E, p)
+        int_E, int_T = simpson_reference(freqs, E, p, 64)
+        assert abs(rep.int_E - int_E) <= rep.quadrature_error_est
+        assert abs(rep.int_T - int_T) <= rep.quadrature_error_est
 
     def test_full_circle_ratio_one(self):
         E = conc.IntervalSet(((0.0, 1.0),))

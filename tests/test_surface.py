@@ -1,6 +1,7 @@
 """The callers outside the test suite: the public names, the demos and the
 benchmark's self-test, so that a deletion that breaks one of them fails here."""
 
+import ast
 import importlib
 import os
 import subprocess
@@ -19,6 +20,18 @@ def run_script(path):
                                                       env.get("PYTHONPATH")]))
     return subprocess.run([sys.executable, str(path)], cwd=ROOT, env=env,
                           capture_output=True, text=True, timeout=300)
+
+
+def test_no_orphaned_private_functions():
+    # a module-level _helper that nothing in the package names is dead code
+    trees = [ast.parse(path.read_text()) for path in (ROOT / "src" / "concentra").glob("*.py")]
+    used = {node.id if isinstance(node, ast.Name) else node.attr
+            for tree in trees for node in ast.walk(tree)
+            if isinstance(node, (ast.Name, ast.Attribute))}
+    private = {node.name for tree in trees for node in tree.body
+               if isinstance(node, ast.FunctionDef) and node.name.startswith("_")
+               and not node.name.startswith("__")}
+    assert sorted(private - used) == []
 
 
 @pytest.mark.parametrize("module", MODULES)
