@@ -101,16 +101,22 @@ class ResultsCache:
                     row = json.loads(line)
                 except json.JSONDecodeError:
                     continue
-                if row.get("key") == key:
+                if isinstance(row, dict) and row.get("key") == key:
                     hit = row.get("payload")
         return hit
 
     def put(self, key: str, payload):
+        """Append one line with a single unbuffered write; a partial trailing
+        line (a writer killed mid-line) is closed off first."""
         self.root.mkdir(parents=True, exist_ok=True)
-        with self.path.open("a") as fh:
-            fh.write(json.dumps({"key": key,
-                                 "payload": round_floats(to_jsonable(payload))})
-                     + "\n")
+        line = json.dumps({"key": key,
+                           "payload": round_floats(to_jsonable(payload))}) + "\n"
+        with self.path.open("ab+", buffering=0) as fh:
+            if fh.seek(0, os.SEEK_END) > 0:
+                fh.seek(-1, os.SEEK_END)
+                if fh.read(1) != b"\n":
+                    line = "\n" + line
+            fh.write(line.encode())
 
 
 def write_record(root: Path, command: str, inputs, outputs, wall_time: float,

@@ -8,7 +8,7 @@ over the shifted grid, under a uniform plain-grid control constant K.
 Both exact levels come from one exhaustive scanner over spectrum masks,
 split into low and high bits whose value vectors are tabulated once
 (Horowitz-Sahni), with a score function for each level.  Its search-space
-reductions (both validated against the unpruned scan in the test suite):
+reductions (each validated against an unreduced scan in the test suite):
 
 * translation: |f_{H+d}(x)| = |f_H(x)| pointwise, so only spectra
   containing 0 are enumerated;
@@ -16,7 +16,14 @@ reductions (both validated against the unpruned scan in the test suite):
   equals the ratio of (aH mod q) at target 1, so each enumerated spectrum
   is scored at every coprime target and the best witness is rebuilt by
   multiplication.  For prime q this is exactly dilation-orbit dedup, and
-  the scan skips every mask that some dilation maps to a smaller mask.
+  the scan skips every mask that some dilation maps to a smaller mask;
+* complement cut (plain grid): for |H| > q/2 the complement of H has the
+  negated values off k = 0 and the smaller |f(0)| = q - |H|, so the same
+  numerator and a smaller denominator; only |H| <= q/2 is scanned.  (On
+  the half grid complements can tie, so there is no cut.)
+* conjugate symmetry: a 0/1 spectrum has |f(k/N)| = |f((N-k)/N)| on the
+  N-point grid, so only the columns 0..N/2 are evaluated, weighted by
+  ``_half_weights``, and on the plain grid only the targets a <= q/2.
 
 The final reported ratio is always recomputed from the witness with the
 standard grid evaluator, so exhaustive results are bit-for-bit
@@ -44,7 +51,7 @@ EXHAUSTIVE_CAP = 26      # plain-grid cap: 2^(q-1) spectra after translation pru
 STAR_CAP = 11            # half-grid cap: 2^(2q-1) spectra
 _LO = 16                 # low mask bits: one scan batch is 2^16 spectra
 _NEAR = 1e-7             # candidate slack before exact re-evaluation
-ALGORITHM_VERSION = 3    # in the search cache key; bump when an answer may change
+ALGORITHM_VERSION = 4    # in the search cache key; bump when an answer may change
 
 
 @dataclass(frozen=True)
@@ -139,32 +146,46 @@ def _bit_table(n: int) -> np.ndarray:
     return (np.arange(1 << n)[:, None] >> np.arange(n)) & 1
 
 
-def _scan(E, lead, score, W=None):
+def _scan(E, lead, score, W=None, limit=None):
     """Exhaustive scan of the spectra of the value matrix E (row h = e(h x)).
 
     Mask bit i selects row i + 1 if ``lead`` (row 0 always in: translation
     pruning), else row i.  With value tables T of the low ``_LO`` bits and H
-    of the rest, batch h is ``T + H[h]``.  Under dilation weights ``W`` a
-    mask that a dilation maps lower is skipped; permuted masks split the
-    same way.  ``score`` maps a batch to a (spectra x targets) array.
-    Returns the (spectrum, target column) pairs within ``_NEAR`` of the
-    best score, and the number of (spectrum, target) evaluations.
+    of the rest, batch h is ``T + H[h]``.  The low table is sorted by
+    popcount, so the masks of popcount <= ``limit`` (complement cut) are a
+    prefix of each batch.  Under dilation weights ``W`` a mask that a
+    dilation maps lower is skipped; permuted masks split the same way, and
+    dilations keep popcount.  ``score`` maps a batch to a (spectra x
+    targets) array.  Returns the (spectrum, target column) pairs within
+    ``_NEAR`` of the best score, and the number of (spectrum, target)
+    evaluations.
     """
     rows = np.arange(1 if lead else 0, len(E))
     lo = min(len(rows), _LO)
     bits_lo, bits_hi = _bit_table(lo), _bit_table(len(rows) - lo)
+    pop_lo = bits_lo.sum(axis=1)
+    low = np.argsort(pop_lo, kind="stable")
+    bits_lo = bits_lo[low]
+    # ends[j]: the number of low masks of popcount <= j
+    ends = np.cumsum(np.bincount(pop_lo, minlength=lo + 1))
+    pop_hi = bits_hi.sum(axis=1)
+    if limit is None:
+        limit = len(rows)
     T = bits_lo @ E[rows[:lo]]
     if lead:
         T += E[0]
     H = bits_hi @ E[rows[lo:]]
     if W is not None:
         P_lo, P_hi = bits_lo @ W[:lo], bits_hi @ W[lo:]
-    low = np.arange(1 << lo)
     best, pool, evals = -1.0, [], 0
     for h in range(len(H)):
-        masks, V = (h << lo) | low, T + H[h]
+        room = limit - int(pop_hi[h])
+        if room < 0:
+            continue
+        n = int(ends[min(room, lo)])
+        masks, V = (h << lo) | low[:n], T[:n] + H[h]
         if W is not None:
-            keep = masks <= (P_lo + P_hi[h]).min(axis=1)
+            keep = masks <= (P_lo[:n] + P_hi[h]).min(axis=1)
             masks, V = masks[keep], V[keep]
             if len(masks) == 0:
                 continue
@@ -235,7 +256,8 @@ def exact_gamma_sharp(q: int, p: float,
     """Exact plain-grid level at target 1 by exhaustive scan.
 
     ``use_pruning`` controls dilation-orbit dedup (default: on for prime q);
-    translation reduction is always applied.  Raises BudgetError beyond
+    translation reduction, the complement cut and conjugate symmetry are
+    always applied.  Raises BudgetError beyond
     ``EXHAUSTIVE_CAP`` and points the caller at the heuristic search.
     """
     if q < 2:
@@ -249,18 +271,23 @@ def exact_gamma_sharp(q: int, p: float,
     if use_pruning is None:
         use_pruning = prime and q >= 17
     k = np.arange(q)
-    E = np.exp(2j * np.pi * np.outer(k, k) / q)
+    E = np.exp(2j * np.pi * np.outer(k, k[:q // 2 + 1]) / q)
     units = _units(q)
+    units = units[2 * units <= q]    # target q - a scores as target a
+    w = _half_weights(q)
 
     def score(V):
         mp = _pow_abs(np.abs(V), p)
-        return 2.0 * mp[:, units] / mp.sum(axis=1)[:, None]
+        return 2.0 * mp[:, units] / (mp @ w)[:, None]
 
-    W = _canonical_weights(q) if (use_pruning and prime) else None
-    pool, evals = _scan(E, True, score, W)
-    # the ratio at target a is the ratio of a * spectrum at target 1
+    # q = 2 has no dilation but the identity
+    W = _canonical_weights(q) if (use_pruning and prime and q > 2) else None
+    pool, evals = _scan(E, True, score, W, limit=q // 2 - 1)
+    # the ratio at target a is the ratio of a * spectrum at target 1; the
+    # unscored target q - a gives the conjugate (q - a) * spectrum, rebuilt too
     top, witness, n = _best_of(
-        (Spectrum(tuple(units[c] * h % q for h in spec.freqs), q) for spec, c in pool),
+        (Spectrum(tuple(a * h % q for h in spec.freqs), q)
+         for spec, c in pool for a in (units[c], q - units[c])),
         prime, lambda s: concentration_ratio(s, p, 1))
     return ConcentrationReport(q, p, 1, top, Spectrum(witness, q), "exhaustive",
                                evals + n)
@@ -403,15 +430,17 @@ def exact_gamma_star(q: int, p: float, K: float = 1e4,
         raise BudgetError(f"half-grid exhaustive search capped at q <= {STAR_CAP}")
     Q = 2 * q
     k = np.arange(Q)
-    E = np.exp(2j * np.pi * np.outer(k, k) / Q)
+    E = np.exp(2j * np.pi * np.outer(k, k[:q + 1]) / Q)
+    w = _half_weights(Q)
+    w_odd, w_even = w * (k[:q + 1] % 2), w * (1 - k[:q + 1] % 2)
     odd = np.arange(1, Q, 2)
     even = np.arange(0, Q, 2)
 
     def score(V):
         mp = _pow_abs(np.abs(V), p)
         num = 2.0 * mp[:, 1]
-        d_star = mp[:, odd].sum(axis=1)
-        d_plain = mp[:, even].sum(axis=1)
+        d_star = mp @ w_odd
+        d_plain = mp @ w_even
         with np.errstate(divide="ignore", invalid="ignore"):
             g = np.where(d_star > 0, num / d_star, 0.0)
             g2 = np.where(d_plain > 0, K * num / d_plain, np.inf)

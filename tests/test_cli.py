@@ -33,6 +33,23 @@ class TestSearchCommand:
         assert "cached" not in pa and pb["cached"] is True
         assert pa["ratio"] == pb["ratio"]
 
+    def test_entry_after_partial_line_is_served(self, tmp_path, capsys):
+        # a writer killed mid-line leaves no newline at the end of the file
+        (tmp_path / "searches.jsonl").write_text('{"key": "abc", "pay')
+        args = ["search", "--q", "7", "--p", "1", "--cache-dir", str(tmp_path)]
+        assert "cached" not in json.loads(run(args, capsys)[1])
+        assert json.loads(run(args, capsys)[1])["cached"] is True
+        lines = (tmp_path / "searches.jsonl").read_text().split("\n")
+        assert lines[0] == '{"key": "abc", "pay' and lines[-1] == ""
+
+    def test_non_object_line_is_skipped(self, tmp_path, capsys):
+        (tmp_path / "searches.jsonl").write_text("5\n[1, 2]\nnull\n")
+        args = ["search", "--q", "7", "--p", "1", "--cache-dir", str(tmp_path)]
+        code, out = run(args, capsys)
+        assert code == 0 and "cached" not in json.loads(out)
+        code, out = run(args, capsys)
+        assert code == 0 and json.loads(out)["cached"] is True
+
     def test_budget_exit_code(self, tmp_path, capsys):
         code, _ = run(["search", "--q", "40", "--p", "2", "--mode", "exhaustive",
                        "--cache-dir", str(tmp_path)], capsys)
@@ -236,20 +253,32 @@ class TestReplay:
         assert code == 1
         assert json.loads(out)["match"] is False
 
-    def test_replay_record_with_workers_input(self, tmp_path, capsys):
+    @staticmethod
+    def workers_record(path, evaluations):
         # written before the --workers flag was removed; the key is ignored
-        rec = tmp_path / "search-9220fd4f07a7c1d1.json"
-        rec.write_text(json.dumps({
+        path.write_text(json.dumps({
             "command": "search", "config_hash": "9220fd4f07a7c1d1",
             "inputs": {"K": 10000.0, "k_sensitivity": False, "mode": "auto",
                        "p": 1.0, "q": 7, "restarts": 4, "seed": 0, "workers": 1},
-            "outputs": {"evaluations": 405, "method": "exhaustive", "p": 1.0,
+            "outputs": {"evaluations": evaluations, "method": "exhaustive", "p": 1.0,
                         "q": 7, "ratio": 0.440249691869698, "spectrum": [1, 2, 3],
                         "target": 1},
             "seed": 0, "wall_time": 0.0085}))
+        return path
+
+    def test_replay_record_with_workers_input(self, tmp_path, capsys):
+        rec = self.workers_record(tmp_path / "search-9220fd4f07a7c1d1.json", 87)
         code, out = run(["replay", str(rec), "--cache-dir", str(tmp_path)], capsys)
         assert code == 0
         assert json.loads(out)["match"] is True
+
+    def test_replay_record_before_complement_cut_mismatches(self, tmp_path, capsys):
+        # the scan before the complement cut and conjugate symmetry counted
+        # 405 evaluations; ratio and witness are unchanged
+        rec = self.workers_record(tmp_path / "search-9220fd4f07a7c1d1.json", 405)
+        code, out = run(["replay", str(rec), "--cache-dir", str(tmp_path)], capsys)
+        assert code == 1
+        assert json.loads(out)["match"] is False
 
 
 def test_unexpected_error_exits_5(tmp_path, capsys, monkeypatch):

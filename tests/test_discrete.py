@@ -83,6 +83,82 @@ class TestExactSearch:
                                   discrete._canonical_weights(q))
         assert evals == orbits
 
+    @pytest.mark.parametrize("W", [False, True])
+    @pytest.mark.parametrize("limit", [0, 1, 2, 8, 17])
+    def test_scan_limit_scores_each_mask_once(self, limit, W):
+        # q = 19: 18 mask bits, four batches; the one value column is the
+        # mask itself, so the score sees which masks were scored
+        q = 19
+        E = np.concatenate([[0.0], 2.0 ** np.arange(q - 1)])[:, None]
+        seen = []
+
+        def score(V):
+            seen.append(V[:, 0].astype(np.int64))
+            return -V    # one best mask (0) keeps the pool small
+
+        weights = discrete._canonical_weights(q) if W else None
+        pool, evals = discrete._scan(E, True, score, weights, limit=limit)
+        masks = np.arange(1 << (q - 1))
+        keep = np.bitwise_count(masks) <= limit
+        if W:
+            # bit i is frequency i + 1; dilation by c sends it to c (i + 1) mod q
+            bits = (masks[:, None] >> np.arange(q - 1)) & 1
+            for c in range(2, q):
+                keep &= masks <= bits @ (1 << (c * np.arange(1, q) % q - 1))
+        else:
+            assert keep.sum() == sum(math.comb(q - 1, i) for i in range(limit + 1))
+        np.testing.assert_array_equal(np.sort(np.concatenate(seen)), masks[keep])
+        assert evals == keep.sum() and [(s.freqs, c) for s, c in pool] == [((0,), 0)]
+
+    @pytest.mark.parametrize("q, p", [(12, 1.0), (15, 2.0), (16, 4.0), (18, 3.0)])
+    def test_reduced_scan_rebuilds_the_full_candidates(self, q, p):
+        # the scan without either reduction: all q columns, every unit as a
+        # target, every mask; its candidates must all be re-evaluated
+        k = np.arange(q)
+        E = np.exp(2j * np.pi * np.outer(k, k) / q)
+        units = discrete._units(q)
+
+        def score(V):
+            mp = np.abs(V) ** p
+            return 2.0 * mp[:, units] / mp.sum(axis=1)[:, None]
+
+        pool, _ = discrete._scan(E, True, score)
+        top, witness, n = discrete._best_of(
+            (Spectrum(tuple(units[c] * h % q for h in s.freqs), q) for s, c in pool),
+            False, lambda s: discrete.concentration_ratio(s, p, 1))
+        rep = discrete.exact_gamma_sharp(q, p)
+        scanned = sum(math.comb(q - 1, i) for i in range(q // 2)) * np.sum(2 * units <= q)
+        assert (rep.ratio, rep.spectrum.freqs) == (top, witness)
+        assert rep.evaluations == scanned + n
+
+    def test_q2_with_pruning(self):
+        for p in (1.0, 2.0):
+            a = discrete.exact_gamma_sharp(2, p, use_pruning=True)
+            b = discrete.exact_gamma_sharp(2, p, use_pruning=False)
+            assert (a.ratio, a.spectrum.freqs) == (b.ratio, b.spectrum.freqs) == (1.0, (0,))
+
+    def test_p2_closed_form(self):
+        # Parseval: the grid 2-sum of an n-frequency spectrum is q n, and
+        # |f(1/q)| is largest for an interval, |D_n(1/q)| = sin(pi n/q)/sin(pi/q)
+        for q in range(3, 24):
+            n = np.arange(1, q)
+            closed = 2 * np.sin(np.pi * n / q) ** 2 / (np.sin(np.pi / q) ** 2 * q * n)
+            rep = discrete.exact_gamma_sharp(q, 2.0)
+            assert rep.ratio == pytest.approx(closed.max(), rel=1e-12, abs=0)
+
+    @pytest.mark.parametrize("p", [1.0, 3.0, 4.0])
+    def test_interval_is_optimal_to_q19(self, p):
+        for q in range(3, 20):
+            rep = discrete.exact_gamma_sharp(q, p)
+            best = discrete.dirichlet_table(q, p).best
+            assert rep.ratio == pytest.approx(best, rel=1e-12, abs=0)
+
+    def test_q25_p10_beats_every_interval(self):
+        rep = discrete.exact_gamma_sharp(25, 10.0)
+        best = discrete.dirichlet_table(25, 10.0).best
+        assert rep.spectrum.freqs == (0, 22, 24)
+        assert rep.ratio / best - 1 == pytest.approx(0.00318, abs=5e-6)
+
     def test_matches_independent_brute_force(self):
         for q, p in ((7, 1.0), (9, 2.0), (11, 4.0), (18, 2.0)):
             rep = discrete.exact_gamma_sharp(q, p)
@@ -230,6 +306,21 @@ class TestStarSearch:
                 g = min(g, 1e6 * num / dp)
             best = max(best, g)
         assert rep.ratio_star == pytest.approx(best, abs=1e-12)
+        assert rep.cond_K_ok
+
+    @pytest.mark.parametrize("q", [3, 4, 7, 8])
+    @pytest.mark.parametrize("p, K", [(1.0, 1e4), (2.0, 1.0), (3.0, 100.0)])
+    def test_matches_full_grid_enumeration(self, q, p, K):
+        # every spectrum in {0..2q-1}, scored on all 2q points
+        Q = 2 * q
+        masks = np.arange(1, 1 << Q)
+        mp = np.abs(((masks[:, None] >> np.arange(Q)) & 1)
+                    @ np.exp(2j * np.pi * np.outer(np.arange(Q), np.arange(Q)) / Q)) ** p
+        num, ds, dp = 2 * mp[:, 1], mp[:, 1::2].sum(axis=1), mp[:, 0::2].sum(axis=1)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            g = np.where((num > 0) & (ds > 0), np.minimum(num / ds, K * num / dp), 0.0)
+        rep = discrete.exact_gamma_star(q, p, K=K)
+        assert rep.ratio_star == pytest.approx(g.max(), rel=1e-12, abs=0)
         assert rep.cond_K_ok
 
     def test_witness_recheck(self):
