@@ -166,27 +166,37 @@ def _coeff_tail(lam: float, c: np.ndarray) -> float:
 # ----------------------------------------------------------------------
 
 def _direct_scaled_sum(lam: float, t: float, K: int, odd: bool):
-    """(partial sum of (|sin k pi t|/(k sin pi t))^lam over k<=K in D, roundoff bound)."""
+    """(partial sum of (|sin k pi t|/(k sin pi t))^lam over k<=K in D, roundoff bound).
+
+    Chunks of _CHUNK terms run in place through three buffers allocated once;
+    k advances by step * _CHUNK in place (exact: integers below 2^53).
+    """
     S = math.sin(math.pi * t)
     pt = math.pi * t
-    chunks = []
-    start = 1
     step = 2 if odd else 1
-    count = 0
-    while start <= K:
-        stop = min(start + step * _CHUNK, K + 1)
-        k = np.arange(start, stop, step, dtype=np.float64)
-        count += len(k)
-        r = np.abs(np.sin(pt * k)) / (k * S)
+    count = len(range(1, K + 1, step))
+    n = min(_CHUNK, count)
+    k = np.arange(1, 1 + step * n, step, dtype=np.float64)
+    r = np.empty(n)
+    d = np.empty(n)
+    chunks = []
+    for done in range(0, count, _CHUNK):
+        m = min(n, count - done)
+        km, rm, dm = k[:m], r[:m], d[:m]
+        np.multiply(km, pt, out=rm)
+        np.sin(rm, out=rm)
+        np.abs(rm, out=rm)
+        np.multiply(km, S, out=dm)
+        np.divide(rm, dm, out=rm)
         if lam == 2.0:
-            term = r * r
+            np.multiply(rm, rm, out=rm)
         elif lam == 4.0:
-            r2 = r * r
-            term = r2 * r2
+            np.multiply(rm, rm, out=rm)
+            np.multiply(rm, rm, out=rm)
         else:
-            term = r ** lam
-        chunks.append(float(np.sum(term)))
-        start = stop
+            np.power(rm, lam, out=rm)
+        chunks.append(float(np.sum(rm)))
+        k += step * _CHUNK
     total = math.fsum(chunks)
     return total, _sum_slack(lam, t, K, count, total), count
 
@@ -346,6 +356,7 @@ def eval_A(lam: float, t: float, tol: float = 1e-10,
 _GOLD = (math.sqrt(5) - 1) / 2
 
 T_MIN = 1e-4
+_SCAN_K = 4096               # last k of the coarse scan table
 
 
 def _golden_min(f, lo, hi, tol):
@@ -369,17 +380,29 @@ def _golden_min(f, lo, hi, tol):
     return (x1, f1, hi - lo) if f1 <= f2 else (x2, f2, hi - lo)
 
 
-def _scan_values(which: str, lam: float, ts: np.ndarray, K: int = 4096) -> np.ndarray:
-    """Vectorized coarse values for basin location (not rigorously bounded)."""
+def _scan_table(odd: bool, n: int):
+    """(ts, M) of the coarse scan: n >= 512 points ts on [T_MIN, 1/2] and the
+    lam-independent table M[k, i] = |sin(pi k ts[i])| / (k sin(pi ts[i])),
+    k <= _SCAN_K in the domain, built in place."""
+    ts = np.linspace(T_MIN, 0.5, max(n, 512))
     S = np.sin(np.pi * ts)
-    odd = which == "A"
-    k = np.arange(1, K + 1, 2 if odd else 1, dtype=np.float64)
-    M = np.abs(np.sin(np.pi * np.outer(k, ts))) / (k[:, None] * S[None, :])
+    k = np.arange(1, _SCAN_K + 1, 2 if odd else 1, dtype=np.float64)
+    M = np.outer(k, ts)
+    np.multiply(np.pi, M, out=M)
+    np.sin(M, out=M)
+    np.abs(M, out=M)
+    np.divide(M, k[:, None] * S[None, :], out=M)
+    return ts, M
+
+
+def _scan_values(which: str, lam: float, table) -> np.ndarray:
+    """Vectorized coarse values for basin location (not rigorously bounded)."""
+    ts, M = table
     with np.errstate(over="ignore", under="ignore"):
         core = np.sum(M ** lam, axis=0)
-        if odd:
+        if which == "A":
             return core
-        pref = np.exp(lam * (np.log(np.pi * ts) - np.log(S)))
+        pref = np.exp(lam * (np.log(np.pi * ts) - np.log(np.sin(np.pi * ts))))
         return pref + 2 * core
 
 
@@ -395,10 +418,15 @@ def minimize_over_t(which: str, lam: float, scan_points: int = 1024,
         raise DomainError("which must be 'B' or 'A'")
     if not (lam > 1 + 1e-6):
         raise DomainError("minimize_over_t needs lam > 1")
+    return _minimize(which, lam, _scan_table(which == "A", scan_points), refine_tol)
+
+
+def _minimize(which: str, lam: float, table, refine_tol: float) -> MinResult:
+    """minimize_over_t on a prebuilt ``_scan_table`` of the same domain."""
     evalf = eval_A if which == "A" else eval_B
     series_tol = refine_tol / 10
-    ts = np.linspace(T_MIN, 0.5, max(scan_points, 512))
-    coarse = _scan_values(which, lam, ts)
+    ts = table[0]
+    coarse = _scan_values(which, lam, table)
     i = int(np.argmin(coarse))      # first occurrence: smallest t wins ties
     lo = ts[max(i - 1, 0)]
     hi = ts[min(i + 1, len(ts) - 1)]
@@ -448,21 +476,26 @@ def gamma4_sharp_lower() -> ConstantResult:
     return ConstantResult(-val, t_star, {"scan_points": _SUP_SCAN_POINTS})
 
 
+def _check_p(p: float):
+    if not (1 < p < math.inf):
+        raise DomainError(f"needs finite p > 1, got {p}")
+
+
 def gamma_sharp_lower(p: float) -> ConstantResult:
     """Lower bound 2 sup_{L>=1} 1/min_t B(L p, t) for the plain-grid level.
 
     For p <= 2 only the L = 1 term is a valid witness route; for p > 2 the
     whole power sweep applies.  The sweep stops once two successive L fail
-    to improve the running best by 1e-6.
+    to improve the running best by 1e-6.  Every L shares one scan table.
     """
-    if p <= 1:
-        raise DomainError("needs p > 1")
+    _check_p(p)
+    table = _scan_table(False, 1024)
     sweep = []
     best = 0.0
     stagnant = 0
     L_hi = 1 if p <= 2 else _L_MAX
     for L in range(1, L_hi + 1):
-        m = minimize_over_t("B", p * L, refine_tol=_REFINE_TOL)
+        m = _minimize("B", p * L, table, _REFINE_TOL)
         g = 2.0 / m.value
         sweep.append({"L": L, "min_B": m.value, "t_star": m.t_star, "gamma": g})
         if g > best + 1e-6:
@@ -506,8 +539,7 @@ def asymptote_scan(lam: float) -> ConstantResult:
 
 def gamma_star_lower(p: float) -> ConstantResult:
     """Lower bound 1/min_t A(p, t) for the half-grid relative level."""
-    if p <= 1:
-        raise DomainError("needs p > 1")
+    _check_p(p)
     m = minimize_over_t("A", p, refine_tol=_REFINE_TOL)
     cert = {"t_star": m.t_star, "min_A": m.value, "refine_tol": _REFINE_TOL}
     return ConstantResult(1.0 / m.value, m.t_star, cert)

@@ -374,6 +374,22 @@ def _inputs_from_args(args) -> dict:
     raise DomainError(f"unknown command {args.cmd}")
 
 
+def _cached_ratio_holds(payload) -> bool:
+    """True if a cached search payload may be served: its stored ratio equals
+    ``concentration_ratio`` of its witness, recomputed and rounded as stored.
+    Star payloads (no ``ratio``) are served unchecked."""
+    if not isinstance(payload, dict):
+        return False
+    if "ratio" not in payload:
+        return True
+    try:
+        spec = Spectrum(payload["spectrum"], payload["q"])
+        fresh = discrete.concentration_ratio(spec, payload["p"], payload["target"])
+    except (DomainError, IndexError, KeyError, TypeError, ValueError):
+        return False
+    return round_floats(fresh) == payload["ratio"]
+
+
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     cache_dir = args.cache_dir or default_cache_dir()
@@ -394,17 +410,19 @@ def main(argv=None) -> int:
         t0 = time.time()
 
         cache = None
+        rejected = False
         if args.cmd == "search" and not args.no_cache:
             cache = ResultsCache(cache_dir)
             versioned = dict(inputs, algorithm=discrete.ALGORITHM_VERSION)
             key = config_hash("search", versioned, seed)
             hit = cache.get(key)
-            if hit is not None:
+            if hit is not None and _cached_ratio_holds(hit):
                 payload = dict(hit)
                 payload["cached"] = True
                 _emit(json.dumps(round_floats(to_jsonable(payload)), indent=2)
                       + "\n", args.output)
                 return EXIT_OK
+            rejected = hit is not None
 
         payload = _RUNNERS[args.cmd](inputs)
         wall = time.time() - t0
@@ -417,7 +435,8 @@ def main(argv=None) -> int:
         elif args.cmd == "decay":
             _emit(_decay_csv(payload), args.output)
         else:
-            _emit(json.dumps(round_floats(to_jsonable(payload)), indent=2) + "\n",
+            shown = dict(payload, cached=False) if rejected else payload
+            _emit(json.dumps(round_floats(to_jsonable(shown)), indent=2) + "\n",
                   args.output)
         if args.cmd == "constants" and not payload["all_passed"]:
             return EXIT_ACCEPT

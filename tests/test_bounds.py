@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -200,3 +201,90 @@ class TestMajorant:
 
     def test_zeta(self):
         assert abs(bounds.zeta_value(2.0) - math.pi ** 2 / 6) <= 1e-12
+
+
+def _allocating_direct_sum(lam, t, K, odd):
+    """The chunked direct sum with fresh arrays per chunk: the in-place
+    kernel's oracle, (sum, count)."""
+    S = math.sin(math.pi * t)
+    pt = math.pi * t
+    chunks = []
+    start = 1
+    step = 2 if odd else 1
+    count = 0
+    while start <= K:
+        stop = min(start + step * bounds._CHUNK, K + 1)
+        k = np.arange(start, stop, step, dtype=np.float64)
+        count += len(k)
+        r = np.abs(np.sin(pt * k)) / (k * S)
+        if lam == 2.0:
+            term = r * r
+        elif lam == 4.0:
+            r2 = r * r
+            term = r2 * r2
+        else:
+            term = r ** lam
+        chunks.append(float(np.sum(term)))
+        start = stop
+    return math.fsum(chunks), count
+
+
+def _traced_peak(f):
+    tracemalloc.start()
+    try:
+        f()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+class TestKernels:
+    @pytest.mark.parametrize("lam", [1.5, 2.0, 2.5, 4.0])
+    @pytest.mark.parametrize("odd", [False, True])
+    def test_direct_sum_matches_allocating_oracle(self, monkeypatch, lam, odd):
+        monkeypatch.setattr(bounds, "_CHUNK", 8)
+        # K spans several full chunks and a partial one, or exactly full ones
+        for t, K in ((1 / 3, 61), (0.2371, 61), (5 / 64, 64), (0.41, 5)):
+            total, _, count = bounds._direct_scaled_sum(lam, t, K, odd)
+            want, want_count = _allocating_direct_sum(lam, t, K, odd)
+            assert total.hex() == want.hex() and count == want_count
+
+    @pytest.mark.parametrize("odd", [False, True])
+    def test_scan_table_matches_allocating_oracle(self, odd):
+        ts, M = bounds._scan_table(odd, 512)
+        S = np.sin(np.pi * ts)
+        k = np.arange(1, 4097, 2 if odd else 1, dtype=np.float64)
+        want = np.abs(np.sin(np.pi * np.outer(k, ts))) / (k[:, None] * S[None, :])
+        assert np.array_equal(M, want)
+
+    @pytest.mark.parametrize("p", [2.5, 3.0])
+    def test_sweep_shares_table_bit_identically(self, p):
+        for row in bounds.gamma_sharp_lower(p).certificate["L_sweep"]:
+            m = bounds.minimize_over_t("B", p * row["L"], refine_tol=1e-8)
+            assert row["min_B"].hex() == m.value.hex()
+            assert row["t_star"].hex() == m.t_star.hex()
+
+    def test_minimize_pinned(self):
+        m = bounds.minimize_over_t("B", 2.5)
+        assert (m.t_star.hex(), m.value.hex()) == ("0x1.5b818c971a02bp-2",
+                                                   "0x1.0785b2b92717dp+2")
+        m = bounds.minimize_over_t("A", 3.3)
+        assert (m.t_star.hex(), m.value.hex()) == ("0x1.7a4d4162654a8p-2",
+                                                   "0x1.011bdd1dfd12ep+0")
+
+    def test_direct_sum_peak_memory(self):
+        peak = _traced_peak(lambda: bounds._direct_scaled_sum(1.5, 1 / 3, 2 ** 22, False))
+        assert peak <= 3 * bounds._CHUNK * 8 + 2 ** 20
+
+    def test_minimize_peak_memory(self):
+        peak = _traced_peak(lambda: bounds.minimize_over_t("B", 2.5))
+        assert peak <= 2 * 4096 * 1024 * 8 + 2 ** 20
+
+    @pytest.mark.parametrize("f", [bounds.gamma_sharp_lower, bounds.gamma_star_lower])
+    @pytest.mark.parametrize("p", [math.inf, math.nan])
+    def test_non_finite_p_rejected_before_scan(self, monkeypatch, f, p):
+        def no_table(*args):
+            raise AssertionError("scan table built")
+        monkeypatch.setattr(bounds, "_scan_table", no_table)
+        with pytest.raises(DomainError):
+            f(p)

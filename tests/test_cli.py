@@ -50,6 +50,22 @@ class TestSearchCommand:
         code, out = run(args, capsys)
         assert code == 0 and json.loads(out)["cached"] is True
 
+    def test_cache_row_with_edited_ratio_not_served(self, tmp_path, capsys):
+        args = ["search", "--q", "7", "--p", "1", "--cache-dir", str(tmp_path)]
+        fresh = json.loads(run(args, capsys)[1])
+        path = tmp_path / "searches.jsonl"
+        row = json.loads(path.read_text())
+        row["payload"]["ratio"] = 0.99
+        path.write_text(json.dumps(row) + "\n")
+        code, out = run(args, capsys)
+        again = json.loads(out)
+        assert code == 0 and again["cached"] is False
+        assert again["ratio"] == fresh["ratio"]
+        assert len(path.read_text().splitlines()) == 2
+        # the recomputed row appended last is intact and served
+        served = json.loads(run(args, capsys)[1])
+        assert served["cached"] is True and served["ratio"] == fresh["ratio"]
+
     def test_budget_exit_code(self, tmp_path, capsys):
         code, _ = run(["search", "--q", "40", "--p", "2", "--mode", "exhaustive",
                        "--cache-dir", str(tmp_path)], capsys)
