@@ -380,6 +380,21 @@ def _golden_min(f, lo, hi, tol):
     return (x1, f1, hi - lo) if f1 <= f2 else (x2, f2, hi - lo)
 
 
+def _scan_min(f, xs, values, tol):
+    """Minimize f from ``values``, its scan (exact or approximate) on the grid
+    xs: golden section between the grid neighbours of the first least value,
+    never reporting above f at that grid point.
+
+    Returns (x, f(x), final bracket width).
+    """
+    i = int(np.argmin(values))      # first occurrence: smallest x wins ties
+    x, v, width = _golden_min(f, xs[max(i - 1, 0)], xs[min(i + 1, len(xs) - 1)], tol)
+    v_grid = f(xs[i])
+    if v_grid < v:
+        x, v = xs[i], v_grid
+    return x, v, width
+
+
 def _scan_table(odd: bool, n: int):
     """(ts, M) of the coarse scan: n >= 512 points ts on [T_MIN, 1/2] and the
     lam-independent table M[k, i] = |sin(pi k ts[i])| / (k sin(pi ts[i])),
@@ -425,21 +440,14 @@ def _minimize(which: str, lam: float, table, refine_tol: float) -> MinResult:
     """minimize_over_t on a prebuilt ``_scan_table`` of the same domain."""
     evalf = eval_A if which == "A" else eval_B
     series_tol = refine_tol / 10
-    ts = table[0]
-    coarse = _scan_values(which, lam, table)
-    i = int(np.argmin(coarse))      # first occurrence: smallest t wins ties
-    lo = ts[max(i - 1, 0)]
-    hi = ts[min(i + 1, len(ts) - 1)]
 
     def f(t):
-        return evalf(lam, t, tol=series_tol).value
+        return evalf(lam, float(t), tol=series_tol).value
 
-    t_star, value, width = _golden_min(f, lo, hi, refine_tol)
-    # never report above the scan's best probe (re-evaluated in full: the
-    # coarse scan truncates a positive series, so it underestimates)
-    v_scan = float(evalf(lam, float(ts[i]), tol=series_tol).value)
-    if v_scan < value:
-        t_star, value = float(ts[i]), v_scan
+    # the coarse scan truncates a positive series, so it underestimates:
+    # _scan_min re-evaluates the best probe in full
+    t_star, value, width = _scan_min(f, table[0], _scan_values(which, lam, table),
+                                     refine_tol)
     return MinResult(float(t_star), float(value), float(width))
 
 
@@ -457,10 +465,8 @@ _ASYMPTOTE_TOL = 1e-8        # series tolerance of asymptote_scan
 def gamma2_sharp() -> ConstantResult:
     """sup_{x>0} 2 sin^2(x)/(pi x), with its argmax."""
     xs = np.linspace(1e-9, _SUP_X_MAX, _SUP_SCAN_POINTS)
-    v = 2 * np.sin(xs) ** 2 / (np.pi * xs)
-    i = int(np.argmax(v))
     f = lambda x: -2 * math.sin(x) ** 2 / (math.pi * x)
-    x_star, val, _ = _golden_min(f, xs[max(i - 1, 0)], xs[min(i + 1, len(xs) - 1)], 1e-10)
+    x_star, val, _ = _scan_min(f, xs, -2 * np.sin(xs) ** 2 / (np.pi * xs), 1e-10)
     cert = {"scan_points": _SUP_SCAN_POINTS, "x_max": _SUP_X_MAX,
             "stationarity_residual": math.tan(x_star) - 2 * x_star}
     return ConstantResult(-val, x_star, cert)
@@ -469,10 +475,9 @@ def gamma2_sharp() -> ConstantResult:
 def gamma4_sharp_lower() -> ConstantResult:
     """max_{0<t<1/2} 3 sin^4(pi t) / (pi^4 t^3)."""
     ts = np.linspace(1e-9, 0.5, _SUP_SCAN_POINTS)
-    v = 3 * np.sin(np.pi * ts) ** 4 / (np.pi ** 4 * ts ** 3)
-    i = int(np.argmax(v))
     f = lambda t: -3 * math.sin(math.pi * t) ** 4 / (math.pi ** 4 * t ** 3)
-    t_star, val, _ = _golden_min(f, ts[max(i - 1, 0)], ts[min(i + 1, len(ts) - 1)], 1e-10)
+    t_star, val, _ = _scan_min(f, ts, -3 * np.sin(np.pi * ts) ** 4 / (np.pi ** 4 * ts ** 3),
+                               1e-10)
     return ConstantResult(-val, t_star, {"scan_points": _SUP_SCAN_POINTS})
 
 
@@ -513,25 +518,16 @@ def asymptote_scan(lam: float) -> ConstantResult:
     """min over kappa of B(lam, kappa*sqrt(6/lam)); argmax field holds kappa*.
 
     The kappa grid starts at 0.05: the large-lam minimizer sits near
-    kappa ~ 0.225, so grids starting higher miss the basin entirely.
+    kappa ~ 0.225, so grids starting higher miss the basin entirely.  It
+    is trimmed to t = kappa * sqrt(6/lam) < 1/2.
     """
-    kappa_grid = np.arange(0.05, 3.0 + 1e-12, 0.005)
     scale = math.sqrt(6.0 / lam)
-    best = None
-    for kap in kappa_grid:
-        t = kap * scale
-        if not (0.0 < t < 0.5):
-            continue
-        v = eval_B(lam, t, tol=_ASYMPTOTE_TOL).value
-        if best is None or v < best[1]:
-            best = (float(kap), v)
-    if best is None:
+    kappa_grid = np.arange(0.05, 3.0 + 1e-12, 0.005)
+    kappa_grid = kappa_grid[kappa_grid * scale < 0.5]
+    if len(kappa_grid) == 0:
         raise DomainError("no kappa grid point lands t in (0, 1/2)")
-    k0 = best[0]
     f = lambda kap: eval_B(lam, kap * scale, tol=_ASYMPTOTE_TOL).value
-    lo, hi = max(k0 - 0.005, 1e-6), k0 + 0.005
-    kap_star, val, _ = _golden_min(f, lo, hi, 1e-5)
-    val = min(val, best[1])
+    kap_star, val, _ = _scan_min(f, kappa_grid, [f(kap) for kap in kappa_grid], 1e-5)
     cert = {"lam": lam, "grid_lo": float(np.min(kappa_grid)),
             "grid_hi": float(np.max(kappa_grid)), "series_tol": _ASYMPTOTE_TOL}
     return ConstantResult(float(val), float(kap_star), cert)

@@ -28,6 +28,9 @@ from .trigpoly import Spectrum, fold_power, to_coeffs
 EXIT_OK, EXIT_MISMATCH, EXIT_DOMAIN, EXIT_BUDGET, EXIT_ACCEPT, EXIT_ERROR = 0, 1, 2, 3, 4, 5
 
 _F = "{:.15g}".format
+_UNIFORM_P_SET = (2.5, 3.0, 4.0, 6.0, 10.0)  # constants: the p > 2 levels checked
+_ASYMPTOTE_LAMBDA = 1e4                      # constants: lam of the asymptote row
+_C_PROBE = 0.3                               # round: the c the hypotheses are probed at
 
 
 # ----------------------------------------------------------------------
@@ -54,9 +57,8 @@ def run_constants(inputs: dict) -> dict:
         "passed": bool(0.495 < g4.value <= 0.5),
     })
 
-    ps = inputs.get("uniform_p_set", [2.5, 3.0, 4.0, 6.0, 10.0])
     per_p = {}
-    for p in ps:
+    for p in _UNIFORM_P_SET:
         per_p[str(p)] = bounds.gamma_sharp_lower(p).value
     rows.append({
         "name": "gamma_sharp_uniform_p_gt_2", "paper_value": "> 0.483",
@@ -65,8 +67,7 @@ def run_constants(inputs: dict) -> dict:
         "passed": bool(all(v > 0.483 for v in per_p.values())),
     })
 
-    lam = inputs.get("asymptote_lambda", 1e4)
-    asym = bounds.asymptote_scan(lam)
+    asym = bounds.asymptote_scan(_ASYMPTOTE_LAMBDA)
     rows.append({
         "name": "power_sweep_asymptote", "paper_value": 4.13273,
         "value": asym.value, "computed_value": asym.value, "argmax": asym.argmax,
@@ -118,8 +119,9 @@ def run_search(inputs: dict) -> dict:
         out = to_jsonable(rep)
         if inputs.get("k_sensitivity", False):
             out["K_sensitivity"] = {
-                str(Kk): discrete.exact_gamma_star(q, p, K=Kk).ratio_star
-                for Kk in (K / 10, K, 10 * K)}
+                str(K / 10): discrete.exact_gamma_star(q, p, K=K / 10).ratio_star,
+                str(K): rep.ratio_star,
+                str(10 * K): discrete.exact_gamma_star(q, p, K=10 * K).ratio_star}
         return out
     if mode == "exhaustive" or (mode == "auto" and q <= discrete.EXHAUSTIVE_CAP):
         rep = discrete.exact_gamma_sharp(q, p)
@@ -138,10 +140,9 @@ def run_round(inputs: dict) -> dict:
     rep = rounding.monte_carlo(P, q, p, eps, inputs["trials"], inputs.get("seed", 0))
     out = to_jsonable(rep)
     hyp = rounding.hypothesis_constants(Pn, q, p)
-    c_probe = inputs.get("c_probe", 0.3)
-    hyp["c_probe"] = c_probe
-    hyp["cond_c_at_probe"] = c_probe <= hyp["c_cond_c"]
-    hyp["concentr_at_probe"] = c_probe <= hyp["c_concentr"]
+    hyp["c_probe"] = _C_PROBE
+    hyp["cond_c_at_probe"] = _C_PROBE <= hyp["c_cond_c"]
+    hyp["concentr_at_probe"] = _C_PROBE <= hyp["c_concentr"]
     out["hypotheses"] = hyp
     return out
 
@@ -376,18 +377,22 @@ def _inputs_from_args(args) -> dict:
 
 def _cached_ratio_holds(payload) -> bool:
     """True if a cached search payload may be served: its stored ratio equals
-    ``concentration_ratio`` of its witness, recomputed and rounded as stored.
-    Star payloads (no ``ratio``) are served unchecked."""
+    the level of its witness, recomputed and rounded as stored
+    (``concentration_ratio`` on the plain grid, ``star`` on the half grid)."""
     if not isinstance(payload, dict):
         return False
-    if "ratio" not in payload:
-        return True
     try:
-        spec = Spectrum(payload["spectrum"], payload["q"])
-        fresh = discrete.concentration_ratio(spec, payload["p"], payload["target"])
+        if "ratio_star" in payload:
+            stored = payload["ratio_star"]
+            spec = Spectrum(payload["spectrum"], 2 * payload["q"])
+            fresh = discrete.star(spec, payload["p"], payload["K"])[0]
+        else:
+            stored = payload["ratio"]
+            spec = Spectrum(payload["spectrum"], payload["q"])
+            fresh = discrete.concentration_ratio(spec, payload["p"], payload["target"])
     except (DomainError, IndexError, KeyError, TypeError, ValueError):
         return False
-    return round_floats(fresh) == payload["ratio"]
+    return round_floats(fresh) == stored
 
 
 def main(argv=None) -> int:

@@ -13,17 +13,18 @@ reductions (each validated against an unreduced scan in the test suite):
 * translation: |f_{H+d}(x)| = |f_H(x)| pointwise, so only spectra
   containing 0 are enumerated;
 * target restoration: for any unit a mod q, the ratio of H at target a
-  equals the ratio of (aH mod q) at target 1, so each enumerated spectrum
-  is scored at every coprime target and the best witness is rebuilt by
-  multiplication.  For prime q this is exactly dilation-orbit dedup, and
-  the scan skips every mask that some dilation maps to a smaller mask;
+  equals the ratio of (aH mod q) at target 1, and the units permute the
+  non-zero residues at every q.  So the plain-grid scan skips every mask
+  that some unit dilation maps to a smaller mask, scores each kept
+  spectrum at every unit target, and the candidates are expanded to their
+  full affine orbits before the exact re-evaluation;
 * complement cut (plain grid): for |H| > q/2 the complement of H has the
   negated values off k = 0 and the smaller |f(0)| = q - |H|, so the same
   numerator and a smaller denominator; only |H| <= q/2 is scanned.  (On
   the half grid complements can tie, so there is no cut.)
 * conjugate symmetry: a 0/1 spectrum has |f(k/N)| = |f((N-k)/N)| on the
   N-point grid, so only the columns 0..N/2 are evaluated, weighted by
-  ``_half_weights``, and on the plain grid only the targets a <= q/2.
+  ``_half_weights``, and on the plain grid only the unit targets a <= q/2.
 
 The final reported ratio is always recomputed from the witness with the
 standard grid evaluator, so exhaustive results are bit-for-bit
@@ -43,7 +44,7 @@ from .trigpoly import Grid, GridValues, Spectrum, eval_grid, to_coeffs
 __all__ = [
     "ConcentrationReport", "StarReport", "SearchConfig", "DirichletTable",
     "ratio", "concentration_ratio", "exact_gamma_sharp",
-    "heuristic_gamma_sharp", "dirichlet_table", "exact_gamma_star",
+    "heuristic_gamma_sharp", "dirichlet_table", "exact_gamma_star", "star",
     "gamma1_decay_scan",
 ]
 
@@ -51,7 +52,7 @@ EXHAUSTIVE_CAP = 26      # plain-grid cap: 2^(q-1) spectra after translation pru
 STAR_CAP = 11            # half-grid cap: 2^(2q-1) spectra
 _LO = 16                 # low mask bits: one scan batch is 2^16 spectra
 _NEAR = 1e-7             # candidate slack before exact re-evaluation
-ALGORITHM_VERSION = 4    # in the search cache key; bump when an answer may change
+ALGORITHM_VERSION = 5    # in the search cache key; bump when an answer may change
 
 
 @dataclass(frozen=True)
@@ -136,9 +137,10 @@ def _units(q: int) -> np.ndarray:
 
 
 def _canonical_weights(q: int):
-    """Bit-permutation weight matrix for dilation-orbit canonicality (prime q):
-    W[i - 1, c - 2] is the mask bit of frequency c * i mod q."""
-    return 1 << (np.outer(np.arange(1, q), np.arange(2, q)) % q - 1)
+    """Bit-permutation weight matrix for dilation-orbit canonicality: column
+    j is the unit c = _units(q)[j + 1] (every unit but 1), and W[i - 1, j]
+    is the mask bit of frequency c * i mod q."""
+    return 1 << (np.outer(np.arange(1, q), _units(q)[1:]) % q - 1)
 
 
 def _bit_table(n: int) -> np.ndarray:
@@ -156,7 +158,7 @@ def _scan(E, lead, score, W=None, limit=None):
     prefix of each batch.  Under dilation weights ``W`` a mask that a
     dilation maps lower is skipped; permuted masks split the same way, and
     dilations keep popcount.  ``score`` maps a batch to a (spectra x
-    targets) array.  Returns the (spectrum, target column) pairs within
+    targets) array.  Returns the spectra whose best target is within
     ``_NEAR`` of the best score, and the number of (spectrum, target)
     evaluations.
     """
@@ -185,52 +187,45 @@ def _scan(E, lead, score, W=None, limit=None):
         n = int(ends[min(room, lo)])
         masks, V = (h << lo) | low[:n], T[:n] + H[h]
         if W is not None:
-            keep = masks <= (P_lo[:n] + P_hi[h]).min(axis=1)
+            # no column (q = 2): the identity is the only dilation
+            keep = masks <= (P_lo[:n] + P_hi[h]).min(axis=1, initial=1 << len(rows))
             masks, V = masks[keep], V[keep]
             if len(masks) == 0:
                 continue
         R = score(V)
         evals += R.size
+        R = R.max(axis=1)
         best = max(best, float(R.max()))
-        r, c = np.nonzero(R >= best - _NEAR)
-        pool.extend(zip(R[r, c].tolist(), masks[r].tolist(), c.tolist()))
+        r = np.nonzero(R >= best - _NEAR)[0]
+        pool.extend(zip(R[r].tolist(), masks[r].tolist()))
     head = [0] if lead else []
 
     def spectrum(m):
         return Spectrum(tuple(head + [int(r) for i, r in enumerate(rows) if m >> i & 1]),
                         len(E))
 
-    return [(spectrum(m), c) for s, m, c in pool if s >= best - _NEAR], evals
+    return [spectrum(m) for s, m in pool if s >= best - _NEAR], evals
 
 
-def _orbit(spec: Spectrum, prime: bool):
-    """Affine orbit (dilations for prime modulus, translations always)."""
+def _orbit(spec: Spectrum, dilate: bool):
+    """Members of the affine orbit, with repeats: translations, times the
+    unit dilations if ``dilate``."""
     q = spec.degree_bound
-    seen = set()
-    out = []
-    cs = range(1, q) if prime else [1]
-    for c in cs:
-        if math.gcd(c, q) != 1:
-            continue
-        base = sorted((c * h) % q for h in spec.freqs)
+    for c in (_units(q).tolist() if dilate else [1]):
         for d in range(q):
-            t = tuple(sorted((h + d) % q for h in base))
-            if t not in seen:
-                seen.add(t)
-                out.append(Spectrum(t, q))
-    return out
+            yield tuple(sorted((c * h + d) % q for h in spec.freqs))
 
 
-def _best_of(specs, prime: bool, value):
+def _best_of(specs, dilate: bool, value):
     """Exact re-evaluation of near-max candidates, expanded to full orbits.
 
     Returns (top value, lexicographically least witness freqs, evaluations).
     """
     finals = {}
     for spec in specs:
-        for member in _orbit(spec, prime):
-            if member.freqs not in finals:
-                finals[member.freqs] = value(member)
+        for freqs in _orbit(spec, dilate):
+            if freqs not in finals:
+                finals[freqs] = value(Spectrum(freqs, spec.degree_bound))
     top = max(finals.values())
     return top, min(fr for fr, v in finals.items() if v == top), len(finals)
 
@@ -251,14 +246,14 @@ def _check_p(p: float) -> None:
         raise DomainError(f"need finite p > 0, got {p}")
 
 
-def exact_gamma_sharp(q: int, p: float,
-                      use_pruning: bool | None = None) -> ConcentrationReport:
+def exact_gamma_sharp(q: int, p: float, use_pruning: bool = True) -> ConcentrationReport:
     """Exact plain-grid level at target 1 by exhaustive scan.
 
-    ``use_pruning`` controls dilation-orbit dedup (default: on for prime q);
-    translation reduction, the complement cut and conjugate symmetry are
-    always applied.  Raises BudgetError beyond
-    ``EXHAUSTIVE_CAP`` and points the caller at the heuristic search.
+    ``use_pruning`` controls dilation-orbit dedup; without it the scan is
+    the plain enumeration the tests compare against, scored at target 1
+    only.  Translation reduction, the complement cut and conjugate symmetry
+    are always applied.  Raises BudgetError beyond ``EXHAUSTIVE_CAP`` and
+    points the caller at the heuristic search.
     """
     if q < 2:
         raise DomainError("need q >= 2")
@@ -267,12 +262,9 @@ def exact_gamma_sharp(q: int, p: float,
         raise BudgetError(
             f"exhaustive search capped at q <= {EXHAUSTIVE_CAP} (2^{q-1} spectra); "
             f"use heuristic_gamma_sharp for q = {q}")
-    prime = _is_prime(q)
-    if use_pruning is None:
-        use_pruning = prime and q >= 17
     k = np.arange(q)
     E = np.exp(2j * np.pi * np.outer(k, k[:q // 2 + 1]) / q)
-    units = _units(q)
+    units = _units(q) if use_pruning else np.array([1])
     units = units[2 * units <= q]    # target q - a scores as target a
     w = _half_weights(q)
 
@@ -280,15 +272,11 @@ def exact_gamma_sharp(q: int, p: float,
         mp = _pow_abs(np.abs(V), p)
         return 2.0 * mp[:, units] / (mp @ w)[:, None]
 
-    # q = 2 has no dilation but the identity
-    W = _canonical_weights(q) if (use_pruning and prime and q > 2) else None
+    W = _canonical_weights(q) if use_pruning else None
     pool, evals = _scan(E, True, score, W, limit=q // 2 - 1)
-    # the ratio at target a is the ratio of a * spectrum at target 1; the
-    # unscored target q - a gives the conjugate (q - a) * spectrum, rebuilt too
-    top, witness, n = _best_of(
-        (Spectrum(tuple(a * h % q for h in spec.freqs), q)
-         for spec, c in pool for a in (units[c], q - units[c])),
-        prime, lambda s: concentration_ratio(s, p, 1))
+    # the ratio at target a is the ratio of a * spectrum at target 1: the
+    # unit orbits of the candidates hold every such witness
+    top, witness, n = _best_of(pool, True, lambda s: concentration_ratio(s, p, 1))
     return ConcentrationReport(q, p, 1, top, Spectrum(witness, q), "exhaustive",
                                evals + n)
 
@@ -412,6 +400,22 @@ def heuristic_gamma_sharp(q: int, p: float, restarts: int = 4,
     return ConcentrationReport(q, p, 1, final, witness, "heuristic", evals)
 
 
+def star(spec: Spectrum, p: float, K: float):
+    """(level, 2|v_1|^p, star sum, plain sum) of one spectrum on the Q-point
+    grid, Q = ``spec.degree_bound``: the half-grid level at control constant K."""
+    Q = spec.degree_bound
+    vals = eval_grid(to_coeffs(spec), Grid(Q))
+    mp = _pow_abs(np.abs(vals.values), p)
+    num = 2.0 * float(mp[1])
+    ds = float(mp[1::2].sum())
+    dp = float(mp[0::2].sum())
+    if num == 0.0 or ds == 0.0:
+        g = 0.0
+    else:
+        g = min(num / ds, K * num / dp) if dp > 0 else num / ds
+    return g, num, ds, dp
+
+
 def exact_gamma_star(q: int, p: float, K: float = 1e4,
                      use_pruning: bool = True) -> StarReport:
     """Exact half-grid relative level with plain-grid control constant K.
@@ -433,8 +437,6 @@ def exact_gamma_star(q: int, p: float, K: float = 1e4,
     E = np.exp(2j * np.pi * np.outer(k, k[:q + 1]) / Q)
     w = _half_weights(Q)
     w_odd, w_even = w * (k[:q + 1] % 2), w * (1 - k[:q + 1] % 2)
-    odd = np.arange(1, Q, 2)
-    even = np.arange(0, Q, 2)
 
     def score(V):
         mp = _pow_abs(np.abs(V), p)
@@ -448,24 +450,10 @@ def exact_gamma_star(q: int, p: float, K: float = 1e4,
         return g[:, None]
 
     pool, evals = _scan(E, use_pruning, score)
-
-    def star(spec: Spectrum):
-        """(level, 2|v_1|^p, star sum, plain sum) of one spectrum."""
-        vals = eval_grid(to_coeffs(spec), Grid(Q))
-        mp = _pow_abs(np.abs(vals.values), p)
-        num = 2.0 * float(mp[1])
-        ds = float(mp[odd].sum())
-        dp = float(mp[even].sum())
-        if num == 0.0 or ds == 0.0:
-            g = 0.0
-        else:
-            g = min(num / ds, K * num / dp) if dp > 0 else num / ds
-        return g, num, ds, dp
-
-    top, witness, n = _best_of((spec for spec, _ in pool), False, lambda s: star(s)[0])
+    top, witness, n = _best_of(pool, False, lambda s: star(s, p, K)[0])
     witness = Spectrum(witness, Q)
     # recheck both defining inequalities at the reported constant
-    _, num, ds, dp = star(witness)
+    _, num, ds, dp = star(witness, p, K)
     ok = num + 1e-12 >= top * ds and num + 1e-12 >= (top / K) * dp
     return StarReport(q, p, K, top, bool(ok), witness, "exhaustive", evals + n)
 

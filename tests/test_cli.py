@@ -50,21 +50,29 @@ class TestSearchCommand:
         code, out = run(args, capsys)
         assert code == 0 and json.loads(out)["cached"] is True
 
-    def test_cache_row_with_edited_ratio_not_served(self, tmp_path, capsys):
-        args = ["search", "--q", "7", "--p", "1", "--cache-dir", str(tmp_path)]
+    @staticmethod
+    def edited_row_not_served(args, key, capsys, tmp_path):
+        args = ["search", *args, "--cache-dir", str(tmp_path)]
         fresh = json.loads(run(args, capsys)[1])
         path = tmp_path / "searches.jsonl"
         row = json.loads(path.read_text())
-        row["payload"]["ratio"] = 0.99
+        row["payload"][key] = 0.99
         path.write_text(json.dumps(row) + "\n")
         code, out = run(args, capsys)
         again = json.loads(out)
         assert code == 0 and again["cached"] is False
-        assert again["ratio"] == fresh["ratio"]
+        assert again[key] == fresh[key]
         assert len(path.read_text().splitlines()) == 2
         # the recomputed row appended last is intact and served
         served = json.loads(run(args, capsys)[1])
-        assert served["cached"] is True and served["ratio"] == fresh["ratio"]
+        assert served["cached"] is True and served[key] == fresh[key]
+
+    def test_cache_row_with_edited_ratio_not_served(self, tmp_path, capsys):
+        self.edited_row_not_served(["--q", "7", "--p", "1"], "ratio", capsys, tmp_path)
+
+    def test_star_cache_row_with_edited_ratio_not_served(self, tmp_path, capsys):
+        self.edited_row_not_served(["--q", "3", "--p", "2", "--mode", "star"],
+                                   "ratio_star", capsys, tmp_path)
 
     def test_budget_exit_code(self, tmp_path, capsys):
         code, _ = run(["search", "--q", "40", "--p", "2", "--mode", "exhaustive",
@@ -283,15 +291,17 @@ class TestReplay:
         return path
 
     def test_replay_record_with_workers_input(self, tmp_path, capsys):
-        rec = self.workers_record(tmp_path / "search-9220fd4f07a7c1d1.json", 87)
+        rec = self.workers_record(tmp_path / "search-9220fd4f07a7c1d1.json", 36)
         code, out = run(["replay", str(rec), "--cache-dir", str(tmp_path)], capsys)
         assert code == 0
         assert json.loads(out)["match"] is True
 
-    def test_replay_record_before_complement_cut_mismatches(self, tmp_path, capsys):
-        # the scan before the complement cut and conjugate symmetry counted
-        # 405 evaluations; ratio and witness are unchanged
-        rec = self.workers_record(tmp_path / "search-9220fd4f07a7c1d1.json", 405)
+    # the scan counted 405 evaluations before the complement cut and
+    # conjugate symmetry, and 87 before dilation pruning at every q; ratio
+    # and witness are unchanged
+    @pytest.mark.parametrize("evaluations", [405, 87])
+    def test_replay_record_of_an_older_scan_mismatches(self, tmp_path, capsys, evaluations):
+        rec = self.workers_record(tmp_path / "search-9220fd4f07a7c1d1.json", evaluations)
         code, out = run(["replay", str(rec), "--cache-dir", str(tmp_path)], capsys)
         assert code == 1
         assert json.loads(out)["match"] is False

@@ -47,7 +47,7 @@ class TestExactSearch:
         with pytest.raises(BudgetError, match="heuristic"):
             discrete.exact_gamma_sharp(30, 2.0)
 
-    @pytest.mark.parametrize("q", [5, 8, 11, 12])
+    @pytest.mark.parametrize("q", [5, 8, 11, 12, 14, 18, 20])
     @pytest.mark.parametrize("p", [1.0, 2.0, 4.0])
     def test_pruning_soundness(self, q, p):
         a = discrete.exact_gamma_sharp(q, p, use_pruning=True)
@@ -67,16 +67,24 @@ class TestExactSearch:
         want = E[list(freqs)].sum(axis=0)
         pool, evals = discrete._scan(
             E, lead, lambda V: -np.abs(V - want).sum(axis=1)[:, None])
-        assert [(s.freqs, c) for s, c in pool] == [(freqs, 0)]
+        assert [s.freqs for s in pool] == [freqs]
         assert evals == 1 << (q - 1 if lead else q)
 
-    @pytest.mark.parametrize("q", [5, 19])
+    @pytest.mark.parametrize("q", [5, 19, 8, 9, 12, 15, 16])
     def test_dilation_pruning_keeps_one_mask_per_orbit(self, q):
-        # Burnside: a unit of order d splits the q - 1 mask bits into
-        # (q - 1)/d cycles, and phi(d) units have order d
-        orders = [d for d in range(1, q) if (q - 1) % d == 0]
-        phi = [sum(math.gcd(a, d) == 1 for a in range(1, d + 1)) for d in orders]
-        orbits = sum(f << (q - 1) // d for f, d in zip(phi, orders)) // (q - 1)
+        # Burnside: a unit u splits the q - 1 mask bits (the non-zero
+        # residues) into cycles, and the orbits number the mean of 2^cycles
+        def cycles(u):
+            seen, n = set(), 0
+            for h in range(1, q):
+                n += h not in seen
+                while h not in seen:
+                    seen.add(h)
+                    h = u * h % q
+            return n
+
+        units = [u for u in range(1, q) if math.gcd(u, q) == 1]
+        orbits = sum(1 << cycles(u) for u in units) // len(units)
         k = np.arange(q)
         E = np.exp(2j * np.pi * np.outer(k, k) / q)
         _, evals = discrete._scan(E, True, lambda V: np.zeros((len(V), 1)),
@@ -108,7 +116,7 @@ class TestExactSearch:
         else:
             assert keep.sum() == sum(math.comb(q - 1, i) for i in range(limit + 1))
         np.testing.assert_array_equal(np.sort(np.concatenate(seen)), masks[keep])
-        assert evals == keep.sum() and [(s.freqs, c) for s, c in pool] == [((0,), 0)]
+        assert evals == keep.sum() and [s.freqs for s in pool] == [(0,)]
 
     @pytest.mark.parametrize("q, p", [(12, 1.0), (15, 2.0), (16, 4.0), (18, 3.0)])
     def test_reduced_scan_rebuilds_the_full_candidates(self, q, p):
@@ -124,10 +132,16 @@ class TestExactSearch:
 
         pool, _ = discrete._scan(E, True, score)
         top, witness, n = discrete._best_of(
-            (Spectrum(tuple(units[c] * h % q for h in s.freqs), q) for s, c in pool),
-            False, lambda s: discrete.concentration_ratio(s, p, 1))
+            pool, True, lambda s: discrete.concentration_ratio(s, p, 1))
         rep = discrete.exact_gamma_sharp(q, p)
-        scanned = sum(math.comb(q - 1, i) for i in range(q // 2)) * np.sum(2 * units <= q)
+        # the reduced scan scores the masks of popcount < q/2 that no unit
+        # maps lower, each at the unit targets a <= q/2
+        masks = np.arange(1 << (q - 1))
+        bits = (masks[:, None] >> np.arange(q - 1)) & 1
+        keep = np.bitwise_count(masks) < q // 2
+        for c in units[1:]:
+            keep &= masks <= bits @ (1 << (c * np.arange(1, q) % q - 1))
+        scanned = int(keep.sum()) * int(np.sum(2 * units <= q))
         assert (rep.ratio, rep.spectrum.freqs) == (top, witness)
         assert rep.evaluations == scanned + n
 
