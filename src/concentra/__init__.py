@@ -1,8 +1,8 @@
 """concentra: numerical laboratory for L^p norm concentration of idempotent
 trigonometric polynomials on cyclic grids and on the torus."""
 
-from .trigpoly import (CoeffPoly, Grid, GridValues, Spectrum, dirichlet_value,
-                       eval_grid, eval_point, fold_power, to_coeffs)
+from .trigpoly import (CoeffPoly, Grid, Spectrum, dirichlet_value, eval_grid,
+                       eval_point, fold_power, to_coeffs)
 from .bounds import (ConstantResult, MinResult, SeriesEval, asymptote_scan,
                      eval_A, eval_B, gamma1_certified_lower, gamma2_sharp,
                      gamma4_sharp_lower, gamma_sharp_lower, gamma_star_lower,

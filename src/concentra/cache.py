@@ -24,31 +24,19 @@ SIG = 15
 
 
 def to_jsonable(obj):
-    """Recursively convert dataclasses / numpy values to JSON-able data.
+    """Recursively convert dataclasses / numpy floats to JSON-able data.
 
-    Spectra serialize as plain integer arrays and coefficient polynomials
-    as arrays of [re, im] pairs (the wire formats the CLI documents).
+    Spectra serialize as plain integer arrays (the wire format the CLI
+    documents).
     """
-    from .trigpoly import CoeffPoly, Spectrum
+    from .trigpoly import Spectrum
     if isinstance(obj, Spectrum):
         return [int(h) for h in obj.freqs]
-    if isinstance(obj, CoeffPoly):
-        return [[float(z.real), float(z.imag)] for z in obj.coeffs]
     if dataclasses.is_dataclass(obj) and not isinstance(obj, type):
         return {f.name: to_jsonable(getattr(obj, f.name))
                 for f in dataclasses.fields(obj)}
-    if isinstance(obj, np.ndarray):
-        if np.iscomplexobj(obj):
-            return [[float(z.real), float(z.imag)] for z in obj]
-        return [to_jsonable(v) for v in obj.tolist()]
     if isinstance(obj, (np.floating,)):
         return float(obj)
-    if isinstance(obj, (np.integer,)):
-        return int(obj)
-    if isinstance(obj, (np.bool_,)):
-        return bool(obj)
-    if isinstance(obj, complex):
-        return [obj.real, obj.imag]
     if isinstance(obj, dict):
         return {str(k): to_jsonable(v) for k, v in obj.items()}
     if isinstance(obj, (list, tuple)):

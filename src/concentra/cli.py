@@ -118,10 +118,11 @@ def run_search(inputs: dict) -> dict:
         rep = discrete.exact_gamma_star(q, p, K=K)
         out = to_jsonable(rep)
         if inputs.get("k_sensitivity", False):
-            out["K_sensitivity"] = {
-                str(K / 10): discrete.exact_gamma_star(q, p, K=K / 10).ratio_star,
-                str(K): rep.ratio_star,
-                str(10 * K): discrete.exact_gamma_star(q, p, K=10 * K).ratio_star}
+            reps = {str(k): rep if k == K else discrete.exact_gamma_star(q, p, K=k)
+                    for k in (K / 10, K, 10 * K)}
+            out["K_sensitivity"] = {k: r.ratio_star for k, r in reps.items()}
+            out["K_sensitivity_witnesses"] = {k: r.spectrum for k, r in reps.items()
+                                              if r is not rep}
         return out
     if mode == "exhaustive" or (mode == "auto" and q <= discrete.EXHAUSTIVE_CAP):
         rep = discrete.exact_gamma_sharp(q, p)
@@ -376,7 +377,8 @@ def _inputs_from_args(args) -> dict:
 
 
 def _cached_ratio_holds(payload) -> bool:
-    """True if a cached search payload may be served: its stored ratio equals
+    """True if a cached search payload may be served: its stored ratio, and
+    each ``K_sensitivity`` level but the K entry (the stored ratio), equals
     the level of its witness, recomputed and rounded as stored
     (``concentration_ratio`` on the plain grid, ``star`` on the half grid)."""
     if not isinstance(payload, dict):
@@ -386,11 +388,19 @@ def _cached_ratio_holds(payload) -> bool:
             stored = payload["ratio_star"]
             spec = Spectrum(payload["spectrum"], 2 * payload["q"])
             fresh = discrete.star(spec, payload["p"], payload["K"])[0]
+            if "K_sensitivity" in payload:
+                levels = {k: round_floats(discrete.star(
+                    Spectrum(w, spec.degree_bound), payload["p"], float(k))[0])
+                    for k, w in payload["K_sensitivity_witnesses"].items()}
+                levels.update((k, stored) for k in payload["K_sensitivity"]
+                              if round_floats(float(k)) == payload["K"])
+                if payload["K_sensitivity"] != levels:
+                    return False
         else:
             stored = payload["ratio"]
             spec = Spectrum(payload["spectrum"], payload["q"])
             fresh = discrete.concentration_ratio(spec, payload["p"], payload["target"])
-    except (DomainError, IndexError, KeyError, TypeError, ValueError):
+    except (AttributeError, DomainError, IndexError, KeyError, TypeError, ValueError):
         return False
     return round_floats(fresh) == stored
 

@@ -251,7 +251,7 @@ def _integrals(Q: Spectrum, E: IntervalSet, p: float, N: int, even: bool):
         raise BudgetError(f"quadrature needs {N} samples > cap {_SAMPLE_CAP}")
     n, m = len(Q), len(E.intervals)
     D = int(p) // 2 * Q.freqs[-1] if even else (N - 1) // 2
-    v = eval_grid(to_coeffs(Q), Grid(N)).values
+    v = eval_grid(to_coeffs(Q), Grid(N))
     g = (v.real ** 2 + v.imag ** 2) ** (p / 2)
     gh = np.fft.rfft(g)[: D + 1].real / N
     u, eps = 2.0 ** -53, 8 * 2.0 ** -53 * math.log2(max(N, 2))

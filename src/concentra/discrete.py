@@ -39,7 +39,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import BudgetError, DomainError
-from .trigpoly import Grid, GridValues, Spectrum, eval_grid, to_coeffs
+from .trigpoly import Grid, Spectrum, eval_grid, to_coeffs
 
 __all__ = [
     "ConcentrationReport", "StarReport", "SearchConfig", "DirichletTable",
@@ -113,12 +113,12 @@ def _pow_sq(a2: np.ndarray, p: float) -> np.ndarray:
     return np.sqrt(a2, out=a2) if p == 1.0 else np.power(a2, p / 2, out=a2)
 
 
-def ratio(values: GridValues, p: float, target: int) -> float:
+def ratio(values: np.ndarray, p: float, target: int) -> float:
     """2|values[target]|^p / sum_k |values[k]|^p (0 for the zero function)."""
-    q = values.grid.q
+    q = len(values)
     if not (1 <= target < q):
         raise DomainError(f"target must lie in [1, {q-1}]")
-    mp = _pow_abs(values.moduli(), p)
+    mp = _pow_abs(np.abs(values), p)
     denom = float(np.sum(mp))
     if denom == 0.0:
         return 0.0
@@ -405,7 +405,7 @@ def star(spec: Spectrum, p: float, K: float):
     grid, Q = ``spec.degree_bound``: the half-grid level at control constant K."""
     Q = spec.degree_bound
     vals = eval_grid(to_coeffs(spec), Grid(Q))
-    mp = _pow_abs(np.abs(vals.values), p)
+    mp = _pow_abs(np.abs(vals), p)
     num = 2.0 * float(mp[1])
     ds = float(mp[1::2].sum())
     dp = float(mp[0::2].sum())

@@ -63,9 +63,40 @@ def _stream(seed: int, index: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(key=key))
 
 
+def _draw(alpha: np.ndarray, seed: int, index: int, rows=None) -> np.ndarray:
+    """Keep mask u < alpha of uniforms u from the Philox stream (seed, index):
+    one draw, or ``rows`` consecutive draws as the rows of a matrix."""
+    size = len(alpha) if rows is None else (rows, len(alpha))
+    return _stream(seed, index).random(size) < alpha
+
+
+def _check(P: CoeffPoly, q: int, p: float, eps=None) -> None:
+    """Boundary check of the entry points that measure P on the q-point grid."""
+    if q < 2 or len(P.coeffs) > q:
+        raise DomainError(f"need q >= 2 and polynomial degree < q, got q = {q}")
+    if not P.nonneg:
+        raise DomainError("rounding needs a polynomial with the nonneg flag")
+    if not (0 < p < np.inf):
+        raise DomainError(f"need finite p > 0, got {p}")
+    if eps is not None and not (0 < eps < 1):
+        raise DomainError(f"need 0 < epsilon < 1, got {eps}")
+
+
+def _verify(keep: np.ndarray, Pv: np.ndarray, p: float, eps: float):
+    """(at-point margin, ell^p deviation, success) of the idempotent with 0/1
+    coefficients ``keep`` against the grid values ``Pv`` of P."""
+    P1 = float(abs(Pv[1]))
+    if P1 == 0:
+        raise DomainError("|P(1/q)| vanishes; margins undefined")
+    Qv = eval_grid(CoeffPoly(keep), Grid(len(Pv)))
+    margin = float(abs(Qv[1])) / P1 - (1.0 - eps)
+    dev = float(np.sum(np.abs(Qv - Pv) ** p)) ** (1.0 / p) / P1
+    return margin, dev, margin >= 0 and dev <= eps
+
+
 def normalize_peak(P: CoeffPoly) -> CoeffPoly:
     """Rescale so the largest coefficient modulus is exactly 1."""
-    m = np.abs(P.coeffs).max()
+    m = np.abs(P.coeffs).max(initial=0.0)
     if m == 0:
         raise DomainError("zero polynomial cannot be normalized")
     return CoeffPoly(P.coeffs / m, nonneg=P.nonneg)
@@ -77,11 +108,10 @@ def hypothesis_constants(P: CoeffPoly, q: int, p: float) -> dict:
     (i)  c q max|a_h| <= sum|a_h| <= c^-1 |P(1/q)|
     (ii) |P(1/q)| >= c (sum_k |P(k/q)|^p)^(1/p)
     """
-    if q < 2 or len(P.coeffs) > q:
-        raise DomainError("need q >= 2 and polynomial degree < q")
+    _check(P, q, p)
     a = np.abs(P.coeffs)
     sigma = float(a.sum())
-    vals = eval_grid(P, Grid(q)).values
+    vals = eval_grid(P, Grid(q))
     P1 = float(abs(vals[1]))
     lp = float(np.sum(np.abs(vals) ** p)) ** (1.0 / p)
     return {
@@ -95,19 +125,13 @@ def hypothesis_constants(P: CoeffPoly, q: int, p: float) -> dict:
 def bernoulli_round(P: CoeffPoly, seed: int) -> Spectrum:
     """Round a nonnegative polynomial to an idempotent support.
 
-    Coefficients are normalized to peak 1; frequency h is kept iff the
-    (seed, h)-derived uniform falls below a_h.  Pure function of (P, seed).
+    Coefficients are normalized to peak 1; frequency h is kept iff uniform h
+    of the stream (seed, 0) falls below a_h.  Pure function of (P, seed).
     """
     if not P.nonneg:
         raise DomainError("bernoulli_round needs the nonneg flag")
-    a = P.coeffs.real
-    m = a.max()
-    if m <= 0:
-        raise DomainError("zero polynomial")
-    alpha = a / m
-    u = _stream(seed, 0).random(len(alpha))
-    keep = u < alpha
-    return Spectrum(tuple(int(h) for h in np.nonzero(keep)[0]), len(alpha))
+    keep = _draw(normalize_peak(P).coeffs.real, seed, 0)
+    return Spectrum(tuple(int(h) for h in np.nonzero(keep)[0]), len(keep))
 
 
 def verify_trial(P: CoeffPoly, Q: Spectrum, q: int, p: float,
@@ -117,47 +141,30 @@ def verify_trial(P: CoeffPoly, Q: Spectrum, q: int, p: float,
     P must already be peak-normalized (max coefficient 1), the same scaling
     under which Q was drawn; margins are relative to the normalized P.
     """
-    if len(P.coeffs) > q or Q.degree_bound > q:
-        raise DomainError("degree bounds must be <= q")
-    if abs(np.abs(P.coeffs).max() - 1.0) > 1e-9:
+    _check(P, q, p, eps)
+    if Q.degree_bound > q:
+        raise DomainError("degree bound of Q must be <= q")
+    if abs(np.abs(P.coeffs).max(initial=0.0) - 1.0) > 1e-9:
         raise DomainError("P must be peak-normalized (max coefficient 1)")
-    Pv = eval_grid(P, Grid(q)).values
-    P1 = float(abs(Pv[1]))
-    if P1 == 0:
-        raise DomainError("|P(1/q)| vanishes; margins undefined")
-    Qv = eval_grid(to_coeffs(Q), Grid(q)).values
-    margin = float(abs(Qv[1])) / P1 - (1.0 - eps)
-    dev = float(np.sum(np.abs(Qv - Pv) ** p)) ** (1.0 / p) / P1
-    return RoundingTrial(Q, margin, dev, bool(margin >= 0 and dev <= eps))
+    margin, dev, ok = _verify(to_coeffs(Q).coeffs, eval_grid(P, Grid(q)), p, eps)
+    return RoundingTrial(Q, margin, dev, ok)
 
 
 def monte_carlo(P: CoeffPoly, q: int, p: float, eps: float, trials: int,
                 seed: int) -> MonteCarloReport:
-    """Empirical success frequency of the rounding over independent trials."""
-    if q < 2:
-        raise DomainError(f"need grid size q >= 2, got {q}")
+    """Empirical success frequency of the rounding over independent trials:
+    trial i is ``verify_trial`` of the draw from the stream (seed, i)."""
+    _check(P, q, p, eps)
     if trials < 1:
         raise DomainError("success frequency undefined for trials < 1")
-    if not (0 < eps < 1):
-        raise DomainError(f"need 0 < epsilon < 1, got {eps}")
-    if not (0 < p < np.inf):
-        raise DomainError(f"need finite p > 0, got {p}")
     Pn = normalize_peak(P)
-    alpha = Pn.coeffs.real
-    Pv = eval_grid(Pn, Grid(q)).values
-    P1 = float(abs(Pv[1]))
-    if P1 == 0:
-        raise DomainError("|P(1/q)| vanishes")
+    Pv = eval_grid(Pn, Grid(q))
     margins = np.empty(trials)
     devs = np.empty(trials)
     succ = 0
     for i in range(trials):
-        u = _stream(seed, i).random(len(alpha))
-        keep = (u < alpha).astype(np.complex128)
-        Qv = np.fft.ifft(np.pad(keep, (0, q - len(keep)))) * q
-        margins[i] = abs(Qv[1]) / P1 - (1.0 - eps)
-        devs[i] = np.sum(np.abs(Qv - Pv) ** p) ** (1.0 / p) / P1
-        succ += (margins[i] >= 0) and (devs[i] <= eps)
+        margins[i], devs[i], ok = _verify(_draw(Pn.coeffs.real, seed, i), Pv, p, eps)
+        succ += ok
     q10, q50, q90 = np.quantile(devs, [0.1, 0.5, 0.9])
     return MonteCarloReport(q, p, eps, trials, seed, succ / trials,
                             float(margins.mean()),
@@ -184,16 +191,11 @@ def moment_check(b, alpha, p: float, trials: int, seed: int) -> MomentReport:
     if trials < 1:
         raise DomainError("need trials >= 1")
     total = 0.0
-    done = 0
-    bi = 0
-    while done < trials:
-        nblk = min(_BLOCK, trials - done)
-        u = _stream(seed, bi).random((nblk, len(alpha)))
-        X = (u < alpha[None, :]).astype(np.float64)
+    for bi, start in enumerate(range(0, trials, _BLOCK)):
+        nblk = min(_BLOCK, trials - start)
+        X = _draw(alpha, seed, bi, nblk).astype(np.float64)
         S = (X - alpha[None, :]) @ b
         total += float(np.sum(np.abs(S) ** p))
-        done += nblk
-        bi += 1
     sigma = float(alpha.sum())
     emp = total / trials
     norm = float(np.max(np.abs(b)) ** p * (1.0 + sigma) ** (p / 2))

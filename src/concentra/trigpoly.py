@@ -19,7 +19,7 @@ import numpy as np
 from .errors import DomainError
 
 __all__ = [
-    "Spectrum", "CoeffPoly", "Grid", "GridValues",
+    "Spectrum", "CoeffPoly", "Grid",
     "dirichlet_value", "to_coeffs", "eval_point", "eval_grid",
     "fold_power",
 ]
@@ -96,23 +96,6 @@ class Grid:
         return np.arange(self.q) / self.q
 
 
-@dataclass(frozen=True, eq=False)
-class GridValues:
-    """Values of a polynomial on a Grid; values[k] = f(point_k)."""
-
-    grid: Grid
-    values: np.ndarray
-
-    def __post_init__(self):
-        v = np.asarray(self.values, dtype=np.complex128)
-        if len(v) != self.grid.q:
-            raise DomainError("value count must equal grid size")
-        object.__setattr__(self, "values", v)
-
-    def moduli(self) -> np.ndarray:
-        return np.abs(self.values)
-
-
 def dirichlet_value(n: int, x) -> complex:
     """Value of the n-term geometric kernel sum_{v<n} e(v x).
 
@@ -161,25 +144,23 @@ def eval_point(p: CoeffPoly, x) -> complex:
 
 def _fold_mod(coeffs: np.ndarray, q: int) -> np.ndarray:
     """Reduce a coefficient sequence mod q: index h contributes at h mod q."""
-    if len(coeffs) <= q:
-        out = np.zeros(q, dtype=np.complex128)
-        out[: len(coeffs)] = coeffs
-        return out
     out = np.zeros(q, dtype=np.complex128)
-    np.add.at(out, np.arange(len(coeffs)) % q, coeffs)
+    if len(coeffs) <= q:
+        out[: len(coeffs)] = coeffs
+    else:
+        np.add.at(out, np.arange(len(coeffs)) % q, coeffs)
     return out
 
 
-def eval_grid(p: CoeffPoly, g: Grid) -> GridValues:
-    """Evaluate on all grid points with a size-q discrete Fourier transform.
+def eval_grid(p: CoeffPoly, g: Grid) -> np.ndarray:
+    """Values f(k/q), 0 <= k < q, from a size-q discrete Fourier transform.
 
     Coefficients with index >= q alias: index h lands on h mod q.
     """
     q = g.q
     folded = _fold_mod(p.coeffs, q)
     # values[k] = sum_h c_h e(hk/q) = q * ifft(c)[k]
-    vals = np.fft.ifft(folded) * q
-    return GridValues(g, vals)
+    return np.fft.ifft(folded) * q
 
 
 def fold_power(p: CoeffPoly, L: int, q: int) -> CoeffPoly:
@@ -196,7 +177,7 @@ def fold_power(p: CoeffPoly, L: int, q: int) -> CoeffPoly:
         c = p.coeffs
         if np.any((c != 0) & (c != 1)):
             raise DomainError("fold_power needs a nonneg or 0/1 polynomial")
-    vals = eval_grid(p, Grid(q)).values ** L
+    vals = eval_grid(p, Grid(q)) ** L
     coeffs = np.fft.fft(vals) / q
     peak = np.abs(coeffs).max()
     tol = 1e-9 * peak

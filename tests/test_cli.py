@@ -74,6 +74,37 @@ class TestSearchCommand:
         self.edited_row_not_served(["--q", "3", "--p", "2", "--mode", "star"],
                                    "ratio_star", capsys, tmp_path)
 
+    @staticmethod
+    def k_sensitivity_row_recomputed(edit, capsys, tmp_path):
+        args = ["search", "--q", "3", "--p", "2", "--mode", "star", "--k-sensitivity",
+                "--cache-dir", str(tmp_path)]
+        fresh = json.loads(run(args, capsys)[1])
+        path = tmp_path / "searches.jsonl"
+        row = json.loads(path.read_text())
+        edit(row["payload"])
+        path.write_text(json.dumps(row) + "\n")
+        assert json.loads(run(args, capsys)[1]) == dict(fresh, cached=False)
+        assert json.loads(run(args, capsys)[1]) == dict(fresh, cached=True)
+
+    @pytest.mark.parametrize("entry", ["1000.0", "10000.0", "100000.0"])
+    def test_star_k_sensitivity_row_with_edited_level_not_served(self, entry, tmp_path,
+                                                                 capsys):
+        def edit(payload):
+            payload["K_sensitivity"][entry] = 0.99
+        self.k_sensitivity_row_recomputed(edit, capsys, tmp_path)
+
+    def test_star_k_sensitivity_row_without_witnesses_not_served(self, tmp_path, capsys):
+        # written before the K/10 and 10K witnesses joined the row
+        self.k_sensitivity_row_recomputed(
+            lambda payload: payload.pop("K_sensitivity_witnesses"), capsys, tmp_path)
+
+    def test_star_k_sensitivity_row_served_at_K_beyond_15_digits(self, tmp_path, capsys):
+        # the row stores K at 15 digits, the level keys carry str(K)
+        args = ["search", "--q", "4", "--p", "2", "--mode", "star", "--k-sensitivity",
+                "--K", "1234.56789012345678", "--cache-dir", str(tmp_path)]
+        fresh = json.loads(run(args, capsys)[1])
+        assert json.loads(run(args, capsys)[1]) == dict(fresh, cached=True)
+
     def test_budget_exit_code(self, tmp_path, capsys):
         code, _ = run(["search", "--q", "40", "--p", "2", "--mode", "exhaustive",
                        "--cache-dir", str(tmp_path)], capsys)

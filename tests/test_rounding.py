@@ -41,6 +41,12 @@ class TestHypotheses:
         with pytest.raises(DomainError):
             rounding.hypothesis_constants(P, 4, 2.0)
 
+    @pytest.mark.parametrize("p", [0.0, -1.0, math.nan, math.inf])
+    def test_p_must_be_finite_and_positive(self, p):
+        P = rounding.normalize_peak(folded_kernel_power(10, 2, 51))
+        with pytest.raises(DomainError):
+            rounding.hypothesis_constants(P, 51, p)
+
 
 class TestBernoulliRound:
     def test_equal_coefficients_keep_everything(self):
@@ -116,6 +122,34 @@ class TestMonteCarlo:
         with pytest.raises(DomainError):
             rounding.monte_carlo(P, 5, 2.0, 0.1, 0, 0)
 
+    def test_degree_at_least_q_rejected(self):
+        P = to_coeffs(Spectrum(tuple(range(6)), 6))
+        with pytest.raises(DomainError):
+            rounding.monte_carlo(P, 4, 2.0, 0.1, 5, 0)
+
+    def test_requires_nonneg(self):
+        P = CoeffPoly(np.array([1, 1j, 0.5]))
+        with pytest.raises(DomainError):
+            rounding.monte_carlo(P, 5, 2.0, 0.1, 5, 0)
+
+    def test_empty_polynomial_rejected(self):
+        P = CoeffPoly(np.zeros(0, complex), nonneg=True)
+        with pytest.raises(DomainError):
+            rounding.monte_carlo(P, 5, 2.0, 0.1, 5, 0)
+        with pytest.raises(DomainError):
+            rounding.verify_trial(P, Spectrum((0,), 5), 5, 2.0, 0.1)
+
+    @pytest.mark.parametrize("seed", [0, 7, 2**64 - 2])
+    def test_one_trial_is_verify_trial_of_bernoulli_round(self, seed):
+        q = 97
+        P = folded_kernel_power(24, 3, q)      # peak 432: both paths normalize
+        rep = rounding.monte_carlo(P, q, 3.0, 0.2, 1, seed)
+        tr = rounding.verify_trial(rounding.normalize_peak(P),
+                                   rounding.bernoulli_round(P, seed), q, 3.0, 0.2)
+        assert rep.frequency == float(tr.success)
+        assert rep.mean_at_point_margin == tr.at_point_margin
+        assert rep.mean_dev_quantiles["q50"] == tr.mean_dev
+
     def test_idempotent_input_always_succeeds(self):
         P = to_coeffs(Spectrum((0, 1, 3), 8))
         rep = rounding.monte_carlo(P, 8, 2.0, 0.1, 25, 4)
@@ -133,7 +167,7 @@ class TestMonteCarlo:
         P = rounding.normalize_peak(folded_kernel_power(125, 3, q))
         alpha = P.coeffs.real
         var_true = float(np.sum(alpha * (1 - alpha)))
-        Pv = eval_grid(P, Grid(q)).values
+        Pv = eval_grid(P, Grid(q))
         vals = []
         for i in range(800):
             u = np.random.Generator(np.random.Philox(key=[3, i])).random(q)

@@ -34,6 +34,14 @@ def test_no_orphaned_private_functions():
     assert sorted(private - used) == []
 
 
+def test_grid_transform_only_in_trigpoly():
+    # grid evaluation has one implementation, eval_grid, checked against
+    # eval_point and counted by the benchmark's span on it
+    hits = sorted(path.name for path in (ROOT / "src" / "concentra").glob("*.py")
+                  if "ifft" in path.read_text())
+    assert hits == ["trigpoly.py"]
+
+
 @pytest.mark.parametrize("module", MODULES)
 def test_all_names_resolve(module):
     mod = importlib.import_module(f"concentra.{module}")

@@ -77,12 +77,12 @@ class TestEvalPoint:
 
 class TestEvalGrid:
     def test_full_spectrum_is_scaled_delta(self):
-        v = eval_grid(to_coeffs(Spectrum(tuple(range(4)), 4)), Grid(4)).values
+        v = eval_grid(to_coeffs(Spectrum(tuple(range(4)), 4)), Grid(4))
         assert np.allclose(v, [4, 0, 0, 0], atol=1e-12)
 
     def test_two_frequencies_moduli(self):
         v = eval_grid(to_coeffs(Spectrum((0, 1), 5)), Grid(5))
-        got = v.moduli() ** 2
+        got = np.abs(v) ** 2
         want = 2 + 2 * np.cos(2 * np.pi * np.arange(5) / 5)
         assert np.max(np.abs(got - want)) <= 1e-9
 
@@ -94,7 +94,7 @@ class TestEvalGrid:
             p = CoeffPoly(coeffs)
             scale = np.abs(coeffs).sum()
             g = Grid(q)
-            got = eval_grid(p, g).values
+            got = eval_grid(p, g)
             want = eval_point(p, g.points())
             assert np.max(np.abs(got - want)) <= 1e-10 * max(scale, 1)
 
@@ -104,7 +104,7 @@ class TestEvalGrid:
             nf = int(rng.integers(1, q + 1))
             freqs = tuple(sorted(rng.choice(q, nf, replace=False).tolist()))
             s = Spectrum(freqs, q)
-            v = eval_grid(to_coeffs(s), Grid(q)).moduli()
+            v = np.abs(eval_grid(to_coeffs(s), Grid(q)))
             assert abs((v ** 2).sum() - q * nf) <= 1e-9 * q * nf
 
     def test_translation_modulus_invariance(self, rng):
@@ -113,9 +113,9 @@ class TestEvalGrid:
             nf = int(rng.integers(1, q))
             freqs = sorted(rng.choice(q, nf, replace=False).tolist())
             d = int(rng.integers(1, q))
-            a = eval_grid(to_coeffs(Spectrum(tuple(freqs), q)), Grid(q)).moduli()
+            a = np.abs(eval_grid(to_coeffs(Spectrum(tuple(freqs), q)), Grid(q)))
             shifted = tuple(sorted((h + d) % q for h in freqs))
-            b = eval_grid(to_coeffs(Spectrum(shifted, q)), Grid(q)).moduli()
+            b = np.abs(eval_grid(to_coeffs(Spectrum(shifted, q)), Grid(q)))
             assert np.max(np.abs(a - b)) <= 1e-9 * max(nf, 1)
 
     def test_dilation_permutes_moduli(self, rng):
@@ -127,9 +127,9 @@ class TestEvalGrid:
             c = int(rng.choice(cs))
             nf = int(rng.integers(1, q))
             freqs = sorted(rng.choice(q, nf, replace=False).tolist())
-            a = eval_grid(to_coeffs(Spectrum(tuple(freqs), q)), Grid(q)).moduli()
+            a = np.abs(eval_grid(to_coeffs(Spectrum(tuple(freqs), q)), Grid(q)))
             dil = tuple(sorted(c * h % q for h in freqs))
-            b = eval_grid(to_coeffs(Spectrum(dil, q)), Grid(q)).moduli()
+            b = np.abs(eval_grid(to_coeffs(Spectrum(dil, q)), Grid(q)))
             perm = (c * np.arange(q)) % q
             assert np.max(np.abs(b - a[perm])) <= 1e-9 * max(nf, 1)
 
@@ -155,7 +155,7 @@ class TestFoldPower:
         folded = np.zeros(4)
         np.add.at(folded, np.arange(7) % 4, c3)
         assert np.allclose(out.coeffs.real, folded, atol=1e-9)
-        vals = eval_grid(out, Grid(4)).values
+        vals = eval_grid(out, Grid(4))
         want = eval_point(to_coeffs(Spectrum((0, 1, 2), 3)), Grid(4).points()) ** 3
         assert np.max(np.abs(vals - want)) <= 1e-9
 
