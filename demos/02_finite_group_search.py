@@ -40,8 +40,7 @@ print("(conjugate symmetry caps the relative level at 1)")
 
 print("\n=== Integral-norm decay over primes ===\n")
 rows = discrete.gamma1_decay_scan([3, 5, 7, 11, 13, 17, 101, 251],
-                                  discrete.SearchConfig(exhaustive_cap=17,
-                                                        restarts=2, seed=0))
+                                  exhaustive_cap=17, restarts=2, seed=0)
 print(f"{'q':>5} {'method':>11} {'level':>12} {'interval':>12} "
       f"{'level*log q':>12} {'decay diag':>11}")
 for r in rows:

@@ -29,7 +29,7 @@ print(f"full-circle integral {rep.int_T:.4f} vs frequency count "
       f"rounding bound of the exact integrals {rep.quadrature_error_est:.1e}")
 
 print("\n=== Forcing spectral gaps ===\n")
-res3 = conc.end_to_end(E, 2.0, 0.05, conc.EndToEndConfig(nu=3))
+res3 = conc.end_to_end(E, 2.0, 0.05, nu=3)
 print(f"gap factor 3: window {res3.plan.a}/{res3.plan.q}, interval witness of "
       f"length {len(res3.plan.R)}, min spectral gap {res3.min_gap}")
 print(f"achieved {res3.report.ratio:.4f} vs witness prediction "
@@ -40,5 +40,5 @@ print("(larger gap factors shrink the admissible witness degree q/nu and the "
 
 print("\n=== Sanity: the full circle concentrates trivially ===\n")
 E1 = conc.IntervalSet(((0.0, 1.0),), symmetric=True)
-r1 = conc.end_to_end(E1, 2.0, 0.05, conc.EndToEndConfig(q_max=60))
+r1 = conc.end_to_end(E1, 2.0, 0.05, q_max=60)
 print(f"ratio on [0, 1): {r1.report.ratio:.9f}")

@@ -99,38 +99,33 @@ def run_curve(inputs: dict) -> dict:
     if inputs["points"] < 1:
         raise DomainError(f"need --points >= 1, got {inputs['points']}")
     ts = np.linspace(inputs["t_min"], inputs["t_max"], inputs["points"])
-    tol = inputs.get("tol", 1e-10)
     f = bounds.eval_A if which == "A" else bounds.eval_B
     rows = []
     for t in ts:
-        ev = f(lam, float(t), tol=tol)
+        ev = f(lam, float(t), tol=inputs["tol"])
         rows.append({"lambda": lam, "t": float(t), "value": ev.value,
                      "tail_bound": ev.tail_bound})
     return {"rows": rows}
 
 
 def run_search(inputs: dict) -> dict:
-    q, p = inputs["q"], inputs["p"]
-    mode = inputs.get("mode", "auto")
-    seed = inputs.get("seed", 0)
+    q, p, mode = inputs["q"], inputs["p"], inputs["mode"]
     if mode == "star":
-        K = inputs.get("K", 1e4)
+        K = inputs["K"]
         rep = discrete.exact_gamma_star(q, p, K=K)
         out = to_jsonable(rep)
-        if inputs.get("k_sensitivity", False):
+        if inputs["k_sensitivity"]:
             reps = {str(k): rep if k == K else discrete.exact_gamma_star(q, p, K=k)
                     for k in (K / 10, K, 10 * K)}
             out["K_sensitivity"] = {k: r.ratio_star for k, r in reps.items()}
             out["K_sensitivity_witnesses"] = {k: r.spectrum for k, r in reps.items()
                                               if r is not rep}
         return out
-    if mode == "exhaustive" or (mode == "auto" and q <= discrete.EXHAUSTIVE_CAP):
-        rep = discrete.exact_gamma_sharp(q, p)
-    else:
-        rep = discrete.heuristic_gamma_sharp(q, p,
-                                             restarts=inputs.get("restarts", 4),
-                                             seed=seed)
-    return to_jsonable(rep)
+    # beyond EXHAUSTIVE_CAP, mode exhaustive keeps the exact scan's BudgetError
+    cap = {"auto": discrete.EXHAUSTIVE_CAP, "exhaustive": q, "heuristic": 0}[mode]
+    return to_jsonable(discrete.gamma_sharp(q, p, exhaustive_cap=cap,
+                                            restarts=inputs["restarts"],
+                                            seed=inputs["seed"]))
 
 
 def run_round(inputs: dict) -> dict:
@@ -138,7 +133,7 @@ def run_round(inputs: dict) -> dict:
     p, eps = inputs["p"], inputs["epsilon"]
     P = fold_power(to_coeffs(Spectrum(tuple(range(n)), q)), L, q)
     Pn = rounding.normalize_peak(P)
-    rep = rounding.monte_carlo(P, q, p, eps, inputs["trials"], inputs.get("seed", 0))
+    rep = rounding.monte_carlo(P, q, p, eps, inputs["trials"], inputs["seed"])
     out = to_jsonable(rep)
     hyp = rounding.hypothesis_constants(Pn, q, p)
     hyp["c_probe"] = _C_PROBE
@@ -165,19 +160,16 @@ def run_concentrate(inputs: dict) -> dict:
     ivs = _intervals(inputs["intervals"])
     probe = concentrator.IntervalSet(ivs, symmetric=False)
     symmetric = probe._is_symmetric()
-    if not symmetric and not inputs.get("allow_asymmetric", False):
+    if not symmetric and not inputs["allow_asymmetric"]:
         raise DomainError("set is not reflection-symmetric "
                           "(pass --allow-asymmetric to proceed)")
     E = concentrator.IntervalSet(ivs, symmetric=symmetric)
-    cfg = concentrator.EndToEndConfig(
-        theta=inputs.get("theta", 0.5), eta=inputs.get("eta", 0.05),
-        q0=inputs.get("q0", 8), q_max=inputs.get("q_max", 4000),
-        nu=inputs.get("nu", 1),
-        mesh_per_unit_degree=inputs.get("mesh", 8),
-        seed=inputs.get("seed", 0))
-    trace = [] if inputs.get("trace_path") else None
-    res = concentrator.end_to_end(E, inputs["p"], inputs["epsilon"], cfg,
-                                  require_symmetric=symmetric, trace=trace)
+    trace = [] if inputs["trace_path"] else None
+    res = concentrator.end_to_end(
+        E, inputs["p"], inputs["epsilon"], theta=inputs["theta"], eta=inputs["eta"],
+        q0=inputs["q0"], q_max=inputs["q_max"], nu=inputs["nu"],
+        mesh_per_unit_degree=inputs["mesh"], seed=inputs["seed"],
+        require_symmetric=symmetric, trace=trace)
     if trace is not None:
         with open(inputs["trace_path"], "w") as fh:
             fh.write("q,a,coverage\n")
@@ -195,11 +187,9 @@ def run_concentrate(inputs: dict) -> dict:
 
 
 def run_decay(inputs: dict) -> dict:
-    cfg = discrete.SearchConfig(
-        exhaustive_cap=inputs.get("exhaustive_cap", 19),
-        restarts=inputs.get("restarts", 4),
-        seed=inputs.get("seed", 0))
-    rows = discrete.gamma1_decay_scan(inputs["primes"], cfg)
+    rows = discrete.gamma1_decay_scan(inputs["primes"],
+                                      exhaustive_cap=inputs["exhaustive_cap"],
+                                      restarts=inputs["restarts"], seed=inputs["seed"])
     return {"rows": rows}
 
 
@@ -325,6 +315,8 @@ def _build_parser():
 
 
 def _primes_up_to(n: int):
+    if n < 0:
+        raise DomainError(f"--primes-up-to must be >= 0, got {n}")
     sieve = np.ones(n + 1, dtype=bool)
     sieve[:2] = False
     for i in range(2, int(n ** 0.5) + 1):
@@ -411,9 +403,14 @@ def main(argv=None) -> int:
     try:
         if args.cmd == "replay":
             rec = load_record(args.record)
-            if rec["command"] not in _RUNNERS:
+            if not (isinstance(rec["command"], str) and rec["command"] in _RUNNERS):
                 raise DomainError(f"unknown command {rec['command']!r} in {args.record}")
-            fresh = _RUNNERS[rec["command"]](rec["inputs"])
+            try:
+                fresh = _RUNNERS[rec["command"]](rec["inputs"])
+            except (KeyError, TypeError, ValueError) as e:
+                # a runner reads each key its command writes; a record
+                # without them, or with values of the wrong type, is bad input
+                raise DomainError(f"malformed inputs in {args.record}: {e!r}") from None
             same = canonical_json(fresh) == canonical_json(rec["outputs"])
             sys.stdout.write(json.dumps({
                 "command": rec["command"], "config_hash": rec["config_hash"],

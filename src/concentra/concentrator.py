@@ -23,18 +23,17 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .bounds import minimize_over_t
 from .errors import BudgetError, CollisionError, DomainError
 from .trigpoly import Grid, Spectrum, eval_grid, to_coeffs
 from . import discrete
 
 __all__ = [
-    "IntervalSet", "Plan", "TorusReport", "FractionHit", "EndToEndConfig",
-    "EndToEndResult", "find_fraction", "choose_n", "build_Q", "measure",
-    "end_to_end",
+    "IntervalSet", "Plan", "TorusReport", "FractionHit", "EndToEndResult",
+    "find_fraction", "choose_n", "build_Q", "measure", "end_to_end",
 ]
 
 _WITNESS_CAP = 18        # exhaustive witness search up to this q, heuristic beyond
-_WITNESS_RESTARTS = 4    # random restarts of the heuristic witness search
 _SAMPLE_CAP = 1 << 25    # most samples one quadrature rule may take
 
 
@@ -117,17 +116,6 @@ class TorusReport:
     mesh: int
     quadrature_error_est: float
     parseval_rel_err: float | None = None
-
-
-@dataclass(frozen=True)
-class EndToEndConfig:
-    theta: float = 0.5
-    eta: float = 0.05
-    q0: int = 8
-    q_max: int = 4000
-    nu: int = 1
-    mesh_per_unit_degree: int = 8
-    seed: int = 0
 
 
 @dataclass(frozen=True)
@@ -291,19 +279,16 @@ def measure(Q: Spectrum, E: IntervalSet, p: float,
     return TorusReport(int_E, int_T, ratio, mesh, est, pe)
 
 
-def _witness_for(q: int, p: float, target: int, cfg: EndToEndConfig) -> Spectrum:
+def _witness_for(q: int, p: float, target: int, seed: int) -> Spectrum:
     """Best known grid witness concentrated at the given coprime target."""
-    if q <= _WITNESS_CAP:
-        rep = discrete.exact_gamma_sharp(q, p)
-    else:
-        rep = discrete.heuristic_gamma_sharp(q, p, restarts=_WITNESS_RESTARTS,
-                                             seed=cfg.seed)
+    rep = discrete.gamma_sharp(q, p, exhaustive_cap=_WITNESS_CAP, seed=seed)
     binv = pow(target, -1, q)
     return Spectrum(tuple(sorted(binv * h % q for h in rep.spectrum.freqs)), q)
 
 
-def end_to_end(E: IntervalSet, p: float, eps: float,
-               config: EndToEndConfig = EndToEndConfig(),
+def end_to_end(E: IntervalSet, p: float, eps: float, *, theta: float = 0.5,
+               eta: float = 0.05, q0: int = 8, q_max: int = 4000, nu: int = 1,
+               mesh_per_unit_degree: int = 8, seed: int = 0,
                require_symmetric: bool = True,
                trace: list | None = None) -> EndToEndResult:
     """Full pipeline: localize, pick a witness, assemble, measure.
@@ -321,31 +306,26 @@ def end_to_end(E: IntervalSet, p: float, eps: float,
         raise DomainError(
             "only the peak-at-0 pathway is implemented, which needs finite p > 1; "
             "p <= 1 requires gap peaking functions that are out of scope")
-    nu = config.nu
-    hit = find_fraction(E, config.theta, config.eta, config.q0, config.q_max,
-                        nu=nu, trace=trace)
+    hit = find_fraction(E, theta, eta, q0, q_max, nu=nu, trace=trace)
     if not hit.meets_threshold:
-        raise BudgetError(f"no fraction with q <= {config.q_max} covers E to "
+        raise BudgetError(f"no fraction with q <= {q_max} covers E to "
                           f"1 - eta; raise q_max or adjust theta/eta")
     a, q = hit.a, hit.q
     if nu == 1:
         b = a
-        W = _witness_for(q, p, b, config)
+        W = _witness_for(q, p, b, seed)
         pathway = "dirichlet-peak"
     else:
         # nu * a = +-1 (mod q): an interval witness aimed at target 1 (or
         # q-1, same ratio by conjugation) applies.
         b = (nu * a) % q
-        t_opt = 0.371 if p == 2.0 else None
-        if t_opt is None:
-            from .bounds import minimize_over_t
-            t_opt = minimize_over_t("B", p, scan_points=512, refine_tol=1e-5).t_star
+        t_opt = minimize_over_t("B", p, scan_points=512, refine_tol=1e-5).t_star
         n_R = max(1, min(int(round(t_opt * q)), (q - nu) // nu))
         W = Spectrum(tuple(range(n_R)), q)
         pathway = "dirichlet-peak-gapped"
     predicted = discrete.concentration_ratio(W, p, b)
-    n = choose_n(p, eps, config.theta / q)
+    n = choose_n(p, eps, theta / q)
     Q = build_Q(W, n, q, nu)
-    report = measure(Q, E, p, config.mesh_per_unit_degree)
-    plan = Plan(a, q, config.theta, n, W, nu)
+    report = measure(Q, E, p, mesh_per_unit_degree)
+    plan = Plan(a, q, theta, n, W, nu)
     return EndToEndResult(plan, report, Q, predicted, Q.min_gap(), pathway)

@@ -4,6 +4,8 @@ The plain-grid level for exponent p is the best ratio
 2|f(1/q)|^p / sum_k |f(k/q)|^p over idempotents f with spectrum in
 {0..q-1}; the half-grid variant measures relative concentration at 1/(2q)
 over the shifted grid, under a uniform plain-grid control constant K.
+``gamma_sharp`` is the one place that picks the exact plain-grid scan or
+the heuristic lower bound for a given q.
 
 Both exact levels come from one exhaustive scanner over spectrum masks,
 split into low and high bits whose value vectors are tabulated once
@@ -42,10 +44,10 @@ from .errors import BudgetError, DomainError
 from .trigpoly import Grid, Spectrum, eval_grid, to_coeffs
 
 __all__ = [
-    "ConcentrationReport", "StarReport", "SearchConfig", "DirichletTable",
+    "ConcentrationReport", "StarReport", "DirichletTable",
     "ratio", "concentration_ratio", "exact_gamma_sharp",
-    "heuristic_gamma_sharp", "dirichlet_table", "exact_gamma_star", "star",
-    "gamma1_decay_scan",
+    "heuristic_gamma_sharp", "gamma_sharp", "dirichlet_table",
+    "exact_gamma_star", "star", "gamma1_decay_scan",
 ]
 
 EXHAUSTIVE_CAP = 26      # plain-grid cap: 2^(q-1) spectra after translation pruning
@@ -76,13 +78,6 @@ class StarReport:
     spectrum: Spectrum
     method: str
     evaluations: int
-
-
-@dataclass(frozen=True)
-class SearchConfig:
-    exhaustive_cap: int = 19
-    restarts: int = 4
-    seed: int = 0
 
 
 @dataclass(frozen=True)
@@ -400,6 +395,17 @@ def heuristic_gamma_sharp(q: int, p: float, restarts: int = 4,
     return ConcentrationReport(q, p, 1, final, witness, "heuristic", evals)
 
 
+def gamma_sharp(q: int, p: float, *, exhaustive_cap: int = EXHAUSTIVE_CAP,
+                restarts: int = 4, seed: int = 0) -> ConcentrationReport:
+    """The plain-grid level at target 1: exact by ``exact_gamma_sharp`` for
+    q <= ``exhaustive_cap``, else the lower bound of ``heuristic_gamma_sharp``
+    with ``restarts`` and ``seed``.  A cap above ``EXHAUSTIVE_CAP`` leaves
+    the exact scan to raise its BudgetError."""
+    if q <= exhaustive_cap:
+        return exact_gamma_sharp(q, p)
+    return heuristic_gamma_sharp(q, p, restarts=restarts, seed=seed)
+
+
 def star(spec: Spectrum, p: float, K: float):
     """(level, 2|v_1|^p, star sum, plain sum) of one spectrum on the Q-point
     grid, Q = ``spec.degree_bound``: the half-grid level at control constant K."""
@@ -458,26 +464,24 @@ def exact_gamma_star(q: int, p: float, K: float = 1e4,
     return StarReport(q, p, K, top, bool(ok), witness, "exhaustive", evals + n)
 
 
-def gamma1_decay_scan(primes, config: SearchConfig = SearchConfig()) -> list:
+def gamma1_decay_scan(primes, *, exhaustive_cap: int = 19, restarts: int = 4,
+                      seed: int = 0) -> list:
     """Integral-norm (p=1) level decay study over a list of primes.
 
-    Exact rows up to the configured cap, heuristic lower bounds beyond;
-    every row also carries the best Dirichlet-interval witness and the two
-    decay diagnostics.  The liminf exponent itself is reported as data,
-    never asserted.
+    Each row's level is ``gamma_sharp``: exact up to ``exhaustive_cap``,
+    heuristic lower bounds beyond; every row also carries the best
+    Dirichlet-interval witness and the two decay diagnostics.  The liminf
+    exponent itself is reported as data, never asserted.
     """
-    if config.restarts < 0:
-        raise DomainError(f"need restarts >= 0, got {config.restarts}")
+    if restarts < 0:
+        raise DomainError(f"need restarts >= 0, got {restarts}")
     rows = []
     for q in sorted(primes):
         if q < 3 or not _is_prime(q):
             raise DomainError(f"decay scan needs primes >= 3, got {q}")
         dir_best = dirichlet_table(q, 1.0)
-        if q <= config.exhaustive_cap:
-            rep = exact_gamma_sharp(q, 1.0)
-        else:
-            rep = heuristic_gamma_sharp(q, 1.0, restarts=config.restarts,
-                                        seed=config.seed)
+        rep = gamma_sharp(q, 1.0, exhaustive_cap=exhaustive_cap,
+                          restarts=restarts, seed=seed)
         g = rep.ratio
         rows.append({
             "q": q,

@@ -4,8 +4,9 @@ import math
 import numpy as np
 import pytest
 
-from concentra import cli
+from concentra import cli, discrete
 from concentra.cache import canonical_json, round_floats
+from concentra.trigpoly import Spectrum
 
 
 def run(argv, capsys):
@@ -127,6 +128,17 @@ class TestSearchCommand:
                          "--K", "1e6", "--cache-dir", str(tmp_path)], capsys)
         assert code == 0
         assert json.loads(out)["ratio_star"] == 1.0
+
+    @pytest.mark.parametrize("q, method", [(26, "exhaustive"), (27, "heuristic")])
+    def test_auto_mode_boundary(self, q, method, tmp_path, capsys, monkeypatch):
+        # the exact scan at q = 26 takes seconds; a stand-in shows the dispatch
+        monkeypatch.setattr(discrete, "exact_gamma_sharp", lambda q, p:
+                            discrete.ConcentrationReport(q, p, 1, 0.5, Spectrum((0,), q),
+                                                         "exhaustive", 0))
+        code, out = run(["search", "--q", str(q), "--p", "1", "--mode", "auto",
+                         "--no-cache", "--cache-dir", str(tmp_path)], capsys)
+        assert code == 0
+        assert json.loads(out)["method"] == method
 
     def test_heuristic_deterministic_repeat(self, tmp_path, capsys):
         args = ["search", "--q", "29", "--p", "1", "--mode", "heuristic",
@@ -252,6 +264,7 @@ CONCENTRATE = ["concentrate", "--e-file", "{E}", "--epsilon", "0.05"]
     ["concentrate", "--e-file", "{DIR}/bad.json", "--epsilon", "0.05", "--p", "2"],
     ["replay", "{DIR}/missing-record.json"],
     ["decay", "--primes", "3,x"],
+    ["decay", "--primes-up-to", "-5"],
     *(["concentrate", "--e-file", "{DIR}/" + name, "--epsilon", "0.05", "--p", "2"]
       for name in E_MALFORMED),
     ["search", "--q", "31", "--p", "1", "--mode", "heuristic", "--seed", "-1"],
@@ -273,7 +286,7 @@ CONCENTRATE = ["concentrate", "--e-file", "{E}", "--epsilon", "0.05"]
         "round-epsilon-negative", "round-p-nan", "decay-non-prime", "concentrate-nu-0",
         "concentrate-theta-0", "concentrate-eta-nan", "star-K-0", "star-K-nan",
         "star-K-negative", "concentrate-e-file-missing", "concentrate-e-file-not-json",
-        "replay-record-missing", "decay-primes-not-integer",
+        "replay-record-missing", "decay-primes-not-integer", "decay-primes-up-to-negative",
         *(f"concentrate-e-file-{name[:-5]}" for name in E_MALFORMED),
         "heuristic-seed-negative", "round-seed-negative", "round-q-1",
         "curve-points-negative", "curve-points-0", "curve-tol-0", "curve-tol-negative",
@@ -336,6 +349,31 @@ class TestReplay:
         code, out = run(["replay", str(rec), "--cache-dir", str(tmp_path)], capsys)
         assert code == 1
         assert json.loads(out)["match"] is False
+
+    @pytest.mark.parametrize("record", [
+        {"command": "search", "inputs": {}},
+        {"command": "search", "inputs": [1]},
+        {"command": "curve", "inputs": {"which": "B", "lam": 2.0, "t_min": 0.01,
+                                        "t_max": 0.5, "points": "3", "tol": 1e-10}},
+        {"command": [1], "inputs": {}},
+    ], ids=["search-inputs-empty", "inputs-not-an-object", "curve-points-string",
+            "command-not-a-string"])
+    def test_replay_malformed_record_exits_2(self, record, tmp_path, capsys):
+        rec = tmp_path / "record.json"
+        rec.write_text(json.dumps(dict(record, config_hash="x", outputs={})))
+        code = cli.main(["replay", str(rec), "--cache-dir", str(tmp_path)])
+        assert code == 2
+        assert capsys.readouterr().err.startswith("domain error:")
+
+    def test_replay_runner_error_exits_5(self, tmp_path, capsys, monkeypatch):
+        rec = self.workers_record(tmp_path / "search-9220fd4f07a7c1d1.json", 36)
+
+        def boom(inputs):
+            raise RuntimeError("boom")
+        monkeypatch.setitem(cli._RUNNERS, "search", boom)
+        code = cli.main(["replay", str(rec), "--cache-dir", str(tmp_path)])
+        assert code == 5
+        assert "RuntimeError: boom" in capsys.readouterr().err
 
 
 def test_unexpected_error_exits_5(tmp_path, capsys, monkeypatch):

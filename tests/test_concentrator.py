@@ -331,11 +331,11 @@ class TestEndToEnd:
 
     def test_full_circle(self):
         E = conc.IntervalSet(((0.0, 1.0),), symmetric=True)
-        res = conc.end_to_end(E, 2.0, 0.05, conc.EndToEndConfig(q_max=60))
+        res = conc.end_to_end(E, 2.0, 0.05, q_max=60)
         assert res.report.ratio >= 1 - 1e-6
 
     def test_gap_run(self):
-        res = conc.end_to_end(E_TWO, 2.0, 0.05, conc.EndToEndConfig(nu=3))
+        res = conc.end_to_end(E_TWO, 2.0, 0.05, nu=3)
         assert res.min_gap >= 3
         assert res.spectrum.min_gap() >= 3
         assert res.report.ratio >= 0.9 * res.predicted_ratio * (1 - 0.05) ** 2
@@ -354,4 +354,4 @@ class TestEndToEnd:
         E = conc.IntervalSet(((0.499999, 0.500001),), symmetric=True)
         assert not conc.find_fraction(E, 0.5, 0.05, 8, 40).meets_threshold
         with pytest.raises(BudgetError):
-            conc.end_to_end(E, 2.0, 0.05, conc.EndToEndConfig(q_max=40))
+            conc.end_to_end(E, 2.0, 0.05, q_max=40)

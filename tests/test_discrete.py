@@ -359,8 +359,7 @@ class TestStarSearch:
 
 class TestDecayScan:
     def test_small_primes(self):
-        rows = discrete.gamma1_decay_scan([5, 3, 7],
-                                          discrete.SearchConfig(exhaustive_cap=19))
+        rows = discrete.gamma1_decay_scan([5, 3, 7], exhaustive_cap=19)
         assert [r["q"] for r in rows] == [3, 5, 7]
         assert rows[0]["gamma1_hat"] == 2 / 3
         for r in rows:
@@ -370,7 +369,6 @@ class TestDecayScan:
                 math.log(1 / r["gamma1_hat"]) / math.log(math.log(r["q"])))
 
     def test_heuristic_row(self):
-        rows = discrete.gamma1_decay_scan(
-            [23], discrete.SearchConfig(exhaustive_cap=19, restarts=2))
+        rows = discrete.gamma1_decay_scan([23], exhaustive_cap=19, restarts=2)
         assert rows[0]["method"] == "heuristic"
         assert rows[0]["gamma1_hat"] >= rows[0]["dirichlet_best"] - 1e-12

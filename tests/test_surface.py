@@ -42,6 +42,15 @@ def test_grid_transform_only_in_trigpoly():
     assert hits == ["trigpoly.py"]
 
 
+def test_search_policy_only_in_discrete():
+    # the choice between the exact and the heuristic plain-grid level is
+    # made in one place, discrete.gamma_sharp
+    hits = sorted(path.name for path in (ROOT / "src" / "concentra").glob("*.py")
+                  if "exact_gamma_sharp" in path.read_text()
+                  or "heuristic_gamma_sharp" in path.read_text())
+    assert hits == ["__init__.py", "discrete.py"]
+
+
 @pytest.mark.parametrize("module", MODULES)
 def test_all_names_resolve(module):
     mod = importlib.import_module(f"concentra.{module}")
