@@ -260,10 +260,10 @@ def _mode_table(t: float, J: int, odd: bool):
 
 def _core_mode_path(lam, t, tol, odd, max_terms):
     S = math.sin(math.pi * t)
-    Sml = S ** -lam           # lam <= ~16 on this path: no overflow for t >= 1e-4
-    if not math.isfinite(Sml):
-        direct, slack, used = _direct_scaled_sum(lam, t, min(2 ** 16, max_terms), odd)
-        return direct, math.inf, used
+    try:
+        Sml = S ** -lam       # lam <= 16 on this path: finite for t >= 1e-4
+    except OverflowError:
+        raise DomainError(f"series overflows a float at lam = {lam}, t = {t}") from None
     J = max(256, int(lam / 2) + 8)
     Zref, _ = _domain_tail(lam, 2 ** 14, odd)
     c = _mode_coeffs(lam, J)
@@ -335,7 +335,10 @@ def eval_B(lam: float, t: float, tol: float = 1e-10,
     """Full-grid series B(lam, t); tail_bound is a rigorous remainder bound."""
     _check_domain(lam, t, tol)
     core, bound, used = _core(lam, t, tol / 2, odd=False, max_terms=max_terms)
-    pref = math.exp(lam * (math.log(math.pi * t) - math.log(math.sin(math.pi * t))))
+    try:
+        pref = math.exp(lam * (math.log(math.pi * t) - math.log(math.sin(math.pi * t))))
+    except OverflowError:
+        raise DomainError(f"B overflows a float at lam = {lam}, t = {t}") from None
     value = pref + 2 * core
     tail = 2 * bound + 8 * EPS * abs(value)
     return SeriesEval(lam, t, value, tail, used, tol)

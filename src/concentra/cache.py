@@ -24,7 +24,8 @@ SIG = 15
 
 
 def to_jsonable(obj):
-    """Recursively convert dataclasses / numpy floats to JSON-able data.
+    """The wire form: dataclasses, tuples and numpy floats become JSON data,
+    and every float is normalized to 15 significant digits.
 
     Spectra serialize as plain integer arrays (the wire format the CLI
     documents).
@@ -35,8 +36,8 @@ def to_jsonable(obj):
     if dataclasses.is_dataclass(obj) and not isinstance(obj, type):
         return {f.name: to_jsonable(getattr(obj, f.name))
                 for f in dataclasses.fields(obj)}
-    if isinstance(obj, (np.floating,)):
-        return float(obj)
+    if isinstance(obj, (float, np.floating)):
+        return float(f"{obj:.{SIG}g}")
     if isinstance(obj, dict):
         return {str(k): to_jsonable(v) for k, v in obj.items()}
     if isinstance(obj, (list, tuple)):
@@ -44,20 +45,8 @@ def to_jsonable(obj):
     return obj
 
 
-def round_floats(obj):
-    """Normalize every float to 15 significant digits."""
-    if isinstance(obj, float):
-        return float(f"{obj:.{SIG}g}")
-    if isinstance(obj, dict):
-        return {k: round_floats(v) for k, v in obj.items()}
-    if isinstance(obj, list):
-        return [round_floats(v) for v in obj]
-    return obj
-
-
 def canonical_json(obj) -> str:
-    return json.dumps(round_floats(to_jsonable(obj)), sort_keys=True,
-                      separators=(",", ":"))
+    return json.dumps(to_jsonable(obj), sort_keys=True, separators=(",", ":"))
 
 
 def config_hash(command: str, inputs, seed) -> str:
@@ -97,8 +86,7 @@ class ResultsCache:
         """Append one line with a single unbuffered write; a partial trailing
         line (a writer killed mid-line) is closed off first."""
         self.root.mkdir(parents=True, exist_ok=True)
-        line = json.dumps({"key": key,
-                           "payload": round_floats(to_jsonable(payload))}) + "\n"
+        line = json.dumps({"key": key, "payload": to_jsonable(payload)}) + "\n"
         with self.path.open("ab+", buffering=0) as fh:
             if fh.seek(0, os.SEEK_END) > 0:
                 fh.seek(-1, os.SEEK_END)
@@ -116,8 +104,8 @@ def write_record(root: Path, command: str, inputs, outputs, wall_time: float,
     record = {
         "command": command,
         "config_hash": h,
-        "inputs": round_floats(to_jsonable(inputs)),
-        "outputs": round_floats(to_jsonable(outputs)),
+        "inputs": to_jsonable(inputs),
+        "outputs": to_jsonable(outputs),
         "wall_time": wall_time,
         "seed": seed,
     }

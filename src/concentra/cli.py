@@ -15,13 +15,14 @@ import math
 import sys
 import time
 import traceback
+from pathlib import Path
 
 import numpy as np
 
 from . import bounds, concentrator, discrete, rounding
 from .cache import (ResultsCache, canonical_json, config_hash,
-                    default_cache_dir, load_record, read_json,
-                    round_floats, to_jsonable, write_record)
+                    default_cache_dir, load_record, read_json, to_jsonable,
+                    write_record)
 from .errors import BudgetError, DomainError
 from .trigpoly import Spectrum, fold_power, to_coeffs
 
@@ -37,52 +38,33 @@ _C_PROBE = 0.3                               # round: the c the hypotheses are p
 # runners (pure functions of their input dicts, reused by replay)
 # ----------------------------------------------------------------------
 
-def run_constants(inputs: dict) -> dict:
-    rows = []
+def _row(name: str, paper_value, res: bounds.ConstantResult, passed) -> dict:
+    """One ``constants`` row; it shows an argmax where the constant has one."""
+    row = {"name": name, "paper_value": paper_value,
+           "value": res.value, "computed_value": res.value}
+    if res.argmax is not None:
+        row["argmax"] = res.argmax
+    return dict(row, certificate=res.certificate, passed=bool(passed))
 
+
+def run_constants(inputs: dict) -> dict:
     g2 = bounds.gamma2_sharp()
     resid = abs(g2.certificate["stationarity_residual"])
-    rows.append({
-        "name": "gamma2_sharp", "paper_value": 0.4613,
-        "value": g2.value, "computed_value": g2.value, "argmax": g2.argmax,
-        "certificate": g2.certificate,
-        "passed": bool(0.4608 <= g2.value <= 0.4618 and resid <= 1e-6),
-    })
-
     g4 = bounds.gamma4_sharp_lower()
-    rows.append({
-        "name": "gamma4_sharp_lower", "paper_value": "0.495 < . <= 0.5",
-        "value": g4.value, "computed_value": g4.value, "argmax": g4.argmax,
-        "certificate": g4.certificate,
-        "passed": bool(0.495 < g4.value <= 0.5),
-    })
-
-    per_p = {}
-    for p in _UNIFORM_P_SET:
-        per_p[str(p)] = bounds.gamma_sharp_lower(p).value
-    rows.append({
-        "name": "gamma_sharp_uniform_p_gt_2", "paper_value": "> 0.483",
-        "value": min(per_p.values()), "computed_value": min(per_p.values()),
-        "certificate": {"per_p": per_p},
-        "passed": bool(all(v > 0.483 for v in per_p.values())),
-    })
-
+    per_p = {str(p): bounds.gamma_sharp_lower(p).value for p in _UNIFORM_P_SET}
+    uniform = bounds.ConstantResult(min(per_p.values()), None, {"per_p": per_p})
     asym = bounds.asymptote_scan(_ASYMPTOTE_LAMBDA)
-    rows.append({
-        "name": "power_sweep_asymptote", "paper_value": 4.13273,
-        "value": asym.value, "computed_value": asym.value, "argmax": asym.argmax,
-        "certificate": asym.certificate,
-        "passed": bool(asym.value <= 4.14 and 2.0 / asym.value > 0.483),
-    })
-
     g1 = bounds.gamma1_certified_lower(1.999)
-    rows.append({
-        "name": "gamma1_certified_lower", "paper_value": "> 0.96",
-        "value": g1.value, "computed_value": g1.value,
-        "certificate": g1.certificate,
-        "passed": bool(g1.value > 0.96 and abs(g1.value - 0.96053) <= 1e-3),
-    })
-
+    rows = [
+        _row("gamma2_sharp", 0.4613, g2, 0.4608 <= g2.value <= 0.4618 and resid <= 1e-6),
+        _row("gamma4_sharp_lower", "0.495 < . <= 0.5", g4, 0.495 < g4.value <= 0.5),
+        _row("gamma_sharp_uniform_p_gt_2", "> 0.483", uniform,
+             all(v > 0.483 for v in per_p.values())),
+        _row("power_sweep_asymptote", 4.13273, asym,
+             asym.value <= 4.14 and 2.0 / asym.value > 0.483),
+        _row("gamma1_certified_lower", "> 0.96", g1,
+             g1.value > 0.96 and abs(g1.value - 0.96053) <= 1e-3),
+    ]
     notes = [
         "half-grid series at t=1/4 reduces to sum (2k+1)^-lam, whose computed "
         "large-lam limit is 1 (checked: A(40, 1/4) = 1 to 1e-12); downstream "
@@ -94,18 +76,13 @@ def run_constants(inputs: dict) -> dict:
 
 
 def run_curve(inputs: dict) -> dict:
-    which = inputs["which"]
-    lam = inputs["lam"]
     if inputs["points"] < 1:
         raise DomainError(f"need --points >= 1, got {inputs['points']}")
-    ts = np.linspace(inputs["t_min"], inputs["t_max"], inputs["points"])
-    f = bounds.eval_A if which == "A" else bounds.eval_B
-    rows = []
-    for t in ts:
-        ev = f(lam, float(t), tol=inputs["tol"])
-        rows.append({"lambda": lam, "t": float(t), "value": ev.value,
-                     "tail_bound": ev.tail_bound})
-    return {"rows": rows}
+    f = bounds.eval_A if inputs["which"] == "A" else bounds.eval_B
+    evs = [f(inputs["lam"], float(t), tol=inputs["tol"])
+           for t in np.linspace(inputs["t_min"], inputs["t_max"], inputs["points"])]
+    return {"rows": [{"lambda": ev.lam, "t": ev.t, "value": ev.value,
+                      "tail_bound": ev.tail_bound} for ev in evs]}
 
 
 def run_search(inputs: dict) -> dict:
@@ -156,7 +133,9 @@ def _intervals(raw) -> tuple:
     return tuple((float(a), float(b)) for a, b in raw)
 
 
-def run_concentrate(inputs: dict) -> dict:
+def run_concentrate(inputs: dict, trace: list | None = None) -> dict:
+    """The torus construction; ``trace``, if given, collects the examined
+    (q, a, coverage) candidates."""
     ivs = _intervals(inputs["intervals"])
     probe = concentrator.IntervalSet(ivs, symmetric=False)
     symmetric = probe._is_symmetric()
@@ -164,18 +143,12 @@ def run_concentrate(inputs: dict) -> dict:
         raise DomainError("set is not reflection-symmetric "
                           "(pass --allow-asymmetric to proceed)")
     E = concentrator.IntervalSet(ivs, symmetric=symmetric)
-    trace = [] if inputs["trace_path"] else None
     res = concentrator.end_to_end(
         E, inputs["p"], inputs["epsilon"], theta=inputs["theta"], eta=inputs["eta"],
         q0=inputs["q0"], q_max=inputs["q_max"], nu=inputs["nu"],
         mesh_per_unit_degree=inputs["mesh"], seed=inputs["seed"],
         require_symmetric=symmetric, trace=trace)
-    if trace is not None:
-        with open(inputs["trace_path"], "w") as fh:
-            fh.write("q,a,coverage\n")
-            for q, a, cov in trace:
-                fh.write(f"{q},{a},{_F(cov)}\n")
-    out = {
+    return {
         "plan": to_jsonable(res.plan),
         "report": to_jsonable(res.report),
         "predicted_ratio": res.predicted_ratio,
@@ -183,7 +156,6 @@ def run_concentrate(inputs: dict) -> dict:
         "pathway": res.pathway,
         "spectrum_size": len(res.spectrum),
     }
-    return out
 
 
 def run_decay(inputs: dict) -> dict:
@@ -207,29 +179,27 @@ _RUNNERS = {
 # output formatting
 # ----------------------------------------------------------------------
 
-def _curve_csv(payload: dict) -> str:
-    lines = ["lambda,t,value,tail_bound"]
-    for r in payload["rows"]:
-        lines.append(",".join(_F(r[k]) for k in ("lambda", "t", "value", "tail_bound")))
-    return "\n".join(lines) + "\n"
+_CSV_COLUMNS = {
+    "curve": ("lambda", "t", "value", "tail_bound"),
+    "decay": ("q", "method", "gamma1_hat", "dirichlet_best",
+              "gamma1_hat_log_q", "beta_diagnostic"),
+}
+_TRACE_COLUMNS = ("q", "a", "coverage")
 
 
-def _decay_csv(payload: dict) -> str:
-    cols = ["q", "method", "gamma1_hat", "dirichlet_best",
-            "gamma1_hat_log_q", "beta_diagnostic"]
-    lines = [",".join(cols)]
-    for r in payload["rows"]:
-        vals = [str(r["q"]), r["method"]]
-        vals += [_F(r[c]) for c in cols[2:]]
-        lines.append(",".join(vals))
-    return "\n".join(lines) + "\n"
+def _csv(cols, rows) -> str:
+    """A header line of ``cols``, then one line of values per row; floats
+    at 15 significant digits."""
+    return "".join(",".join(_F(v) if isinstance(v, float) else str(v) for v in line)
+                   + "\n" for line in [cols, *rows])
 
 
-def _emit(text: str, output):
-    if output:
-        with open(output, "w") as fh:
-            fh.write(text)
-    sys.stdout.write(text)
+def _render(cmd: str, payload: dict) -> str:
+    """What a command prints: CSV rows for ``curve`` and ``decay``, else JSON."""
+    if cmd in _CSV_COLUMNS:
+        cols = _CSV_COLUMNS[cmd]
+        return _csv(cols, ([r[c] for c in cols] for r in payload["rows"]))
+    return json.dumps(to_jsonable(payload), indent=2) + "\n"
 
 
 # ----------------------------------------------------------------------
@@ -298,7 +268,7 @@ def _build_parser():
                    help="samples per unit degree of the torus integrals at p "
                         "that is not even (rounded up to a 5-smooth FFT size)")
     k.add_argument("--allow-asymmetric", action="store_true")
-    k.add_argument("--trace", default=None,
+    k.add_argument("--trace", dest="trace_path", metavar="TRACE", default=None,
                    help="write a CSV of examined (q, a, coverage) candidates")
 
     d = sub.add_parser("decay", parents=[common],
@@ -314,58 +284,49 @@ def _build_parser():
     return ap
 
 
-def _primes_up_to(n: int):
-    if n < 0:
-        raise DomainError(f"--primes-up-to must be >= 0, got {n}")
-    sieve = np.ones(n + 1, dtype=bool)
+def _primes(listed, up_to) -> list:
+    """The primes of ``decay``: --primes as listed, else the odd primes up to
+    --primes-up-to."""
+    if listed:
+        try:
+            return [int(x) for x in listed.split(",") if x.strip()]
+        except ValueError:
+            raise DomainError(f"--primes takes comma-separated integers, "
+                              f"got {listed!r}") from None
+    if not up_to:
+        raise DomainError("need --primes or --primes-up-to")
+    if up_to < 0:
+        raise DomainError(f"--primes-up-to must be >= 0, got {up_to}")
+    sieve = np.ones(up_to + 1, dtype=bool)
     sieve[:2] = False
-    for i in range(2, int(n ** 0.5) + 1):
+    for i in range(2, int(up_to ** 0.5) + 1):
         if sieve[i]:
             sieve[i * i:: i] = False
     return [int(i) for i in np.nonzero(sieve)[0] if i >= 3]
 
 
+_FRONT_END = ("cmd", "cache_dir", "output", "no_cache")   # flags kept out of records
+
+
 def _inputs_from_args(args) -> dict:
+    """The record inputs: every parsed flag but the front end's own.  The
+    seed is hashed beside them; ``constants`` and ``curve`` use none, so
+    their inputs leave it out."""
     if args.seed < 0:
         raise DomainError(f"--seed must be >= 0, got {args.seed}")
     if getattr(args, "restarts", 0) < 0:
         raise DomainError(f"--restarts must be >= 0, got {args.restarts}")
-    if args.cmd == "constants":
-        return {}
-    if args.cmd == "curve":
-        return {"which": args.which, "lam": args.lam, "t_min": args.t_min,
-                "t_max": args.t_max, "points": args.points, "tol": args.tol}
-    if args.cmd == "search":
-        return {"q": args.q, "p": args.p, "mode": args.mode, "K": args.K,
-                "restarts": args.restarts, "seed": args.seed,
-                "k_sensitivity": args.k_sensitivity}
-    if args.cmd == "round":
-        return {"q": args.q, "n": args.n, "L": args.L, "p": args.p,
-                "epsilon": args.epsilon, "trials": args.trials,
-                "seed": args.seed}
-    if args.cmd == "concentrate":
-        spec = read_json(args.e_file)
+    inputs = {k: v for k, v in vars(args).items() if k not in _FRONT_END}
+    if args.cmd in ("constants", "curve"):
+        del inputs["seed"]
+    elif args.cmd == "concentrate":
+        spec = read_json(inputs.pop("e_file"))
         if not isinstance(spec, dict) or "intervals" not in spec:
             raise DomainError("E file must carry an 'intervals' array")
-        return {"intervals": spec["intervals"], "p": args.p,
-                "epsilon": args.epsilon, "theta": args.theta, "eta": args.eta,
-                "nu": args.nu, "q0": args.q0, "q_max": args.q_max,
-                "mesh": args.mesh, "allow_asymmetric": args.allow_asymmetric,
-                "trace_path": args.trace, "seed": args.seed}
-    if args.cmd == "decay":
-        if args.primes:
-            try:
-                primes = [int(x) for x in args.primes.split(",") if x.strip()]
-            except ValueError:
-                raise DomainError(f"--primes takes comma-separated integers, "
-                                  f"got {args.primes!r}") from None
-        elif args.primes_up_to:
-            primes = _primes_up_to(args.primes_up_to)
-        else:
-            raise DomainError("need --primes or --primes-up-to")
-        return {"primes": primes, "exhaustive_cap": args.exhaustive_cap,
-                "restarts": args.restarts, "seed": args.seed}
-    raise DomainError(f"unknown command {args.cmd}")
+        inputs["intervals"] = spec["intervals"]
+    elif args.cmd == "decay":
+        inputs["primes"] = _primes(inputs["primes"], inputs.pop("primes_up_to"))
+    return inputs
 
 
 def _cached_ratio_holds(payload) -> bool:
@@ -377,24 +338,22 @@ def _cached_ratio_holds(payload) -> bool:
         return False
     try:
         if "ratio_star" in payload:
-            stored = payload["ratio_star"]
             spec = Spectrum(payload["spectrum"], 2 * payload["q"])
-            fresh = discrete.star(spec, payload["p"], payload["K"])[0]
+            fresh = {"ratio_star": discrete.star(spec, payload["p"], payload["K"])[0]}
             if "K_sensitivity" in payload:
-                levels = {k: round_floats(discrete.star(
-                    Spectrum(w, spec.degree_bound), payload["p"], float(k))[0])
-                    for k, w in payload["K_sensitivity_witnesses"].items()}
-                levels.update((k, stored) for k in payload["K_sensitivity"]
-                              if round_floats(float(k)) == payload["K"])
-                if payload["K_sensitivity"] != levels:
-                    return False
+                levels = {k: discrete.star(Spectrum(w, spec.degree_bound),
+                                           payload["p"], float(k))[0]
+                          for k, w in payload["K_sensitivity_witnesses"].items()}
+                levels.update((k, fresh["ratio_star"]) for k in payload["K_sensitivity"]
+                              if to_jsonable(float(k)) == payload["K"])
+                fresh["K_sensitivity"] = levels
         else:
-            stored = payload["ratio"]
             spec = Spectrum(payload["spectrum"], payload["q"])
-            fresh = discrete.concentration_ratio(spec, payload["p"], payload["target"])
+            fresh = {"ratio": discrete.concentration_ratio(spec, payload["p"],
+                                                           payload["target"])}
+        return to_jsonable(fresh) == {k: payload[k] for k in fresh}
     except (AttributeError, DomainError, IndexError, KeyError, TypeError, ValueError):
         return False
-    return round_floats(fresh) == stored
 
 
 def main(argv=None) -> int:
@@ -418,39 +377,32 @@ def main(argv=None) -> int:
             return EXIT_OK if same else EXIT_MISMATCH
 
         inputs = _inputs_from_args(args)
-        seed = getattr(args, "seed", 0)
         t0 = time.time()
 
-        cache = None
-        rejected = False
+        cache = hit = None
         if args.cmd == "search" and not args.no_cache:
             cache = ResultsCache(cache_dir)
             versioned = dict(inputs, algorithm=discrete.ALGORITHM_VERSION)
-            key = config_hash("search", versioned, seed)
+            key = config_hash("search", versioned, args.seed)
             hit = cache.get(key)
-            if hit is not None and _cached_ratio_holds(hit):
-                payload = dict(hit)
-                payload["cached"] = True
-                _emit(json.dumps(round_floats(to_jsonable(payload)), indent=2)
-                      + "\n", args.output)
-                return EXIT_OK
-            rejected = hit is not None
-
-        payload = _RUNNERS[args.cmd](inputs)
-        wall = time.time() - t0
-        write_record(cache_dir, args.cmd, inputs, payload, wall, seed)
-        if cache is not None:
-            cache.put(key, payload)
-
-        if args.cmd == "curve":
-            _emit(_curve_csv(payload), args.output)
-        elif args.cmd == "decay":
-            _emit(_decay_csv(payload), args.output)
+        if hit is not None and _cached_ratio_holds(hit):
+            shown = dict(hit, cached=True)
         else:
-            shown = dict(payload, cached=False) if rejected else payload
-            _emit(json.dumps(round_floats(to_jsonable(shown)), indent=2) + "\n",
-                  args.output)
-        if args.cmd == "constants" and not payload["all_passed"]:
+            trace = [] if getattr(args, "trace_path", None) else None
+            payload = (_RUNNERS[args.cmd](inputs) if trace is None
+                       else run_concentrate(inputs, trace))
+            write_record(cache_dir, args.cmd, inputs, payload, time.time() - t0, args.seed)
+            if cache is not None:
+                cache.put(key, payload)
+            if trace is not None:
+                Path(args.trace_path).write_text(_csv(_TRACE_COLUMNS, trace))
+            shown = payload if hit is None else dict(payload, cached=False)
+
+        text = _render(args.cmd, shown)
+        if args.output:
+            Path(args.output).write_text(text)
+        sys.stdout.write(text)
+        if args.cmd == "constants" and not shown["all_passed"]:
             return EXIT_ACCEPT
         return EXIT_OK
     except DomainError as e:

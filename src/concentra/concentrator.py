@@ -173,8 +173,12 @@ def choose_n(p: float, eps: float, delta: float) -> int:
         raise DomainError("peaking pathway needs p > 1")
     if not (0 < eps < 1) or delta <= 0:
         raise DomainError("need 0 < eps < 1 and delta > 0")
-    kp = (math.pi / 2) ** p / (p - 1)
-    return int(math.ceil((2 * kp / eps) ** (1.0 / (p - 1)) / delta))
+    try:
+        kp = (math.pi / 2) ** p / (p - 1)
+        return int(math.ceil((2 * kp / eps) ** (1.0 / (p - 1)) / delta))
+    except OverflowError:
+        raise BudgetError(f"peaking kernel length overflows a float at p = {p}, "
+                          f"eps = {eps}") from None
 
 
 def build_Q(R: Spectrum, n: int, q: int, nu: int = 1) -> Spectrum:
@@ -325,6 +329,10 @@ def end_to_end(E: IntervalSet, p: float, eps: float, *, theta: float = 0.5,
         pathway = "dirichlet-peak-gapped"
     predicted = discrete.concentration_ratio(W, p, b)
     n = choose_n(p, eps, theta / q)
+    deg = q * (n - 1) + nu * W.freqs[-1]
+    if deg >= _SAMPLE_CAP:     # measure samples |Q|^p at more than deg points
+        raise BudgetError(f"assembled degree {deg} needs more than the "
+                          f"{_SAMPLE_CAP} samples a quadrature may take")
     Q = build_Q(W, n, q, nu)
     report = measure(Q, E, p, mesh_per_unit_degree)
     plan = Plan(a, q, theta, n, W, nu)

@@ -257,8 +257,7 @@ def exact_gamma_sharp(q: int, p: float, use_pruning: bool = True) -> Concentrati
         raise BudgetError(
             f"exhaustive search capped at q <= {EXHAUSTIVE_CAP} (2^{q-1} spectra); "
             f"use heuristic_gamma_sharp for q = {q}")
-    k = np.arange(q)
-    E = np.exp(2j * np.pi * np.outer(k, k[:q // 2 + 1]) / q)
+    E = _half_table(q)
     units = _units(q) if use_pruning else np.array([1])
     units = units[2 * units <= q]    # target q - a scores as target a
     w = _half_weights(q)
@@ -291,6 +290,13 @@ def dirichlet_table(q: int, p: float) -> DirichletTable:
     i = int(np.argmax(ratios))
     rows = tuple((int(nn), float(rr)) for nn, rr in zip(n, ratios))
     return DirichletTable(q, p, rows, int(n[i]), float(ratios[i]))
+
+
+def _half_table(q: int) -> np.ndarray:
+    """The q x (q//2 + 1) table e(h j / q) of every frequency h at the grid
+    points j = 0..q//2, which hold a conjugate-symmetric grid function."""
+    k = np.arange(q)
+    return np.exp(2j * np.pi * np.outer(k, k[:q // 2 + 1]) / q)
 
 
 def _half_weights(q: int) -> np.ndarray:
@@ -362,8 +368,7 @@ def heuristic_gamma_sharp(q: int, p: float, restarts: int = 4,
     _check_p(p)
     if restarts < 0:
         raise DomainError(f"need restarts >= 0, got {restarts}")
-    k = np.arange(q)
-    E = np.exp(2j * np.pi * np.outer(k, k[:q // 2 + 1]) / q)
+    E = _half_table(q)
     table = dirichlet_table(q, p)
     evals = q - 1
     order = sorted(table.rows, key=lambda r: -r[1])
@@ -439,10 +444,10 @@ def exact_gamma_star(q: int, p: float, K: float = 1e4,
     if q > STAR_CAP:
         raise BudgetError(f"half-grid exhaustive search capped at q <= {STAR_CAP}")
     Q = 2 * q
-    k = np.arange(Q)
-    E = np.exp(2j * np.pi * np.outer(k, k[:q + 1]) / Q)
+    E = _half_table(Q)
     w = _half_weights(Q)
-    w_odd, w_even = w * (k[:q + 1] % 2), w * (1 - k[:q + 1] % 2)
+    odd = np.arange(q + 1) % 2
+    w_odd, w_even = w * odd, w * (1 - odd)
 
     def score(V):
         mp = _pow_abs(np.abs(V), p)

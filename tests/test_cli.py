@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from concentra import cli, discrete
-from concentra.cache import canonical_json, round_floats
+from concentra.cache import canonical_json, config_hash, to_jsonable
 from concentra.trigpoly import Spectrum
 
 
@@ -21,7 +21,7 @@ class TestSearchCommand:
                          "--cache-dir", str(tmp_path)], capsys)
         assert code == 0
         payload = json.loads(out)
-        assert payload["ratio"] == round_floats(2 / 3)
+        assert payload["ratio"] == to_jsonable(2 / 3)
         assert payload["spectrum"] == [0]
 
     def test_cache_hit(self, tmp_path, capsys):
@@ -281,6 +281,9 @@ CONCENTRATE = ["concentrate", "--e-file", "{E}", "--epsilon", "0.05"]
     ["decay", "--primes", "3", "--restarts", "-1"],
     ["search", "--q", "5", "--p", "2", "--mode", "exhaustive", "--restarts", "-3"],
     ["search", "--q", "5", "--p", "2", "--mode", "star", "--restarts", "-3"],
+    ["curve", "--which", "B", "--lam", "1600", "--points", "2"],
+    ["curve", "--which", "A", "--lam", "2", "--t-min", "1e-300", "--t-max", "1e-300",
+     "--points", "1"],
 ], ids=["search-p-nan", "search-p-inf", "star-p-nan", "heuristic-p-nan",
         "concentrate-p-nan", "concentrate-p-inf", "curve-lam-inf",
         "round-epsilon-negative", "round-p-nan", "decay-non-prime", "concentrate-nu-0",
@@ -291,7 +294,8 @@ CONCENTRATE = ["concentrate", "--e-file", "{E}", "--epsilon", "0.05"]
         "heuristic-seed-negative", "round-seed-negative", "round-q-1",
         "curve-points-negative", "curve-points-0", "curve-tol-0", "curve-tol-negative",
         "curve-tol-nan", "heuristic-restarts-negative", "decay-restarts-negative",
-        "exhaustive-restarts-negative", "star-restarts-negative"])
+        "exhaustive-restarts-negative", "star-restarts-negative",
+        "curve-B-prefactor-overflow", "curve-A-series-overflow"])
 def test_bad_input_exits_2(argv, tmp_path, capsys):
     e = tmp_path / "E.json"
     e.write_text(json.dumps(E_WIDE))
@@ -420,6 +424,26 @@ class TestNewFlags:
         q, a, cov = lines[-1].split(",")
         assert (int(q), int(a)) == (13, 4) and float(cov) == 1.0
 
+    def test_replay_leaves_trace_unchanged(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "E.json").write_text(json.dumps(E_WIDE))
+        run(["concentrate", "--e-file", "E.json", "--p", "2", "--epsilon", "0.05",
+             "--trace", "t.csv", "--cache-dir", "."], capsys)
+        trace = tmp_path / "t.csv"
+        trace.write_text("q,a,coverage\n")
+        rec = next((tmp_path / "records").glob("concentrate-*.json"))
+        code, out = run(["replay", str(rec), "--cache-dir", "."], capsys)
+        assert code == 0 and json.loads(out)["match"] is True
+        assert trace.read_text() == "q,a,coverage\n"
+
+    @pytest.mark.parametrize("p", ["1.0000001", "1e6"])
+    def test_kernel_length_overflow_exits_3(self, p, tmp_path, capsys):
+        e = tmp_path / "E.json"
+        e.write_text(json.dumps(E_WIDE))
+        code, _ = run(["concentrate", "--e-file", str(e), "--p", p, "--epsilon", "0.05",
+                       "--cache-dir", str(tmp_path)], capsys)
+        assert code == 3
+
     def test_star_k_sensitivity(self, tmp_path, capsys):
         code, out = run(["search", "--q", "3", "--p", "2", "--mode", "star",
                          "--K", "100", "--k-sensitivity", "--no-cache",
@@ -435,6 +459,23 @@ class TestNewFlags:
         code, _ = run(["search", "--q", "3", "--p", "1"], capsys)
         assert code == 0
         assert (tmp_path / "envcache" / "records").exists()
+
+
+@pytest.mark.parametrize("argv, expected", [
+    (["constants"], "9f73ae52e196717d"),
+    (["curve", "--which", "B", "--lam", "2.5", "--points", "5"], "34398d308844f044"),
+    (["search", "--q", "13", "--p", "2"], "eb7cc499b85098c1"),
+    (["round", "--q", "499", "--n", "125", "--L", "3", "--p", "3", "--epsilon", "0.2",
+      "--trials", "20", "--seed", "1"], "b29c1367d527c311"),
+    ([*CONCENTRATE, "--p", "3"], "f534b8284f00a450"),
+    (["decay", "--primes", "3,5,7,11,13,101", "--restarts", "2"], "12f544be5308d351"),
+], ids=["constants", "curve", "search", "round", "concentrate", "decay"])
+def test_record_hash_pinned(argv, expected, tmp_path):
+    # a record's name and replay key: the flags it hashes must not drift
+    e = tmp_path / "E.json"
+    e.write_text(json.dumps(E_WIDE))
+    a = cli._build_parser().parse_args([x.replace("{E}", str(e)) for x in argv])
+    assert config_hash(a.cmd, cli._inputs_from_args(a), a.seed) == expected
 
 
 class TestSerialization:

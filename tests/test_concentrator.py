@@ -1,4 +1,5 @@
 import math
+import time
 from fractions import Fraction
 
 import numpy as np
@@ -349,6 +350,16 @@ class TestEndToEnd:
     def test_small_p_out_of_scope(self):
         with pytest.raises(DomainError):
             conc.end_to_end(E_TWO, 1.0, 0.05)
+
+    def test_kernel_beyond_sample_cap_is_a_budget_error(self, monkeypatch):
+        # at p = 1.2 the kernel length is about 1.25e14: stop before assembling it
+        def unreachable(*args):
+            raise AssertionError("build_Q reached")
+        monkeypatch.setattr(conc, "build_Q", unreachable)
+        t0 = time.perf_counter()
+        with pytest.raises(BudgetError):
+            conc.end_to_end(E_TWO, 1.2, 0.05)
+        assert time.perf_counter() - t0 < 1.0
 
     def test_uncovered_window_is_a_budget_error(self):
         E = conc.IntervalSet(((0.499999, 0.500001),), symmetric=True)
