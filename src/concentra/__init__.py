@@ -17,6 +17,6 @@ from .rounding import (MomentReport, MonteCarloReport, RoundingTrial,
 from .concentrator import (EndToEndResult, FractionHit, IntervalSet, Plan,
                            TorusReport, build_Q, choose_n, end_to_end,
                            find_fraction, measure)
-from .errors import BudgetError, CollisionError, DomainError
+from .errors import BudgetError, DomainError
 
 __version__ = "0.1.0"

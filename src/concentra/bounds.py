@@ -78,7 +78,6 @@ class SeriesEval:
 class MinResult:
     t_star: float
     value: float
-    bracket_width: float
 
 
 @dataclass(frozen=True)
@@ -258,7 +257,7 @@ def _mode_table(t: float, J: int, odd: bool):
     return s_eff, res_sign
 
 
-def _core_mode_path(lam, t, tol, odd, max_terms):
+def _core_mode_path(lam, t, tol, odd):
     S = math.sin(math.pi * t)
     try:
         Sml = S ** -lam       # lam <= 16 on this path: finite for t >= 1e-4
@@ -284,7 +283,7 @@ def _core_mode_path(lam, t, tol, odd, max_terms):
         bound = Sml * (float(np.sum(acj[nonres] * per_mode[nonres]))
                        + _coeff_tail(lam, c) * Z
                        + ez * (c[0] + float(np.sum(np.abs(cj[~nonres]))) + 1.0))
-        if bound <= 0.75 * tol or K * 4 > max_terms:
+        if bound <= 0.75 * tol or K * 4 > MAX_TERMS:
             break
         K *= 4
     direct, slack, used = _direct_scaled_sum(lam, t, K, odd)
@@ -293,7 +292,7 @@ def _core_mode_path(lam, t, tol, odd, max_terms):
     return value, bound + slack, used
 
 
-def _core_envelope_path(lam, t, tol, odd, max_terms):
+def _core_envelope_path(lam, t, tol, odd):
     S = math.sin(math.pi * t)
     lnS = math.log(S)
     # Reserve an a-priori bound on the roundoff added to the truncation bound,
@@ -301,24 +300,24 @@ def _core_envelope_path(lam, t, tol, odd, max_terms):
     # so the sum is <= 1 + lam / ((lam - 1) S), and B's prefactor is (pi t / S)^lam.
     total = 1.0 + lam / ((lam - 1) * S)
     pref = math.exp(min(lam * math.log(math.pi * t / S), 700.0))
-    reserve = _sum_slack(lam, t, max_terms, max_terms, total) + 8 * EPS * (total + pref)
+    reserve = _sum_slack(lam, t, MAX_TERMS, MAX_TERMS, total) + 8 * EPS * (total + pref)
     # K from  S^-lam * K^(1-lam)/(lam-1) <= tol - reserve, solved in logs
     lnK = -(math.log(max(tol - reserve, tol / 2)) + lam * lnS + math.log(lam - 1)) / (lam - 1)
-    K = int(math.ceil(math.exp(min(lnK, 60.0)))) + 1 if lnK < 60 else max_terms
-    K = max(32, min(K, max_terms))
+    K = int(math.ceil(math.exp(min(lnK, 60.0)))) + 1 if lnK < 60 else MAX_TERMS
+    K = max(32, min(K, MAX_TERMS))
     ln_bound = -lam * lnS + _ln_zeta_tail(lam, K + 1)
     bound = math.exp(ln_bound) if ln_bound < 700 else math.inf
     direct, slack, used = _direct_scaled_sum(lam, t, K, odd)
     return direct, bound + slack, used
 
 
-def _core(lam, t, tol, odd, max_terms):
-    """core_D(lam,t) with an honest truncation bound."""
+def _core(lam, t, tol, odd):
+    """core_D(lam,t) with an honest truncation bound, at most MAX_TERMS terms."""
     S = math.sin(math.pi * t)
     lnK_env = -(math.log(tol) + lam * math.log(S) + math.log(lam - 1)) / (lam - 1)
     if lam > 16 or lnK_env <= math.log(_DIRECT_CAP):
-        return _core_envelope_path(lam, t, tol, odd, max_terms)
-    return _core_mode_path(lam, t, tol, odd, max_terms)
+        return _core_envelope_path(lam, t, tol, odd)
+    return _core_mode_path(lam, t, tol, odd)
 
 
 def _check_domain(lam, t, tol):
@@ -330,11 +329,10 @@ def _check_domain(lam, t, tol):
         raise DomainError(f"series needs t in (0, 1/2], got {t}")
 
 
-def eval_B(lam: float, t: float, tol: float = 1e-10,
-           max_terms: int = MAX_TERMS) -> SeriesEval:
+def eval_B(lam: float, t: float, tol: float = 1e-10) -> SeriesEval:
     """Full-grid series B(lam, t); tail_bound is a rigorous remainder bound."""
     _check_domain(lam, t, tol)
-    core, bound, used = _core(lam, t, tol / 2, odd=False, max_terms=max_terms)
+    core, bound, used = _core(lam, t, tol / 2, odd=False)
     try:
         pref = math.exp(lam * (math.log(math.pi * t) - math.log(math.sin(math.pi * t))))
     except OverflowError:
@@ -344,11 +342,10 @@ def eval_B(lam: float, t: float, tol: float = 1e-10,
     return SeriesEval(lam, t, value, tail, used, tol)
 
 
-def eval_A(lam: float, t: float, tol: float = 1e-10,
-           max_terms: int = MAX_TERMS) -> SeriesEval:
+def eval_A(lam: float, t: float, tol: float = 1e-10) -> SeriesEval:
     """Half-grid (odd-frequency) series A(lam, t)."""
     _check_domain(lam, t, tol)
-    core, bound, used = _core(lam, t, tol, odd=True, max_terms=max_terms)
+    core, bound, used = _core(lam, t, tol, odd=True)
     return SeriesEval(lam, t, core, bound + 8 * EPS * abs(core), used, tol)
 
 
@@ -365,7 +362,7 @@ _SCAN_K = 4096               # last k of the coarse scan table
 def _golden_min(f, lo, hi, tol):
     """Golden-section minimizer of f on [lo, hi], narrowed to width <= tol.
 
-    Returns (x, f(x), final bracket width); a tie keeps the left probe.
+    Returns (x, f(x)); a tie keeps the left probe.
     Maximizers pass -f.
     """
     x1 = hi - _GOLD * (hi - lo)
@@ -380,7 +377,7 @@ def _golden_min(f, lo, hi, tol):
             lo, x1, f1 = x1, x2, f2
             x2 = lo + _GOLD * (hi - lo)
             f2 = f(x2)
-    return (x1, f1, hi - lo) if f1 <= f2 else (x2, f2, hi - lo)
+    return (x1, f1) if f1 <= f2 else (x2, f2)
 
 
 def _scan_min(f, xs, values, tol):
@@ -388,14 +385,14 @@ def _scan_min(f, xs, values, tol):
     xs: golden section between the grid neighbours of the first least value,
     never reporting above f at that grid point.
 
-    Returns (x, f(x), final bracket width).
+    Returns (x, f(x)).
     """
     i = int(np.argmin(values))      # first occurrence: smallest x wins ties
-    x, v, width = _golden_min(f, xs[max(i - 1, 0)], xs[min(i + 1, len(xs) - 1)], tol)
+    x, v = _golden_min(f, xs[max(i - 1, 0)], xs[min(i + 1, len(xs) - 1)], tol)
     v_grid = f(xs[i])
     if v_grid < v:
         x, v = xs[i], v_grid
-    return x, v, width
+    return x, v
 
 
 def _scan_table(odd: bool, n: int):
@@ -449,9 +446,8 @@ def _minimize(which: str, lam: float, table, refine_tol: float) -> MinResult:
 
     # the coarse scan truncates a positive series, so it underestimates:
     # _scan_min re-evaluates the best probe in full
-    t_star, value, width = _scan_min(f, table[0], _scan_values(which, lam, table),
-                                     refine_tol)
-    return MinResult(float(t_star), float(value), float(width))
+    t_star, value = _scan_min(f, table[0], _scan_values(which, lam, table), refine_tol)
+    return MinResult(float(t_star), float(value))
 
 
 # ----------------------------------------------------------------------
@@ -469,7 +465,7 @@ def gamma2_sharp() -> ConstantResult:
     """sup_{x>0} 2 sin^2(x)/(pi x), with its argmax."""
     xs = np.linspace(1e-9, _SUP_X_MAX, _SUP_SCAN_POINTS)
     f = lambda x: -2 * math.sin(x) ** 2 / (math.pi * x)
-    x_star, val, _ = _scan_min(f, xs, -2 * np.sin(xs) ** 2 / (np.pi * xs), 1e-10)
+    x_star, val = _scan_min(f, xs, -2 * np.sin(xs) ** 2 / (np.pi * xs), 1e-10)
     cert = {"scan_points": _SUP_SCAN_POINTS, "x_max": _SUP_X_MAX,
             "stationarity_residual": math.tan(x_star) - 2 * x_star}
     return ConstantResult(-val, x_star, cert)
@@ -479,8 +475,8 @@ def gamma4_sharp_lower() -> ConstantResult:
     """max_{0<t<1/2} 3 sin^4(pi t) / (pi^4 t^3)."""
     ts = np.linspace(1e-9, 0.5, _SUP_SCAN_POINTS)
     f = lambda t: -3 * math.sin(math.pi * t) ** 4 / (math.pi ** 4 * t ** 3)
-    t_star, val, _ = _scan_min(f, ts, -3 * np.sin(np.pi * ts) ** 4 / (np.pi ** 4 * ts ** 3),
-                               1e-10)
+    t_star, val = _scan_min(f, ts, -3 * np.sin(np.pi * ts) ** 4 / (np.pi ** 4 * ts ** 3),
+                            1e-10)
     return ConstantResult(-val, t_star, {"scan_points": _SUP_SCAN_POINTS})
 
 
@@ -530,7 +526,7 @@ def asymptote_scan(lam: float) -> ConstantResult:
     if len(kappa_grid) == 0:
         raise DomainError("no kappa grid point lands t in (0, 1/2)")
     f = lambda kap: eval_B(lam, kap * scale, tol=_ASYMPTOTE_TOL).value
-    kap_star, val, _ = _scan_min(f, kappa_grid, [f(kap) for kap in kappa_grid], 1e-5)
+    kap_star, val = _scan_min(f, kappa_grid, [f(kap) for kap in kappa_grid], 1e-5)
     cert = {"lam": lam, "grid_lo": float(np.min(kappa_grid)),
             "grid_hi": float(np.max(kappa_grid)), "series_tol": _ASYMPTOTE_TOL}
     return ConstantResult(float(val), float(kap_star), cert)

@@ -136,18 +136,12 @@ def _intervals(raw) -> tuple:
 def run_concentrate(inputs: dict, trace: list | None = None) -> dict:
     """The torus construction; ``trace``, if given, collects the examined
     (q, a, coverage) candidates."""
-    ivs = _intervals(inputs["intervals"])
-    probe = concentrator.IntervalSet(ivs, symmetric=False)
-    symmetric = probe._is_symmetric()
-    if not symmetric and not inputs["allow_asymmetric"]:
-        raise DomainError("set is not reflection-symmetric "
-                          "(pass --allow-asymmetric to proceed)")
-    E = concentrator.IntervalSet(ivs, symmetric=symmetric)
+    E = concentrator.IntervalSet(_intervals(inputs["intervals"]))
     res = concentrator.end_to_end(
         E, inputs["p"], inputs["epsilon"], theta=inputs["theta"], eta=inputs["eta"],
         q0=inputs["q0"], q_max=inputs["q_max"], nu=inputs["nu"],
         mesh_per_unit_degree=inputs["mesh"], seed=inputs["seed"],
-        require_symmetric=symmetric, trace=trace)
+        require_symmetric=not inputs["allow_asymmetric"], trace=trace)
     return {
         "plan": to_jsonable(res.plan),
         "report": to_jsonable(res.report),
@@ -297,12 +291,7 @@ def _primes(listed, up_to) -> list:
         raise DomainError("need --primes or --primes-up-to")
     if up_to < 0:
         raise DomainError(f"--primes-up-to must be >= 0, got {up_to}")
-    sieve = np.ones(up_to + 1, dtype=bool)
-    sieve[:2] = False
-    for i in range(2, int(up_to ** 0.5) + 1):
-        if sieve[i]:
-            sieve[i * i:: i] = False
-    return [int(i) for i in np.nonzero(sieve)[0] if i >= 3]
+    return [q for q in range(3, up_to + 1) if discrete.is_prime(q)]
 
 
 _FRONT_END = ("cmd", "cache_dir", "output", "no_cache")   # flags kept out of records

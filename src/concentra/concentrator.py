@@ -24,7 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .bounds import minimize_over_t
-from .errors import BudgetError, CollisionError, DomainError
+from .errors import BudgetError, DomainError
 from .trigpoly import Grid, Spectrum, eval_grid, to_coeffs
 from . import discrete
 
@@ -35,11 +35,16 @@ __all__ = [
 
 _WITNESS_CAP = 18        # exhaustive witness search up to this q, heuristic beyond
 _SAMPLE_CAP = 1 << 25    # most samples one quadrature rule may take
+_SYMMETRY_TOL = 1e-12    # endpoint tolerance of the reflection x -> 1 - x
 
 
 @dataclass(frozen=True)
 class IntervalSet:
-    """Finite union of disjoint subintervals of [0, 1]."""
+    """Finite union of disjoint subintervals of [0, 1].
+
+    ``symmetric`` is computed: whether the set is invariant under the
+    reflection x -> 1 - x.  Passing ``symmetric=True`` asserts it.
+    """
 
     intervals: tuple
     symmetric: bool = False
@@ -57,16 +62,13 @@ class IntervalSet:
             prev = hi
         if not ivs:
             raise DomainError("empty interval set")
-        if self.symmetric and not self._is_symmetric():
-            raise DomainError("symmetric flag set but set is not reflection-invariant")
-
-    def _is_symmetric(self, tol: float = 1e-12) -> bool:
         # reflect each interval through x -> 1-x and compare as sorted lists
-        r = sorted((max(1.0 - hi, 0.0), min(1.0 - lo, 1.0))
-                   for lo, hi in self.intervals)
-        mine = list(self.intervals)
-        return all(abs(a - c) <= tol and abs(b - d) <= tol
-                   for (a, b), (c, d) in zip(r, mine))
+        r = sorted((max(1.0 - hi, 0.0), min(1.0 - lo, 1.0)) for lo, hi in ivs)
+        symmetric = all(abs(a - c) <= _SYMMETRY_TOL and abs(b - d) <= _SYMMETRY_TOL
+                        for (a, b), (c, d) in zip(r, ivs))
+        if self.symmetric and not symmetric:
+            raise DomainError("symmetric flag set but set is not reflection-invariant")
+        object.__setattr__(self, "symmetric", symmetric)
 
     def measure(self) -> float:
         return float(sum(hi - lo for lo, hi in self.intervals))
@@ -185,14 +187,14 @@ def build_Q(R: Spectrum, n: int, q: int, nu: int = 1) -> Spectrum:
     """Spectrum of R(nu t) * D_n(q t): frequencies nu h + q m, h in R, m < n.
 
     They are distinct when nu * deg(R) < q, since nu h is then the residue
-    mod q; anything else is rejected as a collision.
+    mod q; anything else is a collision, rejected as a DomainError.
     """
     if not R.freqs:
         raise DomainError("witness spectrum is empty")
     if nu < 1:
         raise DomainError("gap factor nu must be >= 1")
     if nu * R.freqs[-1] >= q:
-        raise CollisionError("need nu * deg(R) < q for a collision-free assembly")
+        raise DomainError("need nu * deg(R) < q for a collision-free assembly")
     return Spectrum(tuple(nu * h + q * m for m in range(n) for h in R.freqs), q * n)
 
 
@@ -302,10 +304,12 @@ def end_to_end(E: IntervalSet, p: float, eps: float, *, theta: float = 0.5,
     an interval spectrum short enough that the assembled spectrum keeps
     gaps >= nu (possible only while deg(R) < q/nu; larger gap factors need
     the out-of-scope peaking construction and degrade the predicted ratio).
-    Raises BudgetError when no fraction up to q_max covers E.
+    Raises BudgetError when no fraction up to q_max covers E, and
+    DomainError on an asymmetric E unless ``require_symmetric`` is False.
     """
     if require_symmetric and not E.symmetric:
-        raise DomainError("end_to_end requires the symmetric flag on E")
+        raise DomainError("set is not reflection-symmetric (pass "
+                          "require_symmetric=False, or --allow-asymmetric, to proceed)")
     if not (1 < p < math.inf):
         raise DomainError(
             "only the peak-at-0 pathway is implemented, which needs finite p > 1; "

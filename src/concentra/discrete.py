@@ -47,7 +47,7 @@ __all__ = [
     "ConcentrationReport", "StarReport", "DirichletTable",
     "ratio", "concentration_ratio", "exact_gamma_sharp",
     "heuristic_gamma_sharp", "gamma_sharp", "dirichlet_table",
-    "exact_gamma_star", "star", "gamma1_decay_scan",
+    "exact_gamma_star", "star", "gamma1_decay_scan", "is_prime",
 ]
 
 EXHAUSTIVE_CAP = 26      # plain-grid cap: 2^(q-1) spectra after translation pruning
@@ -225,7 +225,8 @@ def _best_of(specs, dilate: bool, value):
     return top, min(fr for fr, v in finals.items() if v == top), len(finals)
 
 
-def _is_prime(q: int) -> bool:
+def is_prime(q: int) -> bool:
+    """Trial division: whether q is a prime."""
     if q < 2:
         return False
     f = 2
@@ -482,7 +483,7 @@ def gamma1_decay_scan(primes, *, exhaustive_cap: int = 19, restarts: int = 4,
         raise DomainError(f"need restarts >= 0, got {restarts}")
     rows = []
     for q in sorted(primes):
-        if q < 3 or not _is_prime(q):
+        if q < 3 or not is_prime(q):
             raise DomainError(f"decay scan needs primes >= 3, got {q}")
         dir_best = dirichlet_table(q, 1.0)
         rep = gamma_sharp(q, 1.0, exhaustive_cap=exhaustive_cap,

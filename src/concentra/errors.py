@@ -7,7 +7,3 @@ class DomainError(ValueError):
 
 class BudgetError(RuntimeError):
     """A search or evaluation exceeds its configured exhaustive budget."""
-
-
-class CollisionError(ValueError):
-    """A spectrum assembly produced a repeated frequency (not an idempotent)."""

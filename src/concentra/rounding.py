@@ -75,7 +75,7 @@ def _check(P: CoeffPoly, q: int, p: float, eps=None) -> None:
     if q < 2 or len(P.coeffs) > q:
         raise DomainError(f"need q >= 2 and polynomial degree < q, got q = {q}")
     if not P.nonneg:
-        raise DomainError("rounding needs a polynomial with the nonneg flag")
+        raise DomainError("rounding needs a nonnegative polynomial")
     if not (0 < p < np.inf):
         raise DomainError(f"need finite p > 0, got {p}")
     if eps is not None and not (0 < eps < 1):
@@ -95,11 +95,15 @@ def _verify(keep: np.ndarray, Pv: np.ndarray, p: float, eps: float):
 
 
 def normalize_peak(P: CoeffPoly) -> CoeffPoly:
-    """Rescale so the largest coefficient modulus is exactly 1."""
+    """Rescale so the largest coefficient modulus is 1: exactly 1 when that
+    coefficient is real, so normalizing twice changes nothing."""
     m = np.abs(P.coeffs).max(initial=0.0)
     if m == 0:
         raise DomainError("zero polynomial cannot be normalized")
-    return CoeffPoly(P.coeffs / m, nonneg=P.nonneg)
+    c = P.coeffs.copy()
+    c.real /= m           # the parts divided apart: complex division by m is inexact
+    c.imag /= m
+    return CoeffPoly(c)
 
 
 def hypothesis_constants(P: CoeffPoly, q: int, p: float) -> dict:
@@ -129,7 +133,7 @@ def bernoulli_round(P: CoeffPoly, seed: int) -> Spectrum:
     of the stream (seed, 0) falls below a_h.  Pure function of (P, seed).
     """
     if not P.nonneg:
-        raise DomainError("bernoulli_round needs the nonneg flag")
+        raise DomainError("bernoulli_round needs a nonnegative polynomial")
     keep = _draw(normalize_peak(P).coeffs.real, seed, 0)
     return Spectrum(tuple(int(h) for h in np.nonzero(keep)[0]), len(keep))
 
@@ -138,15 +142,14 @@ def verify_trial(P: CoeffPoly, Q: Spectrum, q: int, p: float,
                  eps: float) -> RoundingTrial:
     """Both rounding conclusions for one drawn idempotent Q against P.
 
-    P must already be peak-normalized (max coefficient 1), the same scaling
-    under which Q was drawn; margins are relative to the normalized P.
+    P is normalized to peak 1, the scaling under which ``bernoulli_round``
+    draws Q; margins are relative to the normalized P.
     """
     _check(P, q, p, eps)
     if Q.degree_bound > q:
         raise DomainError("degree bound of Q must be <= q")
-    if abs(np.abs(P.coeffs).max(initial=0.0) - 1.0) > 1e-9:
-        raise DomainError("P must be peak-normalized (max coefficient 1)")
-    margin, dev, ok = _verify(to_coeffs(Q).coeffs, eval_grid(P, Grid(q)), p, eps)
+    Pv = eval_grid(normalize_peak(P), Grid(q))
+    margin, dev, ok = _verify(to_coeffs(Q).coeffs, Pv, p, eps)
     return RoundingTrial(Q, margin, dev, ok)
 
 

@@ -62,21 +62,17 @@ class Spectrum:
 
 @dataclass(frozen=True, eq=False)
 class CoeffPoly:
-    """Dense complex coefficient sequence a_0..a_{d-1}.
-
-    ``nonneg`` asserts the positive-definite subclass: all coefficients real
-    and >= 0 (enforced at construction).
-    """
+    """Dense complex coefficient sequence a_0..a_{d-1}."""
 
     coeffs: np.ndarray
-    nonneg: bool = False
 
     def __post_init__(self):
-        c = np.asarray(self.coeffs, dtype=np.complex128)
-        object.__setattr__(self, "coeffs", c)
-        if self.nonneg:
-            if np.any(c.imag != 0) or np.any(c.real < 0):
-                raise DomainError("nonneg flag set but coefficients are not real >= 0")
+        object.__setattr__(self, "coeffs", np.asarray(self.coeffs, dtype=np.complex128))
+
+    @property
+    def nonneg(self) -> bool:
+        """True on the positive-definite subclass: every coefficient real and >= 0."""
+        return bool(np.all((self.coeffs.imag == 0) & (self.coeffs.real >= 0)))
 
     def __len__(self):
         return len(self.coeffs)
@@ -120,7 +116,7 @@ def to_coeffs(s: Spectrum) -> CoeffPoly:
     c = np.zeros(s.degree_bound, dtype=np.complex128)
     if s.freqs:
         c[np.asarray(s.freqs)] = 1.0
-    return CoeffPoly(c, nonneg=True)
+    return CoeffPoly(c)
 
 
 def eval_point(p: CoeffPoly, x) -> complex:
@@ -169,14 +165,12 @@ def fold_power(p: CoeffPoly, L: int, q: int) -> CoeffPoly:
     Computed as values -> pointwise L-th power -> inverse transform.  For a
     nonnegative input the folded coefficients are convolution powers summed
     over residues, hence >= 0 up to transform noise; dust below 1e-9 of the
-    peak is clamped to zero so the nonneg flag survives.
+    peak is clamped to zero so the result stays nonnegative.
     """
     if L < 1:
         raise DomainError("power L must be >= 1")
     if not p.nonneg:
-        c = p.coeffs
-        if np.any((c != 0) & (c != 1)):
-            raise DomainError("fold_power needs a nonneg or 0/1 polynomial")
+        raise DomainError("fold_power needs a nonnegative polynomial")
     vals = eval_grid(p, Grid(q)) ** L
     coeffs = np.fft.fft(vals) / q
     peak = np.abs(coeffs).max()
@@ -186,4 +180,4 @@ def fold_power(p: CoeffPoly, L: int, q: int) -> CoeffPoly:
     im_ok = np.abs(coeffs.imag).max() <= tol
     if not im_ok or np.any(re < 0):
         raise DomainError("folded power has non-clampable negative/complex residue")
-    return CoeffPoly(re.astype(np.complex128), nonneg=True)
+    return CoeffPoly(re.astype(np.complex128))

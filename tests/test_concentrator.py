@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from concentra import concentrator as conc
-from concentra.errors import BudgetError, CollisionError, DomainError
+from concentra.errors import BudgetError, DomainError
 from concentra.rounding import bernoulli_round
 from concentra.trigpoly import Spectrum, dirichlet_value, eval_point, fold_power, to_coeffs
 
@@ -29,6 +29,10 @@ class TestIntervalSet:
         conc.IntervalSet(((0.30, 0.35), (0.65, 0.70)), symmetric=True)
         conc.IntervalSet(((0.0, 1.0),), symmetric=True)
         conc.IntervalSet(((0.4, 0.6),), symmetric=True)
+
+    def test_symmetric_is_computed(self):
+        assert conc.IntervalSet(((0.30, 0.35), (0.65, 0.70))).symmetric
+        assert not conc.IntervalSet(((0.1, 0.2),)).symmetric
 
     def test_measure_and_overlap(self):
         assert E_TWO.measure() == pytest.approx(0.1)
@@ -130,12 +134,12 @@ class TestAssembly:
             assert abs(lhs - rhs) <= 1e-9 * 12
 
     def test_collision_rejected(self):
-        with pytest.raises(CollisionError):
+        with pytest.raises(DomainError):
             conc.build_Q(Spectrum((0, 7), 8), 3, 7)
 
     def test_gap_factor_assembly(self):
         assert conc.build_Q(Spectrum((0, 2), 7), 3, 7, nu=3).freqs == (0, 6, 7, 13, 14, 20)
-        with pytest.raises(CollisionError):
+        with pytest.raises(DomainError):
             conc.build_Q(Spectrum((0, 3), 7), 2, 7, nu=3)
 
 
@@ -341,6 +345,11 @@ class TestEndToEnd:
         assert res.spectrum.min_gap() >= 3
         assert res.report.ratio >= 0.9 * res.predicted_ratio * (1 - 0.05) ** 2
         assert res.pathway == "dirichlet-peak-gapped"
+
+    def test_unflagged_symmetric_set_runs(self):
+        res = conc.end_to_end(conc.IntervalSet(E_TWO.intervals), 2.0, 0.05)
+        ref = conc.end_to_end(E_TWO, 2.0, 0.05)
+        assert (res.plan, res.report) == (ref.plan, ref.report)
 
     def test_requires_symmetric(self):
         E = conc.IntervalSet(((0.1, 0.2),))

@@ -358,6 +358,10 @@ class TestStarSearch:
 
 
 class TestDecayScan:
+    def test_is_prime(self):
+        assert [q for q in range(30) if discrete.is_prime(q)] == [
+            2, 3, 5, 7, 11, 13, 17, 19, 23, 29]
+
     def test_small_primes(self):
         rows = discrete.gamma1_decay_scan([5, 3, 7], exhaustive_cap=19)
         assert [r["q"] for r in rows] == [3, 5, 7]

@@ -15,7 +15,7 @@ def folded_kernel_power(n, L, q):
 
 class TestHypotheses:
     def test_constant_poly_fails_first(self):
-        P = CoeffPoly(np.array([1.0 + 0j]), nonneg=True)
+        P = CoeffPoly(np.array([1.0 + 0j]))
         consts = rounding.hypothesis_constants(P, 10, 2.0)
         assert consts["c_cond_c"] < 0.5
 
@@ -58,14 +58,14 @@ class TestBernoulliRound:
         c = np.zeros(9)
         c[[1, 4, 6]] = 3.5
         for seed in (0, 7):
-            out = rounding.bernoulli_round(CoeffPoly(c.astype(complex), nonneg=True), seed)
+            out = rounding.bernoulli_round(CoeffPoly(c.astype(complex)), seed)
             assert out.freqs == (1, 4, 6)
 
     def test_unbiased_coefficientwise(self, rng):
         q = 50
         alpha = rng.uniform(0, 1, size=q)
         alpha[rng.integers(0, q)] = 1.0
-        P = CoeffPoly(alpha.astype(complex), nonneg=True)
+        P = CoeffPoly(alpha.astype(complex))
         counts = np.zeros(q)
         trials = 10_000
         for seed in range(trials):
@@ -79,11 +79,19 @@ class TestBernoulliRound:
         P = rounding.normalize_peak(folded_kernel_power(20, 2, 97))
         assert rounding.bernoulli_round(P, 5).freqs == rounding.bernoulli_round(P, 5).freqs
 
+    def test_nonneg_is_computed(self):
+        # a nonnegative polynomial is accepted as it stands: no flag to set
+        P = CoeffPoly(np.array([0.5, 1.0, 0.25]))
+        assert P.nonneg and not CoeffPoly(np.array([1, 1j])).nonneg
+        assert rounding.bernoulli_round(P, 0).degree_bound == 3
+        assert rounding.monte_carlo(P, 5, 2.0, 0.5, 3, 0).trials == 3
+        assert rounding.hypothesis_constants(P, 5, 2.0)["sigma"] == 1.75
+
     def test_requires_nonneg(self):
         with pytest.raises(DomainError):
             rounding.bernoulli_round(CoeffPoly(np.array([1j, 1.0])), 0)
         with pytest.raises(DomainError):
-            rounding.bernoulli_round(CoeffPoly(np.zeros(3, complex), nonneg=True), 0)
+            rounding.bernoulli_round(CoeffPoly(np.zeros(3, complex)), 0)
 
     def test_seeds_above_2_63_draw_distinct_streams(self):
         a = rounding._stream(2**64 - 2, 0).random(4)
@@ -110,10 +118,11 @@ class TestVerifyTrial:
         P1 = abs(eval_point(P, 1 / q))
         assert abs(tr.mean_dev - dev / P1) <= 1e-9
 
-    def test_normalization_required(self):
+    def test_normalizes_P(self):
         P = folded_kernel_power(10, 2, 51)     # peak is 10, not 1
-        with pytest.raises(DomainError):
-            rounding.verify_trial(P, Spectrum((0,), 51), 51, 2.0, 0.1)
+        Q = rounding.bernoulli_round(P, 3)
+        assert (rounding.verify_trial(P, Q, 51, 2.0, 0.1)
+                == rounding.verify_trial(rounding.normalize_peak(P), Q, 51, 2.0, 0.1))
 
 
 class TestMonteCarlo:
@@ -133,7 +142,7 @@ class TestMonteCarlo:
             rounding.monte_carlo(P, 5, 2.0, 0.1, 5, 0)
 
     def test_empty_polynomial_rejected(self):
-        P = CoeffPoly(np.zeros(0, complex), nonneg=True)
+        P = CoeffPoly(np.zeros(0, complex))
         with pytest.raises(DomainError):
             rounding.monte_carlo(P, 5, 2.0, 0.1, 5, 0)
         with pytest.raises(DomainError):

@@ -34,6 +34,18 @@ def test_no_orphaned_private_functions():
     assert sorted(private - used) == []
 
 
+def test_no_private_attribute_reads():
+    # a module reads its own private names and those of self or cls, never
+    # the private attributes of another object or module
+    hits = [f"{path.name}:{node.lineno} {ast.unparse(node)}"
+            for path in sorted((ROOT / "src" / "concentra").glob("*.py"))
+            for node in ast.walk(ast.parse(path.read_text()))
+            if isinstance(node, ast.Attribute) and node.attr.startswith("_")
+            and not (node.attr.startswith("__") and node.attr.endswith("__"))
+            and not (isinstance(node.value, ast.Name) and node.value.id in ("self", "cls"))]
+    assert hits == []
+
+
 def test_grid_transform_only_in_trigpoly():
     # grid evaluation has one implementation, eval_grid, checked against
     # eval_point and counted by the benchmark's span on it

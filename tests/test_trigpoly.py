@@ -159,6 +159,13 @@ class TestFoldPower:
         want = eval_point(to_coeffs(Spectrum((0, 1, 2), 3)), Grid(4).points()) ** 3
         assert np.max(np.abs(vals - want)) <= 1e-9
 
+    def test_precondition_is_nonneg(self):
+        P = CoeffPoly(np.array([0.5, 1.0, 0.25]))
+        out = fold_power(P, 2, 5)
+        assert np.allclose(out.coeffs.real, np.convolve(P.coeffs.real, P.coeffs.real))
+        with pytest.raises(DomainError):
+            fold_power(CoeffPoly(np.array([1, 1j])), 2, 4)
+
     def test_nonneg_preserved(self):
         out = fold_power(to_coeffs(Spectrum(tuple(range(50)), 200)), 3, 200)
         assert out.nonneg
