@@ -49,7 +49,6 @@ __all__ = [
     "eval_B", "eval_A", "minimize_over_t",
     "gamma2_sharp", "gamma4_sharp_lower", "gamma_sharp_lower",
     "asymptote_scan", "gamma_star_lower", "gamma1_certified_lower",
-    "K_upper", "zeta_value",
 ]
 
 EPS = 2.0 ** -53
@@ -109,17 +108,6 @@ def _ln_zeta_tail(lam: float, n: int) -> float:
     base = (1 - lam) * math.log(fn) - math.log(lam - 1)
     rel = (lam - 1) / (2 * fn) + lam * (lam - 1) / (12 * fn * fn)
     return base + math.log1p(rel)
-
-
-def zeta_value(lam: float) -> float:
-    """zeta(lam) by direct summation with an integral tail correction."""
-    if lam <= 1:
-        raise DomainError("zeta needs lam > 1")
-    n = 4096
-    k = np.arange(1, n, dtype=np.float64)
-    head = math.fsum((k ** -lam).tolist())
-    t, _ = _zeta_tail(lam, n)
-    return head + t
 
 
 def _domain_tail(lam: float, K: int, odd: bool):
@@ -556,12 +544,3 @@ def gamma1_certified_lower(r: float) -> ConstantResult:
                      "sum (2k+1)^-lam -> 1 as lam -> inf; the s-factor 1 "
                      "is consistent with that limit")}
     return ConstantResult(value, None, cert)
-
-
-def K_upper(lam: float, t: float) -> float:
-    """Coarse explicit majorant (pi/2)^lam + 2 zeta(lam) t^-lam of B(lam, t)."""
-    if lam <= 1:
-        raise DomainError("needs lam > 1")
-    if not (0 < t <= 0.5):
-        raise DomainError("needs t in (0, 1/2]")
-    return (math.pi / 2) ** lam + 2 * zeta_value(lam) * t ** -lam

@@ -54,7 +54,7 @@ EXHAUSTIVE_CAP = 26      # plain-grid cap: 2^(q-1) spectra after translation pru
 STAR_CAP = 11            # half-grid cap: 2^(2q-1) spectra
 _LO = 16                 # low mask bits: one scan batch is 2^16 spectra
 _NEAR = 1e-7             # candidate slack before exact re-evaluation
-ALGORITHM_VERSION = 5    # in the search cache key; bump when an answer may change
+ALGORITHM_VERSION = 6    # in the search cache key; bump when an answer may change
 
 
 @dataclass(frozen=True)
@@ -89,7 +89,15 @@ class DirichletTable:
     best: float
 
 
-def _pow_abs(m: np.ndarray, p: float) -> np.ndarray:
+def _pow_abs(m: np.ndarray, p: float, n: int) -> np.ndarray:
+    """m^p for the moduli ``m`` of grid values on an n-point grid, for a
+    grid score: a ratio of such powers summed along the last axis.
+
+    |f| <= n there, so the plain power cannot overflow while p ln n < 700.
+    Above that guard, a row whose plain power sum is not finite is divided
+    by its maximum before the power, which leaves its ratios unchanged;
+    every other row is the plain power.
+    """
     if p == 1.0:
         return m
     if p == 2.0:
@@ -97,7 +105,15 @@ def _pow_abs(m: np.ndarray, p: float) -> np.ndarray:
     if p == 4.0:
         m2 = m * m
         return m2 * m2
-    return m ** p
+    if p * math.log(n) < 700:
+        return m ** p
+    with np.errstate(over="ignore"):
+        mp = m ** p
+    big = ~np.isfinite(mp.sum(axis=-1))
+    if np.any(big):
+        top = m[big]
+        mp[big] = (top / top.max(axis=-1, keepdims=True)) ** p
+    return mp
 
 
 def _pow_sq(a2: np.ndarray, p: float) -> np.ndarray:
@@ -113,7 +129,7 @@ def ratio(values: np.ndarray, p: float, target: int) -> float:
     q = len(values)
     if not (1 <= target < q):
         raise DomainError(f"target must lie in [1, {q-1}]")
-    mp = _pow_abs(np.abs(values), p)
+    mp = _pow_abs(np.abs(values), p, q)
     denom = float(np.sum(mp))
     if denom == 0.0:
         return 0.0
@@ -264,7 +280,7 @@ def exact_gamma_sharp(q: int, p: float, use_pruning: bool = True) -> Concentrati
     w = _half_weights(q)
 
     def score(V):
-        mp = _pow_abs(np.abs(V), p)
+        mp = _pow_abs(np.abs(V), p, q)
         return 2.0 * mp[:, units] / (mp @ w)[:, None]
 
     W = _canonical_weights(q) if use_pruning else None
@@ -286,7 +302,7 @@ def dirichlet_table(q: int, p: float) -> DirichletTable:
     M = np.empty((q - 1, q))
     M[:, 0] = n
     M[:, 1:] = np.abs(np.sin(np.pi * np.outer(n, k) / q)) / s[None, :]
-    mp = _pow_abs(M, p)
+    mp = _pow_abs(M, p, q)
     ratios = 2.0 * mp[:, 1] / mp.sum(axis=1)
     i = int(np.argmax(ratios))
     rows = tuple((int(nn), float(rr)) for nn, rr in zip(n, ratios))
@@ -417,7 +433,7 @@ def star(spec: Spectrum, p: float, K: float):
     grid, Q = ``spec.degree_bound``: the half-grid level at control constant K."""
     Q = spec.degree_bound
     vals = eval_grid(to_coeffs(spec), Grid(Q))
-    mp = _pow_abs(np.abs(vals), p)
+    mp = _pow_abs(np.abs(vals), p, Q)
     num = 2.0 * float(mp[1])
     ds = float(mp[1::2].sum())
     dp = float(mp[0::2].sum())
@@ -451,7 +467,7 @@ def exact_gamma_star(q: int, p: float, K: float = 1e4,
     w_odd, w_even = w * odd, w * (1 - odd)
 
     def score(V):
-        mp = _pow_abs(np.abs(V), p)
+        mp = _pow_abs(np.abs(V), p, Q)
         num = 2.0 * mp[:, 1]
         d_star = mp @ w_odd
         d_plain = mp @ w_even

@@ -26,6 +26,7 @@ __all__ = [
 ]
 
 _BLOCK = 1024            # moment_check trials drawn from each Philox stream
+_BLOCK_BYTES = 16 << 20  # monte_carlo draws per stacked eval_grid: 8 rows at q = 120011
 
 
 @dataclass(frozen=True)
@@ -63,11 +64,12 @@ def _stream(seed: int, index: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(key=key))
 
 
-def _draw(alpha: np.ndarray, seed: int, index: int, rows=None) -> np.ndarray:
-    """Keep mask u < alpha of uniforms u from the Philox stream (seed, index):
-    one draw, or ``rows`` consecutive draws as the rows of a matrix."""
-    size = len(alpha) if rows is None else (rows, len(alpha))
-    return _stream(seed, index).random(size) < alpha
+def _draw(alpha: np.ndarray, seed: int, index: int, out=None) -> np.ndarray:
+    """Keep mask u < alpha of uniforms u from the Philox stream (seed, index),
+    drawn into ``out``: one draw, or one per row of a matrix ``out``."""
+    if out is None:
+        out = np.empty(len(alpha))
+    return _stream(seed, index).random(out=out) < alpha
 
 
 def _check(P: CoeffPoly, q: int, p: float, eps=None) -> None:
@@ -82,13 +84,12 @@ def _check(P: CoeffPoly, q: int, p: float, eps=None) -> None:
         raise DomainError(f"need 0 < epsilon < 1, got {eps}")
 
 
-def _verify(keep: np.ndarray, Pv: np.ndarray, p: float, eps: float):
-    """(at-point margin, ell^p deviation, success) of the idempotent with 0/1
-    coefficients ``keep`` against the grid values ``Pv`` of P."""
+def _verify(Qv: np.ndarray, Pv: np.ndarray, p: float, eps: float):
+    """(at-point margin, ell^p deviation, success) of the idempotent with
+    grid values ``Qv`` against the grid values ``Pv`` of P."""
     P1 = float(abs(Pv[1]))
     if P1 == 0:
         raise DomainError("|P(1/q)| vanishes; margins undefined")
-    Qv = eval_grid(CoeffPoly(keep), Grid(len(Pv)))
     margin = float(abs(Qv[1])) / P1 - (1.0 - eps)
     dev = float(np.sum(np.abs(Qv - Pv) ** p)) ** (1.0 / p) / P1
     return margin, dev, margin >= 0 and dev <= eps
@@ -149,28 +150,38 @@ def verify_trial(P: CoeffPoly, Q: Spectrum, q: int, p: float,
     if Q.degree_bound > q:
         raise DomainError("degree bound of Q must be <= q")
     Pv = eval_grid(normalize_peak(P), Grid(q))
-    margin, dev, ok = _verify(to_coeffs(Q).coeffs, Pv, p, eps)
+    margin, dev, ok = _verify(eval_grid(to_coeffs(Q), Grid(q)), Pv, p, eps)
     return RoundingTrial(Q, margin, dev, ok)
 
 
 def monte_carlo(P: CoeffPoly, q: int, p: float, eps: float, trials: int,
                 seed: int) -> MonteCarloReport:
     """Empirical success frequency of the rounding over independent trials:
-    trial i is ``verify_trial`` of the draw from the stream (seed, i)."""
+    trial i is ``verify_trial`` of the draw from the stream (seed, i).
+
+    The draws of a block of trials fill the rows of one buffer, evaluated by
+    one stacked ``eval_grid`` call; each row's arithmetic is that of the
+    trial alone, so the report does not depend on the block size.
+    """
     _check(P, q, p, eps)
     if trials < 1:
         raise DomainError("success frequency undefined for trials < 1")
     Pn = normalize_peak(P)
+    alpha = Pn.coeffs.real
     Pv = eval_grid(Pn, Grid(q))
-    margins = np.empty(trials)
-    devs = np.empty(trials)
-    succ = 0
-    for i in range(trials):
-        margins[i], devs[i], ok = _verify(_draw(Pn.coeffs.real, seed, i), Pv, p, eps)
-        succ += ok
+    rows = min(trials, max(1, _BLOCK_BYTES // (16 * q)))
+    buf = np.zeros((rows, q), dtype=np.complex128)
+    runs = []
+    for start in range(0, trials, rows):
+        block = buf[:min(rows, trials - start)]
+        for i, row in enumerate(block, start):
+            row[:len(alpha)] = _draw(alpha, seed, i)
+        # a comprehension, so the block's grid values are freed before the next
+        runs += [_verify(Qv, Pv, p, eps) for Qv in eval_grid(CoeffPoly(block), Grid(q))]
+    margins, devs, oks = zip(*runs)
     q10, q50, q90 = np.quantile(devs, [0.1, 0.5, 0.9])
-    return MonteCarloReport(q, p, eps, trials, seed, succ / trials,
-                            float(margins.mean()),
+    return MonteCarloReport(q, p, eps, trials, seed, sum(oks) / trials,
+                            float(np.mean(margins)),
                             {"q10": float(q10), "q50": float(q50), "q90": float(q90)})
 
 
@@ -194,10 +205,11 @@ def moment_check(b, alpha, p: float, trials: int, seed: int) -> MomentReport:
     if trials < 1:
         raise DomainError("need trials >= 1")
     total = 0.0
+    buf = np.empty((min(_BLOCK, trials), len(alpha)))
     for bi, start in enumerate(range(0, trials, _BLOCK)):
         nblk = min(_BLOCK, trials - start)
-        X = _draw(alpha, seed, bi, nblk).astype(np.float64)
-        S = (X - alpha[None, :]) @ b
+        X = buf[:nblk]      # the uniforms, then the centred draws
+        S = np.subtract(_draw(alpha, seed, bi, X), alpha, out=X) @ b
         total += float(np.sum(np.abs(S) ** p))
     sigma = float(alpha.sum())
     emp = total / trials

@@ -20,7 +20,7 @@ from .errors import DomainError
 
 __all__ = [
     "Spectrum", "CoeffPoly", "Grid",
-    "dirichlet_value", "to_coeffs", "eval_point", "eval_grid",
+    "to_coeffs", "eval_point", "eval_grid",
     "fold_power",
 ]
 
@@ -92,25 +92,6 @@ class Grid:
         return np.arange(self.q) / self.q
 
 
-def dirichlet_value(n: int, x) -> complex:
-    """Value of the n-term geometric kernel sum_{v<n} e(v x).
-
-    Equals e^{i pi (n-1) x} sin(pi n x)/sin(pi x), with the removable
-    singularity at integer x filled in exactly by n.  Accepts scalars or
-    arrays (returns an array for array input).
-    """
-    if n < 1:
-        raise DomainError("n must be >= 1")
-    x = np.asarray(x, dtype=np.float64)
-    s = np.sin(np.pi * x)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        val = np.exp(1j * np.pi * (n - 1) * x) * np.sin(np.pi * n * x) / s
-    val = np.where(s == 0.0, complex(n), val)
-    if val.ndim == 0:
-        return complex(val)
-    return val
-
-
 def to_coeffs(s: Spectrum) -> CoeffPoly:
     """0/1 coefficient sequence of the idempotent with support ``s``."""
     c = np.zeros(s.degree_bound, dtype=np.complex128)
@@ -139,24 +120,31 @@ def eval_point(p: CoeffPoly, x) -> complex:
 
 
 def _fold_mod(coeffs: np.ndarray, q: int) -> np.ndarray:
-    """Reduce a coefficient sequence mod q: index h contributes at h mod q."""
-    out = np.zeros(q, dtype=np.complex128)
-    if len(coeffs) <= q:
-        out[: len(coeffs)] = coeffs
+    """Reduce coefficient sequences mod q along the last axis, into a new
+    array: index h contributes at h mod q."""
+    d = coeffs.shape[-1]
+    out = np.zeros(coeffs.shape[:-1] + (q,), dtype=np.complex128)
+    if d <= q:
+        out[..., :d] = coeffs
     else:
-        np.add.at(out, np.arange(len(coeffs)) % q, coeffs)
+        np.add.at(out.T, np.arange(d) % q, coeffs.T)
     return out
 
 
 def eval_grid(p: CoeffPoly, g: Grid) -> np.ndarray:
     """Values f(k/q), 0 <= k < q, from a size-q discrete Fourier transform.
 
-    Coefficients with index >= q alias: index h lands on h mod q.
+    Coefficients with index >= q alias: index h lands on h mod q.  A 2-D
+    coefficient array is a stack of polynomials, one per row; it gives one
+    row of grid values per row, each bit-identical to that row evaluated
+    alone, from one transform call (one transform plan for the stack).
     """
     q = g.q
     folded = _fold_mod(p.coeffs, q)
-    # values[k] = sum_h c_h e(hk/q) = q * ifft(c)[k]
-    return np.fft.ifft(folded) * q
+    # values[k] = sum_h c_h e(hk/q) = q * ifft(c)[k], in place in the fold
+    np.fft.ifft(folded, out=folded)
+    folded *= q
+    return folded
 
 
 def fold_power(p: CoeffPoly, L: int, q: int) -> CoeffPoly:

@@ -1,8 +1,11 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import settings
 
 from concentra.discrete import concentration_ratio
+from concentra.errors import DomainError
 from concentra.trigpoly import Spectrum
 
 # every run draws the same examples; each test keeps its own max_examples
@@ -52,3 +55,38 @@ def brute_force_gamma_sharp(q: int, p: float):
         if v > top or (v == top and fr < witness):
             top, witness = v, fr
     return top, witness
+
+
+def dirichlet_value(n: int, x) -> complex:
+    """Value of the n-term geometric kernel sum_{v<n} e(v x), from the closed
+    form e^{i pi (n-1) x} sin(pi n x)/sin(pi x); the removable singularity at
+    integer x is filled in exactly by n.  Scalars or arrays."""
+    if n < 1:
+        raise DomainError("n must be >= 1")
+    x = np.asarray(x, dtype=np.float64)
+    s = np.sin(np.pi * x)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        val = np.exp(1j * np.pi * (n - 1) * x) * np.sin(np.pi * n * x) / s
+    val = np.where(s == 0.0, complex(n), val)
+    if val.ndim == 0:
+        return complex(val)
+    return val
+
+
+def zeta_value(lam: float) -> float:
+    """zeta(lam): 4095 terms summed exactly rounded, plus the Euler-Maclaurin
+    tail n^(1-lam)/(lam-1) + n^-lam/2 + lam n^(-lam-1)/12 at n = 4096."""
+    if lam <= 1:
+        raise DomainError("zeta needs lam > 1")
+    n = 4096
+    head = math.fsum(k ** -lam for k in range(1, n))
+    return head + n ** (1 - lam) / (lam - 1) + 0.5 * n ** -lam + lam * n ** (-lam - 1) / 12
+
+
+def K_upper(lam: float, t: float) -> float:
+    """Coarse explicit majorant (pi/2)^lam + 2 zeta(lam) t^-lam of B(lam, t)."""
+    if lam <= 1:
+        raise DomainError("needs lam > 1")
+    if not (0 < t <= 0.5):
+        raise DomainError("needs t in (0, 1/2]")
+    return (math.pi / 2) ** lam + 2 * zeta_value(lam) * t ** -lam

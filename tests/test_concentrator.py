@@ -9,7 +9,8 @@ from hypothesis import given, settings, strategies as st
 from concentra import concentrator as conc
 from concentra.errors import BudgetError, DomainError
 from concentra.rounding import bernoulli_round
-from concentra.trigpoly import Spectrum, dirichlet_value, eval_point, fold_power, to_coeffs
+from concentra.trigpoly import Spectrum, eval_point, fold_power, to_coeffs
+from conftest import dirichlet_value
 
 E_TWO = conc.IntervalSet(((0.30, 0.35), (0.65, 0.70)), symmetric=True)
 

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -292,6 +293,27 @@ class TestDirichletTable:
         t = discrete.dirichlet_table(17, 2.0)
         e = discrete.exact_gamma_sharp(17, 2.0)
         assert t.best <= e.ratio + 1e-12
+
+    def test_large_p_rows_are_finite(self):
+        # |M|^150 overflows in most rows at q = 1009; those rows are divided
+        # by their maximum first, and every row whose plain power sum is
+        # finite keeps its plain ratio bit for bit
+        q, p = 1009, 150.0
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            t = discrete.dirichlet_table(q, p)
+        n, k = np.arange(1, q), np.arange(1, q)
+        M = np.column_stack([n, np.abs(np.sin(np.pi * np.outer(n, k) / q))
+                             / np.sin(np.pi * k / q)])
+        with np.errstate(invalid="ignore", over="ignore"):
+            sums = (M ** p).sum(axis=1)
+            plain = 2.0 * M[:, 1] ** p / sums
+        ok = np.isfinite(sums)      # elsewhere the plain ratio is nan or a spurious 0
+        ratios = np.array([r for _, r in t.rows])
+        assert np.all(np.isfinite(ratios)) and 0 < np.sum(ok) < q - 1
+        assert np.array_equal(ratios[ok], plain[ok])
+        assert t.best_n == 45
+        assert t.best == pytest.approx(0.4842269, abs=1e-7)
 
     def test_large_prime_log_shape(self):
         t = discrete.dirichlet_table(1009, 1.0)

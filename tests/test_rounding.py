@@ -170,6 +170,40 @@ class TestMonteCarlo:
         b = rounding.monte_carlo(P, 127, 3.0, 0.3, 40, 9)
         assert a == b
 
+    def test_each_trial_is_verify_trial_of_its_stream(self):
+        # 2^17 points hold a few trials per block: 17 trials span two full
+        # blocks and a partial one at 8 rows a block.  P is shorter than q,
+        # so the draws leave a zero tail on the grid.
+        q, seed, trials = 2 ** 17, 5, 17
+        P = rounding.normalize_peak(
+            CoeffPoly(folded_kernel_power(q // 4, 3, q).coeffs[: q - 1000]))
+        alpha = P.coeffs.real
+        runs = []
+        for i in range(trials):
+            u = np.random.Generator(np.random.Philox(key=[seed, i])).random(len(alpha))
+            Q = Spectrum(tuple(np.nonzero(u < alpha)[0].tolist()), q)
+            runs.append(rounding.verify_trial(P, Q, q, 3.0, 0.2))
+        rep = rounding.monte_carlo(P, q, 3.0, 0.2, trials, seed)
+        margins = np.array([r.at_point_margin for r in runs])
+        devs = np.array([r.mean_dev for r in runs])
+        assert rep.frequency == sum(r.success for r in runs) / trials
+        assert rep.mean_at_point_margin == float(margins.mean())
+        assert list(rep.mean_dev_quantiles.values()) == \
+            np.quantile(devs, [0.1, 0.5, 0.9]).tolist()
+
+    @pytest.mark.parametrize("n, q, eps, trials, seed, want", [
+        (30, 127, 0.3, 40, 9, ("0x0.0p+0", "0x1.44c667c6b0263p-2", "0x1.1ba6fcf9778f5p-1",
+                               "0x1.3182c427d9980p-1", "0x1.4acfe05d069c0p-1")),
+        (125, 499, 0.2, 200, 1, ("0x0.0p+0", "0x1.9eaa864c2bbd4p-3", "0x1.d3f9bb1442a9bp-2",
+                                 "0x1.e929c415b40e2p-2", "0x1.0170d22003e8dp-1")),
+    ])
+    def test_report_pinned(self, n, q, eps, trials, seed, want):
+        # frequency, mean margin and the q10/q50/q90 deviations, bit for bit
+        rep = rounding.monte_carlo(folded_kernel_power(n, 3, q), q, 3.0, eps, trials, seed)
+        got = (rep.frequency, rep.mean_at_point_margin, *rep.mean_dev_quantiles.values())
+        assert tuple(x.hex() for x in got) == want
+        assert (rep.q, rep.p, rep.epsilon, rep.trials, rep.seed) == (q, 3.0, eps, trials, seed)
+
     def test_variance_of_peak_value(self):
         # empirical variance of the rounded value at 1/q tracks sum a(1-a)
         q = 499

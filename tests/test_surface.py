@@ -48,10 +48,15 @@ def test_no_private_attribute_reads():
 
 def test_grid_transform_only_in_trigpoly():
     # grid evaluation has one implementation, eval_grid, checked against
-    # eval_point and counted by the benchmark's span on it
-    hits = sorted(path.name for path in (ROOT / "src" / "concentra").glob("*.py")
-                  if "ifft" in path.read_text())
-    assert hits == ["trigpoly.py"]
+    # eval_point and counted by the benchmark's span on it: every transform
+    # call is in trigpoly, but the one rfft of the torus integrals
+    hits = [(path.name, getattr(top, "name", None), ast.unparse(node.func))
+            for path in sorted((ROOT / "src" / "concentra").glob("*.py"))
+            if path.name != "trigpoly.py"
+            for top in ast.parse(path.read_text()).body
+            for node in ast.walk(top)
+            if isinstance(node, ast.Call) and "fft" in ast.unparse(node.func)]
+    assert hits == [("concentrator.py", "_integrals", "np.fft.rfft")]
 
 
 def test_search_policy_only_in_discrete():

@@ -4,8 +4,9 @@ import numpy as np
 import pytest
 
 from concentra.errors import DomainError
-from concentra.trigpoly import (CoeffPoly, Grid, Spectrum, dirichlet_value,
-                                eval_grid, eval_point, fold_power, to_coeffs)
+from concentra.trigpoly import (CoeffPoly, Grid, Spectrum, eval_grid, eval_point,
+                                fold_power, to_coeffs)
+from conftest import dirichlet_value
 
 
 def direct_kernel_sum(n, x):
@@ -97,6 +98,20 @@ class TestEvalGrid:
             got = eval_grid(p, g)
             want = eval_point(p, g.points())
             assert np.max(np.abs(got - want)) <= 1e-10 * max(scale, 1)
+
+    def test_stacked_rows_match_each_row_alone(self, rng):
+        # padded, exact-length and aliased rows; 4099 is prime, so the
+        # transform takes the Bluestein path
+        for q, d in ((17, 12), (17, 17), (16, 40), (4099, 4099)):
+            C = rng.normal(size=(5, d)) + 1j * rng.normal(size=(5, d))
+            before = C.copy()
+            got = eval_grid(CoeffPoly(C), Grid(q))
+            assert got.shape == (5, q) and np.array_equal(C, before)
+            for row, c in zip(got, C):
+                assert np.array_equal(row, eval_grid(CoeffPoly(c), Grid(q)))
+            for row, c in zip(got[:, :64], C):
+                want = eval_point(CoeffPoly(c), Grid(q).points()[:64])
+                assert np.max(np.abs(row - want)) <= 1e-9 * d
 
     def test_parseval(self, rng):
         for _ in range(50):
