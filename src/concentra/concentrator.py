@@ -246,8 +246,13 @@ def _integrals(Q: Spectrum, E: IntervalSet, p: float, N: int, even: bool):
     n, m = len(Q), len(E.intervals)
     D = int(p) // 2 * Q.freqs[-1] if even else (N - 1) // 2
     v = eval_grid(to_coeffs(Q), Grid(N))
-    g = (v.real ** 2 + v.imag ** 2) ** (p / 2)
-    gh = np.fft.rfft(g)[: D + 1].real / N
+    with np.errstate(over="ignore", invalid="ignore"):
+        g = (v.real ** 2 + v.imag ** 2) ** (p / 2)
+        gh = np.fft.rfft(g)[: D + 1].real / N
+    if not np.all(np.isfinite(gh)):     # gh[0] is the mean of g
+        # the integrals are absolute: no rescaling leaves them unchanged
+        raise DomainError(f"|Q|^p or its transform overflows a float at p = {p} "
+                          f"(max |Q|^p = {n}^p)")
     u, eps = 2.0 ** -53, 8 * 2.0 ** -53 * math.log2(max(N, 2))
     b = np.power(float(n), p / 2) * (p * eps * n ** -0.5 + (eps + (p + 5) * u) * abs(gh[0]) ** 0.5)
     if even and b < 0.5:

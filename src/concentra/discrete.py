@@ -54,7 +54,7 @@ EXHAUSTIVE_CAP = 26      # plain-grid cap: 2^(q-1) spectra after translation pru
 STAR_CAP = 11            # half-grid cap: 2^(2q-1) spectra
 _LO = 16                 # low mask bits: one scan batch is 2^16 spectra
 _NEAR = 1e-7             # candidate slack before exact re-evaluation
-ALGORITHM_VERSION = 6    # in the search cache key; bump when an answer may change
+ALGORITHM_VERSION = 7    # in the search cache key; bump when an answer may change
 
 
 @dataclass(frozen=True)
@@ -90,10 +90,12 @@ class DirichletTable:
 
 
 def _pow_abs(m: np.ndarray, p: float, n: int) -> np.ndarray:
-    """m^p for the moduli ``m`` of grid values on an n-point grid, for a
-    grid score: a ratio of such powers summed along the last axis.
+    """m^p for values 0 <= m <= n, for a grid score: a ratio of such powers
+    summed along the last axis.  The moduli of grid values on an n-point
+    grid are at most n; the ascent passes squared moduli, at most q^2, with
+    the exponent halved.
 
-    |f| <= n there, so the plain power cannot overflow while p ln n < 700.
+    The plain power cannot overflow while p ln n < 700.
     Above that guard, a row whose plain power sum is not finite is divided
     by its maximum before the power, which leaves its ratios unchanged;
     every other row is the plain power.
@@ -109,19 +111,11 @@ def _pow_abs(m: np.ndarray, p: float, n: int) -> np.ndarray:
         return m ** p
     with np.errstate(over="ignore"):
         mp = m ** p
-    big = ~np.isfinite(mp.sum(axis=-1))
+        big = ~np.isfinite(mp.sum(axis=-1))
     if np.any(big):
         top = m[big]
         mp[big] = (top / top.max(axis=-1, keepdims=True)) ** p
     return mp
-
-
-def _pow_sq(a2: np.ndarray, p: float) -> np.ndarray:
-    """|v|^p from squared moduli, in place; rounding dust below 0 is cut."""
-    if p == 2.0:
-        return a2
-    np.maximum(a2, 0.0, out=a2)
-    return np.sqrt(a2, out=a2) if p == 1.0 else np.power(a2, p / 2, out=a2)
 
 
 def ratio(values: np.ndarray, p: float, target: int) -> float:
@@ -352,14 +346,16 @@ def _ascend(q, p, E, start_set, max_steps=None):
     def rebuild():
         cur = E[members].sum(axis=0)
         a2 = cur.real * cur.real + cur.imag * cur.imag
-        return cur, a2, float(score(_pow_sq(a2.copy(), p)))
+        return cur, a2, float(score(_pow_abs(a2, p / 2, q * q)))
 
     cur, a2, cur_score = rebuild()
     for _ in range(max_steps):
         np.multiply(C2, cur.real, out=A)
         A += np.multiply(S2, cur.imag, out=T)
         A += a2 + 1.0
-        sc = score(_pow_sq(A, p))
+        if p != 2.0:
+            np.maximum(A, 0.0, out=A)     # rounding dust below 0
+        sc = score(_pow_abs(A, p / 2, q * q))
         evals += q
         h = int(np.argmax(sc))
         if sc[h] <= cur_score + 1e-15:

@@ -84,6 +84,20 @@ def _check(P: CoeffPoly, q: int, p: float, eps=None) -> None:
         raise DomainError(f"need 0 < epsilon < 1, got {eps}")
 
 
+def _lp_norm(m: np.ndarray, p: float) -> float:
+    """(sum |m|^p)^(1/p): the plain expression where that sum is finite and
+    positive, else that of m divided by its largest modulus, times it."""
+    a = np.abs(m)
+    with np.errstate(over="ignore"):
+        s = float(np.sum(a ** p))
+    if 0 < s < np.inf:
+        return s ** (1.0 / p)
+    top = float(a.max(initial=0.0))
+    if top == 0:
+        return 0.0
+    return top * float(np.sum((a / top) ** p)) ** (1.0 / p)
+
+
 def _verify(Qv: np.ndarray, Pv: np.ndarray, p: float, eps: float):
     """(at-point margin, ell^p deviation, success) of the idempotent with
     grid values ``Qv`` against the grid values ``Pv`` of P."""
@@ -91,7 +105,7 @@ def _verify(Qv: np.ndarray, Pv: np.ndarray, p: float, eps: float):
     if P1 == 0:
         raise DomainError("|P(1/q)| vanishes; margins undefined")
     margin = float(abs(Qv[1])) / P1 - (1.0 - eps)
-    dev = float(np.sum(np.abs(Qv - Pv) ** p)) ** (1.0 / p) / P1
+    dev = _lp_norm(Qv - Pv, p) / P1
     return margin, dev, margin >= 0 and dev <= eps
 
 
@@ -118,7 +132,7 @@ def hypothesis_constants(P: CoeffPoly, q: int, p: float) -> dict:
     sigma = float(a.sum())
     vals = eval_grid(P, Grid(q))
     P1 = float(abs(vals[1]))
-    lp = float(np.sum(np.abs(vals) ** p)) ** (1.0 / p)
+    lp = _lp_norm(vals, p)
     return {
         "c_cond_c": min(sigma / (q * float(a.max())), P1 / sigma) if sigma else 0.0,
         "c_concentr": P1 / lp if lp else 0.0,

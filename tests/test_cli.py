@@ -1,5 +1,6 @@
 import json
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -292,6 +293,7 @@ CONCENTRATE = ["concentrate", "--e-file", "{E}", "--epsilon", "0.05"]
     ["curve", "--which", "B", "--lam", "1600", "--points", "2"],
     ["curve", "--which", "A", "--lam", "2", "--t-min", "1e-300", "--t-max", "1e-300",
      "--points", "1"],
+    [*CONCENTRATE, "--p", "200"],
 ], ids=["search-p-nan", "search-p-inf", "star-p-nan", "heuristic-p-nan",
         "concentrate-p-nan", "concentrate-p-inf", "curve-lam-inf",
         "round-epsilon-negative", "round-p-nan", "decay-non-prime", "concentrate-nu-0",
@@ -303,7 +305,8 @@ CONCENTRATE = ["concentrate", "--e-file", "{E}", "--epsilon", "0.05"]
         "curve-points-negative", "curve-points-0", "curve-tol-0", "curve-tol-negative",
         "curve-tol-nan", "heuristic-restarts-negative", "decay-restarts-negative",
         "exhaustive-restarts-negative", "star-restarts-negative",
-        "curve-B-prefactor-overflow", "curve-A-series-overflow"])
+        "curve-B-prefactor-overflow", "curve-A-series-overflow",
+        "concentrate-power-overflow"])
 def test_bad_input_exits_2(argv, tmp_path, capsys):
     e = tmp_path / "E.json"
     e.write_text(json.dumps(E_WIDE))
@@ -313,6 +316,35 @@ def test_bad_input_exits_2(argv, tmp_path, capsys):
     argv = [a.replace("{E}", str(e)).replace("{DIR}", str(tmp_path)) for a in argv]
     code, _ = run([*argv, "--cache-dir", str(tmp_path)], capsys)
     assert code == 2
+
+
+class TestLargeP:
+    """|f|^p beyond a float: each command prints finite numbers or exits 2,
+    and no RuntimeWarning escapes."""
+
+    @staticmethod
+    def run_strict(argv, tmp_path, capsys):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            return run([*argv, "--cache-dir", str(tmp_path)], capsys)
+
+    @pytest.mark.parametrize("argv", [
+        ["search", "--q", "101", "--p", "400", "--restarts", "1"],
+        ["search", "--q", "31", "--p", "1000", "--restarts", "1"],
+        ["search", "--q", "211", "--p", "250.5", "--mode", "heuristic"],
+        ["round", "--q", "499", "--n", "100", "--L", "3", "--p", "400", "--epsilon", "0.2",
+         "--trials", "10", "--seed", "1"]])
+    def test_prints_finite_numbers(self, argv, tmp_path, capsys):
+        code, out = self.run_strict(argv, tmp_path, capsys)
+        assert code == 0
+        json.loads(out, parse_constant=pytest.fail)      # no NaN or Infinity
+
+    def test_concentrate_power_overflow_exits_2(self, tmp_path, capsys):
+        e = tmp_path / "E.json"
+        e.write_text(json.dumps(E_WIDE))
+        argv = [*CONCENTRATE, "--p", "200"]
+        code, _ = self.run_strict([a.replace("{E}", str(e)) for a in argv], tmp_path, capsys)
+        assert code == 2
 
 
 class TestReplay:

@@ -1,5 +1,6 @@
 import math
 import time
+import warnings
 from fractions import Fraction
 
 import numpy as np
@@ -272,6 +273,16 @@ class TestMeasure:
     def test_mesh_floor(self):
         with pytest.raises(DomainError):
             conc.measure(Spectrum((0, 1), 2), E_TWO, 2.0, mesh_per_unit_degree=2)
+
+    @pytest.mark.parametrize("p", [200.0, 201.0])
+    def test_power_overflow_is_a_domain_error(self, p):
+        # |Q(0)|^p = 41^p overflows a float; the integrals are absolute, so
+        # no rescaling keeps them: a DomainError, and no RuntimeWarning
+        Q = Spectrum(tuple(range(41)), 41)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            with pytest.raises(DomainError, match="overflows"):
+                conc.measure(Q, E_TWO, p)
 
     def test_richardson_estimate_covers_halving(self):
         # the mesh is used at p that is not even only

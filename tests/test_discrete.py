@@ -1,3 +1,4 @@
+import hashlib
 import math
 import warnings
 
@@ -5,7 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from concentra import discrete
+from concentra import bounds, discrete
 from concentra.errors import BudgetError, DomainError
 from concentra.trigpoly import Grid, Spectrum, eval_grid, to_coeffs
 from conftest import brute_force_gamma_sharp
@@ -233,6 +234,33 @@ class TestHeuristic:
         h = discrete.heuristic_gamma_sharp(q, p, restarts=4, seed=seed)
         assert h.ratio == pytest.approx(level, rel=1e-12, abs=0)
 
+    @pytest.mark.parametrize("q, p, ratio, evaluations, witness", [
+        (1009, 1.0, "0x1.99c030a25d914p-3", 283528, "0ba1981a53161a1a"),
+        (1009, 2.0, "0x1.d85fcdbbc214ep-2", 283528, "f2b2bac7f1e2f345"),
+        (101, 3.0, "0x1.f997695a213cdp-2", 21007, "8a70830017667bee"),
+        (499, 4.0, "0x1.fb58094a0b723p-2", 392213, "dbbe419a93c0ef57"),
+        (211, 2.5, "0x1.f231e2430b71dp-2", 74904, "d898efa045ddf808")])
+    def test_pinned_reports(self, q, p, ratio, evaluations, witness):
+        # below the guard of _pow_abs (p ln q < 700) the ascent's powers are
+        # the plain ones: ratio, witness and evaluations keep their bits
+        h = discrete.heuristic_gamma_sharp(q, p, restarts=4, seed=1)
+        digest = hashlib.sha256(repr(h.spectrum.freqs).encode()).hexdigest()[:16]
+        assert (h.ratio.hex(), h.evaluations, digest) == (ratio, evaluations, witness)
+
+    def test_large_p_walk_scores_its_end_point(self):
+        # p ln q >= 700, and from an interval of 8, |f(0)|^400 >= 7^400
+        # overflows a float: the ascent scales those rows by their maximum,
+        # as the exact scans do, so the walk's score is still the ratio of
+        # its end point, and no lower than that of its start
+        q, p, start = 101, 400.0, tuple(range(8))
+        E = discrete._half_table(q)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            members, score, _ = discrete._ascend(q, p, E, start)
+        here = discrete.concentration_ratio(Spectrum(tuple(members.tolist()), q), p, 1)
+        assert score == pytest.approx(here, rel=1e-12)
+        assert here >= discrete.concentration_ratio(Spectrum(start, q), p, 1)
+
     def test_dirichlet_rows_counted_once(self, monkeypatch):
         # with ascents that cost nothing, only the q - 1 table rows remain
         monkeypatch.setattr(discrete, "_ascend",
@@ -258,15 +286,15 @@ class TestAscentStep:
         E = np.exp(2j * np.pi * np.outer(k, k[:q // 2 + 1]) / q)
         flips = [tuple(sorted(set(H) ^ {h})) for h in range(q)]
         oracle = [discrete.concentration_ratio(Spectrum(f, q), p, 1) for f in flips]
-        tables, pow_sq = [], discrete._pow_sq
+        tables, pow_abs = [], discrete._pow_abs
 
-        def spy(a2, power):
+        def spy(a2, power, n):
             if a2.ndim == 2:
                 tables.append(a2.copy())
-            return pow_sq(a2, power)
+            return pow_abs(a2, power, n)
 
         with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(discrete, "_pow_sq", spy)
+            mp.setattr(discrete, "_pow_abs", spy)
             members, score, evals = discrete._ascend(q, p, E, H, max_steps=1)
         got = tuple(int(h) for h in members)
         here = discrete.concentration_ratio(Spectrum(got, q), p, 1)
@@ -315,9 +343,34 @@ class TestDirichletTable:
         assert t.best_n == 45
         assert t.best == pytest.approx(0.4842269, abs=1e-7)
 
+    def test_large_p_sum_does_not_warn(self):
+        # the powers are finite one by one but sum to inf in some rows: that
+        # sum is taken under the guard's errstate too
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            t = discrete.dirichlet_table(211, 250.5)
+        assert all(0 <= r <= 1 for _, r in t.rows) and t.best_n > 1
+
     def test_large_prime_log_shape(self):
         t = discrete.dirichlet_table(1009, 1.0)
         assert 0.1 < t.best * math.log(1009) < 10
+
+
+class TestGridToSeries:
+    """The interval table against the series level it converges to, 2 over
+    the minimum of B(p, t) over t, from ``bounds``, which shares no code
+    with the table."""
+
+    @pytest.mark.parametrize("p", [2.0, 3.0, 10.0, 150.0])
+    def test_table_converges_to_series(self, p):
+        # at p = 150, q = 1601 the table runs on the rows scaled by their maximum
+        m = bounds.minimize_over_t("B", p)
+        gaps = []
+        for q in (401, 1601):
+            t = discrete.dirichlet_table(q, p)
+            gaps.append(abs(t.best - 2 / m.value))
+            assert abs(t.best_n / q - m.t_star) <= 1 / q
+        assert gaps[0] <= 5e-5 and gaps[1] <= gaps[0] / 2
 
 
 class TestStarSearch:

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -97,6 +98,30 @@ class TestBernoulliRound:
         a = rounding._stream(2**64 - 2, 0).random(4)
         b = rounding._stream(2**64 - 3, 0).random(4)
         assert not np.array_equal(a, b)
+
+
+class TestLpNorm:
+    """The module's one ell^p norm, of deviations and of hypothesis (ii)."""
+
+    @pytest.mark.parametrize("p", [1.0, 2.5, 3.0, 9.0])
+    def test_plain_where_the_sum_is_finite(self, rng, p):
+        x = rng.normal(size=50) + 1j * rng.normal(size=50)
+        assert rounding._lp_norm(x, p) == float(np.sum(np.abs(x) ** p)) ** (1.0 / p)
+
+    @pytest.mark.parametrize("scale", [1e200, 1e-200])
+    def test_scale_free_where_the_sum_overflows_or_underflows(self, scale):
+        x = scale * np.array([3.0, 4.0j, 0.0])
+        assert rounding._lp_norm(x, 2.0) == pytest.approx(5.0 * scale, rel=1e-15)
+        assert rounding._lp_norm(np.zeros(3), 2.0) == 0.0
+
+    def test_large_p_concentration_constant(self):
+        # the sum of |P(k/q)|^150 overflows a float; c_concentr read 0
+        q, p = 499, 150.0
+        P = rounding.normalize_peak(folded_kernel_power(100, 3, q))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            consts = rounding.hypothesis_constants(P, q, p)
+        assert 0.8 < consts["c_concentr"] <= 1.0
 
 
 class TestVerifyTrial:

@@ -68,6 +68,33 @@ def test_search_policy_only_in_discrete():
     assert hits == ["__init__.py", "discrete.py"]
 
 
+def powers_of_p(path):
+    """The top-level function around each power whose exponent uses p: a
+    ``**`` or an ``np.power``/``math.pow``/``pow`` call."""
+    owners = set()
+    for top in ast.parse(path.read_text()).body:
+        for node in ast.walk(top):
+            if isinstance(node, ast.BinOp) and isinstance(node.op, ast.Pow):
+                exponent = node.right
+            elif (isinstance(node, ast.Call) and len(node.args) == 2
+                  and ast.unparse(node.func) in ("np.power", "math.pow", "pow")):
+                exponent = node.args[1]
+            else:
+                continue
+            if any(isinstance(n, ast.Name) and n.id == "p" for n in ast.walk(exponent)):
+                owners.add(getattr(top, "name", None))
+    return owners
+
+
+@pytest.mark.parametrize("module, owners", [
+    ("discrete.py", {"_pow_abs"}),
+    # moment_check forms a p-th moment, not a grid norm
+    ("rounding.py", {"_lp_norm", "moment_check"})])
+def test_one_power_rule_per_module(module, owners):
+    # |f|^p has one scale-free implementation in each module that forms it
+    assert powers_of_p(ROOT / "src" / "concentra" / module) == owners
+
+
 @pytest.mark.parametrize("module", MODULES)
 def test_all_names_resolve(module):
     mod = importlib.import_module(f"concentra.{module}")
