@@ -98,10 +98,7 @@ def run_search(inputs: dict) -> dict:
             out["K_sensitivity_witnesses"] = {k: r.spectrum for k, r in reps.items()
                                               if r is not rep}
         return out
-    # beyond EXHAUSTIVE_CAP, mode exhaustive keeps the exact scan's BudgetError
-    cap = {"auto": discrete.EXHAUSTIVE_CAP, "exhaustive": q, "heuristic": 0}[mode]
-    return to_jsonable(discrete.gamma_sharp(q, p, exhaustive_cap=cap,
-                                            restarts=inputs["restarts"],
+    return to_jsonable(discrete.gamma_sharp(q, p, mode=mode, restarts=inputs["restarts"],
                                             seed=inputs["seed"]))
 
 
@@ -153,9 +150,8 @@ def run_concentrate(inputs: dict, trace: list | None = None) -> dict:
 
 
 def run_decay(inputs: dict) -> dict:
-    rows = discrete.gamma1_decay_scan(inputs["primes"],
-                                      exhaustive_cap=inputs["exhaustive_cap"],
-                                      restarts=inputs["restarts"], seed=inputs["seed"])
+    rows = discrete.gamma1_decay_scan(inputs["primes"], restarts=inputs["restarts"],
+                                      seed=inputs["seed"])
     return {"rows": rows}
 
 
@@ -231,7 +227,7 @@ def _build_parser():
     s.add_argument("--q", type=int, required=True)
     s.add_argument("--p", type=float, required=True)
     s.add_argument("--mode", choices=["auto", "exhaustive", "heuristic", "star"],
-                   default="auto")
+                   default="auto", help=f"auto: exact up to q = {discrete.EXHAUSTIVE_CAP}")
     s.add_argument("--K", type=float, default=1e4)
     s.add_argument("--restarts", type=int, default=4)
     s.add_argument("--k-sensitivity", action="store_true",
@@ -269,7 +265,6 @@ def _build_parser():
                        help="integral-norm level decay table over primes")
     d.add_argument("--primes", default=None, help="comma-separated primes")
     d.add_argument("--primes-up-to", type=int, default=None)
-    d.add_argument("--exhaustive-cap", type=int, default=19)
     d.add_argument("--restarts", type=int, default=4)
 
     rp = sub.add_parser("replay", parents=[common],

@@ -33,7 +33,6 @@ __all__ = [
     "find_fraction", "choose_n", "build_Q", "measure", "end_to_end",
 ]
 
-_WITNESS_CAP = 18        # exhaustive witness search up to this q, heuristic beyond
 _SAMPLE_CAP = 1 << 25    # most samples one quadrature rule may take
 _SYMMETRY_TOL = 1e-12    # endpoint tolerance of the reflection x -> 1 - x
 
@@ -292,7 +291,7 @@ def measure(Q: Spectrum, E: IntervalSet, p: float,
 
 def _witness_for(q: int, p: float, target: int, seed: int) -> Spectrum:
     """Best known grid witness concentrated at the given coprime target."""
-    rep = discrete.gamma_sharp(q, p, exhaustive_cap=_WITNESS_CAP, seed=seed)
+    rep = discrete.gamma_sharp(q, p, seed=seed)
     binv = pow(target, -1, q)
     return Spectrum(tuple(sorted(binv * h % q for h in rep.spectrum.freqs)), q)
 

@@ -5,7 +5,7 @@ The plain-grid level for exponent p is the best ratio
 {0..q-1}; the half-grid variant measures relative concentration at 1/(2q)
 over the shifted grid, under a uniform plain-grid control constant K.
 ``gamma_sharp`` is the one place that picks the exact plain-grid scan or
-the heuristic lower bound for a given q.
+the heuristic lower bound for a given q, by the one cap ``EXHAUSTIVE_CAP``.
 
 Both exact levels come from one exhaustive scanner over spectrum masks,
 split into low and high bits whose value vectors are tabulated once
@@ -258,8 +258,7 @@ def exact_gamma_sharp(q: int, p: float, use_pruning: bool = True) -> Concentrati
     ``use_pruning`` controls dilation-orbit dedup; without it the scan is
     the plain enumeration the tests compare against, scored at target 1
     only.  Translation reduction, the complement cut and conjugate symmetry
-    are always applied.  Raises BudgetError beyond ``EXHAUSTIVE_CAP`` and
-    points the caller at the heuristic search.
+    are always applied.  Raises BudgetError beyond ``EXHAUSTIVE_CAP``.
     """
     if q < 2:
         raise DomainError("need q >= 2")
@@ -267,7 +266,7 @@ def exact_gamma_sharp(q: int, p: float, use_pruning: bool = True) -> Concentrati
     if q > EXHAUSTIVE_CAP:
         raise BudgetError(
             f"exhaustive search capped at q <= {EXHAUSTIVE_CAP} (2^{q-1} spectra); "
-            f"use heuristic_gamma_sharp for q = {q}")
+            f"use mode auto or heuristic for q = {q}")
     E = _half_table(q)
     units = _units(q) if use_pruning else np.array([1])
     units = units[2 * units <= q]    # target q - a scores as target a
@@ -413,13 +412,17 @@ def heuristic_gamma_sharp(q: int, p: float, restarts: int = 4,
     return ConcentrationReport(q, p, 1, final, witness, "heuristic", evals)
 
 
-def gamma_sharp(q: int, p: float, *, exhaustive_cap: int = EXHAUSTIVE_CAP,
-                restarts: int = 4, seed: int = 0) -> ConcentrationReport:
-    """The plain-grid level at target 1: exact by ``exact_gamma_sharp`` for
-    q <= ``exhaustive_cap``, else the lower bound of ``heuristic_gamma_sharp``
-    with ``restarts`` and ``seed``.  A cap above ``EXHAUSTIVE_CAP`` leaves
-    the exact scan to raise its BudgetError."""
-    if q <= exhaustive_cap:
+def gamma_sharp(q: int, p: float, *, mode: str = "auto", restarts: int = 4,
+                seed: int = 0) -> ConcentrationReport:
+    """The plain-grid level at target 1.  Mode ``auto`` is exact for
+    q <= ``EXHAUSTIVE_CAP`` and the heuristic lower bound (``restarts``,
+    ``seed``) beyond; ``exhaustive`` and ``heuristic`` force either one,
+    and ``exhaustive`` beyond the cap raises the exact scan's BudgetError."""
+    if mode not in ("auto", "exhaustive", "heuristic"):
+        raise DomainError(f"unknown mode {mode!r}")
+    if restarts < 0:
+        raise DomainError(f"need restarts >= 0, got {restarts}")
+    if mode == "exhaustive" or (mode == "auto" and q <= EXHAUSTIVE_CAP):
         return exact_gamma_sharp(q, p)
     return heuristic_gamma_sharp(q, p, restarts=restarts, seed=seed)
 
@@ -482,24 +485,20 @@ def exact_gamma_star(q: int, p: float, K: float = 1e4,
     return StarReport(q, p, K, top, bool(ok), witness, "exhaustive", evals + n)
 
 
-def gamma1_decay_scan(primes, *, exhaustive_cap: int = 19, restarts: int = 4,
-                      seed: int = 0) -> list:
+def gamma1_decay_scan(primes, *, restarts: int = 4, seed: int = 0) -> list:
     """Integral-norm (p=1) level decay study over a list of primes.
 
-    Each row's level is ``gamma_sharp``: exact up to ``exhaustive_cap``,
-    heuristic lower bounds beyond; every row also carries the best
+    Each row's level is ``gamma_sharp`` in mode ``auto``: exact up to
+    ``EXHAUSTIVE_CAP``, heuristic beyond; every row also carries the best
     Dirichlet-interval witness and the two decay diagnostics.  The liminf
     exponent itself is reported as data, never asserted.
     """
-    if restarts < 0:
-        raise DomainError(f"need restarts >= 0, got {restarts}")
     rows = []
     for q in sorted(primes):
         if q < 3 or not is_prime(q):
             raise DomainError(f"decay scan needs primes >= 3, got {q}")
         dir_best = dirichlet_table(q, 1.0)
-        rep = gamma_sharp(q, 1.0, exhaustive_cap=exhaustive_cap,
-                          restarts=restarts, seed=seed)
+        rep = gamma_sharp(q, 1.0, restarts=restarts, seed=seed)
         g = rep.ratio
         rows.append({
             "q": q,

@@ -220,12 +220,18 @@ def moment_check(b, alpha, p: float, trials: int, seed: int) -> MomentReport:
         raise DomainError("need trials >= 1")
     total = 0.0
     buf = np.empty((min(_BLOCK, trials), len(alpha)))
-    for bi, start in enumerate(range(0, trials, _BLOCK)):
-        nblk = min(_BLOCK, trials - start)
-        X = buf[:nblk]      # the uniforms, then the centred draws
-        S = np.subtract(_draw(alpha, seed, bi, X), alpha, out=X) @ b
-        total += float(np.sum(np.abs(S) ** p))
     sigma = float(alpha.sum())
+    with np.errstate(over="ignore"):      # an overflow is refused below
+        for bi, start in enumerate(range(0, trials, _BLOCK)):
+            nblk = min(_BLOCK, trials - start)
+            X = buf[:nblk]      # the uniforms, then the centred draws
+            S = np.subtract(_draw(alpha, seed, bi, X), alpha, out=X) @ b
+            total += float(np.sum(np.abs(S) ** p))
+        try:
+            norm = float(np.max(np.abs(b)) ** p * (1.0 + sigma) ** (p / 2))
+        except OverflowError:             # the Python float power
+            norm = np.inf
     emp = total / trials
-    norm = float(np.max(np.abs(b)) ** p * (1.0 + sigma) ** (p / 2))
+    if not (emp < np.inf and norm < np.inf):
+        raise DomainError(f"moment sum or normalizer overflows a float at p = {p}")
     return MomentReport(p, sigma, emp, norm, emp / norm if norm else 0.0, trials)

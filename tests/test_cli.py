@@ -508,7 +508,7 @@ class TestNewFlags:
     (["round", "--q", "499", "--n", "125", "--L", "3", "--p", "3", "--epsilon", "0.2",
       "--trials", "20", "--seed", "1"], "b29c1367d527c311"),
     ([*CONCENTRATE, "--p", "3"], "f534b8284f00a450"),
-    (["decay", "--primes", "3,5,7,11,13,101", "--restarts", "2"], "12f544be5308d351"),
+    (["decay", "--primes", "3,5,7,11,13,101", "--restarts", "2"], "2a5866f7b5962f88"),
 ], ids=["constants", "curve", "search", "round", "concentrate", "decay"])
 def test_record_hash_pinned(argv, expected, tmp_path):
     # a record's name and replay key: the flags it hashes must not drift

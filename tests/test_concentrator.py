@@ -358,6 +358,17 @@ class TestEndToEnd:
         assert res.report.ratio >= 0.9 * res.predicted_ratio * (1 - 0.05) ** 2
         assert res.pathway == "dirichlet-peak-gapped"
 
+    def test_witness_exact_up_to_the_one_cap(self):
+        # the window lands at a/q = 5/23; the witness is the 5^-1-dilate of
+        # the exact level's witness, not a heuristic one
+        c = 5 / 23
+        E = conc.IntervalSet(((c - 0.001, c + 0.001), (1 - c - 0.001, 1 - c + 0.001)))
+        res = conc.end_to_end(E, 2.0, 0.05)
+        assert (res.plan.q, res.plan.a) == (23, 5)
+        exact = conc.discrete.exact_gamma_sharp(23, 2.0).spectrum.freqs
+        assert res.plan.R.freqs == tuple(sorted(14 * h % 23 for h in exact))
+        assert res.plan.R.freqs == (0, 4, 5, 9, 10, 13, 14, 18, 19)
+
     def test_unflagged_symmetric_set_runs(self):
         res = conc.end_to_end(conc.IntervalSet(E_TWO.intervals), 2.0, 0.05)
         ref = conc.end_to_end(E_TWO, 2.0, 0.05)

@@ -49,6 +49,19 @@ class TestExactSearch:
         with pytest.raises(BudgetError, match="heuristic"):
             discrete.exact_gamma_sharp(30, 2.0)
 
+    @pytest.mark.parametrize("kwargs", [
+        {"restarts": -1}, {"mode": "exhaustive", "restarts": -1},
+        {"mode": "heuristic", "restarts": -1}, {"mode": "star"}, {"mode": 26}])
+    def test_dispatcher_domain(self, kwargs):
+        with pytest.raises(DomainError):
+            discrete.gamma_sharp(5, 1.0, **kwargs)
+
+    def test_dispatcher_modes(self):
+        assert discrete.gamma_sharp(5, 1.0, mode="heuristic").method == "heuristic"
+        assert discrete.gamma_sharp(5, 1.0).method == "exhaustive"
+        with pytest.raises(BudgetError):
+            discrete.gamma_sharp(discrete.EXHAUSTIVE_CAP + 1, 1.0, mode="exhaustive")
+
     @pytest.mark.parametrize("q", [5, 8, 11, 12, 14, 18, 20])
     @pytest.mark.parametrize("p", [1.0, 2.0, 4.0])
     def test_pruning_soundness(self, q, p):
@@ -438,7 +451,7 @@ class TestDecayScan:
             2, 3, 5, 7, 11, 13, 17, 19, 23, 29]
 
     def test_small_primes(self):
-        rows = discrete.gamma1_decay_scan([5, 3, 7], exhaustive_cap=19)
+        rows = discrete.gamma1_decay_scan([5, 3, 7])
         assert [r["q"] for r in rows] == [3, 5, 7]
         assert rows[0]["gamma1_hat"] == 2 / 3
         for r in rows:
@@ -448,6 +461,12 @@ class TestDecayScan:
                 math.log(1 / r["gamma1_hat"]) / math.log(math.log(r["q"])))
 
     def test_heuristic_row(self):
-        rows = discrete.gamma1_decay_scan([23], exhaustive_cap=19, restarts=2)
+        # 29 is the first prime above EXHAUSTIVE_CAP
+        rows = discrete.gamma1_decay_scan([29], restarts=2)
         assert rows[0]["method"] == "heuristic"
         assert rows[0]["gamma1_hat"] >= rows[0]["dirichlet_best"] - 1e-12
+
+    def test_exact_up_to_the_one_cap(self):
+        rows = discrete.gamma1_decay_scan([23])
+        assert rows[0]["method"] == "exhaustive"
+        assert rows[0]["gamma1_hat"] == discrete.exact_gamma_sharp(23, 1.0).ratio

@@ -275,6 +275,13 @@ class TestMomentCheck:
                 rep = rounding.moment_check(np.ones(n), np.full(n, 0.5), p, 20_000, 31)
                 assert rep.ratio < 12.0
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("b", [np.ones(2000), np.full(2000, 1e200)])
+    def test_overflow_is_a_domain_error(self, b):
+        # |S|^300 and (1 + sigma)^150 overflow a float; so does max|b|^300
+        with pytest.raises(DomainError, match="overflow"):
+            rounding.moment_check(b, np.full(2000, 0.5), 300.0, 10, 1)
+
     def test_input_validation(self):
         with pytest.raises(DomainError):
             rounding.moment_check(np.ones(3), np.ones(4) / 2, 3.0, 10, 0)
