@@ -98,8 +98,9 @@ def run_search(inputs: dict) -> dict:
             out["K_sensitivity_witnesses"] = {k: r.spectrum for k, r in reps.items()
                                               if r is not rep}
         return out
-    return to_jsonable(discrete.gamma_sharp(q, p, mode=mode, restarts=inputs["restarts"],
-                                            seed=inputs["seed"]))
+    ascent = ({} if discrete.is_exact(q, mode)
+              else {"restarts": inputs["restarts"], "seed": inputs["seed"]})
+    return to_jsonable(discrete.gamma_sharp(q, p, mode=mode, **ascent))
 
 
 def run_round(inputs: dict) -> dict:
@@ -292,17 +293,25 @@ def _primes(listed, up_to) -> list:
 _FRONT_END = ("cmd", "cache_dir", "output", "no_cache")   # flags kept out of records
 
 
-def _inputs_from_args(args) -> dict:
-    """The record inputs: every parsed flag but the front end's own.  The
-    seed is hashed beside them; ``constants`` and ``curve`` use none, so
-    their inputs leave it out."""
+def _inputs_from_args(args) -> tuple:
+    """The record inputs (every parsed flag but the front end's own) and the
+    seed hashed beside them.  ``constants`` and ``curve`` read no seed, so
+    their inputs leave it out.  An exact plain-grid search reads q, p and
+    the mode alone, so its inputs also leave out ``--restarts``, ``--K`` and
+    ``--k-sensitivity``, and its hashed seed is None: none of those flags
+    can make it miss the cache."""
     if args.seed < 0:
         raise DomainError(f"--seed must be >= 0, got {args.seed}")
     if getattr(args, "restarts", 0) < 0:
         raise DomainError(f"--restarts must be >= 0, got {args.restarts}")
     inputs = {k: v for k, v in vars(args).items() if k not in _FRONT_END}
+    seed = args.seed
     if args.cmd in ("constants", "curve"):
         del inputs["seed"]
+    elif args.cmd == "search" and discrete.is_exact(args.q, args.mode):
+        for k in ("seed", "restarts", "K", "k_sensitivity"):
+            del inputs[k]
+        seed = None
     elif args.cmd == "concentrate":
         spec = read_json(inputs.pop("e_file"))
         if not isinstance(spec, dict) or "intervals" not in spec:
@@ -310,7 +319,7 @@ def _inputs_from_args(args) -> dict:
         inputs["intervals"] = spec["intervals"]
     elif args.cmd == "decay":
         inputs["primes"] = _primes(inputs["primes"], inputs.pop("primes_up_to"))
-    return inputs
+    return inputs, seed
 
 
 def _cached_ratio_holds(payload) -> bool:
@@ -360,14 +369,14 @@ def main(argv=None) -> int:
                 "match": same}, indent=2) + "\n")
             return EXIT_OK if same else EXIT_MISMATCH
 
-        inputs = _inputs_from_args(args)
+        inputs, seed = _inputs_from_args(args)
         t0 = time.time()
 
         cache = hit = None
         if args.cmd == "search" and not args.no_cache:
             cache = ResultsCache(cache_dir)
             versioned = dict(inputs, algorithm=discrete.ALGORITHM_VERSION)
-            key = config_hash("search", versioned, args.seed)
+            key = config_hash("search", versioned, seed)
             hit = cache.get(key)
         if hit is not None and _cached_ratio_holds(hit):
             shown = dict(hit, cached=True)
@@ -375,7 +384,7 @@ def main(argv=None) -> int:
             trace = [] if getattr(args, "trace_path", None) else None
             payload = (_RUNNERS[args.cmd](inputs) if trace is None
                        else run_concentrate(inputs, trace))
-            write_record(cache_dir, args.cmd, inputs, payload, time.time() - t0, args.seed)
+            write_record(cache_dir, args.cmd, inputs, payload, time.time() - t0, seed)
             if cache is not None:
                 cache.put(key, payload)
             if trace is not None:

@@ -5,7 +5,8 @@ The plain-grid level for exponent p is the best ratio
 {0..q-1}; the half-grid variant measures relative concentration at 1/(2q)
 over the shifted grid, under a uniform plain-grid control constant K.
 ``gamma_sharp`` is the one place that picks the exact plain-grid scan or
-the heuristic lower bound for a given q, by the one cap ``EXHAUSTIVE_CAP``.
+the heuristic lower bound for a given q, by the one cap ``EXHAUSTIVE_CAP``
+(``is_exact`` tells which it takes).
 
 Both exact levels come from one exhaustive scanner over spectrum masks,
 split into low and high bits whose value vectors are tabulated once
@@ -46,13 +47,15 @@ from .trigpoly import Grid, Spectrum, eval_grid, to_coeffs
 __all__ = [
     "ConcentrationReport", "StarReport", "DirichletTable",
     "ratio", "concentration_ratio", "exact_gamma_sharp",
-    "heuristic_gamma_sharp", "gamma_sharp", "dirichlet_table",
+    "heuristic_gamma_sharp", "gamma_sharp", "is_exact", "dirichlet_table",
     "exact_gamma_star", "star", "gamma1_decay_scan", "is_prime",
 ]
 
 EXHAUSTIVE_CAP = 26      # plain-grid cap: 2^(q-1) spectra after translation pruning
 STAR_CAP = 11            # half-grid cap: 2^(2q-1) spectra
 _LO = 16                 # low mask bits: one scan batch is 2^16 spectra
+_BLOCK = 64              # table rows per block of the ascent and the Dirichlet table
+_PRE = 4                 # dilations that filter a whole scan batch first
 _NEAR = 1e-7             # candidate slack before exact re-evaluation
 ALGORITHM_VERSION = 7    # in the search cache key; bump when an answer may change
 
@@ -183,20 +186,36 @@ def _scan(E, lead, score, W=None, limit=None):
         T += E[0]
     H = bits_hi @ E[rows[lo:]]
     if W is not None:
-        P_lo, P_hi = bits_lo @ W[:lo], bits_hi @ W[lo:]
+        # mask (h << lo) | low[i] is no greater than its image under the
+        # dilation of column c iff D[c, i] <= U[h, c]; the first _PRE
+        # columns, spread over the units, filter the whole batch, and the
+        # others test only the masks that are left
+        cols = W.shape[1]
+        spread = np.linspace(0, cols - 1, min(_PRE, cols)).astype(int)
+        order = np.concatenate([spread, np.setdiff1d(np.arange(cols), spread)])
+        D = W[:lo, order].T @ bits_lo.T
+        np.subtract(low, D, out=D)
+        U = bits_hi @ W[lo:, order] - (np.arange(len(H)) << lo)[:, None]
     best, pool, evals = -1.0, [], 0
     for h in range(len(H)):
         room = limit - int(pop_hi[h])
         if room < 0:
             continue
         n = int(ends[min(room, lo)])
-        masks, V = (h << lo) | low[:n], T[:n] + H[h]
-        if W is not None:
+        masks = (h << lo) | low[:n]
+        if W is None:
+            V = T[:n] + H[h]
+        else:
             # no column (q = 2): the identity is the only dilation
-            keep = masks <= (P_lo[:n] + P_hi[h]).min(axis=1, initial=1 << len(rows))
-            masks, V = masks[keep], V[keep]
-            if len(masks) == 0:
+            ok = np.ones(n, dtype=bool)
+            for c in range(len(spread)):
+                ok &= D[c, :n] <= U[h, c]
+            kept = np.nonzero(ok)[0]
+            for c in range(len(spread), cols):
+                kept = kept[D[c, kept] <= U[h, c]]
+            if len(kept) == 0:
                 continue
+            masks, V = masks[kept], T[kept] + H[h]
         R = score(V)
         evals += R.size
         R = R.max(axis=1)
@@ -286,17 +305,21 @@ def exact_gamma_sharp(q: int, p: float, use_pruning: bool = True) -> Concentrati
 
 
 def dirichlet_table(q: int, p: float) -> DirichletTable:
-    """Ratios of all interval spectra {0..n-1}, n = 1..q-1, at target 1."""
+    """Ratios of all interval spectra {0..n-1}, n = 1..q-1, at target 1,
+    built one block of ``_row_blocks`` at a time (each row is summed on its
+    own)."""
     if q < 2:
         raise DomainError("need q >= 2")
     k = np.arange(1, q)
     s = np.sin(np.pi * k / q)
     n = np.arange(1, q)
-    M = np.empty((q - 1, q))
-    M[:, 0] = n
-    M[:, 1:] = np.abs(np.sin(np.pi * np.outer(n, k) / q)) / s[None, :]
-    mp = _pow_abs(M, p, q)
-    ratios = 2.0 * mp[:, 1] / mp.sum(axis=1)
+    ratios = np.empty(q - 1)
+    for i, j in _row_blocks(q - 1):
+        M = np.empty((j - i, q))
+        M[:, 0] = n[i:j]
+        M[:, 1:] = np.abs(np.sin(np.pi * np.outer(n[i:j], k) / q)) / s[None, :]
+        mp = _pow_abs(M, p, q)
+        ratios[i:j] = 2.0 * mp[:, 1] / mp.sum(axis=1)
     i = int(np.argmax(ratios))
     rows = tuple((int(nn), float(rr)) for nn, rr in zip(n, ratios))
     return DirichletTable(q, p, rows, int(n[i]), float(ratios[i]))
@@ -316,13 +339,26 @@ def _half_weights(q: int) -> np.ndarray:
     return np.where((k == 0) | (2 * k == q), 1.0, 2.0)
 
 
+def _row_blocks(n: int) -> list:
+    """Row ranges [i, j) of ``_BLOCK`` rows covering range(n).  Blocks start
+    on multiples of ``_BLOCK``, and a tail of fewer than 4 rows joins the
+    block before it: numpy multiplies a matrix of one row by a vector on
+    another BLAS path, whose sums may differ in the last bit, and the
+    aligned starts keep each row on the path it takes in the whole table."""
+    starts = list(range(0, n, _BLOCK))
+    if len(starts) > 1 and n - starts[-1] < 4:
+        starts.pop()
+    return list(zip(starts, starts[1:] + [n]))
+
+
 def _ascend(q, p, E, start_set, max_steps=None):
     """Deterministic steepest-ascent over single-frequency flips, target 1.
 
     ``E`` holds the columns 0..q//2 of e(hk/q), enough for 0/1 coefficients
     as |f(k/q)| = |f((q-k)/q)|.  Flipping h adds 1 + sign_h 2 Re(conj(c_k)
     e(hk/q)) to |c_k|^2, so a step scores all q flips from the real tables
-    2 Re E and 2 Im E (row h negated while h is in).  The value vector is
+    2 Re E and 2 Im E (row h negated while h is in), one block of
+    ``_row_blocks`` at a time in a reused buffer.  The value vector is
     rebuilt exactly after each accepted flip, and any denominator below 1/2
     is treated as the zero polynomial (a nonempty spectrum always has grid
     p-sum >= |f(0)|^p >= 1), so cancellation dust can never win a step.
@@ -330,9 +366,12 @@ def _ascend(q, p, E, start_set, max_steps=None):
     w = _half_weights(q)
     members = np.zeros(q, dtype=bool)
     members[list(start_set)] = True
-    sign = np.where(members, -1.0, 1.0)[:, None]
-    C2, S2 = 2.0 * E.real * sign, 2.0 * E.imag * sign
-    A, T = np.empty_like(C2), np.empty_like(C2)
+    sign = np.where(members, -2.0, 2.0)[:, None]
+    C2, S2 = E.real * sign, E.imag * sign
+    blocks = _row_blocks(q)
+    rows = max(j - i for i, j in blocks)
+    A, T = np.empty((rows, E.shape[1])), np.empty((rows, E.shape[1]))
+    sc = np.empty(q)
     evals = 0
     if max_steps is None:
         max_steps = 4 * q
@@ -349,12 +388,15 @@ def _ascend(q, p, E, start_set, max_steps=None):
 
     cur, a2, cur_score = rebuild()
     for _ in range(max_steps):
-        np.multiply(C2, cur.real, out=A)
-        A += np.multiply(S2, cur.imag, out=T)
-        A += a2 + 1.0
-        if p != 2.0:
-            np.maximum(A, 0.0, out=A)     # rounding dust below 0
-        sc = score(_pow_abs(A, p / 2, q * q))
+        a2p1 = a2 + 1.0
+        for i, j in blocks:
+            a, t = A[:j - i], T[:j - i]
+            np.multiply(C2[i:j], cur.real, out=a)
+            a += np.multiply(S2[i:j], cur.imag, out=t)
+            a += a2p1
+            if p != 2.0:
+                np.maximum(a, 0.0, out=a)     # rounding dust below 0
+            sc[i:j] = score(_pow_abs(a, p / 2, q * q))
         evals += q
         h = int(np.argmax(sc))
         if sc[h] <= cur_score + 1e-15:
@@ -412,6 +454,12 @@ def heuristic_gamma_sharp(q: int, p: float, restarts: int = 4,
     return ConcentrationReport(q, p, 1, final, witness, "heuristic", evals)
 
 
+def is_exact(q: int, mode: str) -> bool:
+    """Whether ``gamma_sharp`` in ``mode`` takes the exact scan at q, which
+    reads neither ``restarts`` nor ``seed``."""
+    return mode == "exhaustive" or (mode == "auto" and q <= EXHAUSTIVE_CAP)
+
+
 def gamma_sharp(q: int, p: float, *, mode: str = "auto", restarts: int = 4,
                 seed: int = 0) -> ConcentrationReport:
     """The plain-grid level at target 1.  Mode ``auto`` is exact for
@@ -422,7 +470,7 @@ def gamma_sharp(q: int, p: float, *, mode: str = "auto", restarts: int = 4,
         raise DomainError(f"unknown mode {mode!r}")
     if restarts < 0:
         raise DomainError(f"need restarts >= 0, got {restarts}")
-    if mode == "exhaustive" or (mode == "auto" and q <= EXHAUSTIVE_CAP):
+    if is_exact(q, mode):
         return exact_gamma_sharp(q, p)
     return heuristic_gamma_sharp(q, p, restarts=restarts, seed=seed)
 

@@ -35,6 +35,19 @@ class TestSearchCommand:
         assert "cached" not in pa and pb["cached"] is True
         assert pa["ratio"] == pb["ratio"]
 
+    @pytest.mark.parametrize("mode", ["exhaustive", "auto"])
+    def test_exact_search_ignores_flags_it_never_reads(self, mode, tmp_path, capsys):
+        # the exact scan reads q, p and the mode alone: one cold run, then
+        # three hits under another --restarts, --seed and --K
+        base = ["search", "--q", "13", "--p", "2", "--mode", mode,
+                "--cache-dir", str(tmp_path)]
+        outs = [json.loads(run(base + extra, capsys)[1])
+                for extra in ([], ["--restarts", "3"], ["--seed", "5"], ["--K", "7"])]
+        assert "cached" not in outs[0]
+        assert outs[1:] == [dict(outs[0], cached=True)] * 3
+        assert len((tmp_path / "searches.jsonl").read_text().splitlines()) == 1
+        assert len(list((tmp_path / "records").glob("search-*.json"))) == 1
+
     def test_entry_after_partial_line_is_served(self, tmp_path, capsys):
         # a writer killed mid-line leaves no newline at the end of the file
         (tmp_path / "searches.jsonl").write_text('{"key": "abc", "pay')
@@ -504,18 +517,22 @@ class TestNewFlags:
 @pytest.mark.parametrize("argv, expected", [
     (["constants"], "9f73ae52e196717d"),
     (["curve", "--which", "B", "--lam", "2.5", "--points", "5"], "34398d308844f044"),
-    (["search", "--q", "13", "--p", "2"], "eb7cc499b85098c1"),
+    (["search", "--q", "13", "--p", "2"], "10f906c8d754d6ad"),
+    (["search", "--q", "27", "--p", "1"], "e5bd428e3a6fd6ec"),
+    (["search", "--q", "5", "--p", "2", "--mode", "star", "--k-sensitivity"],
+     "9c109a1c05fc8165"),
     (["round", "--q", "499", "--n", "125", "--L", "3", "--p", "3", "--epsilon", "0.2",
       "--trials", "20", "--seed", "1"], "b29c1367d527c311"),
     ([*CONCENTRATE, "--p", "3"], "f534b8284f00a450"),
     (["decay", "--primes", "3,5,7,11,13,101", "--restarts", "2"], "2a5866f7b5962f88"),
-], ids=["constants", "curve", "search", "round", "concentrate", "decay"])
+], ids=["constants", "curve", "search", "search-heuristic", "search-star", "round",
+        "concentrate", "decay"])
 def test_record_hash_pinned(argv, expected, tmp_path):
     # a record's name and replay key: the flags it hashes must not drift
     e = tmp_path / "E.json"
     e.write_text(json.dumps(E_WIDE))
     a = cli._build_parser().parse_args([x.replace("{E}", str(e)) for x in argv])
-    assert config_hash(a.cmd, cli._inputs_from_args(a), a.seed) == expected
+    assert config_hash(a.cmd, *cli._inputs_from_args(a)) == expected
 
 
 class TestSerialization:

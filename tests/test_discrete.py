@@ -1,5 +1,6 @@
 import hashlib
 import math
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -57,6 +58,10 @@ class TestExactSearch:
             discrete.gamma_sharp(5, 1.0, **kwargs)
 
     def test_dispatcher_modes(self):
+        cap = discrete.EXHAUSTIVE_CAP
+        assert [discrete.is_exact(q, m) for q, m in [
+            (cap, "auto"), (cap + 1, "auto"), (cap + 1, "exhaustive"), (5, "heuristic"),
+            (5, "star")]] == [True, False, True, False, False]
         assert discrete.gamma_sharp(5, 1.0, mode="heuristic").method == "heuristic"
         assert discrete.gamma_sharp(5, 1.0).method == "exhaustive"
         with pytest.raises(BudgetError):
@@ -188,6 +193,17 @@ class TestExactSearch:
         assert rep.spectrum.freqs == (0, 22, 24)
         assert rep.ratio / best - 1 == pytest.approx(0.00318, abs=5e-6)
 
+    @pytest.mark.parametrize("q, p, ratio, witness, evaluations", [
+        (22, 1.0, "0x1.76ea2e2465b7ap-2", tuple(range(11)), 524950),
+        (24, 3.0, "0x1.f5ee60b5daa1ep-2", (0, 1, 2, 20, 21, 22, 23), 2150496)])
+    def test_pinned_reports(self, q, p, ratio, witness, evaluations):
+        # 9 and 7 dilations, so the first four filter each whole batch and
+        # the rest test the masks left: the kept masks, and so the level,
+        # the witness and the count, keep their bits
+        rep = discrete.exact_gamma_sharp(q, p)
+        assert (rep.ratio.hex(), rep.spectrum.freqs, rep.evaluations) == (
+            ratio, witness, evaluations)
+
     def test_matches_independent_brute_force(self):
         for q, p in ((7, 1.0), (9, 2.0), (11, 4.0), (18, 2.0)):
             rep = discrete.exact_gamma_sharp(q, p)
@@ -252,7 +268,10 @@ class TestHeuristic:
         (1009, 2.0, "0x1.d85fcdbbc214ep-2", 283528, "f2b2bac7f1e2f345"),
         (101, 3.0, "0x1.f997695a213cdp-2", 21007, "8a70830017667bee"),
         (499, 4.0, "0x1.fb58094a0b723p-2", 392213, "dbbe419a93c0ef57"),
-        (211, 2.5, "0x1.f231e2430b71dp-2", 74904, "d898efa045ddf808")])
+        (211, 2.5, "0x1.f231e2430b71dp-2", 74904, "d898efa045ddf808"),
+        # 257 = 4 * 64 + 1 rows: the one-row tail joins the block before it
+        (257, 1.0, "0x1.db33477a478efp-3", 86351, "65756b51d46ef2d2"),
+        (257, 2.0, "0x1.d863c02726093p-2", 110252, "c54f345bbfc29bcb")])
     def test_pinned_reports(self, q, p, ratio, evaluations, witness):
         # below the guard of _pow_abs (p ln q < 700) the ascent's powers are
         # the plain ones: ratio, witness and evaluations keep their bits
@@ -274,6 +293,20 @@ class TestHeuristic:
         assert score == pytest.approx(here, rel=1e-12)
         assert here >= discrete.concentration_ratio(Spectrum(start, q), p, 1)
 
+    def test_ascent_scores_flips_in_row_blocks(self):
+        # beside E the ascent holds its two signed tables (7.8 MiB at
+        # q = 1009) and one block of rows, a peak of 9.9 MiB; scoring the
+        # whole table at once peaks at 19.5 MiB
+        q = 1009
+        E = discrete._half_table(q)
+        tracemalloc.start()
+        try:
+            discrete._ascend(q, 1.0, E, tuple(range(200)), max_steps=2)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 14 * 2 ** 20
+
     def test_dirichlet_rows_counted_once(self, monkeypatch):
         # with ascents that cost nothing, only the q - 1 table rows remain
         monkeypatch.setattr(discrete, "_ascend",
@@ -290,6 +323,13 @@ def spectra(draw):
 
 class TestAscentStep:
     """One step of the half-spectrum ascent against the full-grid evaluator."""
+
+    @pytest.mark.parametrize("n, blocks", [
+        (3, [(0, 3)]), (64, [(0, 64)]), (67, [(0, 67)]), (68, [(0, 64), (64, 68)]),
+        (257, [(0, 64), (64, 128), (128, 192), (192, 257)])])
+    def test_row_blocks(self, n, blocks):
+        # aligned starts, and no tail of fewer than 4 rows
+        assert discrete._row_blocks(n) == blocks
 
     @settings(max_examples=150, deadline=None)
     @given(spectra(), st.sampled_from([1.0, 2.0, 3.0, 4.0]))
@@ -363,6 +403,17 @@ class TestDirichletTable:
             warnings.simplefilter("error", RuntimeWarning)
             t = discrete.dirichlet_table(211, 250.5)
         assert all(0 <= r <= 1 for _, r in t.rows) and t.best_n > 1
+
+    def test_rows_built_in_blocks(self):
+        # at q = 2003 a block of 64 rows is 1 MiB and the table peaks at
+        # 4 MiB; the whole table and its temporaries peak at 92 MiB
+        tracemalloc.start()
+        try:
+            discrete.dirichlet_table(2003, 1.0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 8 * 2 ** 20
 
     def test_large_prime_log_shape(self):
         t = discrete.dirichlet_table(1009, 1.0)
