@@ -36,7 +36,10 @@ than the requested tolerance when the term budget caps out).
 
 from __future__ import annotations
 
+import functools
 import math
+import os
+import threading
 from dataclasses import dataclass, field
 from fractions import Fraction
 
@@ -55,6 +58,12 @@ EPS = 2.0 ** -53
 MAX_TERMS = 2 ** 23          # hard cap on directly summed terms
 _DIRECT_CAP = 2 ** 16        # envelope path allowed up to this many terms
 _CHUNK = 2 ** 20
+_SUB = 2 ** 16               # terms one worker forms at a time
+_BLOCK_BYTES = 2 ** 21       # scratch of the coarse-scan column blocks in flight
+# numpy ufuncs release the GIL, so elementwise work splits over threads,
+# one per core this process may run on
+_WORKERS = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
+            else os.cpu_count() or 1)
 
 
 @dataclass(frozen=True)
@@ -149,41 +158,92 @@ def _coeff_tail(lam: float, c: np.ndarray) -> float:
 
 
 # ----------------------------------------------------------------------
+# elementwise work spread over the cores
+# ----------------------------------------------------------------------
+
+def _spread(fn, n: int, grain: int = 1) -> None:
+    """fn(lo, hi) on contiguous pieces covering range(n), none shorter than
+    ``grain``, four a worker: the calling thread and the workers take them
+    in turn, so a worker that is held up delays at most one piece."""
+    pieces = max(1, min(4 * _WORKERS, n // grain))
+    edges = [n * i // pieces for i in range(pieces + 1)]
+    todo = iter(zip(edges, edges[1:]))
+    lock = threading.Lock()
+
+    def drain():
+        while True:
+            with lock:
+                piece = next(todo, None)
+            if piece is None:
+                return
+            fn(*piece)
+
+    futures = [_pool().submit(drain) for _ in range(min(_WORKERS, pieces) - 1)]
+    try:
+        drain()
+    finally:
+        for f in futures:
+            f.result()
+
+
+@functools.cache
+def _pool():
+    """The worker threads of ``_spread``, started on first use (and imported
+    then, which keeps the package's import time)."""
+    from concurrent.futures import ThreadPoolExecutor
+    return ThreadPoolExecutor(max(_WORKERS - 1, 1), thread_name_prefix="concentra")
+
+
+if hasattr(os, "register_at_fork"):
+    # a forked child has none of its parent's threads: it starts its own pool
+    os.register_at_fork(after_in_child=_pool.cache_clear)
+
+
+# ----------------------------------------------------------------------
 # direct partial sums of the scaled series
 # ----------------------------------------------------------------------
 
 def _direct_scaled_sum(lam: float, t: float, K: int, odd: bool):
     """(partial sum of (|sin k pi t|/(k sin pi t))^lam over k<=K in D, roundoff bound).
 
-    Chunks of _CHUNK terms run in place through three buffers allocated once;
-    k advances by step * _CHUNK in place (exact: integers below 2^53).
+    Chunks of _CHUNK terms go into one buffer allocated once, each summed
+    whole; a chunk's terms are formed in pieces spread over the workers,
+    _SUB at a time through two scratch vectors per piece (k is exact:
+    integers below 2^53).
     """
     S = math.sin(math.pi * t)
     pt = math.pi * t
     step = 2 if odd else 1
     count = len(range(1, K + 1, step))
-    n = min(_CHUNK, count)
-    k = np.arange(1, 1 + step * n, step, dtype=np.float64)
-    r = np.empty(n)
-    d = np.empty(n)
+    r = np.empty(min(_CHUNK, count))
+
+    def terms(k0, lo, hi):
+        # r[j] for k = k0 + step * j, j in [lo, hi)
+        w = min(_SUB, hi - lo)
+        k = np.arange(k0 + step * lo, k0 + step * (lo + w), step, dtype=np.float64)
+        d = np.empty(w)
+        for a in range(lo, hi, _SUB):
+            w = min(_SUB, hi - a)
+            km, dm, rm = k[:w], d[:w], r[a:a + w]
+            np.multiply(km, pt, out=rm)
+            np.sin(rm, out=rm)
+            np.abs(rm, out=rm)
+            np.multiply(km, S, out=dm)
+            np.divide(rm, dm, out=rm)
+            if lam == 2.0:
+                np.multiply(rm, rm, out=rm)
+            elif lam == 4.0:
+                np.multiply(rm, rm, out=rm)
+                np.multiply(rm, rm, out=rm)
+            else:
+                np.power(rm, lam, out=rm)
+            k += step * _SUB
+
     chunks = []
     for done in range(0, count, _CHUNK):
-        m = min(n, count - done)
-        km, rm, dm = k[:m], r[:m], d[:m]
-        np.multiply(km, pt, out=rm)
-        np.sin(rm, out=rm)
-        np.abs(rm, out=rm)
-        np.multiply(km, S, out=dm)
-        np.divide(rm, dm, out=rm)
-        if lam == 2.0:
-            np.multiply(rm, rm, out=rm)
-        elif lam == 4.0:
-            np.multiply(rm, rm, out=rm)
-            np.multiply(rm, rm, out=rm)
-        else:
-            np.power(rm, lam, out=rm)
-        chunks.append(float(np.sum(rm)))
-        k += step * _CHUNK
+        m = min(_CHUNK, count - done)
+        _spread(functools.partial(terms, 1 + step * done), m, _SUB)
+        chunks.append(float(np.sum(r[:m])))
     total = math.fsum(chunks)
     return total, _sum_slack(lam, t, K, count, total), count
 
@@ -383,28 +443,66 @@ def _scan_min(f, xs, values, tol):
     return x, v
 
 
+@functools.lru_cache(maxsize=4)
 def _scan_table(odd: bool, n: int):
+    """``_build_scan_table(odd, n)``, read-only, kept for the last four
+    (odd, n) asked for."""
+    ts, M = _build_scan_table(odd, n)
+    ts.flags.writeable = M.flags.writeable = False
+    return ts, M
+
+
+def _build_scan_table(odd: bool, n: int):
     """(ts, M) of the coarse scan: n >= 512 points ts on [T_MIN, 1/2] and the
     lam-independent table M[k, i] = |sin(pi k ts[i])| / (k sin(pi ts[i])),
-    k <= _SCAN_K in the domain, built in place."""
+    k <= _SCAN_K in the domain, built in place in column blocks."""
     ts = np.linspace(T_MIN, 0.5, max(n, 512))
     S = np.sin(np.pi * ts)
     k = np.arange(1, _SCAN_K + 1, 2 if odd else 1, dtype=np.float64)
-    M = np.outer(k, ts)
-    np.multiply(np.pi, M, out=M)
-    np.sin(M, out=M)
-    np.abs(M, out=M)
-    np.divide(M, k[:, None] * S[None, :], out=M)
+    M = np.empty((len(k), len(ts)))
+
+    def build(lo, hi):
+        blk = M[:, lo:hi]
+        np.multiply(k[:, None], ts[None, lo:hi], out=blk)
+        np.multiply(np.pi, blk, out=blk)
+        np.sin(blk, out=blk)
+        np.abs(blk, out=blk)
+        np.divide(blk, k[:, None] * S[None, lo:hi], out=blk)
+
+    _column_blocks(build, M.shape)
     return ts, M
+
+
+def _column_blocks(fn, shape) -> None:
+    """fn(lo, hi) over the column blocks [lo, hi) of a float table of
+    ``shape``, spread over the workers, with _BLOCK_BYTES of block-sized
+    scratch in flight.  Every block is at least two columns wide: numpy sums
+    a single column pairwise, and several columns in row order."""
+    rows, cols = shape
+    width = max(2, _BLOCK_BYTES // (8 * rows * _WORKERS))
+    blocks = max(1, min(-(-cols // width), cols // 2))
+    edges = [cols * i // blocks for i in range(blocks + 1)]
+
+    def run(lo, hi):
+        for a, b in zip(edges[lo:hi], edges[lo + 1:hi + 1]):
+            fn(a, b)
+
+    _spread(run, blocks)
 
 
 def _scan_values(which: str, lam: float, table) -> np.ndarray:
     """Vectorized coarse values for basin location (not rigorously bounded)."""
     ts, M = table
+    core = np.empty(len(ts))
+
+    def block(lo, hi):
+        with np.errstate(over="ignore", under="ignore"):
+            np.sum(M[:, lo:hi] ** lam, axis=0, out=core[lo:hi])
+
+    _column_blocks(block, M.shape)
+    if which == "A":
+        return core
     with np.errstate(over="ignore", under="ignore"):
-        core = np.sum(M ** lam, axis=0)
-        if which == "A":
-            return core
         pref = np.exp(lam * (np.log(np.pi * ts) - np.log(np.sin(np.pi * ts))))
         return pref + 2 * core
 

@@ -296,10 +296,11 @@ _FRONT_END = ("cmd", "cache_dir", "output", "no_cache")   # flags kept out of re
 def _inputs_from_args(args) -> tuple:
     """The record inputs (every parsed flag but the front end's own) and the
     seed hashed beside them.  ``constants`` and ``curve`` read no seed, so
-    their inputs leave it out.  An exact plain-grid search reads q, p and
-    the mode alone, so its inputs also leave out ``--restarts``, ``--K`` and
-    ``--k-sensitivity``, and its hashed seed is None: none of those flags
-    can make it miss the cache."""
+    their inputs leave it out.  A search keeps only the mode-dependent flags
+    its mode reads: ``--K`` and ``--k-sensitivity`` for star, ``--restarts``
+    and the seed for the heuristic, none for the exact plain-grid scan.
+    Where the seed is left out, the hashed seed is None, so a flag the mode
+    never reads cannot make it miss the cache."""
     if args.seed < 0:
         raise DomainError(f"--seed must be >= 0, got {args.seed}")
     if getattr(args, "restarts", 0) < 0:
@@ -308,10 +309,14 @@ def _inputs_from_args(args) -> tuple:
     seed = args.seed
     if args.cmd in ("constants", "curve"):
         del inputs["seed"]
-    elif args.cmd == "search" and discrete.is_exact(args.q, args.mode):
-        for k in ("seed", "restarts", "K", "k_sensitivity"):
+    elif args.cmd == "search":
+        reads = ({"K", "k_sensitivity"} if args.mode == "star"
+                 else set() if discrete.is_exact(args.q, args.mode)
+                 else {"restarts", "seed"})
+        for k in {"seed", "restarts", "K", "k_sensitivity"} - reads:
             del inputs[k]
-        seed = None
+        if "seed" not in reads:
+            seed = None
     elif args.cmd == "concentrate":
         spec = read_json(inputs.pop("e_file"))
         if not isinstance(spec, dict) or "intervals" not in spec:

@@ -1,10 +1,14 @@
 import math
+import os
+import subprocess
+import sys
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from concentra import bounds
+from concentra import bounds, cli
 from concentra.errors import DomainError
 from conftest import K_upper, zeta_value
 
@@ -246,19 +250,86 @@ class TestKernels:
     @pytest.mark.parametrize("odd", [False, True])
     def test_direct_sum_matches_allocating_oracle(self, monkeypatch, lam, odd):
         monkeypatch.setattr(bounds, "_CHUNK", 8)
+        monkeypatch.setattr(bounds, "_SUB", 3)
         # K spans several full chunks and a partial one, or exactly full ones
         for t, K in ((1 / 3, 61), (0.2371, 61), (5 / 64, 64), (0.41, 5)):
             total, _, count = bounds._direct_scaled_sum(lam, t, K, odd)
             want, want_count = _allocating_direct_sum(lam, t, K, odd)
             assert total.hex() == want.hex() and count == want_count
 
+    @pytest.mark.parametrize("lam", [1.5, 2.0, 2.5, 4.0])
     @pytest.mark.parametrize("odd", [False, True])
-    def test_scan_table_matches_allocating_oracle(self, odd):
-        ts, M = bounds._scan_table(odd, 512)
-        S = np.sin(np.pi * ts)
-        k = np.arange(1, 4097, 2 if odd else 1, dtype=np.float64)
-        want = np.abs(np.sin(np.pi * np.outer(k, ts))) / (k[:, None] * S[None, :])
-        assert np.array_equal(M, want)
+    def test_direct_sum_pieces_match_allocating_oracle(self, monkeypatch, lam, odd):
+        # real chunks, the last one partial; at 3 workers a full chunk is cut
+        # into 12 pieces, which start off multiples of 8 (2^20 // 12 = 87381)
+        K = 2 ** 21 + 12345
+        want, want_count = _allocating_direct_sum(lam, 0.2371, K, odd)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)     # interleave the workers often
+        try:
+            for workers in (1, 2, 3):
+                monkeypatch.setattr(bounds, "_WORKERS", workers)
+                total, _, count = bounds._direct_scaled_sum(lam, 0.2371, K, odd)
+                assert total.hex() == want.hex() and count == want_count
+        finally:
+            sys.setswitchinterval(interval)
+
+    @pytest.mark.parametrize("odd", [False, True])
+    def test_scan_table_matches_allocating_oracle(self, monkeypatch, odd):
+        for workers in (1, 2, 3):
+            monkeypatch.setattr(bounds, "_WORKERS", workers)
+            ts, M = bounds._build_scan_table(odd, 512)
+            S = np.sin(np.pi * ts)
+            k = np.arange(1, 4097, 2 if odd else 1, dtype=np.float64)
+            want = np.abs(np.sin(np.pi * np.outer(k, ts))) / (k[:, None] * S[None, :])
+            assert np.array_equal(M, want)
+
+    @pytest.mark.parametrize("lam", [1.5, 2.0, 2.5, 7.0])
+    def test_scan_values_match_whole_table_sum(self, monkeypatch, lam):
+        # the column blocks sum each column in row order, as the whole table
+        # does; the least allowance gives blocks of two columns
+        ts, M = bounds._scan_table(True, 1024)
+        want = np.sum(M ** lam, axis=0)
+        for workers in (1, 2, 3):
+            for block_bytes in (1, bounds._BLOCK_BYTES):
+                monkeypatch.setattr(bounds, "_WORKERS", workers)
+                monkeypatch.setattr(bounds, "_BLOCK_BYTES", block_bytes)
+                got = bounds._scan_values("A", lam, (ts, M))
+                assert got.tobytes() == want.tobytes()
+
+    def test_constants_build_each_table_once(self, monkeypatch):
+        built = []
+        build = bounds._build_scan_table
+        monkeypatch.setattr(bounds, "_build_scan_table",
+                            lambda odd, n: built.append((odd, n)) or build(odd, n))
+        bounds._scan_table.cache_clear()
+        cli.run_constants({})
+        assert sorted(built) == [(False, 1024), (True, 1024)]
+
+    @pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
+    def test_forked_child_starts_its_own_pool(self):
+        # the parent's pool threads do not exist in a child; a child that
+        # reused the parent's pool would wait on them for ever
+        code = ("import os, signal; from concentra import bounds\n"
+                "a = bounds._direct_scaled_sum(1.5, 1 / 3, 2 ** 20, False)\n"
+                "pid = os.fork()\n"
+                "if pid == 0:\n"
+                "    signal.alarm(30)\n"
+                "    b = bounds._direct_scaled_sum(1.5, 1 / 3, 2 ** 20, False)\n"
+                "    os._exit(0 if a == b else 1)\n"
+                "assert os.waitpid(pid, 0)[1] == 0\n")
+        src = str(Path(__file__).resolve().parent.parent / "src")
+        proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                              env=dict(os.environ, PYTHONPATH=src), timeout=60)
+        assert proc.returncode == 0, proc.stderr
+
+    def test_memoised_table_is_read_only(self):
+        ts, M = bounds._scan_table(False, 1024)
+        assert bounds._scan_table(False, 1024)[1] is M
+        with pytest.raises(ValueError):
+            M[0, 0] = 1.0
+        with pytest.raises(ValueError):
+            ts[0] = 1.0
 
     @pytest.mark.parametrize("p", [2.5, 3.0])
     def test_sweep_shares_table_bit_identically(self, p):
@@ -280,8 +351,10 @@ class TestKernels:
         assert peak <= 3 * bounds._CHUNK * 8 + 2 ** 20
 
     def test_minimize_peak_memory(self):
+        # a cold scan holds the table and the column blocks in flight
+        bounds._scan_table.cache_clear()
         peak = _traced_peak(lambda: bounds.minimize_over_t("B", 2.5))
-        assert peak <= 2 * 4096 * 1024 * 8 + 2 ** 20
+        assert peak <= 4096 * 1024 * 8 + bounds._BLOCK_BYTES + 2 ** 20
 
     @pytest.mark.parametrize("f", [bounds.gamma_sharp_lower, bounds.gamma_star_lower])
     @pytest.mark.parametrize("p", [math.inf, math.nan])

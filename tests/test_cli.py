@@ -48,6 +48,20 @@ class TestSearchCommand:
         assert len((tmp_path / "searches.jsonl").read_text().splitlines()) == 1
         assert len(list((tmp_path / "records").glob("search-*.json"))) == 1
 
+    @pytest.mark.parametrize("mode, q, unread", [
+        ("star", 3, (["--restarts", "3"], ["--seed", "5"])),
+        ("heuristic", 13, (["--K", "7"], ["--k-sensitivity"]))])
+    def test_search_ignores_flags_its_mode_never_reads(self, mode, q, unread,
+                                                        tmp_path, capsys):
+        # star reads K and --k-sensitivity, the heuristic --restarts and the
+        # seed: one cold run, then two hits under flags the mode never reads
+        base = ["search", "--q", str(q), "--p", "2", "--mode", mode,
+                "--cache-dir", str(tmp_path)]
+        outs = [json.loads(run(base + extra, capsys)[1]) for extra in ([], *unread)]
+        assert "cached" not in outs[0]
+        assert outs[1:] == [dict(outs[0], cached=True)] * 2
+        assert len((tmp_path / "searches.jsonl").read_text().splitlines()) == 1
+
     def test_entry_after_partial_line_is_served(self, tmp_path, capsys):
         # a writer killed mid-line leaves no newline at the end of the file
         (tmp_path / "searches.jsonl").write_text('{"key": "abc", "pay')
@@ -518,9 +532,9 @@ class TestNewFlags:
     (["constants"], "9f73ae52e196717d"),
     (["curve", "--which", "B", "--lam", "2.5", "--points", "5"], "34398d308844f044"),
     (["search", "--q", "13", "--p", "2"], "10f906c8d754d6ad"),
-    (["search", "--q", "27", "--p", "1"], "e5bd428e3a6fd6ec"),
+    (["search", "--q", "27", "--p", "1"], "9ed646f7995eb70a"),
     (["search", "--q", "5", "--p", "2", "--mode", "star", "--k-sensitivity"],
-     "9c109a1c05fc8165"),
+     "39edf7719321f96c"),
     (["round", "--q", "499", "--n", "125", "--L", "3", "--p", "3", "--epsilon", "0.2",
       "--trials", "20", "--seed", "1"], "b29c1367d527c311"),
     ([*CONCENTRATE, "--p", "3"], "f534b8284f00a450"),

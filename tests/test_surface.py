@@ -114,3 +114,31 @@ def test_benchmark_selftest():
     pytest.importorskip("mpmath")
     proc = run_script(ROOT / "benchmarks" / "selftest.py")
     assert proc.returncode == 0, proc.stderr
+
+
+def test_import_starts_no_threads():
+    # the bounds worker pool starts on first use, so an import (the
+    # benchmark's setup) stays single-threaded
+    code = ("import threading; n = threading.active_count(); import concentra; "
+            "print(threading.active_count() - n)")
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                          text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "0"
+
+
+def test_no_thread_count_knob():
+    # the worker count comes from the CPU affinity alone: every environment
+    # access of the package reads one fixed name, the cache directory
+    uses, keys = 0, []
+    for path in sorted((ROOT / "src" / "concentra").glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            uses += (isinstance(node, ast.Attribute) and node.attr in ("environ", "getenv")
+                     and isinstance(node.value, ast.Name) and node.value.id == "os")
+            if isinstance(node, ast.Call) and ast.unparse(node.func) in (
+                    "os.environ.get", "os.getenv"):
+                keys.append(ast.unparse(node.args[0]))
+            elif isinstance(node, ast.Subscript) and ast.unparse(node.value) == "os.environ":
+                keys.append(ast.unparse(node.slice))
+    assert uses == len(keys) and keys == ["'CONCENTRA_CACHE'"]
