@@ -39,7 +39,6 @@ from __future__ import annotations
 import functools
 import math
 import os
-import threading
 from dataclasses import dataclass, field
 from fractions import Fraction
 
@@ -58,7 +57,7 @@ EPS = 2.0 ** -53
 MAX_TERMS = 2 ** 23          # hard cap on directly summed terms
 _DIRECT_CAP = 2 ** 16        # envelope path allowed up to this many terms
 _CHUNK = 2 ** 20
-_SUB = 2 ** 16               # terms one worker forms at a time
+_SUB = 2 ** 16               # terms one range of a direct sum forms
 _BLOCK_BYTES = 2 ** 21       # scratch of the coarse-scan column blocks in flight
 # numpy ufuncs release the GIL, so elementwise work splits over threads,
 # one per core this process may run on
@@ -161,37 +160,26 @@ def _coeff_tail(lam: float, c: np.ndarray) -> float:
 # elementwise work spread over the cores
 # ----------------------------------------------------------------------
 
-def _spread(fn, n: int, grain: int = 1) -> None:
-    """fn(lo, hi) on contiguous pieces covering range(n), none shorter than
-    ``grain``, four a worker: the calling thread and the workers take them
-    in turn, so a worker that is held up delays at most one piece."""
-    pieces = max(1, min(4 * _WORKERS, n // grain))
-    edges = [n * i // pieces for i in range(pieces + 1)]
-    todo = iter(zip(edges, edges[1:]))
-    lock = threading.Lock()
-
-    def drain():
-        while True:
-            with lock:
-                piece = next(todo, None)
-            if piece is None:
-                return
-            fn(*piece)
-
-    futures = [_pool().submit(drain) for _ in range(min(_WORKERS, pieces) - 1)]
-    try:
-        drain()
-    finally:
-        for f in futures:
-            f.result()
+def _parallel(fn, ranges) -> None:
+    """fn(lo, hi) for each (lo, hi) in ``ranges`` on the pool's threads, a
+    single range inline.  Returns, or raises the first range's error, only
+    once every range has finished: none writes on after the caller goes on."""
+    if len(ranges) == 1:
+        fn(*ranges[0])
+        return
+    futures = [_pool().submit(fn, lo, hi) for lo, hi in ranges]
+    for f in futures:
+        f.exception()
+    for f in futures:
+        f.result()
 
 
 @functools.cache
 def _pool():
-    """The worker threads of ``_spread``, started on first use (and imported
-    then, which keeps the package's import time)."""
+    """The threads of ``_parallel``, one per core, started on first use (and
+    imported then, which keeps the package's import time)."""
     from concurrent.futures import ThreadPoolExecutor
-    return ThreadPoolExecutor(max(_WORKERS - 1, 1), thread_name_prefix="concentra")
+    return ThreadPoolExecutor(_WORKERS, thread_name_prefix="concentra")
 
 
 if hasattr(os, "register_at_fork"):
@@ -207,9 +195,8 @@ def _direct_scaled_sum(lam: float, t: float, K: int, odd: bool):
     """(partial sum of (|sin k pi t|/(k sin pi t))^lam over k<=K in D, roundoff bound).
 
     Chunks of _CHUNK terms go into one buffer allocated once, each summed
-    whole; a chunk's terms are formed in pieces spread over the workers,
-    _SUB at a time through two scratch vectors per piece (k is exact:
-    integers below 2^53).
+    whole; a chunk's terms are formed in ranges of _SUB, run on the pool,
+    each through two scratch vectors (k is exact: integers below 2^53).
     """
     S = math.sin(math.pi * t)
     pt = math.pi * t
@@ -219,30 +206,27 @@ def _direct_scaled_sum(lam: float, t: float, K: int, odd: bool):
 
     def terms(k0, lo, hi):
         # r[j] for k = k0 + step * j, j in [lo, hi)
-        w = min(_SUB, hi - lo)
-        k = np.arange(k0 + step * lo, k0 + step * (lo + w), step, dtype=np.float64)
-        d = np.empty(w)
-        for a in range(lo, hi, _SUB):
-            w = min(_SUB, hi - a)
-            km, dm, rm = k[:w], d[:w], r[a:a + w]
-            np.multiply(km, pt, out=rm)
-            np.sin(rm, out=rm)
-            np.abs(rm, out=rm)
-            np.multiply(km, S, out=dm)
-            np.divide(rm, dm, out=rm)
-            if lam == 2.0:
-                np.multiply(rm, rm, out=rm)
-            elif lam == 4.0:
-                np.multiply(rm, rm, out=rm)
-                np.multiply(rm, rm, out=rm)
-            else:
-                np.power(rm, lam, out=rm)
-            k += step * _SUB
+        k = np.arange(k0 + step * lo, k0 + step * hi, step, dtype=np.float64)
+        d = np.empty(hi - lo)
+        rm = r[lo:hi]
+        np.multiply(k, pt, out=rm)
+        np.sin(rm, out=rm)
+        np.abs(rm, out=rm)
+        np.multiply(k, S, out=d)
+        np.divide(rm, d, out=rm)
+        if lam == 2.0:
+            np.multiply(rm, rm, out=rm)
+        elif lam == 4.0:
+            np.multiply(rm, rm, out=rm)
+            np.multiply(rm, rm, out=rm)
+        else:
+            np.power(rm, lam, out=rm)
 
     chunks = []
     for done in range(0, count, _CHUNK):
         m = min(_CHUNK, count - done)
-        _spread(functools.partial(terms, 1 + step * done), m, _SUB)
+        _parallel(functools.partial(terms, 1 + step * done),
+                  [(lo, min(lo + _SUB, m)) for lo in range(0, m, _SUB)])
         chunks.append(float(np.sum(r[:m])))
     total = math.fsum(chunks)
     return total, _sum_slack(lam, t, K, count, total), count
@@ -475,19 +459,14 @@ def _build_scan_table(odd: bool, n: int):
 
 def _column_blocks(fn, shape) -> None:
     """fn(lo, hi) over the column blocks [lo, hi) of a float table of
-    ``shape``, spread over the workers, with _BLOCK_BYTES of block-sized
-    scratch in flight.  Every block is at least two columns wide: numpy sums
-    a single column pairwise, and several columns in row order."""
+    ``shape``, one range each, with _BLOCK_BYTES of block-sized scratch in
+    flight.  Every block is at least two columns wide: numpy sums a single
+    column pairwise, and several columns in row order."""
     rows, cols = shape
     width = max(2, _BLOCK_BYTES // (8 * rows * _WORKERS))
     blocks = max(1, min(-(-cols // width), cols // 2))
     edges = [cols * i // blocks for i in range(blocks + 1)]
-
-    def run(lo, hi):
-        for a, b in zip(edges[lo:hi], edges[lo + 1:hi + 1]):
-            fn(a, b)
-
-    _spread(run, blocks)
+    _parallel(fn, list(zip(edges, edges[1:])))
 
 
 def _scan_values(which: str, lam: float, table) -> np.ndarray:
@@ -519,11 +498,7 @@ def minimize_over_t(which: str, lam: float, scan_points: int = 1024,
         raise DomainError("which must be 'B' or 'A'")
     if not (lam > 1 + 1e-6):
         raise DomainError("minimize_over_t needs lam > 1")
-    return _minimize(which, lam, _scan_table(which == "A", scan_points), refine_tol)
-
-
-def _minimize(which: str, lam: float, table, refine_tol: float) -> MinResult:
-    """minimize_over_t on a prebuilt ``_scan_table`` of the same domain."""
+    table = _scan_table(which == "A", scan_points)
     evalf = eval_A if which == "A" else eval_B
     series_tol = refine_tol / 10
 
@@ -576,16 +551,15 @@ def gamma_sharp_lower(p: float) -> ConstantResult:
 
     For p <= 2 only the L = 1 term is a valid witness route; for p > 2 the
     whole power sweep applies.  The sweep stops once two successive L fail
-    to improve the running best by 1e-6.  Every L shares one scan table.
+    to improve the running best by 1e-6.  Every L reads one memoised table.
     """
     _check_p(p)
-    table = _scan_table(False, 1024)
     sweep = []
     best = 0.0
     stagnant = 0
     L_hi = 1 if p <= 2 else _L_MAX
     for L in range(1, L_hi + 1):
-        m = _minimize("B", p * L, table, _REFINE_TOL)
+        m = minimize_over_t("B", p * L, refine_tol=_REFINE_TOL)
         g = 2.0 / m.value
         sweep.append({"L": L, "min_B": m.value, "t_star": m.t_star, "gamma": g})
         if g > best + 1e-6:

@@ -3,8 +3,8 @@
 Every CLI invocation writes a RunRecord (JSON) keyed by a content hash of
 (command, canonical inputs, seed); long searches additionally go through an
 append-only JSON-lines cache so identical configurations are answered
-without recomputation.  All numeric output is serialized at 15 significant
-digits, which round-trips losslessly at that precision.
+without recomputation.  Inputs are stored and hashed as given (JSON floats
+round-trip); every numeric output is serialized at 15 significant digits.
 """
 
 from __future__ import annotations
@@ -50,7 +50,8 @@ def canonical_json(obj) -> str:
 
 
 def config_hash(command: str, inputs, seed) -> str:
-    blob = canonical_json({"command": command, "inputs": inputs, "seed": seed})
+    blob = json.dumps({"command": command, "inputs": inputs, "seed": seed},
+                      sort_keys=True, separators=(",", ":"))
     return hashlib.sha256(blob.encode()).hexdigest()[:16]
 
 
@@ -104,7 +105,7 @@ def write_record(root: Path, command: str, inputs, outputs, wall_time: float,
     record = {
         "command": command,
         "config_hash": h,
-        "inputs": to_jsonable(inputs),
+        "inputs": inputs,
         "outputs": to_jsonable(outputs),
         "wall_time": wall_time,
         "seed": seed,

@@ -2,6 +2,7 @@ import math
 import os
 import subprocess
 import sys
+import time
 import tracemalloc
 from pathlib import Path
 
@@ -260,8 +261,8 @@ class TestKernels:
     @pytest.mark.parametrize("lam", [1.5, 2.0, 2.5, 4.0])
     @pytest.mark.parametrize("odd", [False, True])
     def test_direct_sum_pieces_match_allocating_oracle(self, monkeypatch, lam, odd):
-        # real chunks, the last one partial; at 3 workers a full chunk is cut
-        # into 12 pieces, which start off multiples of 8 (2^20 // 12 = 87381)
+        # real chunks, the last one partial; a full chunk is cut into 16
+        # ranges of _SUB terms, run on the pool, the partial one runs inline
         K = 2 ** 21 + 12345
         want, want_count = _allocating_direct_sum(lam, 0.2371, K, odd)
         interval = sys.getswitchinterval()
@@ -297,6 +298,21 @@ class TestKernels:
                 got = bounds._scan_values("A", lam, (ts, M))
                 assert got.tobytes() == want.tobytes()
 
+    def test_parallel_waits_for_every_range_before_raising(self):
+        # the ranges write into the caller's buffer: none may still run
+        # once the first range's error reaches the caller
+        done = []
+
+        def fn(lo, hi):
+            if lo == 0:
+                raise ValueError("range 0")
+            time.sleep(0.05)
+            done.append(lo)
+
+        with pytest.raises(ValueError, match="range 0"):
+            bounds._parallel(fn, [(i, i + 1) for i in range(6)])
+        assert sorted(done) == [1, 2, 3, 4, 5]
+
     def test_constants_build_each_table_once(self, monkeypatch):
         built = []
         build = bounds._build_scan_table
@@ -330,6 +346,14 @@ class TestKernels:
             M[0, 0] = 1.0
         with pytest.raises(ValueError):
             ts[0] = 1.0
+
+    def test_sweep_minimizes_through_minimize_over_t(self, monkeypatch):
+        calls = []
+        minimize = bounds.minimize_over_t
+        monkeypatch.setattr(bounds, "minimize_over_t",
+                            lambda *a, **kw: calls.append(a) or minimize(*a, **kw))
+        sweep = bounds.gamma_sharp_lower(3.0).certificate["L_sweep"]
+        assert calls == [("B", 3.0 * row["L"]) for row in sweep]
 
     @pytest.mark.parametrize("p", [2.5, 3.0])
     def test_sweep_shares_table_bit_identically(self, p):

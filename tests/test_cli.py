@@ -35,6 +35,15 @@ class TestSearchCommand:
         assert "cached" not in pa and pb["cached"] is True
         assert pa["ratio"] == pb["ratio"]
 
+    def test_cache_key_keeps_every_input_digit(self, tmp_path, capsys):
+        # p differs from 1 in the 17th digit: the 15-digit output form
+        # cannot tell the two apart, the cache key must
+        for p in ("1", "1.0000000000000002"):
+            code, out = run(["search", "--q", "7", "--p", p,
+                             "--cache-dir", str(tmp_path)], capsys)
+            assert code == 0 and "cached" not in json.loads(out)
+        assert len((tmp_path / "searches.jsonl").read_text().splitlines()) == 2
+
     @pytest.mark.parametrize("mode", ["exhaustive", "auto"])
     def test_exact_search_ignores_flags_it_never_reads(self, mode, tmp_path, capsys):
         # the exact scan reads q, p and the mode alone: one cold run, then
@@ -381,6 +390,17 @@ class TestReplay:
         code, out = run(["replay", str(rec), "--cache-dir", str(tmp_path)], capsys)
         assert code == 0
         assert json.loads(out)["match"] is True
+
+    def test_replay_of_an_input_beyond_fifteen_digits(self, tmp_path, capsys):
+        # the record keeps t = 1/3 to the last bit, so replay evaluates the
+        # series where the run did
+        t = repr(1 / 3)
+        run(["curve", "--which", "B", "--lam", "1.5", "--t-min", t, "--t-max", t,
+             "--points", "1", "--cache-dir", str(tmp_path)], capsys)
+        rec = next((tmp_path / "records").glob("curve-*.json"))
+        assert json.loads(rec.read_text())["inputs"]["t_min"] == 1 / 3
+        code, out = run(["replay", str(rec), "--cache-dir", str(tmp_path)], capsys)
+        assert code == 0 and json.loads(out)["match"] is True
 
     def test_replay_detects_tamper(self, tmp_path, capsys):
         run(["search", "--q", "5", "--p", "1", "--cache-dir", str(tmp_path)], capsys)

@@ -59,6 +59,23 @@ def test_grid_transform_only_in_trigpoly():
     assert hits == [("concentrator.py", "_integrals", "np.fft.rfft")]
 
 
+def test_pool_only_in_parallel():
+    # work runs on threads one way: every call of bounds._pool is in
+    # bounds._parallel, and no module starts or locks threads of its own
+    calls, imports = [], []
+    for path in sorted((ROOT / "src" / "concentra").glob("*.py")):
+        for top in ast.parse(path.read_text()).body:
+            for node in ast.walk(top):
+                if isinstance(node, ast.Call) and ast.unparse(node.func).endswith("_pool"):
+                    calls.append((path.name, getattr(top, "name", None)))
+                elif isinstance(node, ast.Import):
+                    imports += [(path.name, a.name) for a in node.names]
+                elif isinstance(node, ast.ImportFrom):
+                    imports.append((path.name, node.module))
+    assert calls == [("bounds.py", "_parallel")]
+    assert [hit for hit in imports if hit[1] == "threading"] == []
+
+
 def test_search_policy_only_in_discrete():
     # the choice between the exact and the heuristic plain-grid level is
     # made in one place, discrete.gamma_sharp
