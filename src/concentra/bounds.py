@@ -580,6 +580,8 @@ def asymptote_scan(lam: float) -> ConstantResult:
     kappa ~ 0.225, so grids starting higher miss the basin entirely.  It
     is trimmed to t = kappa * sqrt(6/lam) < 1/2.
     """
+    if not (1 < lam < math.inf):
+        raise DomainError(f"asymptote scan needs finite lam > 1, got {lam}")
     scale = math.sqrt(6.0 / lam)
     kappa_grid = np.arange(0.05, 3.0 + 1e-12, 0.005)
     kappa_grid = kappa_grid[kappa_grid * scale < 0.5]

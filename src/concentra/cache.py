@@ -1,9 +1,9 @@
-"""Run records and the append-only results cache.
+"""Run records, which are also the search cache.
 
-Every CLI invocation writes a RunRecord (JSON) keyed by a content hash of
-(command, canonical inputs, seed); long searches additionally go through an
-append-only JSON-lines cache so identical configurations are answered
-without recomputation.  Inputs are stored and hashed as given (JSON floats
+Every CLI invocation writes a RunRecord (JSON) named by a content hash of
+(command, canonical inputs, seed); a search is answered from the record of
+its own configuration, so an identical search is served without
+recomputation.  Inputs are stored and hashed as given (JSON floats
 round-trip); every numeric output is serialized at 15 significant digits.
 """
 
@@ -13,7 +13,6 @@ import dataclasses
 import hashlib
 import json
 import os
-import time
 from pathlib import Path
 
 import numpy as np
@@ -63,56 +62,40 @@ def default_cache_dir() -> Path:
 
 
 class ResultsCache:
-    """Append-only JSON-lines store keyed by config hash."""
+    """The records directory: one RunRecord per configuration, named
+    ``<command>-<key>.json`` by its config hash ``key``."""
 
     def __init__(self, root: Path):
-        self.root = Path(root)
-        self.path = self.root / "searches.jsonl"
+        self.dir = Path(root) / "records"
 
-    def get(self, key: str):
-        if not self.path.exists():
-            return None
-        hit = None
-        with self.path.open() as fh:
-            for line in fh:
-                try:
-                    row = json.loads(line)
-                except json.JSONDecodeError:
-                    continue
-                if isinstance(row, dict) and row.get("key") == key:
-                    hit = row.get("payload")
-        return hit
+    def get(self, command: str, key: str):
+        """The outputs of the record under ``key``; None if there is no
+        readable RunRecord there, or if its own command, inputs and seed do
+        not hash to ``key`` (a renamed or edited file)."""
+        try:
+            rec = load_record(self.dir / f"{command}-{key}.json")
+            if config_hash(rec["command"], rec["inputs"], rec["seed"]) == key:
+                return rec["outputs"]
+        except (DomainError, KeyError):
+            pass
+        return None
 
-    def put(self, key: str, payload):
-        """Append one line with a single unbuffered write; a partial trailing
-        line (a writer killed mid-line) is closed off first."""
-        self.root.mkdir(parents=True, exist_ok=True)
-        line = json.dumps({"key": key, "payload": to_jsonable(payload)}) + "\n"
-        with self.path.open("ab+", buffering=0) as fh:
-            if fh.seek(0, os.SEEK_END) > 0:
-                fh.seek(-1, os.SEEK_END)
-                if fh.read(1) != b"\n":
-                    line = "\n" + line
-            fh.write(line.encode())
+    def put(self, command: str, key: str, record: dict) -> Path:
+        """Write ``record`` under ``key``, replacing the file there.  Keys
+        keep their order, so a served search prints as it did when run."""
+        self.dir.mkdir(parents=True, exist_ok=True)
+        path = self.dir / f"{command}-{key}.json"
+        path.write_text(json.dumps(record, indent=2))
+        return path
 
 
 def write_record(root: Path, command: str, inputs, outputs, wall_time: float,
                  seed) -> Path:
-    root = Path(root)
-    rec_dir = root / "records"
-    rec_dir.mkdir(parents=True, exist_ok=True)
-    h = config_hash(command, inputs, seed)
-    record = {
-        "command": command,
-        "config_hash": h,
-        "inputs": inputs,
-        "outputs": to_jsonable(outputs),
-        "wall_time": wall_time,
-        "seed": seed,
-    }
-    path = rec_dir / f"{command}-{h}.json"
-    path.write_text(json.dumps(record, indent=2, sort_keys=True))
-    return path
+    """Build the RunRecord of one run and store it in the cache at ``root``."""
+    key = config_hash(command, inputs, seed)
+    record = {"command": command, "config_hash": key, "inputs": inputs,
+              "outputs": to_jsonable(outputs), "seed": seed, "wall_time": wall_time}
+    return ResultsCache(root).put(command, key, record)
 
 
 def read_json(path):

@@ -233,7 +233,9 @@ def _build_parser():
     s.add_argument("--restarts", type=int, default=4)
     s.add_argument("--k-sensitivity", action="store_true",
                    help="star mode: also report the level at K/10 and 10K")
-    s.add_argument("--no-cache", action="store_true")
+    s.add_argument("--no-cache", action="store_true",
+                   help="compute afresh without reading the stored records "
+                        "(the run's record is still written)")
 
     r = sub.add_parser("round", parents=[common],
                        help="randomized rounding experiment on a folded kernel power")
@@ -290,7 +292,7 @@ def _primes(listed, up_to) -> list:
     return [q for q in range(3, up_to + 1) if discrete.is_prime(q)]
 
 
-_FRONT_END = ("cmd", "cache_dir", "output", "no_cache")   # flags kept out of records
+_FRONT_END = ("cmd", "cache_dir", "output", "no_cache", "trace_path")  # kept out of records
 
 
 def _inputs_from_args(args) -> tuple:
@@ -300,7 +302,9 @@ def _inputs_from_args(args) -> tuple:
     its mode reads: ``--K`` and ``--k-sensitivity`` for star, ``--restarts``
     and the seed for the heuristic, none for the exact plain-grid scan.
     Where the seed is left out, the hashed seed is None, so a flag the mode
-    never reads cannot make it miss the cache."""
+    never reads cannot make it miss the cache.  A search also stores
+    ``discrete.ALGORITHM_VERSION`` as ``algorithm``: a record of another
+    version has another name, and is not served."""
     if args.seed < 0:
         raise DomainError(f"--seed must be >= 0, got {args.seed}")
     if getattr(args, "restarts", 0) < 0:
@@ -317,6 +321,7 @@ def _inputs_from_args(args) -> tuple:
             del inputs[k]
         if "seed" not in reads:
             seed = None
+        inputs["algorithm"] = discrete.ALGORITHM_VERSION
     elif args.cmd == "concentrate":
         spec = read_json(inputs.pop("e_file"))
         if not isinstance(spec, dict) or "intervals" not in spec:
@@ -377,12 +382,9 @@ def main(argv=None) -> int:
         inputs, seed = _inputs_from_args(args)
         t0 = time.time()
 
-        cache = hit = None
+        hit = None
         if args.cmd == "search" and not args.no_cache:
-            cache = ResultsCache(cache_dir)
-            versioned = dict(inputs, algorithm=discrete.ALGORITHM_VERSION)
-            key = config_hash("search", versioned, seed)
-            hit = cache.get(key)
+            hit = ResultsCache(cache_dir).get("search", config_hash("search", inputs, seed))
         if hit is not None and _cached_ratio_holds(hit):
             shown = dict(hit, cached=True)
         else:
@@ -390,8 +392,6 @@ def main(argv=None) -> int:
             payload = (_RUNNERS[args.cmd](inputs) if trace is None
                        else run_concentrate(inputs, trace))
             write_record(cache_dir, args.cmd, inputs, payload, time.time() - t0, seed)
-            if cache is not None:
-                cache.put(key, payload)
             if trace is not None:
                 Path(args.trace_path).write_text(_csv(_TRACE_COLUMNS, trace))
             shown = payload if hit is None else dict(payload, cached=False)

@@ -170,10 +170,10 @@ def find_fraction(E: IntervalSet, theta: float, eta: float, q0: int,
 def choose_n(p: float, eps: float, delta: float) -> int:
     """Peaking-kernel length guaranteeing <= eps relative mass outside
     (-delta, delta), from the explicit tail constant (pi/2)^p / (p-1)."""
-    if p <= 1:
-        raise DomainError("peaking pathway needs p > 1")
-    if not (0 < eps < 1) or delta <= 0:
-        raise DomainError("need 0 < eps < 1 and delta > 0")
+    if not p > 1:
+        raise DomainError(f"peaking pathway needs p > 1, got {p}")
+    if not (0 < eps < 1 and delta > 0):
+        raise DomainError(f"need 0 < eps < 1 and delta > 0, got {eps}, {delta}")
     try:
         kp = (math.pi / 2) ** p / (p - 1)
         return int(math.ceil((2 * kp / eps) ** (1.0 / (p - 1)) / delta))
@@ -276,8 +276,10 @@ def measure(Q: Spectrum, E: IntervalSet, p: float,
         raise DomainError("mesh_per_unit_degree must be >= 4 (per-oscillation floor)")
     if not Q.freqs:
         raise DomainError("cannot measure the zero polynomial")
+    if not (0 < p < math.inf):
+        raise DomainError(f"need finite p > 0, got {p}")
     mesh, deg = mesh_per_unit_degree, Q.freqs[-1]
-    if p > 0 and p % 2 == 0:
+    if p % 2 == 0:
         int_E, int_T, est = _integrals(Q, E, p, _smooth_size(int(p) * deg + 1), True)
     else:
         rule = lambda m: _integrals(Q, E, p, _smooth_size(m * max(deg, 1)), False)

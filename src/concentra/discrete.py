@@ -121,11 +121,29 @@ def _pow_abs(m: np.ndarray, p: float, n: int) -> np.ndarray:
     return mp
 
 
+def _check_p(p: float) -> None:
+    if not (0 < p < math.inf):
+        raise DomainError(f"need finite p > 0, got {p}")
+
+
+def _check_K(K: float) -> None:
+    if not (0 < K < math.inf):
+        raise DomainError(f"need finite K > 0, got {K}")
+
+
+def _check_ascent(restarts: int, seed: int) -> None:
+    if restarts < 0:
+        raise DomainError(f"need restarts >= 0, got {restarts}")
+    if seed < 0:
+        raise DomainError(f"need seed >= 0, got {seed}")
+
+
 def ratio(values: np.ndarray, p: float, target: int) -> float:
     """2|values[target]|^p / sum_k |values[k]|^p (0 for the zero function)."""
     q = len(values)
     if not (1 <= target < q):
         raise DomainError(f"target must lie in [1, {q-1}]")
+    _check_p(p)
     mp = _pow_abs(np.abs(values), p, q)
     denom = float(np.sum(mp))
     if denom == 0.0:
@@ -266,11 +284,6 @@ def is_prime(q: int) -> bool:
     return True
 
 
-def _check_p(p: float) -> None:
-    if not (0 < p < math.inf):
-        raise DomainError(f"need finite p > 0, got {p}")
-
-
 def exact_gamma_sharp(q: int, p: float, use_pruning: bool = True) -> ConcentrationReport:
     """Exact plain-grid level at target 1 by exhaustive scan.
 
@@ -310,6 +323,7 @@ def dirichlet_table(q: int, p: float) -> DirichletTable:
     own)."""
     if q < 2:
         raise DomainError("need q >= 2")
+    _check_p(p)
     k = np.arange(1, q)
     s = np.sin(np.pi * k / q)
     n = np.arange(1, q)
@@ -420,8 +434,7 @@ def heuristic_gamma_sharp(q: int, p: float, restarts: int = 4,
     if q < 3:
         raise DomainError("need q >= 3")
     _check_p(p)
-    if restarts < 0:
-        raise DomainError(f"need restarts >= 0, got {restarts}")
+    _check_ascent(restarts, seed)
     E = _half_table(q)
     table = dirichlet_table(q, p)
     evals = q - 1
@@ -468,8 +481,7 @@ def gamma_sharp(q: int, p: float, *, mode: str = "auto", restarts: int = 4,
     and ``exhaustive`` beyond the cap raises the exact scan's BudgetError."""
     if mode not in ("auto", "exhaustive", "heuristic"):
         raise DomainError(f"unknown mode {mode!r}")
-    if restarts < 0:
-        raise DomainError(f"need restarts >= 0, got {restarts}")
+    _check_ascent(restarts, seed)
     if is_exact(q, mode):
         return exact_gamma_sharp(q, p)
     return heuristic_gamma_sharp(q, p, restarts=restarts, seed=seed)
@@ -478,6 +490,8 @@ def gamma_sharp(q: int, p: float, *, mode: str = "auto", restarts: int = 4,
 def star(spec: Spectrum, p: float, K: float):
     """(level, 2|v_1|^p, star sum, plain sum) of one spectrum on the Q-point
     grid, Q = ``spec.degree_bound``: the half-grid level at control constant K."""
+    _check_p(p)
+    _check_K(K)
     Q = spec.degree_bound
     vals = eval_grid(to_coeffs(spec), Grid(Q))
     mp = _pow_abs(np.abs(vals), p, Q)
@@ -503,8 +517,7 @@ def exact_gamma_star(q: int, p: float, K: float = 1e4,
     if q < 2:
         raise DomainError("need q >= 2")
     _check_p(p)
-    if not (0 < K < math.inf):
-        raise DomainError(f"need finite K > 0, got {K}")
+    _check_K(K)
     if q > STAR_CAP:
         raise BudgetError(f"half-grid exhaustive search capped at q <= {STAR_CAP}")
     Q = 2 * q

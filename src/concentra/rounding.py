@@ -212,10 +212,10 @@ def moment_check(b, alpha, p: float, trials: int, seed: int) -> MomentReport:
     alpha = np.asarray(alpha, dtype=np.float64)
     if len(b) != len(alpha):
         raise DomainError("b and alpha must have equal length")
-    if np.any((alpha < 0) | (alpha > 1)):
+    if not np.all((alpha >= 0) & (alpha <= 1)):
         raise DomainError("alpha entries must lie in [0, 1]")
-    if p <= 2:
-        raise DomainError("moment bound regime needs p > 2")
+    if not (2 < p < np.inf):
+        raise DomainError(f"moment bound regime needs finite p > 2, got {p}")
     if trials < 1:
         raise DomainError("need trials >= 1")
     total = 0.0

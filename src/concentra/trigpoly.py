@@ -88,9 +88,6 @@ class Grid:
         if self.q < 1:
             raise DomainError("grid size q must be >= 1")
 
-    def points(self) -> np.ndarray:
-        return np.arange(self.q) / self.q
-
 
 def to_coeffs(s: Spectrum) -> CoeffPoly:
     """0/1 coefficient sequence of the idempotent with support ``s``."""

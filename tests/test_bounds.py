@@ -174,6 +174,11 @@ class TestConstants:
         a = bounds.asymptote_scan(100.0)
         assert abs(a.value - 4.13273) <= 0.1 * 4.13273
 
+    @pytest.mark.parametrize("lam", [0.0, -1.0, 1.0, math.nan, math.inf])
+    def test_asymptote_scan_domain(self, lam):
+        with pytest.raises(DomainError, match="needs finite lam > 1"):
+            bounds.asymptote_scan(lam)
+
     def test_gamma_star_lower(self):
         assert abs(bounds.gamma_star_lower(2.0).value - 0.9226) <= 1e-3
         assert bounds.gamma_star_lower(40.0).value >= 0.999

@@ -16,6 +16,10 @@ def run(argv, capsys):
     return code, out
 
 
+def search_records(cache_dir) -> list:
+    return sorted((cache_dir / "records").glob("search-*.json"))
+
+
 class TestSearchCommand:
     def test_exhaustive_small(self, tmp_path, capsys):
         code, out = run(["search", "--q", "3", "--p", "2",
@@ -42,7 +46,7 @@ class TestSearchCommand:
             code, out = run(["search", "--q", "7", "--p", p,
                              "--cache-dir", str(tmp_path)], capsys)
             assert code == 0 and "cached" not in json.loads(out)
-        assert len((tmp_path / "searches.jsonl").read_text().splitlines()) == 2
+        assert len(search_records(tmp_path)) == 2
 
     @pytest.mark.parametrize("mode", ["exhaustive", "auto"])
     def test_exact_search_ignores_flags_it_never_reads(self, mode, tmp_path, capsys):
@@ -54,8 +58,7 @@ class TestSearchCommand:
                 for extra in ([], ["--restarts", "3"], ["--seed", "5"], ["--K", "7"])]
         assert "cached" not in outs[0]
         assert outs[1:] == [dict(outs[0], cached=True)] * 3
-        assert len((tmp_path / "searches.jsonl").read_text().splitlines()) == 1
-        assert len(list((tmp_path / "records").glob("search-*.json"))) == 1
+        assert len(search_records(tmp_path)) == 1
 
     @pytest.mark.parametrize("mode, q, unread", [
         ("star", 3, (["--restarts", "3"], ["--seed", "5"])),
@@ -69,39 +72,50 @@ class TestSearchCommand:
         outs = [json.loads(run(base + extra, capsys)[1]) for extra in ([], *unread)]
         assert "cached" not in outs[0]
         assert outs[1:] == [dict(outs[0], cached=True)] * 2
-        assert len((tmp_path / "searches.jsonl").read_text().splitlines()) == 1
+        assert len(search_records(tmp_path)) == 1
 
-    def test_entry_after_partial_line_is_served(self, tmp_path, capsys):
-        # a writer killed mid-line leaves no newline at the end of the file
-        (tmp_path / "searches.jsonl").write_text('{"key": "abc", "pay')
+    def test_no_cache_reads_no_record_but_writes_one(self, tmp_path, capsys):
         args = ["search", "--q", "7", "--p", "1", "--cache-dir", str(tmp_path)]
-        assert "cached" not in json.loads(run(args, capsys)[1])
-        assert json.loads(run(args, capsys)[1])["cached"] is True
-        lines = (tmp_path / "searches.jsonl").read_text().split("\n")
-        assert lines[0] == '{"key": "abc", "pay' and lines[-1] == ""
+        fresh = [json.loads(run(args + ["--no-cache"], capsys)[1]) for _ in range(2)]
+        assert fresh[0] == fresh[1] and "cached" not in fresh[0]
+        assert json.loads(run(args, capsys)[1]) == dict(fresh[0], cached=True)
 
-    def test_non_object_line_is_skipped(self, tmp_path, capsys):
-        (tmp_path / "searches.jsonl").write_text("5\n[1, 2]\nnull\n")
+    @pytest.mark.parametrize("damage", [
+        lambda text: text[:len(text) // 2],
+        lambda text: "[1, 2]",
+        lambda text: json.dumps({k: v for k, v in json.loads(text).items() if k != "seed"}),
+    ], ids=["truncated", "not-a-record", "no-seed"])
+    def test_unreadable_record_is_a_miss_and_is_rewritten(self, damage, tmp_path, capsys):
+        # a writer killed mid-file leaves a truncated record
         args = ["search", "--q", "7", "--p", "1", "--cache-dir", str(tmp_path)]
-        code, out = run(args, capsys)
-        assert code == 0 and "cached" not in json.loads(out)
-        code, out = run(args, capsys)
-        assert code == 0 and json.loads(out)["cached"] is True
+        fresh = json.loads(run(args, capsys)[1])
+        [path] = search_records(tmp_path)
+        intact = path.read_text()
+        path.write_text(damage(intact))
+        assert json.loads(run(args, capsys)[1]) == fresh
+        assert search_records(tmp_path) == [path]
+        assert json.loads(path.read_text())["outputs"] == json.loads(intact)["outputs"]
+        assert json.loads(run(args, capsys)[1]) == dict(fresh, cached=True)
+
+    @staticmethod
+    def edit_record(tmp_path, edit):
+        [path] = search_records(tmp_path)
+        rec = json.loads(path.read_text())
+        edit(rec["outputs"])
+        path.write_text(json.dumps(rec))
+        return path
 
     @staticmethod
     def edited_row_not_served(args, key, capsys, tmp_path):
         args = ["search", *args, "--cache-dir", str(tmp_path)]
         fresh = json.loads(run(args, capsys)[1])
-        path = tmp_path / "searches.jsonl"
-        row = json.loads(path.read_text())
-        row["payload"][key] = 0.99
-        path.write_text(json.dumps(row) + "\n")
+        path = TestSearchCommand.edit_record(tmp_path, lambda out: out.update({key: 0.99}))
         code, out = run(args, capsys)
         again = json.loads(out)
         assert code == 0 and again["cached"] is False
         assert again[key] == fresh[key]
-        assert len(path.read_text().splitlines()) == 2
-        # the recomputed row appended last is intact and served
+        # the recomputed record replaced the edited one, and is served
+        assert search_records(tmp_path) == [path]
         served = json.loads(run(args, capsys)[1])
         assert served["cached"] is True and served[key] == fresh[key]
 
@@ -117,10 +131,7 @@ class TestSearchCommand:
         args = ["search", "--q", "3", "--p", "2", "--mode", "star", "--k-sensitivity",
                 "--cache-dir", str(tmp_path)]
         fresh = json.loads(run(args, capsys)[1])
-        path = tmp_path / "searches.jsonl"
-        row = json.loads(path.read_text())
-        edit(row["payload"])
-        path.write_text(json.dumps(row) + "\n")
+        TestSearchCommand.edit_record(tmp_path, edit)
         assert json.loads(run(args, capsys)[1]) == dict(fresh, cached=False)
         assert json.loads(run(args, capsys)[1]) == dict(fresh, cached=True)
 
@@ -143,22 +154,37 @@ class TestSearchCommand:
         fresh = json.loads(run(args, capsys)[1])
         assert json.loads(run(args, capsys)[1]) == dict(fresh, cached=True)
 
+    def test_record_of_another_algorithm_version_not_served(self, tmp_path, capsys,
+                                                            monkeypatch):
+        args = ["search", "--q", "29", "--p", "1", "--mode", "heuristic", "--seed", "7",
+                "--restarts", "1", "--cache-dir", str(tmp_path)]
+        with monkeypatch.context() as m:
+            m.setattr(discrete, "ALGORITHM_VERSION", discrete.ALGORITHM_VERSION - 1)
+            run(args, capsys)
+        [old] = search_records(tmp_path)
+        assert json.loads(old.read_text())["inputs"]["algorithm"] == \
+            discrete.ALGORITHM_VERSION - 1
+        code, out = run(args, capsys)
+        assert code == 0 and "cached" not in json.loads(out)
+        assert len(search_records(tmp_path)) == 2
+
+    def test_record_renamed_to_another_key_not_served(self, tmp_path, capsys):
+        # the q = 7, p = 1 record under the name of the p = 2 search: it would
+        # pass the ratio check, since its stored level is that of its witness
+        a, b = (["search", "--q", "7", "--p", p, "--cache-dir", str(tmp_path)]
+                for p in ("1", "2"))
+        run(a, capsys)
+        [path] = search_records(tmp_path)
+        key = config_hash("search", *cli._inputs_from_args(cli._build_parser().parse_args(b)))
+        path.rename(path.with_name(f"search-{key}.json"))
+        code, out = run(b, capsys)
+        assert code == 0 and "cached" not in json.loads(out)
+        assert json.loads(out)["p"] == 2.0
+
     def test_budget_exit_code(self, tmp_path, capsys):
         code, _ = run(["search", "--q", "40", "--p", "2", "--mode", "exhaustive",
                        "--cache-dir", str(tmp_path)], capsys)
         assert code == 3
-
-    def test_cache_line_without_algorithm_version_not_served(self, tmp_path, capsys):
-        # written before the algorithm version joined the search cache key
-        (tmp_path / "searches.jsonl").write_text(json.dumps({
-            "key": "2a0e09f4d875b16a",
-            "payload": {"q": 29, "p": 1.0, "target": 1, "ratio": 0.315523622458285,
-                        "spectrum": list(range(1, 15)), "method": "heuristic",
-                        "evaluations": 7944}}) + "\n")
-        code, out = run(["search", "--q", "29", "--p", "1", "--mode", "heuristic",
-                         "--seed", "7", "--cache-dir", str(tmp_path)], capsys)
-        assert code == 0
-        assert "cached" not in json.loads(out)
 
     @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_large_p_search_raises_no_warning(self, tmp_path, capsys):
@@ -511,6 +537,19 @@ class TestNewFlags:
         q, a, cov = lines[-1].split(",")
         assert (int(q), int(a)) == (13, 4) and float(cov) == 1.0
 
+    def test_trace_path_stays_out_of_the_record(self, tmp_path, capsys):
+        # the same run traced to two files is one record
+        e = tmp_path / "E.json"
+        e.write_text(json.dumps(E_WIDE))
+        for name in ("a.csv", "b.csv"):
+            code, _ = run(["concentrate", "--e-file", str(e), "--p", "2",
+                           "--epsilon", "0.05", "--trace", str(tmp_path / name),
+                           "--cache-dir", str(tmp_path)], capsys)
+            assert code == 0
+        assert (tmp_path / "a.csv").read_text() == (tmp_path / "b.csv").read_text()
+        [rec] = (tmp_path / "records").glob("concentrate-*.json")
+        assert "trace_path" not in json.loads(rec.read_text())["inputs"]
+
     def test_replay_leaves_trace_unchanged(self, tmp_path, capsys, monkeypatch):
         monkeypatch.chdir(tmp_path)
         (tmp_path / "E.json").write_text(json.dumps(E_WIDE))
@@ -551,13 +590,13 @@ class TestNewFlags:
 @pytest.mark.parametrize("argv, expected", [
     (["constants"], "9f73ae52e196717d"),
     (["curve", "--which", "B", "--lam", "2.5", "--points", "5"], "34398d308844f044"),
-    (["search", "--q", "13", "--p", "2"], "10f906c8d754d6ad"),
-    (["search", "--q", "27", "--p", "1"], "9ed646f7995eb70a"),
+    (["search", "--q", "13", "--p", "2"], "b3514e999f13f9ab"),
+    (["search", "--q", "27", "--p", "1"], "e17d957f1f9370a1"),
     (["search", "--q", "5", "--p", "2", "--mode", "star", "--k-sensitivity"],
-     "39edf7719321f96c"),
+     "52be2b670d92de10"),
     (["round", "--q", "499", "--n", "125", "--L", "3", "--p", "3", "--epsilon", "0.2",
       "--trials", "20", "--seed", "1"], "b29c1367d527c311"),
-    ([*CONCENTRATE, "--p", "3"], "f534b8284f00a450"),
+    ([*CONCENTRATE, "--p", "3"], "264bb1ad1d43d5c8"),
     (["decay", "--primes", "3,5,7,11,13,101", "--restarts", "2"], "2a5866f7b5962f88"),
 ], ids=["constants", "curve", "search", "search-heuristic", "search-star", "round",
         "concentrate", "decay"])

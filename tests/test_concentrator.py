@@ -115,6 +115,13 @@ class TestChooseN:
         with pytest.raises(DomainError):
             conc.choose_n(1.0, 0.1, 0.01)
 
+    @pytest.mark.parametrize("args, message", [
+        ((math.nan, 0.1, 0.01), "needs p > 1"), ((2.0, math.nan, 0.01), "0 < eps < 1"),
+        ((2.0, 0.1, math.nan), "delta > 0")])
+    def test_nan_rejected(self, args, message):
+        with pytest.raises(DomainError, match=message):
+            conc.choose_n(*args)
+
 
 class TestAssembly:
     def test_unit_witness_gives_arithmetic_progression(self):
@@ -273,6 +280,11 @@ class TestMeasure:
     def test_mesh_floor(self):
         with pytest.raises(DomainError):
             conc.measure(Spectrum((0, 1), 2), E_TWO, 2.0, mesh_per_unit_degree=2)
+
+    @pytest.mark.parametrize("p", [-1.0, 0.0, math.nan, math.inf])
+    def test_p_domain(self, p):
+        with pytest.raises(DomainError, match="need finite p > 0"):
+            conc.measure(Spectrum((0, 1), 2), E_TWO, p)
 
     @pytest.mark.parametrize("p", [200.0, 201.0])
     def test_power_overflow_is_a_domain_error(self, p):

@@ -34,6 +34,18 @@ class TestRatio:
         with pytest.raises(DomainError):
             discrete.ratio(v, 1.0, 5)
 
+    @pytest.mark.parametrize("call, name", [
+        (lambda x: discrete.ratio(np.ones(5), x, 1), "p"),
+        (lambda x: discrete.concentration_ratio(Spectrum((0, 1), 5), x), "p"),
+        (lambda x: discrete.dirichlet_table(7, x), "p"),
+        (lambda x: discrete.star(Spectrum((0, 1), 6), x, 1e4), "p"),
+        (lambda x: discrete.star(Spectrum((0, 1), 6), 2.0, x), "K"),
+    ], ids=["ratio", "concentration_ratio", "dirichlet_table", "star-p", "star-K"])
+    @pytest.mark.parametrize("x", [0.0, -1.0, math.nan, math.inf])
+    def test_p_and_K_domain(self, call, name, x):
+        with pytest.raises(DomainError, match=f"need finite {name} > 0"):
+            call(x)
+
 
 class TestExactSearch:
     def test_q3_exact_two_thirds(self):
@@ -52,7 +64,8 @@ class TestExactSearch:
 
     @pytest.mark.parametrize("kwargs", [
         {"restarts": -1}, {"mode": "exhaustive", "restarts": -1},
-        {"mode": "heuristic", "restarts": -1}, {"mode": "star"}, {"mode": 26}])
+        {"mode": "heuristic", "restarts": -1}, {"mode": "star"}, {"mode": 26},
+        {"seed": -1}, {"mode": "heuristic", "seed": -1}])
     def test_dispatcher_domain(self, kwargs):
         with pytest.raises(DomainError):
             discrete.gamma_sharp(5, 1.0, **kwargs)

@@ -282,6 +282,14 @@ class TestMomentCheck:
         with pytest.raises(DomainError, match="overflow"):
             rounding.moment_check(b, np.full(2000, 0.5), 300.0, 10, 1)
 
+    @pytest.mark.parametrize("alpha, p, message", [
+        (np.array([0.5, math.nan, 0.5]), 3.0, "alpha entries"),
+        (np.ones(3) / 2, math.nan, "needs finite p > 2"),
+        (np.ones(3) / 2, math.inf, "needs finite p > 2")])
+    def test_nan_rejected_before_the_draws(self, alpha, p, message):
+        with pytest.raises(DomainError, match=message):
+            rounding.moment_check(np.ones(3), alpha, p, 10, 0)
+
     def test_input_validation(self):
         with pytest.raises(DomainError):
             rounding.moment_check(np.ones(3), np.ones(4) / 2, 3.0, 10, 0)

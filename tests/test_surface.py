@@ -85,6 +85,22 @@ def test_search_policy_only_in_discrete():
     assert hits == ["__init__.py", "discrete.py"]
 
 
+def test_only_the_store_and_main_write_files():
+    # a run's record goes through ResultsCache.put, and cli.main writes the
+    # --output and --trace files; nothing else in the package writes one
+    writes = {"open", "write_text", "write_bytes", "mkdir", "touch", "unlink", "rename",
+              "rmdir", "remove", "makedirs", "save", "savez", "tofile", "dump"}
+    owners = set()
+    for path in sorted((ROOT / "src" / "concentra").glob("*.py")):
+        for top in ast.parse(path.read_text()).body:
+            defs = ([(f"{top.name}.{getattr(fn, 'name', None)}", fn) for fn in top.body]
+                    if isinstance(top, ast.ClassDef) else [(getattr(top, "name", None), top)])
+            owners |= {(path.name, name) for name, fn in defs for node in ast.walk(fn)
+                       if isinstance(node, ast.Call)
+                       and ast.unparse(node.func).split(".")[-1] in writes}
+    assert owners == {("cache.py", "ResultsCache.put"), ("cli.py", "main")}
+
+
 def powers_of_p(path):
     """The top-level function around each power whose exponent uses p: a
     ``**`` or an ``np.power``/``math.pow``/``pow`` call."""
