@@ -57,7 +57,7 @@ EPS = 2.0 ** -53
 MAX_TERMS = 2 ** 23          # hard cap on directly summed terms
 _DIRECT_CAP = 2 ** 16        # envelope path allowed up to this many terms
 _CHUNK = 2 ** 20
-_SUB = 2 ** 16               # terms one range of a direct sum forms
+_SUB = 2 ** 16               # terms one range of a direct sum or mode table forms
 _BLOCK_BYTES = 2 ** 21       # scratch of the coarse-scan column blocks in flight
 # numpy ufuncs release the GIL, so elementwise work splits over threads,
 # one per core this process may run on
@@ -136,18 +136,28 @@ def _mean_abs_sin_pow(lam: float) -> float:
                     - 2 * math.lgamma(lam / 2 + 1))
 
 
-def _mode_coeffs(lam: float, J: int) -> np.ndarray:
-    """c[0..J] with c[0] = a0 and c[j] the cos(2 j theta) coefficient."""
-    c = np.zeros(J + 1)
-    a0 = _mean_abs_sin_pow(lam)
-    c[0] = a0
-    if J >= 1:
-        c[1] = -a0 * 2 * lam / (lam + 2)
-    if J >= 2:
-        j = np.arange(1, J, dtype=np.float64)
-        ratios = (j - lam / 2) / (j + 1 + lam / 2)
-        c[2:] = c[1] * np.cumprod(ratios)
-    return c
+_COEFFS = {}                 # lam -> (c, |c|, running product) of the last two lam
+
+
+def _mode_coeffs(lam: float, J: int):
+    """(c, |c|) for j = 0..J (J >= 2), read-only: c[0] = a0 and c[j] the
+    cos(2 j theta) coefficient.  Each lam keeps one array, extended when a
+    longer one is asked for: np.cumprod runs in order from the running
+    product, so every prefix is the array built to its length, bit for bit."""
+    c, ac, prod = _COEFFS.pop(lam, (None, None, 1.0))
+    if c is None:
+        a0 = _mean_abs_sin_pow(lam)
+        c = np.array([a0, -a0 * 2 * lam / (lam + 2)])
+    if len(c) <= J:
+        j = np.arange(len(c) - 1, J, dtype=np.float64)
+        run = np.cumprod(np.concatenate(([prod], (j - lam / 2) / (j + 1 + lam / 2))))
+        c, prod = np.concatenate((c, c[1] * run[1:])), run[-1]
+        ac = np.abs(c)
+        c.flags.writeable = ac.flags.writeable = False
+    _COEFFS[lam] = c, ac, prod
+    while len(_COEFFS) > 2:
+        _COEFFS.pop(next(iter(_COEFFS)), None)
+    return c[:J + 1], ac[:J + 1]
 
 
 def _coeff_tail(lam: float, c: np.ndarray) -> float:
@@ -261,35 +271,39 @@ def _mode_table(t: float, J: int, odd: bool):
     """
     fr = Fraction(float(t))
     num, den = fr.numerator, fr.denominator   # exact: floats are dyadic
-    j = np.arange(1, J + 1, dtype=np.float64)
-    mult = 2.0 if odd else 1.0
-    x = np.mod(mult * t * j, 1.0)
-    d = np.minimum(x, 1.0 - x)
-    s = np.sin(np.pi * d)
+    m = 2 if odd else 1
     # products m*j*num below 2^53 are exact in double precision
-    m_int = 2 * num if odd else num
-    if den <= 2 ** 52 and m_int > 0:
-        j_exact = int(2 ** 53 // m_int)
-    else:
-        j_exact = 0
-    slack = np.where(j <= j_exact, 0.0, 4 * math.pi * EPS * mult * abs(t) * j)
-    s_eff = np.maximum(s - slack, 0.0)
+    n_exact = min(J, 2 ** 53 // (m * num)) if den <= 2 ** 52 else 0
+    s_eff = np.empty(J)
+
+    def form(lo, hi):
+        # s_eff[j-1] for j in (lo, hi]
+        j = np.arange(lo + 1, hi + 1, dtype=np.float64)
+        x = s_eff[lo:hi]
+        np.multiply(m * t, j, out=x)
+        np.mod(x, 1.0, out=x)
+        np.minimum(x, 1.0 - x, out=x)
+        np.multiply(np.pi, x, out=x)
+        np.sin(x, out=x)
+        e = max(n_exact - lo, 0)      # j beyond the exact products: roundoff slack
+        x[e:] -= 4 * math.pi * EPS * m * abs(t) * j[e:]
+        np.maximum(x[e:], 0.0, out=x[e:])
+
+    _parallel(form, [(lo, min(lo + _SUB, J)) for lo in range(0, J, _SUB)])
+    # m j num = 0 (mod den) exactly when den / gcd(m, den) divides j; the
+    # odd domain's sign is + exactly when den divides j
     res_sign = np.zeros(J)
-    if j_exact >= 1:
-        exact = j[: min(J, j_exact)].astype(np.int64)
-        if odd:
-            res = (2 * exact * num) % den == 0
-            plus = (exact * num) % den == 0
-            sign = np.where(plus, 1.0, -1.0)
-        else:
-            res = (exact * num) % den == 0
-            sign = np.ones(len(exact))
-        res_sign[: len(exact)] = np.where(res, sign, 0.0)
-        s_eff[: len(exact)][res != 0] = 0.0
+    if n_exact:
+        period = den // math.gcd(m, den)
+        res_sign[period - 1:n_exact:period] = -1.0
+        res_sign[den - 1:n_exact:den] = 1.0
+        s_eff[period - 1:n_exact:period] = 0.0
     return s_eff, res_sign
 
 
-def _core_mode_path(lam, t, tol, odd):
+def _mode_tail(lam, t, tol, odd):
+    """(K, bound, mean) for the tail k > K of the direct sum: its honest
+    bound and its exactly summed part."""
     S = math.sin(math.pi * t)
     try:
         Sml = S ** -lam       # lam <= 16 on this path: finite for t >= 1e-4
@@ -297,31 +311,32 @@ def _core_mode_path(lam, t, tol, odd):
         raise DomainError(f"series overflows a float at lam = {lam}, t = {t}") from None
     J = max(256, int(lam / 2) + 8)
     Zref, _ = _domain_tail(lam, 2 ** 14, odd)
-    c = _mode_coeffs(lam, J)
+    c, ac = _mode_coeffs(lam, J)
     while _coeff_tail(lam, c) * Zref * Sml > tol / 4 and J < 200000:
         J *= 2
-        c = _mode_coeffs(lam, J)
+        c, ac = _mode_coeffs(lam, J)
     s_eff, res_sign = _mode_table(t, J, odd)
-    cj = c[1:]
-    acj = np.abs(cj)
     nonres = res_sign == 0.0
+    if nonres.all():
+        a_nr, s_nr, a_res, res_sum = ac[1:], s_eff, 0.0, 0.0
+    else:
+        a_nr, s_nr = ac[1:][nonres], s_eff[nonres]
+        a_res = float(np.sum(ac[1:][~nonres]))
+        res_sum = float(np.sum(c[1:] * res_sign))
+    unbounded = np.flatnonzero(s_nr == 0.0)    # no Abel bound: g / 0 = inf
+    np.maximum(s_nr, 1e-300, out=s_nr)
     K = 2 ** 14
     while True:
         Z, ez = _domain_tail(lam, K, odd)
-        gK = (K + 1.0) ** -lam
-        with np.errstate(divide="ignore"):
-            abel = np.where(s_eff > 0, gK / np.maximum(s_eff, 1e-300), np.inf)
-        per_mode = np.minimum(Z, abel)
-        bound = Sml * (float(np.sum(acj[nonres] * per_mode[nonres]))
-                       + _coeff_tail(lam, c) * Z
-                       + ez * (c[0] + float(np.sum(np.abs(cj[~nonres]))) + 1.0))
+        per_mode = (K + 1.0) ** -lam / s_nr
+        per_mode[unbounded] = np.inf
+        np.minimum(Z, per_mode, out=per_mode)
+        np.multiply(a_nr, per_mode, out=per_mode)
+        bound = Sml * (float(np.sum(per_mode)) + _coeff_tail(lam, c) * Z
+                       + ez * (c[0] + a_res + 1.0))
         if bound <= 0.75 * tol or K * 4 > MAX_TERMS:
-            break
+            return K, bound, Sml * Z * (c[0] + res_sum)
         K *= 4
-    direct, slack, used = _direct_scaled_sum(lam, t, K, odd)
-    tail_mean = Sml * Z * (c[0] + float(np.sum(cj * res_sign)))
-    value = direct + tail_mean
-    return value, bound + slack, used
 
 
 def _core_envelope_path(lam, t, tol, odd):
@@ -349,7 +364,9 @@ def _core(lam, t, tol, odd):
     lnK_env = -(math.log(tol) + lam * math.log(S) + math.log(lam - 1)) / (lam - 1)
     if lam > 16 or lnK_env <= math.log(_DIRECT_CAP):
         return _core_envelope_path(lam, t, tol, odd)
-    return _core_mode_path(lam, t, tol, odd)
+    K, bound, tail_mean = _mode_tail(lam, t, tol, odd)
+    direct, slack, used = _direct_scaled_sum(lam, t, K, odd)
+    return direct + tail_mean, bound + slack, used
 
 
 def _check_domain(lam, t, tol):

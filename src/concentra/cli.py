@@ -332,15 +332,23 @@ def _inputs_from_args(args) -> tuple:
     return inputs, seed
 
 
-def _cached_ratio_holds(payload) -> bool:
-    """True if a cached search payload may be served: its stored ratio, and
-    each ``K_sensitivity`` level but the K entry (the stored ratio), equals
-    the level of its witness, recomputed and rounded as stored
-    (``concentration_ratio`` on the plain grid, ``star`` on the half grid)."""
+def _cached_ratio_holds(payload, inputs) -> bool:
+    """True if a cached search payload may be served: it answers ``inputs``
+    (their q, p and method, and K on the half grid or target 1 on the plain
+    grid), and its stored ratio, and each ``K_sensitivity`` level but the K
+    entry (the stored ratio), equals the level of its witness, recomputed
+    and rounded as stored (``concentration_ratio`` or ``star``)."""
     if not isinstance(payload, dict):
         return False
+    star = inputs["mode"] == "star"
+    exact = star or discrete.is_exact(inputs["q"], inputs["mode"])
+    asked = to_jsonable({"q": inputs["q"], "p": inputs["p"],
+                         "method": "exhaustive" if exact else "heuristic",
+                         **({"K": inputs["K"]} if star else {"target": 1})})
     try:
-        if "ratio_star" in payload:
+        if asked != {k: payload[k] for k in asked}:
+            return False
+        if star:
             spec = Spectrum(payload["spectrum"], 2 * payload["q"])
             fresh = {"ratio_star": discrete.star(spec, payload["p"], payload["K"])[0]}
             if "K_sensitivity" in payload:
@@ -385,7 +393,7 @@ def main(argv=None) -> int:
         hit = None
         if args.cmd == "search" and not args.no_cache:
             hit = ResultsCache(cache_dir).get("search", config_hash("search", inputs, seed))
-        if hit is not None and _cached_ratio_holds(hit):
+        if hit is not None and _cached_ratio_holds(hit, inputs):
             shown = dict(hit, cached=True)
         else:
             trace = [] if getattr(args, "trace_path", None) else None

@@ -4,6 +4,7 @@ import subprocess
 import sys
 import time
 import tracemalloc
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
@@ -109,6 +110,55 @@ class TestTailRigor:
             vals = [bounds.eval_A(lam, t, tol=1e-10).value
                     for lam in (1.5, 2.0, 3.0, 5.0, 9.0)]
             assert all(a >= b - 1e-9 for a, b in zip(vals, vals[1:]))
+
+
+# eval_B and eval_A through the mode path: value, tail_bound and terms_used
+# in hex as computed before the mode bookkeeping was memoised and threaded.
+# The lam = 1.5 rows with terms_used at the budget (2^22 for B, 2^21 for A)
+# do not converge: they must keep reporting their honest, too large bound.
+MODE_PATH_PINS = [
+    ("B", 1.5, 1 / 3, "0x1.63225efe73dabp+2", "0x1.84f644c552336p-15", 4194304),
+    ("A", 1.5, 1 / 3, "0x1.5d2010de1ad54p+0", "0x1.84f6abc05476dp-17", 2097152),
+    ("B", 1.5, 5 / 64, "0x1.24e5014e6d081p+4", "0x1.1c123e27c85cbp-28", 4194304),
+    ("A", 1.5, 5 / 64, "0x1.24cd7ff893351p+2", "0x1.2ee17b1bd5ce5p-30", 2097152),
+    ("B", 1.5, 1 / 2, "0x1.562887197595ep+2", "0x1.12b0de7174dc7p-33", 4194304),
+    ("A", 1.5, 1 / 2, "0x1.b052a7337075fp+0", "0x1.9c33af4254782p-36", 8192),
+    ("B", 1.5, 0.2371, "0x1.b613947ef3dd4p+2", "0x1.8aa5247ff69b3p-32", 4194304),
+    ("A", 1.5, 0.2371, "0x1.b912792163697p+0", "0x1.7d0a40c90019fp-33", 2097152),
+    ("B", 1.999, 1 / 3, "0x1.18cc774277514p+2", "0x1.26b766954c99fp-34", 1048576),
+    ("A", 1.999, 1 / 3, "0x1.18cac5e965597p+0", "0x1.4dc5f13282778p-34", 131072),
+    ("B", 1.999, 5 / 64, "0x1.a218ed00aec47p+3", "0x1.33d0cfb4402bbp-34", 1048576),
+    ("A", 1.999, 5 / 64, "0x1.a218e64a27b93p+1", "0x1.553db8624fc8ap-36", 524288),
+    ("B", 1.999, 1 / 2, "0x1.3bcf43b37c21fp+2", "0x1.2943f05db3f4ep-36", 262144),
+    ("A", 1.999, 1 / 2, "0x1.3bef3b91c4d4cp+0", "0x1.4ca8bd37a7db1p-40", 8192),
+    ("B", 1.999, 0.2371, "0x1.46068cde2f6bap+2", "0x1.b3f6baae94befp-35", 262144),
+    ("A", 1.999, 0.2371, "0x1.4607873b31f6cp+0", "0x1.2ecd8fd76ec7ap-36", 131072),
+    ("B", 2.0, 1 / 3, "0x1.18bc4418cafe2p+2", "0x1.8ad288de189eap-36", 262144),
+    ("A", 2.0, 1 / 3, "0x1.18bc4418c5a8cp+0", "0x1.8abe107bcc23dp-37", 131072),
+    ("B", 2.0, 5 / 64, "0x1.a1ecba27e8f4fp+3", "0x1.1766ba856007cp-34", 1048576),
+    ("A", 2.0, 5 / 64, "0x1.a1ecba27ea03fp+1", "0x1.205bfa7792b9bp-36", 524288),
+    ("B", 2.0, 1 / 2, "0x1.3bd3cc9be25dep+2", "0x1.00b9bb6407645p-36", 262144),
+    ("A", 2.0, 1 / 2, "0x1.3bd3cc9be45ddp+0", "0x1.2c75fc2059197p-46", 8192),
+    ("B", 2.0, 0.2371, "0x1.45eb1e4cc3d4ap+2", "0x1.9b536ce41b0a4p-35", 262144),
+    ("A", 2.0, 0.2371, "0x1.45eb1e4cbe168p+0", "0x1.17d0f9646f64fp-36", 131072),
+    ("B", 2.5, 1 / 3, "0x1.0798efdb51f55p+2", "0x1.df692e880ba5dp-37", 1048576),
+    ("A", 2.5, 1 / 3, "0x1.0893730e4e2efp+0", "0x1.df43bee6e21a3p-36", 131072),
+    ("B", 2.5, 5 / 64, "0x1.663c01bc5749bp+3", "0x1.3483258154a5dp-38", 262144),
+    ("A", 2.5, 5 / 64, "0x1.663f0be9e99c3p+1", "0x1.3ab0c46a0a8f3p-35", 32768),
+    ("B", 2.5, 1 / 2, "0x1.53457b52037ffp+2", "0x1.096b3a05db536p-35", 16384),
+    ("A", 2.5, 1 / 2, "0x1.1ab642aa25d5fp+0", "0x1.c271cc60231c8p-46", 8192),
+    ("B", 2.5, 0.2371, "0x1.2366141d63f02p+2", "0x1.178aa5057f489p-38", 65536),
+    ("A", 2.5, 0.2371, "0x1.226a964e759e9p+0", "0x1.050111a44c840p-34", 8192),
+]
+
+
+class TestModePathPinned:
+    @pytest.mark.parametrize("which, lam, t, value, tail, terms", MODE_PATH_PINS)
+    def test_pinned(self, which, lam, t, value, tail, terms):
+        ev = (bounds.eval_B if which == "B" else bounds.eval_A)(lam, t)
+        assert (ev.value.hex(), ev.tail_bound.hex(), ev.terms_used) == (value, tail, terms)
+        budget = bounds.MAX_TERMS // (2 if which == "B" else 4)
+        assert ev.converged == (lam != 1.5 or terms < budget)
 
 
 class TestMinimization:
@@ -240,6 +290,45 @@ def _allocating_direct_sum(lam, t, K, odd):
         chunks.append(float(np.sum(term)))
         start = stop
     return math.fsum(chunks), count
+
+
+def _allocating_mode_table(t, J, odd):
+    """The mode table from fresh whole-length arrays, with the resonances
+    found by int64 residues: the in-place table's oracle, (s_eff, res_sign)."""
+    fr = Fraction(float(t))
+    num, den = fr.numerator, fr.denominator
+    j = np.arange(1, J + 1, dtype=np.float64)
+    mult = 2.0 if odd else 1.0
+    x = np.mod(mult * t * j, 1.0)
+    d = np.minimum(x, 1.0 - x)
+    s = np.sin(np.pi * d)
+    m_int = 2 * num if odd else num
+    j_exact = int(2 ** 53 // m_int) if den <= 2 ** 52 and m_int > 0 else 0
+    slack = np.where(j <= j_exact, 0.0, 4 * math.pi * bounds.EPS * mult * abs(t) * j)
+    s_eff = np.maximum(s - slack, 0.0)
+    res_sign = np.zeros(J)
+    if j_exact >= 1:
+        exact = j[: min(J, j_exact)].astype(np.int64)
+        if odd:
+            res = (2 * exact * num) % den == 0
+            sign = np.where((exact * num) % den == 0, 1.0, -1.0)
+        else:
+            res = (exact * num) % den == 0
+            sign = np.ones(len(exact))
+        res_sign[: len(exact)] = np.where(res, sign, 0.0)
+        s_eff[: len(exact)][res != 0] = 0.0
+    return s_eff, res_sign
+
+
+def _direct_mode_coeffs(lam, J):
+    """c[0..J] built whole to J: the grown coefficient arrays' oracle."""
+    c = np.zeros(J + 1)
+    a0 = bounds._mean_abs_sin_pow(lam)
+    c[0] = a0
+    c[1] = -a0 * 2 * lam / (lam + 2)
+    j = np.arange(1, J, dtype=np.float64)
+    c[2:] = c[1] * np.cumprod((j - lam / 2) / (j + 1 + lam / 2))
+    return c
 
 
 def _traced_peak(f):
@@ -374,6 +463,64 @@ class TestKernels:
         m = bounds.minimize_over_t("A", 3.3)
         assert (m.t_star.hex(), m.value.hex()) == ("0x1.7a4d4162654a8p-2",
                                                    "0x1.011bdd1dfd12ep+0")
+
+    @pytest.mark.parametrize("odd", [False, True])
+    @pytest.mark.parametrize("t", [1 / 2, 1 / 4, 5 / 64, 1 / 3, 0.2371, 1e-3,
+                                   (3 * 2 ** 35 + 1) / 2 ** 39])
+    def test_mode_table_matches_allocating_oracle(self, monkeypatch, t, odd):
+        # J of one range, of four full ranges, and of four and a short one;
+        # the last t has exact products up to j = 87381 (43690 odd), within
+        # the second (first) range
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)     # interleave the workers often
+        try:
+            for J in (256, 2 ** 18, 3 * 2 ** 16 + 5):
+                want = _allocating_mode_table(t, J, odd)
+                for workers in (1, 2, 3):
+                    monkeypatch.setattr(bounds, "_WORKERS", workers)
+                    got = bounds._mode_table(t, J, odd)
+                    assert [a.tobytes() for a in got] == [a.tobytes() for a in want]
+        finally:
+            sys.setswitchinterval(interval)
+
+    @pytest.mark.parametrize("lam", [1.2, 1.5, 1.999, 2.0, 2.5, 7.3, 16.0])
+    def test_grown_mode_coeffs_match_arrays_built_whole(self, lam):
+        # grown by doubling, as the mode path asks, then read back shorter
+        Js = [256 * 2 ** i for i in range(11)]
+        bounds._COEFFS.pop(lam, None)
+        for J in Js + Js[::-1]:
+            c, ac = bounds._mode_coeffs(lam, J)
+            want = _direct_mode_coeffs(lam, J)
+            assert c.tobytes() == want.tobytes()
+            assert ac.tobytes() == np.abs(want).tobytes()
+            assert not c.flags.writeable and not ac.flags.writeable
+        # and grown in one step
+        bounds._COEFFS.pop(lam, None)
+        assert bounds._mode_coeffs(lam, Js[-1])[0].tobytes() == \
+            _direct_mode_coeffs(lam, Js[-1]).tobytes()
+
+    def test_curve_sweep_builds_one_coefficient_array(self, monkeypatch):
+        # the first point grows lam's array to the length the sweep needs;
+        # the other points of B and of A read it as it is
+        built = []
+        a0 = bounds._mean_abs_sin_pow
+        monkeypatch.setattr(bounds, "_mean_abs_sin_pow",
+                            lambda lam: built.append(lam) or a0(lam))
+        bounds._COEFFS.clear()
+        inputs = {"lam": 1.5, "t_min": 0.1, "t_max": 0.4, "points": 3, "tol": 1e-10}
+        cli.run_curve(dict(inputs, which="B", points=1))
+        [(c, ac, _)] = bounds._COEFFS.values()
+        for which in "BA":
+            cli.run_curve(dict(inputs, which=which))
+        assert built == [1.5]
+        [(c2, ac2, _)] = bounds._COEFFS.values()
+        assert c2 is c and ac2 is ac and len(c) == 2 ** 18 + 1
+
+    def test_coefficient_memo_keeps_two_lambdas(self):
+        bounds._COEFFS.clear()
+        for lam in (1.5, 2.5, 1.5, 3.5):
+            bounds._mode_coeffs(lam, 256)
+        assert list(bounds._COEFFS) == [1.5, 3.5]
 
     def test_direct_sum_peak_memory(self):
         peak = _traced_peak(lambda: bounds._direct_scaled_sum(1.5, 1 / 3, 2 ** 22, False))

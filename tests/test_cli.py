@@ -181,6 +181,32 @@ class TestSearchCommand:
         assert code == 0 and "cached" not in json.loads(out)
         assert json.loads(out)["p"] == 2.0
 
+    @pytest.mark.parametrize("ours, theirs, field", [
+        (["--q", "7", "--p", "2"], ["--q", "7", "--p", "1"], "p"),
+        (["--q", "3", "--p", "2", "--mode", "star", "--K", "1e4"],
+         ["--q", "3", "--p", "2", "--mode", "star", "--K", "100"], "K"),
+        (["--q", "23", "--p", "1", "--mode", "exhaustive"],
+         ["--q", "23", "--p", "1", "--mode", "heuristic", "--restarts", "1"], "method"),
+    ], ids=["plain-p", "star-K", "exhaustive-method"])
+    def test_outputs_of_another_search_not_served(self, ours, theirs, field, tmp_path,
+                                                  capsys):
+        # a record with its own inputs and the outputs of another search: the
+        # stored level is that of its witness, so the ratio check passes it
+        def path_of(args):
+            inputs, seed = cli._inputs_from_args(cli._build_parser().parse_args(args))
+            return tmp_path / "records" / f"search-{config_hash('search', inputs, seed)}.json"
+
+        a, b = (["search", *extra, "--cache-dir", str(tmp_path)] for extra in (theirs, ours))
+        other = json.loads(run(a, capsys)[1])
+        fresh = json.loads(run(b, capsys)[1])
+        assert other[field] != fresh[field]
+        rec = json.loads(path_of(b).read_text())
+        rec["outputs"] = json.loads(path_of(a).read_text())["outputs"]
+        path_of(b).write_text(json.dumps(rec))
+        assert json.loads(run(b, capsys)[1]) == dict(fresh, cached=False)
+        assert json.loads(path_of(b).read_text())["outputs"] == fresh
+        assert json.loads(run(b, capsys)[1]) == dict(fresh, cached=True)
+
     def test_budget_exit_code(self, tmp_path, capsys):
         code, _ = run(["search", "--q", "40", "--p", "2", "--mode", "exhaustive",
                        "--cache-dir", str(tmp_path)], capsys)

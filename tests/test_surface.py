@@ -8,6 +8,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -147,6 +148,34 @@ def test_benchmark_selftest():
     pytest.importorskip("mpmath")
     proc = run_script(ROOT / "benchmarks" / "selftest.py")
     assert proc.returncode == 0, proc.stderr
+
+
+# each memo of the package with arguments to call it by: the functions
+# under functools.cache or lru_cache, and bounds._mode_coeffs, which keeps
+# one growing array a lam
+MEMOS = {("bounds", "_pool"): (), ("bounds", "_scan_table"): (False, 512),
+         ("bounds", "_mode_coeffs"): (1.5, 256)}
+
+
+def test_memoised_arrays_are_read_only():
+    # a memo hands one array to every caller: a write by one would change
+    # what the others compute
+    cached = set()
+    for path in sorted((ROOT / "src" / "concentra").glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.FunctionDef) and any(
+                    ast.unparse(getattr(d, "func", d)).split(".")[-1] in ("cache", "lru_cache")
+                    for d in node.decorator_list):
+                cached.add((path.stem, node.name))
+    assert cached <= set(MEMOS)
+    arrays = 0
+    for (module, name), args in MEMOS.items():
+        out = getattr(importlib.import_module(f"concentra.{module}"), name)(*args)
+        for a in out if isinstance(out, tuple) else (out,):
+            if isinstance(a, np.ndarray):
+                arrays += 1
+                assert not a.flags.writeable, f"{module}.{name}"
+    assert arrays == 4
 
 
 def test_import_starts_no_threads():
