@@ -98,9 +98,11 @@ def run_search(inputs: dict) -> dict:
             out["K_sensitivity_witnesses"] = {k: r.spectrum for k, r in reps.items()
                                               if r is not rep}
         return out
-    ascent = ({} if discrete.is_exact(q, mode)
-              else {"restarts": inputs["restarts"], "seed": inputs["seed"]})
-    return to_jsonable(discrete.gamma_sharp(q, p, mode=mode, **ascent))
+    if discrete.is_exact(q, mode):
+        return to_jsonable(discrete.gamma_sharp(q, p, mode=mode))
+    # the heuristic's outputs name the run they come from
+    ascent = {"restarts": inputs["restarts"], "seed": inputs["seed"]}
+    return {**to_jsonable(discrete.gamma_sharp(q, p, mode=mode, **ascent)), **ascent}
 
 
 def run_round(inputs: dict) -> dict:
@@ -334,17 +336,20 @@ def _inputs_from_args(args) -> tuple:
 
 def _cached_ratio_holds(payload, inputs) -> bool:
     """True if a cached search payload may be served: it answers ``inputs``
-    (their q, p and method, and K on the half grid or target 1 on the plain
-    grid), and its stored ratio, and each ``K_sensitivity`` level but the K
-    entry (the stored ratio), equals the level of its witness, recomputed
-    and rounded as stored (``concentration_ratio`` or ``star``)."""
+    (their q, p and method, K on the half grid or target 1 on the plain
+    grid, and the heuristic's restarts and seed), and its stored ratio,
+    and each ``K_sensitivity`` level but the K entry (the stored ratio),
+    equals the level of its witness, recomputed and rounded as stored
+    (``concentration_ratio`` or ``star``)."""
     if not isinstance(payload, dict):
         return False
     star = inputs["mode"] == "star"
     exact = star or discrete.is_exact(inputs["q"], inputs["mode"])
     asked = to_jsonable({"q": inputs["q"], "p": inputs["p"],
                          "method": "exhaustive" if exact else "heuristic",
-                         **({"K": inputs["K"]} if star else {"target": 1})})
+                         **({"K": inputs["K"]} if star else {"target": 1}),
+                         **({} if exact else {"restarts": inputs["restarts"],
+                                              "seed": inputs["seed"]})})
     try:
         if asked != {k: payload[k] for k in asked}:
             return False

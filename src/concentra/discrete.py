@@ -41,6 +41,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .bounds import _parallel
 from .errors import BudgetError, DomainError
 from .trigpoly import Grid, Spectrum, eval_grid, to_coeffs
 
@@ -55,6 +56,7 @@ EXHAUSTIVE_CAP = 26      # plain-grid cap: 2^(q-1) spectra after translation pru
 STAR_CAP = 11            # half-grid cap: 2^(2q-1) spectra
 _LO = 16                 # low mask bits: one scan batch is 2^16 spectra
 _BLOCK = 64              # table rows per block of the ascent and the Dirichlet table
+_POOL_Q = 512            # the least q whose ascents run on the pool, a range each
 _PRE = 4                 # dilations that filter a whole scan batch first
 _NEAR = 1e-7             # candidate slack before exact re-evaluation
 ALGORITHM_VERSION = 7    # in the search cache key; bump when an answer may change
@@ -170,8 +172,9 @@ def _canonical_weights(q: int):
 
 
 def _bit_table(n: int) -> np.ndarray:
-    """Row m holds the n bits of m, least significant first."""
-    return (np.arange(1 << n)[:, None] >> np.arange(n)) & 1
+    """Row m holds the n bits of m, least significant first, as bytes: the
+    scan keeps the low table through its batches (1 MiB at n = 16)."""
+    return ((np.arange(1 << n)[:, None] >> np.arange(n)) & 1).astype(np.uint8)
 
 
 def _scan(E, lead, score, W=None, limit=None):
@@ -211,7 +214,7 @@ def _scan(E, lead, score, W=None, limit=None):
         cols = W.shape[1]
         spread = np.linspace(0, cols - 1, min(_PRE, cols)).astype(int)
         order = np.concatenate([spread, np.setdiff1d(np.arange(cols), spread)])
-        D = W[:lo, order].T @ bits_lo.T
+        D = W[:lo, order].T @ bits_lo.T.astype(np.int64)   # numpy's fast int loop
         np.subtract(low, D, out=D)
         U = bits_hi @ W[lo:, order] - (np.arange(len(H)) << lo)[:, None]
     best, pool, evals = -1.0, [], 0
@@ -341,9 +344,16 @@ def dirichlet_table(q: int, p: float) -> DirichletTable:
 
 def _half_table(q: int) -> np.ndarray:
     """The q x (q//2 + 1) table e(h j / q) of every frequency h at the grid
-    points j = 0..q//2, which hold a conjugate-symmetric grid function."""
+    points j = 0..q//2, which hold a conjugate-symmetric grid function.
+    Built one block of ``_row_blocks`` at a time (its entries are those of
+    the whole-table expression, element by element), and read-only, so the
+    scans and the ascents can share it."""
     k = np.arange(q)
-    return np.exp(2j * np.pi * np.outer(k, k[:q // 2 + 1]) / q)
+    E = np.empty((q, q // 2 + 1), dtype=complex)
+    for i, j in _row_blocks(q):
+        E[i:j] = np.exp(2j * np.pi * np.outer(k[i:j], k[:q // 2 + 1]) / q)
+    E.flags.writeable = False
+    return E
 
 
 def _half_weights(q: int) -> np.ndarray:
@@ -370,21 +380,23 @@ def _ascend(q, p, E, start_set, max_steps=None):
 
     ``E`` holds the columns 0..q//2 of e(hk/q), enough for 0/1 coefficients
     as |f(k/q)| = |f((q-k)/q)|.  Flipping h adds 1 + sign_h 2 Re(conj(c_k)
-    e(hk/q)) to |c_k|^2, so a step scores all q flips from the real tables
-    2 Re E and 2 Im E (row h negated while h is in), one block of
-    ``_row_blocks`` at a time in a reused buffer.  The value vector is
-    rebuilt exactly after each accepted flip, and any denominator below 1/2
-    is treated as the zero polynomial (a nonempty spectrum always has grid
-    p-sum >= |f(0)|^p >= 1), so cancellation dust can never win a step.
+    e(hk/q)) to |c_k|^2, so a step scores all q flips as the real view of
+    E, (Re, Im) interleaved, times (2 Re c, 2 Im c), summed in pairs and
+    negated on the rows of h in the spectrum (the 2 and the sign are
+    exact), one block of ``_row_blocks`` at a time in reused buffers.
+    ``E`` is only read, so ascents may share it.  The value vector is
+    rebuilt exactly after each accepted flip, and any denominator below
+    1/2 is treated as the zero polynomial (a nonempty spectrum always has
+    grid p-sum >= |f(0)|^p >= 1), so cancellation dust can never win a
+    step.
     """
     w = _half_weights(q)
     members = np.zeros(q, dtype=bool)
     members[list(start_set)] = True
-    sign = np.where(members, -2.0, 2.0)[:, None]
-    C2, S2 = E.real * sign, E.imag * sign
     blocks = _row_blocks(q)
     rows = max(j - i for i, j in blocks)
-    A, T = np.empty((rows, E.shape[1])), np.empty((rows, E.shape[1]))
+    F = E.view(np.float64)
+    A, T = np.empty((rows, E.shape[1])), np.empty((rows, F.shape[1]))
     sc = np.empty(q)
     evals = 0
     if max_steps is None:
@@ -396,17 +408,19 @@ def _ascend(q, p, E, start_set, max_steps=None):
             return np.where(d >= 0.5, 2.0 * mp[..., 1] / d, 0.0)
 
     def rebuild():
-        cur = E[members].sum(axis=0)
+        cur = np.add.reduce(E, axis=0, where=members[:, None], initial=0.0)
         a2 = cur.real * cur.real + cur.imag * cur.imag
         return cur, a2, float(score(_pow_abs(a2, p / 2, q * q)))
 
     cur, a2, cur_score = rebuild()
     for _ in range(max_steps):
         a2p1 = a2 + 1.0
+        c2 = 2.0 * cur.view(np.float64)
         for i, j in blocks:
             a, t = A[:j - i], T[:j - i]
-            np.multiply(C2[i:j], cur.real, out=a)
-            a += np.multiply(S2[i:j], cur.imag, out=t)
+            np.multiply(F[i:j], c2, out=t)
+            np.add(t[:, 0::2], t[:, 1::2], out=a)
+            np.negative(a, out=a, where=members[i:j, None])
             a += a2p1
             if p != 2.0:
                 np.maximum(a, 0.0, out=a)     # rounding dust below 0
@@ -416,7 +430,6 @@ def _ascend(q, p, E, start_set, max_steps=None):
         if sc[h] <= cur_score + 1e-15:
             break
         members[h] = not members[h]
-        C2[h], S2[h] = -C2[h], -S2[h]
         cur, a2, cur_score = rebuild()
     return np.nonzero(members)[0], cur_score, evals
 
@@ -435,26 +448,31 @@ def heuristic_gamma_sharp(q: int, p: float, restarts: int = 4,
         raise DomainError("need q >= 3")
     _check_p(p)
     _check_ascent(restarts, seed)
-    E = _half_table(q)
     table = dirichlet_table(q, p)
-    evals = q - 1
     order = sorted(table.rows, key=lambda r: -r[1])
     n_ascents = (q - 1) if q <= 64 else (8 if q <= 1024 else 3)
+    # (start, step cap): the best intervals, then the seeded random spectra
+    starts = [(range(n), None) for n, _ in order[:n_ascents]]
+    rng = np.random.default_rng(seed)
+    for _ in range(restarts):
+        density = rng.uniform(0.05, 0.6)
+        mask = rng.random(q) < density
+        mask[0] = True
+        # random starts sit far from any optimum; cap their walk at large q
+        starts.append((np.nonzero(mask)[0], 64 if q > 512 else None))
+    E = _half_table(q)
+    walks = [None] * len(starts)
 
-    def starts():
-        """(start, step cap): the best intervals, then random spectra drawn lazily."""
-        yield from ((tuple(range(n)), None) for n, _ in order[:n_ascents])
-        rng = np.random.default_rng(seed)
-        for _ in range(restarts):
-            density = rng.uniform(0.05, 0.6)
-            mask = rng.random(q) < density
-            mask[0] = True
-            # random starts sit far from any optimum; cap their walk at large q
-            yield tuple(np.nonzero(mask)[0]), (64 if q > 512 else None)
-    best_set = None
-    best_score = -1.0
-    for st, cap in starts():
-        members, sc, ev = _ascend(q, p, E, st, max_steps=cap)
+    def ascend(lo, hi):
+        for i in range(lo, hi):
+            walks[i] = _ascend(q, p, E, *starts[i])
+
+    # a range a start from q = _POOL_Q (below it GIL handoffs outlast a
+    # step); the walks are combined in start order, as in a serial loop
+    _parallel(ascend, [(i, i + 1) for i in range(len(starts))] if q >= _POOL_Q
+              else [(0, len(starts))])
+    best_set, best_score, evals = None, -1.0, q - 1
+    for members, sc, ev in walks:
         evals += ev
         if sc > best_score:
             best_score = sc

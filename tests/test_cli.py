@@ -187,7 +187,13 @@ class TestSearchCommand:
          ["--q", "3", "--p", "2", "--mode", "star", "--K", "100"], "K"),
         (["--q", "23", "--p", "1", "--mode", "exhaustive"],
          ["--q", "23", "--p", "1", "--mode", "heuristic", "--restarts", "1"], "method"),
-    ], ids=["plain-p", "star-K", "exhaustive-method"])
+        (["--q", "101", "--p", "1", "--mode", "heuristic", "--seed", "1"],
+         ["--q", "101", "--p", "1", "--mode", "heuristic", "--seed", "1", "--restarts", "0"],
+         "restarts"),
+        (["--q", "101", "--p", "1", "--mode", "heuristic", "--restarts", "1"],
+         ["--q", "101", "--p", "1", "--mode", "heuristic", "--restarts", "1", "--seed", "2"],
+         "seed"),
+    ], ids=["plain-p", "star-K", "exhaustive-method", "heuristic-restarts", "heuristic-seed"])
     def test_outputs_of_another_search_not_served(self, ours, theirs, field, tmp_path,
                                                   capsys):
         # a record with its own inputs and the outputs of another search: the

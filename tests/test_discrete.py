@@ -1,5 +1,8 @@
 import hashlib
+import itertools
 import math
+import sys
+import time
 import tracemalloc
 import warnings
 
@@ -11,6 +14,12 @@ from concentra import bounds, discrete
 from concentra.errors import BudgetError, DomainError
 from concentra.trigpoly import Grid, Spectrum, eval_grid, to_coeffs
 from conftest import brute_force_gamma_sharp
+
+
+def _restart_pool():
+    # the pool takes its thread count from bounds._WORKERS when it starts
+    bounds._pool().shutdown()
+    bounds._pool.cache_clear()
 
 
 class TestRatio:
@@ -178,6 +187,18 @@ class TestExactSearch:
         assert (rep.ratio, rep.spectrum.freqs) == (top, witness)
         assert rep.evaluations == scanned + n
 
+    def test_scan_keeps_its_low_bits_as_bytes(self):
+        # the q = 23 scan peaks at 42.4 MiB, mostly batches of 2^16 value
+        # vectors and their scores; a low bit table of int64 kept through
+        # the batches adds 7 MiB
+        tracemalloc.start()
+        try:
+            discrete.exact_gamma_sharp(23, 2.0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 45 * 2 ** 20
+
     def test_q2_with_pruning(self):
         for p in (1.0, 2.0):
             a = discrete.exact_gamma_sharp(2, p, use_pruning=True)
@@ -307,9 +328,10 @@ class TestHeuristic:
         assert here >= discrete.concentration_ratio(Spectrum(start, q), p, 1)
 
     def test_ascent_scores_flips_in_row_blocks(self):
-        # beside E the ascent holds its two signed tables (7.8 MiB at
-        # q = 1009) and one block of rows, a peak of 9.9 MiB; scoring the
-        # whole table at once peaks at 19.5 MiB
+        # beside E the ascent holds one block of rows, its products and its
+        # powers, a peak of 1.0 MiB at q = 1009; signed copies of the
+        # tables took 7.8 MiB more, and scoring the whole table at once
+        # peaks at 19.5 MiB
         q = 1009
         E = discrete._half_table(q)
         tracemalloc.start()
@@ -318,7 +340,71 @@ class TestHeuristic:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak < 14 * 2 ** 20
+        assert peak < 2 * 2 ** 20
+
+    def test_search_holds_one_table_and_worker_scratch(self):
+        # the ascents share one read-only table, built in row blocks after
+        # the Dirichlet table is done; each worker adds one ascent's block
+        # scratch (a copy of the table, or one built whole, adds 7.8 MiB)
+        q, starts = 1009, 8 + 4
+        discrete.heuristic_gamma_sharp(q, 1.0, restarts=0)    # the pool is up
+        table = discrete._half_table(q).nbytes
+        tracemalloc.start()
+        try:
+            discrete.heuristic_gamma_sharp(q, 1.0, restarts=4)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < table + (min(bounds._WORKERS, starts) + 1) * 1.5 * 2 ** 20
+
+    def test_ascent_reads_a_read_only_table(self):
+        # ascents on the pool share E: none may write it
+        q = 257
+        E = discrete._half_table(q)
+        assert not E.flags.writeable
+        before = E.tobytes()
+        members, score, _ = discrete._ascend(q, 1.0, E, tuple(range(40)))
+        assert E.tobytes() == before
+        here = discrete.concentration_ratio(Spectrum(tuple(members.tolist()), q), 1.0, 1)
+        assert score == pytest.approx(here, rel=1e-12)
+
+    @pytest.mark.parametrize("q, p, restarts, seed, ratio, evaluations, witness", [
+        # q > 1024: 3 interval starts and 2 random ones
+        (1031, 1.0, 2, 3, "0x1.98dda48b1005dp-3", 138153, "a1918626b1ed2f89"),
+        # 8 interval starts and 1 random one
+        (1009, 2.0, 1, 6, "0x1.d85fcdbbc214ep-2", 89800, "f2b2bac7f1e2f345"),
+        # q <= 64: q - 1 interval starts, on the pool although q < _POOL_Q
+        (61, 1.5, 3, 4, "0x1.9719a10d02126p-2", 65147, "63bdb76e309ce3e5")])
+    def test_same_report_at_every_worker_count(self, monkeypatch, q, p, restarts, seed,
+                                               ratio, evaluations, witness):
+        # pinned from the serial loop over the starts: the walks of every
+        # start are combined in start order, however the pool runs them
+        monkeypatch.setattr(discrete, "_POOL_Q", 3)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)     # interleave the workers often
+        try:
+            for workers in (1, 2, 3):
+                monkeypatch.setattr(bounds, "_WORKERS", workers)
+                _restart_pool()
+                h = discrete.heuristic_gamma_sharp(q, p, restarts=restarts, seed=seed)
+                digest = hashlib.sha256(repr(h.spectrum.freqs).encode()).hexdigest()[:16]
+                assert (h.ratio.hex(), h.evaluations, digest) == (ratio, evaluations, witness)
+        finally:
+            sys.setswitchinterval(interval)
+            _restart_pool()
+
+    def test_walks_combined_in_start_order(self, monkeypatch):
+        # every walk ends at the same score, and the later starts end first:
+        # the first start, the best interval, still wins the tie
+        calls = itertools.count()
+
+        def ascend(q, p, E, start, max_steps=None):
+            time.sleep(0.01 * (8 - next(calls)))
+            return np.array(start), 0.99, 1
+
+        monkeypatch.setattr(discrete, "_ascend", ascend)
+        h = discrete.heuristic_gamma_sharp(601, 1.0, restarts=0)
+        assert h.spectrum.freqs == tuple(range(discrete.dirichlet_table(601, 1.0).best_n))
 
     def test_dirichlet_rows_counted_once(self, monkeypatch):
         # with ascents that cost nothing, only the q - 1 table rows remain
