@@ -293,11 +293,10 @@ def _mode_table(t: float, J: int, odd: bool):
     # m j num = 0 (mod den) exactly when den / gcd(m, den) divides j; the
     # odd domain's sign is + exactly when den divides j
     res_sign = np.zeros(J)
-    if n_exact:
-        period = den // math.gcd(m, den)
-        res_sign[period - 1:n_exact:period] = -1.0
-        res_sign[den - 1:n_exact:den] = 1.0
-        s_eff[period - 1:n_exact:period] = 0.0
+    period = den // math.gcd(m, den)
+    res_sign[period - 1:n_exact:period] = -1.0
+    res_sign[den - 1:n_exact:den] = 1.0
+    s_eff[period - 1:n_exact:period] = 0.0
     return s_eff, res_sign
 
 
@@ -317,12 +316,9 @@ def _mode_tail(lam, t, tol, odd):
         c, ac = _mode_coeffs(lam, J)
     s_eff, res_sign = _mode_table(t, J, odd)
     nonres = res_sign == 0.0
-    if nonres.all():
-        a_nr, s_nr, a_res, res_sum = ac[1:], s_eff, 0.0, 0.0
-    else:
-        a_nr, s_nr = ac[1:][nonres], s_eff[nonres]
-        a_res = float(np.sum(ac[1:][~nonres]))
-        res_sum = float(np.sum(c[1:] * res_sign))
+    a_nr, s_nr = ac[1:][nonres], s_eff[nonres]
+    a_res = float(np.sum(ac[1:][~nonres]))
+    res_sum = float(np.sum(c[1:] * res_sign))
     unbounded = np.flatnonzero(s_nr == 0.0)    # no Abel bound: g / 0 = inf
     np.maximum(s_nr, 1e-300, out=s_nr)
     K = 2 ** 14
@@ -446,17 +442,10 @@ def _scan_min(f, xs, values, tol):
 
 @functools.lru_cache(maxsize=4)
 def _scan_table(odd: bool, n: int):
-    """``_build_scan_table(odd, n)``, read-only, kept for the last four
-    (odd, n) asked for."""
-    ts, M = _build_scan_table(odd, n)
-    ts.flags.writeable = M.flags.writeable = False
-    return ts, M
-
-
-def _build_scan_table(odd: bool, n: int):
-    """(ts, M) of the coarse scan: n >= 512 points ts on [T_MIN, 1/2] and the
-    lam-independent table M[k, i] = |sin(pi k ts[i])| / (k sin(pi ts[i])),
-    k <= _SCAN_K in the domain, built in place in column blocks."""
+    """(ts, M) of the coarse scan, read-only, kept for the last four (odd, n):
+    n >= 512 points ts on [T_MIN, 1/2] and the lam-independent table
+    M[k, i] = |sin(pi k ts[i])| / (k sin(pi ts[i])), k <= _SCAN_K in the
+    domain, built in place in column blocks."""
     ts = np.linspace(T_MIN, 0.5, max(n, 512))
     S = np.sin(np.pi * ts)
     k = np.arange(1, _SCAN_K + 1, 2 if odd else 1, dtype=np.float64)
@@ -471,6 +460,7 @@ def _build_scan_table(odd: bool, n: int):
         np.divide(blk, k[:, None] * S[None, lo:hi], out=blk)
 
     _column_blocks(build, M.shape)
+    ts.flags.writeable = M.flags.writeable = False
     return ts, M
 
 

@@ -85,6 +85,16 @@ def run_curve(inputs: dict) -> dict:
                       "tail_bound": ev.tail_bound} for ev in evs]}
 
 
+def _search_reads(q: int, mode: str) -> tuple:
+    """(method, flags read) of a search in ``mode`` at q: the method its
+    outputs name, and the mode-dependent flags it reads, in output order."""
+    if mode == "star":
+        return "exhaustive", ("K", "k_sensitivity")
+    if discrete.is_exact(q, mode):
+        return "exhaustive", ()
+    return "heuristic", ("restarts", "seed")
+
+
 def run_search(inputs: dict) -> dict:
     q, p, mode = inputs["q"], inputs["p"], inputs["mode"]
     if mode == "star":
@@ -98,10 +108,8 @@ def run_search(inputs: dict) -> dict:
             out["K_sensitivity_witnesses"] = {k: r.spectrum for k, r in reps.items()
                                               if r is not rep}
         return out
-    if discrete.is_exact(q, mode):
-        return to_jsonable(discrete.gamma_sharp(q, p, mode=mode))
-    # the heuristic's outputs name the run they come from
-    ascent = {"restarts": inputs["restarts"], "seed": inputs["seed"]}
+    # the heuristic's outputs name the run they come from; an exact scan reads none
+    ascent = {k: inputs[k] for k in _search_reads(q, mode)[1]}
     return {**to_jsonable(discrete.gamma_sharp(q, p, mode=mode, **ascent)), **ascent}
 
 
@@ -316,13 +324,10 @@ def _inputs_from_args(args) -> tuple:
     if args.cmd in ("constants", "curve"):
         del inputs["seed"]
     elif args.cmd == "search":
-        reads = ({"K", "k_sensitivity"} if args.mode == "star"
-                 else set() if discrete.is_exact(args.q, args.mode)
-                 else {"restarts", "seed"})
-        for k in {"seed", "restarts", "K", "k_sensitivity"} - reads:
+        reads = _search_reads(args.q, args.mode)[1]
+        for k in {"seed", "restarts", "K", "k_sensitivity"} - set(reads):
             del inputs[k]
-        if "seed" not in reads:
-            seed = None
+        seed = inputs.get("seed")
         inputs["algorithm"] = discrete.ALGORITHM_VERSION
     elif args.cmd == "concentrate":
         spec = read_json(inputs.pop("e_file"))
@@ -337,26 +342,25 @@ def _inputs_from_args(args) -> tuple:
 def _cached_ratio_holds(payload, inputs) -> bool:
     """True if a cached search payload may be served: it answers ``inputs``
     (their q, p and method, K on the half grid or target 1 on the plain
-    grid, and the heuristic's restarts and seed), and its stored ratio,
+    grid, and the heuristic's restarts and seed), a star payload holds
+    ``K_sensitivity`` exactly when it was asked for, and its stored ratio,
     and each ``K_sensitivity`` level but the K entry (the stored ratio),
     equals the level of its witness, recomputed and rounded as stored
-    (``concentration_ratio`` or ``star``)."""
-    if not isinstance(payload, dict):
-        return False
+    (``concentration_ratio`` or ``star``); a payload that is not a dict
+    fails the first lookup."""
     star = inputs["mode"] == "star"
-    exact = star or discrete.is_exact(inputs["q"], inputs["mode"])
-    asked = to_jsonable({"q": inputs["q"], "p": inputs["p"],
-                         "method": "exhaustive" if exact else "heuristic",
-                         **({"K": inputs["K"]} if star else {"target": 1}),
-                         **({} if exact else {"restarts": inputs["restarts"],
-                                              "seed": inputs["seed"]})})
+    method, reads = _search_reads(inputs["q"], inputs["mode"])
+    asked = to_jsonable({"q": inputs["q"], "p": inputs["p"], "method": method,
+                         **({} if star else {"target": 1}),
+                         **{k: inputs[k] for k in reads if k != "k_sensitivity"}})
     try:
         if asked != {k: payload[k] for k in asked}:
             return False
         if star:
             spec = Spectrum(payload["spectrum"], 2 * payload["q"])
-            fresh = {"ratio_star": discrete.star(spec, payload["p"], payload["K"])[0]}
-            if "K_sensitivity" in payload:
+            fresh = {"ratio_star": discrete.star(spec, payload["p"], payload["K"])[0],
+                     "K_sensitivity": None}
+            if inputs["k_sensitivity"]:
                 levels = {k: discrete.star(Spectrum(w, spec.degree_bound),
                                            payload["p"], float(k))[0]
                           for k, w in payload["K_sensitivity_witnesses"].items()}
@@ -367,7 +371,7 @@ def _cached_ratio_holds(payload, inputs) -> bool:
             spec = Spectrum(payload["spectrum"], payload["q"])
             fresh = {"ratio": discrete.concentration_ratio(spec, payload["p"],
                                                            payload["target"])}
-        return to_jsonable(fresh) == {k: payload[k] for k in fresh}
+        return to_jsonable(fresh) == {k: payload.get(k) for k in fresh}
     except (AttributeError, DomainError, IndexError, KeyError, TypeError, ValueError):
         return False
 

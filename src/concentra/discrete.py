@@ -177,7 +177,7 @@ def _bit_table(n: int) -> np.ndarray:
     return ((np.arange(1 << n)[:, None] >> np.arange(n)) & 1).astype(np.uint8)
 
 
-def _scan(E, lead, score, W=None, limit=None):
+def _scan(E, lead, score, W=None, limit=math.inf):
     """Exhaustive scan of the spectra of the value matrix E (row h = e(h x)).
 
     Mask bit i selects row i + 1 if ``lead`` (row 0 always in: translation
@@ -200,8 +200,6 @@ def _scan(E, lead, score, W=None, limit=None):
     # ends[j]: the number of low masks of popcount <= j
     ends = np.cumsum(np.bincount(pop_lo, minlength=lo + 1))
     pop_hi = bits_hi.sum(axis=1)
-    if limit is None:
-        limit = len(rows)
     T = bits_lo @ E[rows[:lo]]
     if lead:
         T += E[0]
@@ -214,9 +212,10 @@ def _scan(E, lead, score, W=None, limit=None):
         cols = W.shape[1]
         spread = np.linspace(0, cols - 1, min(_PRE, cols)).astype(int)
         order = np.concatenate([spread, np.setdiff1d(np.arange(cols), spread)])
-        D = W[:lo, order].T @ bits_lo.T.astype(np.int64)   # numpy's fast int loop
+        # D in (-2^25, 2^16) and U in (-2^25, 2^25) are int32 for q <= 26
+        D = W[:lo, order].T.astype(np.int32) @ bits_lo.T.astype(np.int32)
         np.subtract(low, D, out=D)
-        U = bits_hi @ W[lo:, order] - (np.arange(len(H)) << lo)[:, None]
+        U = (bits_hi @ W[lo:, order] - (np.arange(len(H)) << lo)[:, None]).astype(np.int32)
     best, pool, evals = -1.0, [], 0
     for h in range(len(H)):
         room = limit - int(pop_hi[h])
@@ -505,6 +504,15 @@ def gamma_sharp(q: int, p: float, *, mode: str = "auto", restarts: int = 4,
     return heuristic_gamma_sharp(q, p, restarts=restarts, seed=seed)
 
 
+def _star_level(num, d_star, d_plain, K):
+    """Half-grid level min(num / d_star, K num / d_plain) of arrays or numpy
+    scalars: 0 where num or d_star is 0, num / d_star where d_plain is 0."""
+    with np.errstate(divide="ignore", invalid="ignore"):
+        g = np.where(d_star > 0, num / d_star, 0.0)
+        g2 = np.where(d_plain > 0, K * num / d_plain, np.inf)
+        return np.minimum(g, np.where(num > 0, g2, 0.0))
+
+
 def star(spec: Spectrum, p: float, K: float):
     """(level, 2|v_1|^p, star sum, plain sum) of one spectrum on the Q-point
     grid, Q = ``spec.degree_bound``: the half-grid level at control constant K."""
@@ -513,14 +521,10 @@ def star(spec: Spectrum, p: float, K: float):
     Q = spec.degree_bound
     vals = eval_grid(to_coeffs(spec), Grid(Q))
     mp = _pow_abs(np.abs(vals), p, Q)
-    num = 2.0 * float(mp[1])
-    ds = float(mp[1::2].sum())
-    dp = float(mp[0::2].sum())
-    if num == 0.0 or ds == 0.0:
-        g = 0.0
-    else:
-        g = min(num / ds, K * num / dp) if dp > 0 else num / ds
-    return g, num, ds, dp
+    num = 2.0 * mp[1]
+    ds = mp[1::2].sum()
+    dp = mp[0::2].sum()
+    return float(_star_level(num, ds, dp, K)), float(num), float(ds), float(dp)
 
 
 def exact_gamma_star(q: int, p: float, K: float = 1e4,
@@ -546,14 +550,7 @@ def exact_gamma_star(q: int, p: float, K: float = 1e4,
 
     def score(V):
         mp = _pow_abs(np.abs(V), p, Q)
-        num = 2.0 * mp[:, 1]
-        d_star = mp @ w_odd
-        d_plain = mp @ w_even
-        with np.errstate(divide="ignore", invalid="ignore"):
-            g = np.where(d_star > 0, num / d_star, 0.0)
-            g2 = np.where(d_plain > 0, K * num / d_plain, np.inf)
-            g = np.minimum(g, np.where(num > 0, g2, 0.0))
-        return g[:, None]
+        return _star_level(2.0 * mp[:, 1], mp @ w_odd, mp @ w_even, K)[:, None]
 
     pool, evals = _scan(E, use_pruning, score)
     top, witness, n = _best_of(pool, False, lambda s: star(s, p, K)[0])

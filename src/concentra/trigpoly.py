@@ -37,9 +37,7 @@ class Spectrum:
     degree_bound: int
 
     def __post_init__(self):
-        fr = tuple(int(h) for h in self.freqs)
-        if list(fr) != sorted(set(fr)):
-            fr = tuple(sorted(set(fr)))
+        fr = tuple(sorted({int(h) for h in self.freqs}))
         object.__setattr__(self, "freqs", fr)
         if fr and fr[0] < 0:
             raise DomainError("frequencies must be nonnegative")
@@ -92,8 +90,7 @@ class Grid:
 def to_coeffs(s: Spectrum) -> CoeffPoly:
     """0/1 coefficient sequence of the idempotent with support ``s``."""
     c = np.zeros(s.degree_bound, dtype=np.complex128)
-    if s.freqs:
-        c[np.asarray(s.freqs)] = 1.0
+    c[list(s.freqs)] = 1.0
     return CoeffPoly(c)
 
 
@@ -104,13 +101,9 @@ def eval_point(p: CoeffPoly, x) -> complex:
     any transform machinery.
     """
     h = np.nonzero(p.coeffs)[0]
-    if len(h) == 0:
-        x = np.asarray(x, dtype=np.float64)
-        z = np.zeros(x.shape, dtype=np.complex128)
-        return complex(z) if z.ndim == 0 else z
-    a = p.coeffs[h]
     x = np.asarray(x, dtype=np.float64)
-    val = np.tensordot(a, np.exp(2j * np.pi * np.outer(h, x)), axes=(0, 0))
+    val = np.tensordot(p.coeffs[h], np.exp(2j * np.pi * np.multiply.outer(h, x)),
+                       axes=(0, 0))
     if val.ndim == 0:
         return complex(val)
     return val

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import settings
 
+from concentra import bounds
 from concentra.discrete import concentration_ratio
 from concentra.errors import DomainError
 from concentra.trigpoly import Spectrum
@@ -16,6 +17,12 @@ settings.load_profile("derandomized")
 @pytest.fixture
 def rng():
     return np.random.default_rng(20240817)
+
+
+def _restart_pool():
+    # the pool takes its thread count from bounds._WORKERS when it starts
+    bounds._pool().shutdown()
+    bounds._pool.cache_clear()
 
 
 def brute_force_gamma_sharp(q: int, p: float):

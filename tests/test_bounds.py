@@ -12,7 +12,7 @@ import pytest
 
 from concentra import bounds, cli
 from concentra.errors import DomainError
-from conftest import K_upper, zeta_value
+from conftest import K_upper, _restart_pool, zeta_value
 
 
 def closed_B2(t):
@@ -364,20 +364,28 @@ class TestKernels:
         try:
             for workers in (1, 2, 3):
                 monkeypatch.setattr(bounds, "_WORKERS", workers)
+                _restart_pool()
+                assert bounds._pool()._max_workers == workers
                 total, _, count = bounds._direct_scaled_sum(lam, 0.2371, K, odd)
                 assert total.hex() == want.hex() and count == want_count
         finally:
             sys.setswitchinterval(interval)
+            _restart_pool()
 
     @pytest.mark.parametrize("odd", [False, True])
     def test_scan_table_matches_allocating_oracle(self, monkeypatch, odd):
-        for workers in (1, 2, 3):
-            monkeypatch.setattr(bounds, "_WORKERS", workers)
-            ts, M = bounds._build_scan_table(odd, 512)
-            S = np.sin(np.pi * ts)
-            k = np.arange(1, 4097, 2 if odd else 1, dtype=np.float64)
-            want = np.abs(np.sin(np.pi * np.outer(k, ts))) / (k[:, None] * S[None, :])
-            assert np.array_equal(M, want)
+        try:
+            for workers in (1, 2, 3):
+                monkeypatch.setattr(bounds, "_WORKERS", workers)
+                _restart_pool()
+                assert bounds._pool()._max_workers == workers
+                ts, M = bounds._scan_table.__wrapped__(odd, 512)    # built afresh
+                S = np.sin(np.pi * ts)
+                k = np.arange(1, 4097, 2 if odd else 1, dtype=np.float64)
+                want = np.abs(np.sin(np.pi * np.outer(k, ts))) / (k[:, None] * S[None, :])
+                assert np.array_equal(M, want)
+        finally:
+            _restart_pool()
 
     @pytest.mark.parametrize("lam", [1.5, 2.0, 2.5, 7.0])
     def test_scan_values_match_whole_table_sum(self, monkeypatch, lam):
@@ -385,12 +393,17 @@ class TestKernels:
         # does; the least allowance gives blocks of two columns
         ts, M = bounds._scan_table(True, 1024)
         want = np.sum(M ** lam, axis=0)
-        for workers in (1, 2, 3):
-            for block_bytes in (1, bounds._BLOCK_BYTES):
+        try:
+            for workers in (1, 2, 3):
                 monkeypatch.setattr(bounds, "_WORKERS", workers)
-                monkeypatch.setattr(bounds, "_BLOCK_BYTES", block_bytes)
-                got = bounds._scan_values("A", lam, (ts, M))
-                assert got.tobytes() == want.tobytes()
+                _restart_pool()
+                assert bounds._pool()._max_workers == workers
+                for block_bytes in (1, bounds._BLOCK_BYTES):
+                    monkeypatch.setattr(bounds, "_BLOCK_BYTES", block_bytes)
+                    got = bounds._scan_values("A", lam, (ts, M))
+                    assert got.tobytes() == want.tobytes()
+        finally:
+            _restart_pool()
 
     def test_parallel_waits_for_every_range_before_raising(self):
         # the ranges write into the caller's buffer: none may still run
@@ -407,14 +420,11 @@ class TestKernels:
             bounds._parallel(fn, [(i, i + 1) for i in range(6)])
         assert sorted(done) == [1, 2, 3, 4, 5]
 
-    def test_constants_build_each_table_once(self, monkeypatch):
-        built = []
-        build = bounds._build_scan_table
-        monkeypatch.setattr(bounds, "_build_scan_table",
-                            lambda odd, n: built.append((odd, n)) or build(odd, n))
+    def test_constants_build_each_table_once(self):
+        # one table of each domain at the default scan size
         bounds._scan_table.cache_clear()
         cli.run_constants({})
-        assert sorted(built) == [(False, 1024), (True, 1024)]
+        assert bounds._scan_table.cache_info().misses == 2
 
     @pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
     def test_forked_child_starts_its_own_pool(self):
@@ -478,10 +488,13 @@ class TestKernels:
                 want = _allocating_mode_table(t, J, odd)
                 for workers in (1, 2, 3):
                     monkeypatch.setattr(bounds, "_WORKERS", workers)
+                    _restart_pool()
+                    assert bounds._pool()._max_workers == workers
                     got = bounds._mode_table(t, J, odd)
                     assert [a.tobytes() for a in got] == [a.tobytes() for a in want]
         finally:
             sys.setswitchinterval(interval)
+            _restart_pool()
 
     @pytest.mark.parametrize("lam", [1.2, 1.5, 1.999, 2.0, 2.5, 7.3, 16.0])
     def test_grown_mode_coeffs_match_arrays_built_whole(self, lam):

@@ -213,6 +213,29 @@ class TestSearchCommand:
         assert json.loads(path_of(b).read_text())["outputs"] == fresh
         assert json.loads(run(b, capsys)[1]) == dict(fresh, cached=True)
 
+    @pytest.mark.parametrize("asked", [True, False], ids=["rows-dropped", "rows-added"])
+    def test_star_rows_served_only_as_asked(self, asked, tmp_path, capsys):
+        # a star record holding the outputs of the same search with the
+        # K_sensitivity rows dropped or added: every level in it is that of
+        # its witness, so the ratio checks pass it
+        def path_of(args):
+            inputs, seed = cli._inputs_from_args(cli._build_parser().parse_args(args))
+            return tmp_path / "records" / f"search-{config_hash('search', inputs, seed)}.json"
+
+        plain = ["search", "--q", "4", "--p", "2", "--mode", "star", "--cache-dir", str(tmp_path)]
+        rows = plain + ["--k-sensitivity"]
+        with_rows, without = (json.loads(run(args, capsys)[1]) for args in (rows, plain))
+        assert {k: v for k, v in with_rows.items() if k in without} == without
+        assert sorted(with_rows.keys() - without.keys()) == ["K_sensitivity",
+                                                             "K_sensitivity_witnesses"]
+        b, fresh, other = (rows, with_rows, without) if asked else (plain, without, with_rows)
+        rec = json.loads(path_of(b).read_text())
+        rec["outputs"] = other
+        path_of(b).write_text(json.dumps(rec))
+        assert json.loads(run(b, capsys)[1]) == dict(fresh, cached=False)
+        assert json.loads(path_of(b).read_text())["outputs"] == fresh
+        assert json.loads(run(b, capsys)[1]) == dict(fresh, cached=True)
+
     def test_budget_exit_code(self, tmp_path, capsys):
         code, _ = run(["search", "--q", "40", "--p", "2", "--mode", "exhaustive",
                        "--cache-dir", str(tmp_path)], capsys)

@@ -86,6 +86,15 @@ def test_search_policy_only_in_discrete():
     assert hits == ["__init__.py", "discrete.py"]
 
 
+def test_search_reads_decided_once_in_cli():
+    # which method a search runs, and so which flags it reads, is decided in
+    # one place in cli: every call of discrete.is_exact there is in _search_reads
+    tree = ast.parse((ROOT / "src" / "concentra" / "cli.py").read_text())
+    calls = [getattr(top, "name", None) for top in tree.body for node in ast.walk(top)
+             if isinstance(node, ast.Call) and ast.unparse(node.func).endswith("is_exact")]
+    assert calls == ["_search_reads"]
+
+
 def test_only_the_store_and_main_write_files():
     # a run's record goes through ResultsCache.put, and cli.main writes the
     # --output and --trace files; nothing else in the package writes one

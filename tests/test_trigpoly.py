@@ -75,6 +75,20 @@ class TestEvalPoint:
         p = CoeffPoly(np.array([1, 0, 1], dtype=complex))
         assert abs(eval_point(p, 0.25)) <= 1e-15
 
+    @pytest.mark.parametrize("freqs", [(), (0, 1, 3)])
+    def test_scalar_gives_complex_array_keeps_shape(self, freqs):
+        # one path for every polynomial, the one with no frequency included
+        p = to_coeffs(Spectrum(freqs, 5))
+        x = np.arange(6).reshape(2, 3) / 5
+        want = np.array([sum(np.exp(2j * np.pi * h * v) for h in freqs) for v in x.flat])
+        for scalar in (0.2, np.float64(0.2), np.array(0.2)):
+            got = eval_point(p, scalar)
+            assert type(got) is complex
+            assert abs(got - want[1]) <= 1e-12
+        got = eval_point(p, x)
+        assert got.shape == (2, 3) and got.dtype == np.complex128
+        assert np.allclose(got.ravel(), want, rtol=0, atol=1e-12)
+
 
 class TestEvalGrid:
     def test_full_spectrum_is_scaled_delta(self):
