@@ -1,8 +1,9 @@
 """Run records, which are also the search cache.
 
 Every CLI invocation writes a RunRecord (JSON) named by a content hash of
-(command, canonical inputs, seed); a search is answered from the record of
-its own configuration, so an identical search is served without
+(command, canonical inputs, seed) and sealed by ``outputs_digest``, a hash
+of that config hash and the outputs; a search is answered from the record
+of its own configuration, so an identical search is served without
 recomputation.  Inputs are stored and hashed as given (JSON floats
 round-trip); every numeric output is serialized at 15 significant digits.
 """
@@ -54,6 +55,11 @@ def config_hash(command: str, inputs, seed) -> str:
     return hashlib.sha256(blob.encode()).hexdigest()[:16]
 
 
+def _seal(key: str, outputs) -> str:
+    """The digest of ``outputs`` (in wire form) under the config hash ``key``."""
+    return hashlib.sha256((key + canonical_json(outputs)).encode()).hexdigest()
+
+
 def default_cache_dir() -> Path:
     env = os.environ.get("CONCENTRA_CACHE")
     if env:
@@ -69,13 +75,14 @@ class ResultsCache:
         self.dir = Path(root) / "records"
 
     def get(self, command: str, key: str):
-        """The outputs of the record under ``key``; None if there is no
-        readable RunRecord there, or if its own command, inputs and seed do
-        not hash to ``key`` (a renamed or edited file)."""
+        """``(outputs, sealed)`` of the record under ``key``: ``sealed`` if its
+        ``outputs_digest`` seals these outputs under ``key``.  None if there
+        is no readable RunRecord there, or if its own command, inputs and
+        seed do not hash to ``key`` (a renamed file or edited inputs)."""
         try:
             rec = load_record(self.dir / f"{command}-{key}.json")
             if config_hash(rec["command"], rec["inputs"], rec["seed"]) == key:
-                return rec["outputs"]
+                return rec["outputs"], rec.get("outputs_digest") == _seal(key, rec["outputs"])
         except (DomainError, KeyError):
             pass
         return None
@@ -93,8 +100,10 @@ def write_record(root: Path, command: str, inputs, outputs, wall_time: float,
                  seed) -> Path:
     """Build the RunRecord of one run and store it in the cache at ``root``."""
     key = config_hash(command, inputs, seed)
+    outputs = to_jsonable(outputs)
     record = {"command": command, "config_hash": key, "inputs": inputs,
-              "outputs": to_jsonable(outputs), "seed": seed, "wall_time": wall_time}
+              "outputs": outputs, "outputs_digest": _seal(key, outputs), "seed": seed,
+              "wall_time": wall_time}
     return ResultsCache(root).put(command, key, record)
 
 

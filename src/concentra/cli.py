@@ -86,13 +86,12 @@ def run_curve(inputs: dict) -> dict:
 
 
 def _search_reads(q: int, mode: str) -> tuple:
-    """(method, flags read) of a search in ``mode`` at q: the method its
-    outputs name, and the mode-dependent flags it reads, in output order."""
+    """The mode-dependent flags a search in ``mode`` at q reads, in output order."""
     if mode == "star":
-        return "exhaustive", ("K", "k_sensitivity")
+        return ("K", "k_sensitivity")
     if discrete.is_exact(q, mode):
-        return "exhaustive", ()
-    return "heuristic", ("restarts", "seed")
+        return ()
+    return ("restarts", "seed")
 
 
 def run_search(inputs: dict) -> dict:
@@ -109,7 +108,7 @@ def run_search(inputs: dict) -> dict:
                                               if r is not rep}
         return out
     # the heuristic's outputs name the run they come from; an exact scan reads none
-    ascent = {k: inputs[k] for k in _search_reads(q, mode)[1]}
+    ascent = {k: inputs[k] for k in _search_reads(q, mode)}
     return {**to_jsonable(discrete.gamma_sharp(q, p, mode=mode, **ascent)), **ascent}
 
 
@@ -324,7 +323,7 @@ def _inputs_from_args(args) -> tuple:
     if args.cmd in ("constants", "curve"):
         del inputs["seed"]
     elif args.cmd == "search":
-        reads = _search_reads(args.q, args.mode)[1]
+        reads = _search_reads(args.q, args.mode)
         for k in {"seed", "restarts", "K", "k_sensitivity"} - set(reads):
             del inputs[k]
         seed = inputs.get("seed")
@@ -339,28 +338,17 @@ def _inputs_from_args(args) -> tuple:
     return inputs, seed
 
 
-def _cached_ratio_holds(payload, inputs) -> bool:
-    """True if a cached search payload may be served: it answers ``inputs``
-    (their q, p and method, K on the half grid or target 1 on the plain
-    grid, and the heuristic's restarts and seed), a star payload holds
-    ``K_sensitivity`` exactly when it was asked for, and its stored ratio,
-    and each ``K_sensitivity`` level but the K entry (the stored ratio),
-    equals the level of its witness, recomputed and rounded as stored
-    (``concentration_ratio`` or ``star``); a payload that is not a dict
-    fails the first lookup."""
-    star = inputs["mode"] == "star"
-    method, reads = _search_reads(inputs["q"], inputs["mode"])
-    asked = to_jsonable({"q": inputs["q"], "p": inputs["p"], "method": method,
-                         **({} if star else {"target": 1}),
-                         **{k: inputs[k] for k in reads if k != "k_sensitivity"}})
+def _cached_ratio_holds(payload, star: bool) -> bool:
+    """True if the stored ratio of a sealed search payload (a star one if
+    ``star``), and each ``K_sensitivity`` level but the K entry, equals the
+    level of its witness as ``concentration_ratio`` or ``star`` computes it
+    now, rounded as stored.  A record is a file, so a payload of another
+    shape fails."""
     try:
-        if asked != {k: payload[k] for k in asked}:
-            return False
         if star:
             spec = Spectrum(payload["spectrum"], 2 * payload["q"])
-            fresh = {"ratio_star": discrete.star(spec, payload["p"], payload["K"])[0],
-                     "K_sensitivity": None}
-            if inputs["k_sensitivity"]:
+            fresh = {"ratio_star": discrete.star(spec, payload["p"], payload["K"])[0]}
+            if "K_sensitivity" in payload:
                 levels = {k: discrete.star(Spectrum(w, spec.degree_bound),
                                            payload["p"], float(k))[0]
                           for k, w in payload["K_sensitivity_witnesses"].items()}
@@ -402,8 +390,9 @@ def main(argv=None) -> int:
         hit = None
         if args.cmd == "search" and not args.no_cache:
             hit = ResultsCache(cache_dir).get("search", config_hash("search", inputs, seed))
-        if hit is not None and _cached_ratio_holds(hit, inputs):
-            shown = dict(hit, cached=True)
+        served, sealed = hit or (None, False)
+        if sealed and _cached_ratio_holds(served, inputs["mode"] == "star"):
+            shown = dict(served, cached=True)
         else:
             trace = [] if getattr(args, "trace_path", None) else None
             payload = (_RUNNERS[args.cmd](inputs) if trace is None

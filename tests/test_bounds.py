@@ -243,6 +243,19 @@ class TestConstants:
             bounds.gamma1_certified_lower(2.0)
         with pytest.raises(DomainError):
             bounds.gamma1_certified_lower(1.0)
+        # A(2, t) is closed_A2(t), so the chain's limit as r -> 2- is
+        # sqrt(1 / min_t closed_A2) = 0.9605227; minimize it by golden section
+        lo, hi = 0.2, 0.5
+        g = (math.sqrt(5) - 1) / 2
+        for _ in range(100):
+            a, b = hi - g * (hi - lo), lo + g * (hi - lo)
+            lo, hi = (lo, b) if closed_A2(a) < closed_A2(b) else (a, hi)
+        ceiling = math.sqrt(1 / closed_A2((lo + hi) / 2))
+        assert abs(ceiling - 0.9605227) <= 1e-7
+        values = [bounds.gamma1_certified_lower(r).value for r in (1.9, 1.99, 1.999, 1.9999)]
+        assert all(a < b for a, b in zip(values, values[1:]))
+        assert all(v < ceiling for v in values)
+        assert ceiling - values[-1] <= 2e-5
 
 
 class TestMajorant:

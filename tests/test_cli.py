@@ -106,10 +106,11 @@ class TestSearchCommand:
         return path
 
     @staticmethod
-    def edited_row_not_served(args, key, capsys, tmp_path):
+    def edited_row_not_served(args, key, capsys, tmp_path, value=0.99):
         args = ["search", *args, "--cache-dir", str(tmp_path)]
         fresh = json.loads(run(args, capsys)[1])
-        path = TestSearchCommand.edit_record(tmp_path, lambda out: out.update({key: 0.99}))
+        assert fresh[key] != value
+        path = TestSearchCommand.edit_record(tmp_path, lambda out: out.update({key: value}))
         code, out = run(args, capsys)
         again = json.loads(out)
         assert code == 0 and again["cached"] is False
@@ -125,6 +126,31 @@ class TestSearchCommand:
     def test_star_cache_row_with_edited_ratio_not_served(self, tmp_path, capsys):
         self.edited_row_not_served(["--q", "3", "--p", "2", "--mode", "star"],
                                    "ratio_star", capsys, tmp_path)
+
+    @pytest.mark.parametrize("args, key, value", [
+        (["--q", "7", "--p", "1"], "evaluations", 1),
+        (["--q", "3", "--p", "2", "--mode", "star"], "cond_K_ok", False),
+        (["--q", "3", "--p", "2", "--mode", "star"], "evaluations", 1),
+    ], ids=["plain-evaluations", "star-cond_K_ok", "star-evaluations"])
+    def test_edited_output_beside_the_ratio_not_served(self, args, key, value, tmp_path,
+                                                       capsys):
+        # the ratio check recomputes the level alone; the seal covers every output
+        self.edited_row_not_served(args, key, capsys, tmp_path, value)
+
+    @pytest.mark.parametrize("args", [
+        ["--q", "7", "--p", "1"],
+        ["--q", "3", "--p", "2", "--mode", "star", "--k-sensitivity"],
+    ], ids=["plain", "star-k-sensitivity"])
+    def test_record_from_before_the_seal_recomputed_once(self, args, tmp_path, capsys):
+        args = ["search", *args, "--cache-dir", str(tmp_path)]
+        fresh = json.loads(run(args, capsys)[1])
+        [path] = search_records(tmp_path)
+        rec = json.loads(path.read_text())
+        digest = rec.pop("outputs_digest")
+        path.write_text(json.dumps(rec))
+        assert json.loads(run(args, capsys)[1]) == dict(fresh, cached=False)
+        assert json.loads(path.read_text())["outputs_digest"] == digest
+        assert json.loads(run(args, capsys)[1]) == dict(fresh, cached=True)
 
     @staticmethod
     def k_sensitivity_row_recomputed(edit, capsys, tmp_path):
@@ -181,23 +207,27 @@ class TestSearchCommand:
         assert code == 0 and "cached" not in json.loads(out)
         assert json.loads(out)["p"] == 2.0
 
-    @pytest.mark.parametrize("ours, theirs, field", [
-        (["--q", "7", "--p", "2"], ["--q", "7", "--p", "1"], "p"),
+    @pytest.mark.parametrize("ours, theirs, field, seal", [
+        (["--q", "7", "--p", "2"], ["--q", "7", "--p", "1"], "p", False),
         (["--q", "3", "--p", "2", "--mode", "star", "--K", "1e4"],
-         ["--q", "3", "--p", "2", "--mode", "star", "--K", "100"], "K"),
+         ["--q", "3", "--p", "2", "--mode", "star", "--K", "100"], "K", False),
         (["--q", "23", "--p", "1", "--mode", "exhaustive"],
-         ["--q", "23", "--p", "1", "--mode", "heuristic", "--restarts", "1"], "method"),
+         ["--q", "23", "--p", "1", "--mode", "heuristic", "--restarts", "1"], "method", False),
         (["--q", "101", "--p", "1", "--mode", "heuristic", "--seed", "1"],
          ["--q", "101", "--p", "1", "--mode", "heuristic", "--seed", "1", "--restarts", "0"],
-         "restarts"),
+         "restarts", False),
         (["--q", "101", "--p", "1", "--mode", "heuristic", "--restarts", "1"],
          ["--q", "101", "--p", "1", "--mode", "heuristic", "--restarts", "1", "--seed", "2"],
-         "seed"),
-    ], ids=["plain-p", "star-K", "exhaustive-method", "heuristic-restarts", "heuristic-seed"])
-    def test_outputs_of_another_search_not_served(self, ours, theirs, field, tmp_path,
+         "seed", False),
+        (["--q", "7", "--p", "2"], ["--q", "7", "--p", "1"], "p", True),
+    ], ids=["plain-p", "star-K", "exhaustive-method", "heuristic-restarts", "heuristic-seed",
+            "plain-p-with-its-seal"])
+    def test_outputs_of_another_search_not_served(self, ours, theirs, field, seal, tmp_path,
                                                   capsys):
         # a record with its own inputs and the outputs of another search: the
-        # stored level is that of its witness, so the ratio check passes it
+        # stored level is that of its witness, so the ratio check passes it.
+        # The other record's seal, copied with them, is keyed by its own config
+        # hash, so it does not seal them under this one
         def path_of(args):
             inputs, seed = cli._inputs_from_args(cli._build_parser().parse_args(args))
             return tmp_path / "records" / f"search-{config_hash('search', inputs, seed)}.json"
@@ -206,8 +236,10 @@ class TestSearchCommand:
         other = json.loads(run(a, capsys)[1])
         fresh = json.loads(run(b, capsys)[1])
         assert other[field] != fresh[field]
-        rec = json.loads(path_of(b).read_text())
-        rec["outputs"] = json.loads(path_of(a).read_text())["outputs"]
+        rec, donor = (json.loads(path_of(args).read_text()) for args in (b, a))
+        rec["outputs"] = donor["outputs"]
+        if seal:
+            rec["outputs_digest"] = donor["outputs_digest"]
         path_of(b).write_text(json.dumps(rec))
         assert json.loads(run(b, capsys)[1]) == dict(fresh, cached=False)
         assert json.loads(path_of(b).read_text())["outputs"] == fresh

@@ -87,12 +87,23 @@ def test_search_policy_only_in_discrete():
 
 
 def test_search_reads_decided_once_in_cli():
-    # which method a search runs, and so which flags it reads, is decided in
-    # one place in cli: every call of discrete.is_exact there is in _search_reads
+    # which flags a search reads, and so keeps in its record inputs, is decided
+    # in one place in cli: every call of discrete.is_exact there is in _search_reads
     tree = ast.parse((ROOT / "src" / "concentra" / "cli.py").read_text())
     calls = [getattr(top, "name", None) for top in tree.body for node in ast.walk(top)
              if isinstance(node, ast.Call) and ast.unparse(node.func).endswith("is_exact")]
     assert calls == ["_search_reads"]
+
+
+def test_record_format_only_in_cache():
+    # a record's name hash and the seal of its outputs are made in one module:
+    # cache is the only one that imports hashlib
+    importers = sorted(path.name for path in (ROOT / "src" / "concentra").glob("*.py")
+                       for node in ast.walk(ast.parse(path.read_text()))
+                       if (isinstance(node, ast.Import)
+                           and "hashlib" in [a.name for a in node.names])
+                       or (isinstance(node, ast.ImportFrom) and node.module == "hashlib"))
+    assert importers == ["cache.py"]
 
 
 def test_only_the_store_and_main_write_files():
