@@ -402,6 +402,7 @@ _GOLD = (math.sqrt(5) - 1) / 2
 
 T_MIN = 1e-4
 _SCAN_K = 4096               # last k of the coarse scan table
+_REFINE_TOL = 1e-8           # minimizer width of minimize_over_t
 
 
 def _golden_min(f, lo, hi, tol):
@@ -440,13 +441,13 @@ def _scan_min(f, xs, values, tol):
     return x, v
 
 
-@functools.lru_cache(maxsize=4)
-def _scan_table(odd: bool, n: int):
-    """(ts, M) of the coarse scan, read-only, kept for the last four (odd, n):
-    n >= 512 points ts on [T_MIN, 1/2] and the lam-independent table
+@functools.cache
+def _scan_table(odd: bool):
+    """(ts, M) of the coarse scan, read-only, one per domain: 1024 points
+    ts on [T_MIN, 1/2] and the lam-independent table
     M[k, i] = |sin(pi k ts[i])| / (k sin(pi ts[i])), k <= _SCAN_K in the
     domain, built in place in column blocks."""
-    ts = np.linspace(T_MIN, 0.5, max(n, 512))
+    ts = np.linspace(T_MIN, 0.5, 1024)
     S = np.sin(np.pi * ts)
     k = np.arange(1, _SCAN_K + 1, 2 if odd else 1, dtype=np.float64)
     M = np.empty((len(k), len(ts)))
@@ -493,28 +494,27 @@ def _scan_values(which: str, lam: float, table) -> np.ndarray:
         return pref + 2 * core
 
 
-def minimize_over_t(which: str, lam: float, scan_points: int = 1024,
-                    refine_tol: float = 1e-8) -> MinResult:
+def minimize_over_t(which: str, lam: float) -> MinResult:
     """Global minimum of B or A over t in [T_MIN, 1/2].
 
-    Dense uniform scan (>= 512 points) locates the basin; golden-section
-    refinement narrows it to ``refine_tol``; the reported value is a series
-    evaluation at tolerance refine_tol/10.
+    A dense uniform scan (``_scan_table``) locates the basin; golden-section
+    refinement narrows it to _REFINE_TOL; the reported value is a series
+    evaluation at tolerance _REFINE_TOL/10.
     """
     if which not in ("B", "A"):
         raise DomainError("which must be 'B' or 'A'")
     if not (lam > 1 + 1e-6):
         raise DomainError("minimize_over_t needs lam > 1")
-    table = _scan_table(which == "A", scan_points)
+    table = _scan_table(which == "A")
     evalf = eval_A if which == "A" else eval_B
-    series_tol = refine_tol / 10
+    series_tol = _REFINE_TOL / 10
 
     def f(t):
         return evalf(lam, float(t), tol=series_tol).value
 
     # the coarse scan truncates a positive series, so it underestimates:
     # _scan_min re-evaluates the best probe in full
-    t_star, value = _scan_min(f, table[0], _scan_values(which, lam, table), refine_tol)
+    t_star, value = _scan_min(f, table[0], _scan_values(which, lam, table), _REFINE_TOL)
     return MinResult(float(t_star), float(value))
 
 
@@ -525,7 +525,6 @@ def minimize_over_t(which: str, lam: float, scan_points: int = 1024,
 _SUP_SCAN_POINTS = 400001    # scan of the closed-form suprema (gamma2, gamma4)
 _SUP_X_MAX = 20.0            # right end of the gamma2 scan in x
 _L_MAX = 64                  # last power L of the gamma_sharp_lower sweep
-_REFINE_TOL = 1e-8           # minimizer width of the series-based constants
 _ASYMPTOTE_TOL = 1e-8        # series tolerance of asymptote_scan
 
 
@@ -566,7 +565,7 @@ def gamma_sharp_lower(p: float) -> ConstantResult:
     stagnant = 0
     L_hi = 1 if p <= 2 else _L_MAX
     for L in range(1, L_hi + 1):
-        m = minimize_over_t("B", p * L, refine_tol=_REFINE_TOL)
+        m = minimize_over_t("B", p * L)
         g = 2.0 / m.value
         sweep.append({"L": L, "min_B": m.value, "t_star": m.t_star, "gamma": g})
         if g > best + 1e-6:
@@ -604,7 +603,7 @@ def asymptote_scan(lam: float) -> ConstantResult:
 def gamma_star_lower(p: float) -> ConstantResult:
     """Lower bound 1/min_t A(p, t) for the half-grid relative level."""
     _check_p(p)
-    m = minimize_over_t("A", p, refine_tol=_REFINE_TOL)
+    m = minimize_over_t("A", p)
     cert = {"t_star": m.t_star, "min_A": m.value, "refine_tol": _REFINE_TOL}
     return ConstantResult(1.0 / m.value, m.t_star, cert)
 

@@ -23,7 +23,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bounds import minimize_over_t
 from .errors import BudgetError, DomainError
 from .trigpoly import Grid, Spectrum, eval_grid, to_coeffs
 from . import discrete
@@ -306,10 +305,11 @@ def end_to_end(E: IntervalSet, p: float, eps: float, *, theta: float = 0.5,
     """Full pipeline: localize, pick a witness, assemble, measure.
 
     With a gap factor nu > 1 the fraction scan additionally requires the
-    transformed target nu*a = +-1 (mod q) and the witness is restricted to
-    an interval spectrum short enough that the assembled spectrum keeps
-    gaps >= nu (possible only while deg(R) < q/nu; larger gap factors need
-    the out-of-scope peaking construction and degrade the predicted ratio).
+    transformed target nu*a = +-1 (mod q), and the witness is the best row
+    {0..n-1} of ``discrete.dirichlet_table`` with n <= q // nu, the lengths
+    whose assembled blocks stay q - nu (n - 1) >= nu apart (larger gap
+    factors need the out-of-scope peaking construction and degrade the
+    predicted ratio).
     Raises BudgetError when no fraction up to q_max covers E, and
     DomainError on an asymmetric E unless ``require_symmetric`` is False.
     """
@@ -333,8 +333,7 @@ def end_to_end(E: IntervalSet, p: float, eps: float, *, theta: float = 0.5,
         # nu * a = +-1 (mod q): an interval witness aimed at target 1 (or
         # q-1, same ratio by conjugation) applies.
         b = (nu * a) % q
-        t_opt = minimize_over_t("B", p, scan_points=512, refine_tol=1e-5).t_star
-        n_R = max(1, min(int(round(t_opt * q)), (q - nu) // nu))
+        n_R, _ = max(discrete.dirichlet_table(q, p).rows[:max(1, q // nu)], key=lambda r: r[1])
         W = Spectrum(tuple(range(n_R)), q)
         pathway = "dirichlet-peak-gapped"
     predicted = discrete.concentration_ratio(W, p, b)

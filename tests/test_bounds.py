@@ -172,7 +172,7 @@ class TestMinimization:
     def test_A2_minimizer_stationarity(self):
         # argmin localization is noise-limited at sqrt(series tol) on the
         # flat basin, hence the tolerance on the first-order condition
-        m = bounds.minimize_over_t("A", 2.0, refine_tol=1e-10)
+        m = bounds.minimize_over_t("A", 2.0)
         x = math.pi * m.t_star
         assert abs(math.tan(x) - 2 * x) <= 1e-4
         assert abs(m.value - 1.0839) <= 1e-3
@@ -392,7 +392,7 @@ class TestKernels:
                 monkeypatch.setattr(bounds, "_WORKERS", workers)
                 _restart_pool()
                 assert bounds._pool()._max_workers == workers
-                ts, M = bounds._scan_table.__wrapped__(odd, 512)    # built afresh
+                ts, M = bounds._scan_table.__wrapped__(odd)    # built afresh
                 S = np.sin(np.pi * ts)
                 k = np.arange(1, 4097, 2 if odd else 1, dtype=np.float64)
                 want = np.abs(np.sin(np.pi * np.outer(k, ts))) / (k[:, None] * S[None, :])
@@ -404,7 +404,7 @@ class TestKernels:
     def test_scan_values_match_whole_table_sum(self, monkeypatch, lam):
         # the column blocks sum each column in row order, as the whole table
         # does; the least allowance gives blocks of two columns
-        ts, M = bounds._scan_table(True, 1024)
+        ts, M = bounds._scan_table(True)
         want = np.sum(M ** lam, axis=0)
         try:
             for workers in (1, 2, 3):
@@ -457,8 +457,8 @@ class TestKernels:
         assert proc.returncode == 0, proc.stderr
 
     def test_memoised_table_is_read_only(self):
-        ts, M = bounds._scan_table(False, 1024)
-        assert bounds._scan_table(False, 1024)[1] is M
+        ts, M = bounds._scan_table(False)
+        assert bounds._scan_table(False)[1] is M
         with pytest.raises(ValueError):
             M[0, 0] = 1.0
         with pytest.raises(ValueError):
@@ -475,7 +475,7 @@ class TestKernels:
     @pytest.mark.parametrize("p", [2.5, 3.0])
     def test_sweep_shares_table_bit_identically(self, p):
         for row in bounds.gamma_sharp_lower(p).certificate["L_sweep"]:
-            m = bounds.minimize_over_t("B", p * row["L"], refine_tol=1e-8)
+            m = bounds.minimize_over_t("B", p * row["L"])
             assert row["min_B"].hex() == m.value.hex()
             assert row["t_star"].hex() == m.t_star.hex()
 

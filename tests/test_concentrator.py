@@ -370,6 +370,28 @@ class TestEndToEnd:
         assert res.report.ratio >= 0.9 * res.predicted_ratio * (1 - 0.05) ** 2
         assert res.pathway == "dirichlet-peak-gapped"
 
+    @pytest.mark.parametrize("E, p, nu, q, n, predicted, measured", [
+        # the cap q // nu admits n = 4 (blocks 13 - 3 * 3 = 4 >= 3 apart)
+        (E_TWO, 2.0, 3, 13, 4, 0.45485, 0.45479),
+        # the best admissible row n = 4 lies off the series minimizer, t* q = 3.4
+        (conc.IntervalSet(((5 / 11 - 0.005, 5 / 11 + 0.005),
+                           (6 / 11 - 0.005, 6 / 11 + 0.005))), 3.0, 2, 11, 4, 0.481565, 0.48148),
+    ], ids=["q13-nu3-p2", "q11-nu2-p3"])
+    def test_gapped_witness_is_best_admissible_interval(self, E, p, nu, q, n, predicted,
+                                                        measured):
+        res = conc.end_to_end(E, p, 0.05, nu=nu)
+        assert res.plan.q == q and res.plan.R.freqs == tuple(range(n))
+        assert res.min_gap >= nu
+        # every interval {0..m-1} whose blocks keep the gaps, scored from
+        # the closed form of the Dirichlet kernel
+        levels = []
+        for m in range(1, q // nu + 1):
+            mp = np.abs(dirichlet_value(m, np.arange(q) / q)) ** p
+            levels.append(2 * mp[1] / mp.sum())
+        assert res.predicted_ratio == pytest.approx(max(levels), rel=1e-12)
+        assert res.predicted_ratio == pytest.approx(predicted, abs=5e-6)
+        assert res.report.ratio == pytest.approx(measured, abs=5e-5)
+
     def test_witness_exact_up_to_the_one_cap(self):
         # the window lands at a/q = 5/23; the witness is the 5^-1-dilate of
         # the exact level's witness, not a heuristic one

@@ -529,6 +529,22 @@ class TestGridToSeries:
             assert abs(t.best_n / q - m.t_star) <= 1 / q
         assert gaps[0] <= 5e-5 and gaps[1] <= gaps[0] / 2
 
+    @pytest.mark.parametrize("p", [1.5, 1.999, 3.0])
+    def test_half_grid_intervals_converge_to_series_A(self, p):
+        # the best interval {0..n-1} of Z/2qZ at the half-grid level against
+        # 1 / min_t A(p, t); at p = 1.5 the minimizer sits on a cusp, the
+        # best interval stays above the limit and the gap only about halves
+        limit = 1 / bounds.minimize_over_t("A", p).value
+        gaps = []
+        for q in (101, 401):
+            best = max(discrete.star(Spectrum(tuple(range(n)), 2 * q), p, 1e4)[0]
+                       for n in range(1, 2 * q))
+            gaps.append(best - limit)
+        if p == 1.5:
+            assert 0 < gaps[1] < gaps[0]
+        else:
+            assert abs(gaps[1]) <= abs(gaps[0]) / 5
+
 
 class TestStarSearch:
     def test_q2_brute(self):

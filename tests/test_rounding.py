@@ -229,6 +229,24 @@ class TestMonteCarlo:
         assert tuple(x.hex() for x in got) == want
         assert (rep.q, rep.p, rep.epsilon, rep.trials, rep.seed) == (q, 3.0, eps, trials, seed)
 
+    @pytest.mark.parametrize("q", [499, 2003])
+    @pytest.mark.parametrize("p", [2.5, 3.0, 4.0, 6.0])
+    def test_median_deviation_follows_mean_field_law(self, q, p):
+        # the folded cube of D_{q//4}, built here by FFT convolution: each grid
+        # value of Q - P is near a complex Gaussian of variance
+        # V = sum a(1 - a), so sum_k |Q - P|^p ~ q V^(p/2) Gamma(1 + p/2)
+        n = q // 4
+        m = 1 << (3 * n).bit_length()
+        cube = np.rint(np.fft.irfft(np.fft.rfft(np.ones(n), m) ** 3, m))
+        a = np.zeros(q)
+        np.add.at(a, np.arange(m) % q, cube)
+        a /= a.max()
+        V = float(np.sum(a * (1 - a)))
+        peak = abs(np.sum(a * np.exp(2j * np.pi * np.arange(q) / q)))
+        predicted = (q * V ** (p / 2) * math.gamma(1 + p / 2)) ** (1 / p) / peak
+        rep = rounding.monte_carlo(folded_kernel_power(n, 3, q), q, p, 0.2, 40, 1)
+        assert rep.mean_dev_quantiles["q50"] == pytest.approx(predicted, rel=0.03)
+
     def test_variance_of_peak_value(self):
         # empirical variance of the rounded value at 1/q tracks sum a(1-a)
         q = 499

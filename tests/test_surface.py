@@ -106,6 +106,15 @@ def test_record_format_only_in_cache():
     assert importers == ["cache.py"]
 
 
+def test_concentrator_needs_no_series():
+    # the gapped witness is the best admissible row of the interval table:
+    # the torus layer reads the grid levels of discrete, not the series of bounds
+    tree = ast.parse((ROOT / "src" / "concentra" / "concentrator.py").read_text())
+    names = [name for node in ast.walk(tree) if isinstance(node, (ast.Import, ast.ImportFrom))
+             for name in [getattr(node, "module", None) or ""] + [a.name for a in node.names]]
+    assert [name for name in names if "bounds" in name.split(".")] == []
+
+
 def test_only_the_store_and_main_write_files():
     # a run's record goes through ResultsCache.put, and cli.main writes the
     # --output and --trace files; nothing else in the package writes one
@@ -173,7 +182,7 @@ def test_benchmark_selftest():
 # each memo of the package with arguments to call it by: the functions
 # under functools.cache or lru_cache, and bounds._mode_coeffs, which keeps
 # one growing array a lam
-MEMOS = {("bounds", "_pool"): (), ("bounds", "_scan_table"): (False, 512),
+MEMOS = {("bounds", "_pool"): (), ("bounds", "_scan_table"): (False,),
          ("bounds", "_mode_coeffs"): (1.5, 256)}
 
 
