@@ -402,6 +402,7 @@ _GOLD = (math.sqrt(5) - 1) / 2
 
 T_MIN = 1e-4
 _SCAN_K = 4096               # last k of the coarse scan table
+_SCAN_HEAD = 256             # rows of the coarse scan table kept in memory
 _REFINE_TOL = 1e-8           # minimizer width of minimize_over_t
 
 
@@ -443,13 +444,26 @@ def _scan_min(f, xs, values, tol):
 
 @functools.cache
 def _scan_table(odd: bool):
-    """(ts, M) of the coarse scan, read-only, one per domain: 1024 points
-    ts on [T_MIN, 1/2] and the lam-independent table
-    M[k, i] = |sin(pi k ts[i])| / (k sin(pi ts[i])), k <= _SCAN_K in the
-    domain, built in place in column blocks."""
+    """(ts, H) of the coarse scan, read-only, one per domain: 1024 points
+    ts on [T_MIN, 1/2] and the head H of the lam-independent table, its
+    first _SCAN_HEAD rows (``_scan_rows``).  ``_scan_span`` bounds every
+    column of the whole table from them."""
     ts = np.linspace(T_MIN, 0.5, 1024)
+    H = _scan_rows(_scan_k(odd)[:_SCAN_HEAD], ts)
+    ts.flags.writeable = H.flags.writeable = False
+    return ts, H
+
+
+def _scan_k(odd: bool) -> np.ndarray:
+    """The rows k <= _SCAN_K of the coarse scan table in the domain."""
+    return np.arange(1, _SCAN_K + 1, 2 if odd else 1, dtype=np.float64)
+
+
+def _scan_rows(k, ts) -> np.ndarray:
+    """M[r, i] = |sin(pi k[r] ts[i])| / (k[r] sin(pi ts[i])), built in place
+    in column blocks: each entry is the same element-by-element ufuncs
+    whatever the columns built with it."""
     S = np.sin(np.pi * ts)
-    k = np.arange(1, _SCAN_K + 1, 2 if odd else 1, dtype=np.float64)
     M = np.empty((len(k), len(ts)))
 
     def build(lo, hi):
@@ -461,8 +475,7 @@ def _scan_table(odd: bool):
         np.divide(blk, k[:, None] * S[None, lo:hi], out=blk)
 
     _column_blocks(build, M.shape)
-    ts.flags.writeable = M.flags.writeable = False
-    return ts, M
+    return M
 
 
 def _column_blocks(fn, shape) -> None:
@@ -478,7 +491,8 @@ def _column_blocks(fn, shape) -> None:
 
 
 def _scan_values(which: str, lam: float, table) -> np.ndarray:
-    """Vectorized coarse values for basin location (not rigorously bounded)."""
+    """Coarse values of B or A at the columns of ``table`` = (ts, M), each
+    column of M**lam summed in row order (not rigorously bounded)."""
     ts, M = table
     core = np.empty(len(ts))
 
@@ -494,12 +508,35 @@ def _scan_values(which: str, lam: float, table) -> np.ndarray:
         return pref + 2 * core
 
 
+def _scan_span(which: str, lam: float, table) -> tuple[int, int]:
+    """Columns [lo, hi) of the whole coarse scan table, all _SCAN_K rows,
+    that hold its first least value, found from the head rows of ``table``.
+
+    A column's head value bounds its whole value from below: in row order
+    a float sum of more terms >= 0 is never smaller.  Each entry is at most
+    1/(k S), so the rows past the head add at most S^-lam times the sum of
+    k^-lam over them; the relative slack 1e-9 covers the rounding, below
+    1e-12.  The span holds every column whose lower bound is at most the
+    least upper bound, and one neighbour on each side, so that the grid
+    neighbours of its least value are the whole table's."""
+    ts, H = table
+    k = _scan_k(which == "A")[len(H):]
+    lower = _scan_values(which, lam, table)
+    with np.errstate(over="ignore", under="ignore"):
+        # S^-lam sum k^-lam = exp(ln sum (k/k0)^-lam - lam ln(k0 S)): no inf * 0
+        rest = np.exp(math.log(np.sum((k / k[0]) ** -lam))
+                      - lam * np.log(k[0] * np.sin(np.pi * ts)))
+        upper = (lower + (1 if which == "A" else 2) * rest) * (1 + 1e-9)
+    held = np.flatnonzero(lower <= upper.min())
+    return max(int(held[0]) - 1, 0), min(int(held[-1]) + 2, len(ts))
+
+
 def minimize_over_t(which: str, lam: float) -> MinResult:
     """Global minimum of B or A over t in [T_MIN, 1/2].
 
-    A dense uniform scan (``_scan_table``) locates the basin; golden-section
-    refinement narrows it to _REFINE_TOL; the reported value is a series
-    evaluation at tolerance _REFINE_TOL/10.
+    A dense uniform scan (``_scan_table``, ``_scan_span``) locates the
+    basin; golden-section refinement narrows it to _REFINE_TOL; the
+    reported value is a series evaluation at tolerance _REFINE_TOL/10.
     """
     if which not in ("B", "A"):
         raise DomainError("which must be 'B' or 'A'")
@@ -512,9 +549,13 @@ def minimize_over_t(which: str, lam: float) -> MinResult:
     def f(t):
         return evalf(lam, float(t), tol=series_tol).value
 
-    # the coarse scan truncates a positive series, so it underestimates:
-    # _scan_min re-evaluates the best probe in full
-    t_star, value = _scan_min(f, table[0], _scan_values(which, lam, table), _REFINE_TOL)
+    # only the columns that can hold the least value are built with all
+    # their rows; the coarse scan truncates a positive series, so it
+    # underestimates: _scan_min re-evaluates the best probe in full
+    lo, hi = _scan_span(which, lam, table)
+    ts = table[0][lo:hi]
+    values = _scan_values(which, lam, (ts, _scan_rows(_scan_k(which == "A"), ts)))
+    t_star, value = _scan_min(f, ts, values, _REFINE_TOL)
     return MinResult(float(t_star), float(value))
 
 

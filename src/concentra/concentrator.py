@@ -325,6 +325,10 @@ def end_to_end(E: IntervalSet, p: float, eps: float, *, theta: float = 0.5,
         raise BudgetError(f"no fraction with q <= {q_max} covers E to "
                           f"1 - eta; raise q_max or adjust theta/eta")
     a, q = hit.a, hit.q
+    n = choose_n(p, eps, theta / q)
+    if q * (n - 1) >= _SAMPLE_CAP:      # the least degree of any assembly
+        raise BudgetError(f"assembled degree at least {q * (n - 1)} needs more "
+                          f"than the {_SAMPLE_CAP} samples a quadrature may take")
     if nu == 1:
         b = a
         W = _witness_for(q, p, b, seed)
@@ -337,7 +341,6 @@ def end_to_end(E: IntervalSet, p: float, eps: float, *, theta: float = 0.5,
         W = Spectrum(tuple(range(n_R)), q)
         pathway = "dirichlet-peak-gapped"
     predicted = discrete.concentration_ratio(W, p, b)
-    n = choose_n(p, eps, theta / q)
     deg = q * (n - 1) + nu * W.freqs[-1]
     if deg >= _SAMPLE_CAP:     # measure samples |Q|^p at more than deg points
         raise BudgetError(f"assembled degree {deg} needs more than the "

@@ -1,3 +1,4 @@
+import functools
 import math
 import os
 import subprocess
@@ -344,6 +345,16 @@ def _direct_mode_coeffs(lam, J):
     return c
 
 
+@functools.cache
+def _whole_scan_table(odd):
+    """(ts, M) of the coarse scan with all its rows k <= 4096, from one
+    allocating expression."""
+    ts = np.linspace(bounds.T_MIN, 0.5, 1024)
+    k = np.arange(1, 4097, 2 if odd else 1, dtype=np.float64)
+    M = np.abs(np.sin(np.pi * np.outer(k, ts))) / (k[:, None] * np.sin(np.pi * ts)[None, :])
+    return ts, M
+
+
 def _traced_peak(f):
     tracemalloc.start()
     try:
@@ -387,24 +398,30 @@ class TestKernels:
 
     @pytest.mark.parametrize("odd", [False, True])
     def test_scan_table_matches_allocating_oracle(self, monkeypatch, odd):
+        # the memoised head rows, and full-row columns of spans at the
+        # table's edges, inside it and over all of it
+        ts, want = _whole_scan_table(odd)
+        k = bounds._scan_k(odd)
         try:
             for workers in (1, 2, 3):
                 monkeypatch.setattr(bounds, "_WORKERS", workers)
                 _restart_pool()
                 assert bounds._pool()._max_workers == workers
-                ts, M = bounds._scan_table.__wrapped__(odd)    # built afresh
-                S = np.sin(np.pi * ts)
-                k = np.arange(1, 4097, 2 if odd else 1, dtype=np.float64)
-                want = np.abs(np.sin(np.pi * np.outer(k, ts))) / (k[:, None] * S[None, :])
-                assert np.array_equal(M, want)
+                ts_head, H = bounds._scan_table.__wrapped__(odd)    # built afresh
+                assert np.array_equal(ts_head, ts)
+                assert np.array_equal(H, want[:bounds._SCAN_HEAD])
+                for lo, hi in ((0, 2), (0, 5), (311, 340), (1021, 1024), (0, 1024)):
+                    assert np.array_equal(bounds._scan_rows(k, ts[lo:hi]), want[:, lo:hi])
         finally:
             _restart_pool()
 
     @pytest.mark.parametrize("lam", [1.5, 2.0, 2.5, 7.0])
     def test_scan_values_match_whole_table_sum(self, monkeypatch, lam):
         # the column blocks sum each column in row order, as the whole table
-        # does; the least allowance gives blocks of two columns
-        ts, M = bounds._scan_table(True)
+        # does; the least allowance gives blocks of two columns.  The columns
+        # carry all their rows, as the span's do.
+        ts = bounds._scan_table(True)[0]
+        M = bounds._scan_rows(bounds._scan_k(True), ts)
         want = np.sum(M ** lam, axis=0)
         try:
             for workers in (1, 2, 3):
@@ -417,6 +434,28 @@ class TestKernels:
                     assert got.tobytes() == want.tobytes()
         finally:
             _restart_pool()
+
+    @pytest.mark.parametrize("which", ["B", "A"])
+    def test_span_holds_whole_table_argmin(self, which):
+        # the slow oracle: every column summed over all its rows
+        table = _whole_scan_table(which == "A")
+        for lam in (1.00011, 1.5, 1.999, 2.5, 6.0, 25.0, 100.0, 250.0):
+            i = int(np.argmin(bounds._scan_values(which, lam, table)))
+            lo, hi = bounds._scan_span(which, lam, bounds._scan_table(which == "A"))
+            assert lo <= i < hi
+            assert i > lo or i == 0
+            assert i < hi - 1 or i == len(table[0]) - 1
+
+    @pytest.mark.parametrize("which, lam", [("B", 2.5), ("B", 6.0), ("B", 30.0),
+                                            ("A", 1.999), ("A", 3.3), ("A", 25.0)])
+    def test_minimize_matches_whole_table_route(self, which, lam):
+        evalf = bounds.eval_A if which == "A" else bounds.eval_B
+        f = lambda t: evalf(lam, float(t), tol=bounds._REFINE_TOL / 10).value
+        ts, M = _whole_scan_table(which == "A")
+        t_star, value = bounds._scan_min(f, ts, bounds._scan_values(which, lam, (ts, M)),
+                                         bounds._REFINE_TOL)
+        m = bounds.minimize_over_t(which, lam)
+        assert (m.t_star.hex(), m.value.hex()) == (float(t_star).hex(), float(value).hex())
 
     def test_parallel_waits_for_every_range_before_raising(self):
         # the ranges write into the caller's buffer: none may still run
@@ -459,6 +498,8 @@ class TestKernels:
     def test_memoised_table_is_read_only(self):
         ts, M = bounds._scan_table(False)
         assert bounds._scan_table(False)[1] is M
+        for odd in (False, True):
+            assert bounds._scan_table(odd)[1].size <= 256 * 1024
         with pytest.raises(ValueError):
             M[0, 0] = 1.0
         with pytest.raises(ValueError):
@@ -553,10 +594,11 @@ class TestKernels:
         assert peak <= 3 * bounds._CHUNK * 8 + 2 ** 20
 
     def test_minimize_peak_memory(self):
-        # a cold scan holds the table and the column blocks in flight
+        # a cold scan holds the head table, the column blocks in flight and
+        # the span's 16 full-row columns (0.5 MiB)
         bounds._scan_table.cache_clear()
         peak = _traced_peak(lambda: bounds.minimize_over_t("B", 2.5))
-        assert peak <= 4096 * 1024 * 8 + bounds._BLOCK_BYTES + 2 ** 20
+        assert peak <= 256 * 1024 * 8 + bounds._BLOCK_BYTES + 2 ** 20
 
     @pytest.mark.parametrize("f", [bounds.gamma_sharp_lower, bounds.gamma_star_lower])
     @pytest.mark.parametrize("p", [math.inf, math.nan])

@@ -427,6 +427,20 @@ class TestEndToEnd:
             conc.end_to_end(E_TWO, 1.2, 0.05)
         assert time.perf_counter() - t0 < 1.0
 
+    def test_sample_cap_checked_before_witness_search(self, monkeypatch):
+        # q = 601 and n = 118633 give q (n - 1) = 71,297,832 >= 2^25 whatever
+        # the witness: no grid search runs
+        def unreachable(*args, **kwargs):
+            raise AssertionError("witness search reached")
+        monkeypatch.setattr(conc.discrete, "gamma_sharp", unreachable)
+        E = conc.IntervalSet(((200 / 601 - 2e-6, 200 / 601 + 2e-6),
+                              (401 / 601 - 2e-6, 401 / 601 + 2e-6)), symmetric=True)
+        hit = conc.find_fraction(E, 0.5, 0.05, 8, 4000)
+        assert hit.meets_threshold and hit.q == 601
+        assert conc.choose_n(2.0, 0.05, 0.5 / 601) == 118633
+        with pytest.raises(BudgetError):
+            conc.end_to_end(E, 2.0, 0.05)
+
     def test_uncovered_window_is_a_budget_error(self):
         E = conc.IntervalSet(((0.499999, 0.500001),), symmetric=True)
         assert not conc.find_fraction(E, 0.5, 0.05, 8, 40).meets_threshold

@@ -286,6 +286,17 @@ class TestMomentCheck:
         r2 = rounding.moment_check(np.ones(400), np.full(400, 0.5), p, 40_000, 22)
         assert abs(r2.ratio - r1.ratio) <= 0.5 * r1.ratio
 
+    @pytest.mark.parametrize("b, want", [
+        (np.ones(2000), "0x1.fbfcc1075b66ep+13"),
+        (np.exp(2j * np.pi * np.arange(500) / 7), "0x1.ed26978129809p+10"),
+    ], ids=["real", "complex"])
+    def test_moment_pinned(self, b, want):
+        # two full blocks of 1024 draws and a partial one; a complex b takes the
+        # complex product.  Any change to how the uniforms are drawn shows.
+        trials = 2 * 1024 + 5
+        rep = rounding.moment_check(b, np.full(len(b), 0.5), 3.0, trials, 7)
+        assert rep.empirical_moment.hex() == want
+
     def test_frozen_ceiling(self):
         # calibration grid ceiling: 10x the max ratio observed at freeze time
         for p in (2.5, 3.0, 5.0):
