@@ -537,6 +537,8 @@ def minimize_over_t(which: str, lam: float) -> MinResult:
     A dense uniform scan (``_scan_table``, ``_scan_span``) locates the
     basin; golden-section refinement narrows it to _REFINE_TOL; the
     reported value is a series evaluation at tolerance _REFINE_TOL/10.
+    A minimizer within _REFINE_TOL of T_MIN is a DomainError: the minimum
+    may lie below the scan, as B's (near 0.225 sqrt(6/lam)) does past lam ~ 3e7.
     """
     if which not in ("B", "A"):
         raise DomainError("which must be 'B' or 'A'")
@@ -556,6 +558,9 @@ def minimize_over_t(which: str, lam: float) -> MinResult:
     ts = table[0][lo:hi]
     values = _scan_values(which, lam, (ts, _scan_rows(_scan_k(which == "A"), ts)))
     t_star, value = _scan_min(f, ts, values, _REFINE_TOL)
+    if t_star - T_MIN <= _REFINE_TOL:
+        raise DomainError(f"the minimum of {which} over t at lam = {lam} may lie "
+                          f"below T_MIN = {T_MIN}")
     return MinResult(float(t_star), float(value))
 
 
@@ -566,7 +571,6 @@ def minimize_over_t(which: str, lam: float) -> MinResult:
 _SUP_SCAN_POINTS = 400001    # scan of the closed-form suprema (gamma2, gamma4)
 _SUP_X_MAX = 20.0            # right end of the gamma2 scan in x
 _L_MAX = 64                  # last power L of the gamma_sharp_lower sweep
-_ASYMPTOTE_TOL = 1e-8        # series tolerance of asymptote_scan
 
 
 def gamma2_sharp() -> ConstantResult:
@@ -621,24 +625,13 @@ def gamma_sharp_lower(p: float) -> ConstantResult:
 
 
 def asymptote_scan(lam: float) -> ConstantResult:
-    """min over kappa of B(lam, kappa*sqrt(6/lam)); argmax field holds kappa*.
-
-    The kappa grid starts at 0.05: the large-lam minimizer sits near
-    kappa ~ 0.225, so grids starting higher miss the basin entirely.  It
-    is trimmed to t = kappa * sqrt(6/lam) < 1/2.
-    """
+    """min_t B(lam, t) by ``minimize_over_t``; the argmax field holds
+    kappa* = t* / sqrt(6/lam), which tends to about 0.225 as lam grows."""
     if not (1 < lam < math.inf):
         raise DomainError(f"asymptote scan needs finite lam > 1, got {lam}")
-    scale = math.sqrt(6.0 / lam)
-    kappa_grid = np.arange(0.05, 3.0 + 1e-12, 0.005)
-    kappa_grid = kappa_grid[kappa_grid * scale < 0.5]
-    if len(kappa_grid) == 0:
-        raise DomainError("no kappa grid point lands t in (0, 1/2)")
-    f = lambda kap: eval_B(lam, kap * scale, tol=_ASYMPTOTE_TOL).value
-    kap_star, val = _scan_min(f, kappa_grid, [f(kap) for kap in kappa_grid], 1e-5)
-    cert = {"lam": lam, "grid_lo": float(np.min(kappa_grid)),
-            "grid_hi": float(np.max(kappa_grid)), "series_tol": _ASYMPTOTE_TOL}
-    return ConstantResult(float(val), float(kap_star), cert)
+    m = minimize_over_t("B", lam)
+    cert = {"lam": lam, "t_star": m.t_star, "refine_tol": _REFINE_TOL}
+    return ConstantResult(m.value, m.t_star / math.sqrt(6.0 / lam), cert)
 
 
 def gamma_star_lower(p: float) -> ConstantResult:

@@ -40,8 +40,7 @@ _C_PROBE = 0.3                               # round: the c the hypotheses are p
 
 def _row(name: str, paper_value, res: bounds.ConstantResult, passed) -> dict:
     """One ``constants`` row; it shows an argmax where the constant has one."""
-    row = {"name": name, "paper_value": paper_value,
-           "value": res.value, "computed_value": res.value}
+    row = {"name": name, "paper_value": paper_value, "value": res.value}
     if res.argmax is not None:
         row["argmax"] = res.argmax
     return dict(row, certificate=res.certificate, passed=bool(passed))
@@ -147,8 +146,7 @@ def run_concentrate(inputs: dict, trace: list | None = None) -> dict:
     res = concentrator.end_to_end(
         E, inputs["p"], inputs["epsilon"], theta=inputs["theta"], eta=inputs["eta"],
         q0=inputs["q0"], q_max=inputs["q_max"], nu=inputs["nu"],
-        mesh_per_unit_degree=inputs["mesh"], seed=inputs["seed"],
-        require_symmetric=not inputs["allow_asymmetric"], trace=trace)
+        mesh_per_unit_degree=inputs["mesh"], seed=inputs["seed"], trace=trace)
     return {
         "plan": to_jsonable(res.plan),
         "report": to_jsonable(res.report),
@@ -269,7 +267,6 @@ def _build_parser():
     k.add_argument("--mesh", type=int, default=8,
                    help="samples per unit degree of the torus integrals at p "
                         "that is not even (rounded up to a 5-smooth FFT size)")
-    k.add_argument("--allow-asymmetric", action="store_true")
     k.add_argument("--trace", dest="trace_path", metavar="TRACE", default=None,
                    help="write a CSV of examined (q, a, coverage) candidates")
 

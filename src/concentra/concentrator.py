@@ -85,7 +85,6 @@ class FractionHit:
     a: int
     q: int
     coverage: float
-    meets_threshold: bool
 
 
 @dataclass(frozen=True)
@@ -129,15 +128,15 @@ class EndToEndResult:
 
 
 def find_fraction(E: IntervalSet, theta: float, eta: float, q0: int,
-                  q_max: int, nu: int = 1, trace: list | None = None) -> FractionHit:
-    """First fraction (smallest q, then a) whose window covers E well.
+                  q_max: int, nu: int = 1, trace: list | None = None) -> FractionHit | None:
+    """First fraction (smallest q, then a) whose window covers E to 1 - eta,
+    or None when no fraction does.
 
     Scans q in (q0, q_max] with gcd(nu, q) = 1 and all reduced residues,
     computing exact window coverage |window cap E| / (2 theta / q^2).  With
     a gap factor nu > 1 only residues whose dilated target nu*a is +-1
-    (mod q) are candidates.  Falls back to the best fraction found (flagged)
-    when none reaches the 1 - eta threshold.  When ``trace`` is a list,
-    every examined (q, a, coverage) triple is appended to it.
+    (mod q) are candidates.  When ``trace`` is a list, every examined
+    (q, a, coverage) triple is appended to it.
     """
     if q0 >= q_max:
         raise DomainError("need q0 < q_max")
@@ -145,7 +144,6 @@ def find_fraction(E: IntervalSet, theta: float, eta: float, q0: int,
         raise DomainError(f"need finite theta > 0 and 0 <= eta < 1, got {theta}, {eta}")
     if nu < 1:
         raise DomainError("gap factor nu must be >= 1")
-    best = None
     for q in range(max(q0 + 1, 2), q_max + 1):
         if math.gcd(nu, q) != 1:
             continue
@@ -160,10 +158,8 @@ def find_fraction(E: IntervalSet, theta: float, eta: float, q0: int,
             if trace is not None:
                 trace.append((q, a, cov))
             if cov >= 1.0 - eta:
-                return FractionHit(a, q, cov, True)
-            if best is None or cov > best.coverage:
-                best = FractionHit(a, q, cov, False)
-    return best if best is not None else FractionHit(0, 0, 0.0, False)
+                return FractionHit(a, q, cov)
+    return None
 
 
 def choose_n(p: float, eps: float, delta: float) -> int:
@@ -300,7 +296,6 @@ def _witness_for(q: int, p: float, target: int, seed: int) -> Spectrum:
 def end_to_end(E: IntervalSet, p: float, eps: float, *, theta: float = 0.5,
                eta: float = 0.05, q0: int = 8, q_max: int = 4000, nu: int = 1,
                mesh_per_unit_degree: int = 8, seed: int = 0,
-               require_symmetric: bool = True,
                trace: list | None = None) -> EndToEndResult:
     """Full pipeline: localize, pick a witness, assemble, measure.
 
@@ -311,17 +306,17 @@ def end_to_end(E: IntervalSet, p: float, eps: float, *, theta: float = 0.5,
     factors need the out-of-scope peaking construction and degrade the
     predicted ratio).
     Raises BudgetError when no fraction up to q_max covers E, and
-    DomainError on an asymmetric E unless ``require_symmetric`` is False.
+    DomainError on an asymmetric E: a 0/1 spectrum has |Q(-x)| = |Q(x)|, so
+    half of the p-mass near E would land on -E.
     """
-    if require_symmetric and not E.symmetric:
-        raise DomainError("set is not reflection-symmetric (pass "
-                          "require_symmetric=False, or --allow-asymmetric, to proceed)")
+    if not E.symmetric:
+        raise DomainError("set is not reflection-symmetric: Q concentrates on E and -E alike")
     if not (1 < p < math.inf):
         raise DomainError(
             "only the peak-at-0 pathway is implemented, which needs finite p > 1; "
             "p <= 1 requires gap peaking functions that are out of scope")
     hit = find_fraction(E, theta, eta, q0, q_max, nu=nu, trace=trace)
-    if not hit.meets_threshold:
+    if hit is None:
         raise BudgetError(f"no fraction with q <= {q_max} covers E to "
                           f"1 - eta; raise q_max or adjust theta/eta")
     a, q = hit.a, hit.q

@@ -59,7 +59,7 @@ _BLOCK = 64              # table rows per block of the ascent and the Dirichlet 
 _POOL_Q = 512            # the least q whose ascents run on the pool, a range each
 _PRE = 4                 # dilations that filter a whole scan batch first
 _NEAR = 1e-7             # candidate slack before exact re-evaluation
-ALGORITHM_VERSION = 7    # in the search cache key; bump when an answer may change
+ALGORITHM_VERSION = 8    # in the search cache key; bump when an answer may change
 
 
 @dataclass(frozen=True)
@@ -107,8 +107,6 @@ def _pow_abs(m: np.ndarray, p: float, n: int) -> np.ndarray:
     """
     if p == 1.0:
         return m
-    if p == 2.0:
-        return m * m
     if p == 4.0:
         m2 = m * m
         return m2 * m2
@@ -557,7 +555,9 @@ def exact_gamma_star(q: int, p: float, K: float = 1e4,
     witness = Spectrum(witness, Q)
     # recheck both defining inequalities at the reported constant
     _, num, ds, dp = star(witness, p, K)
-    ok = num + 1e-12 >= top * ds and num + 1e-12 >= (top / K) * dp
+    # with a relative slack: num is 2|v_1|^p, as large as (2q)^p
+    slack = num * (1 + 1e-12)
+    ok = slack >= top * ds and slack >= (top / K) * dp
     return StarReport(q, p, K, top, bool(ok), witness, "exhaustive", evals + n)
 
 

@@ -196,6 +196,32 @@ class TestMinimization:
         with pytest.raises(DomainError):
             bounds.minimize_over_t("C", 2.0)
 
+    def test_minimum_below_scan_range_is_a_domain_error(self):
+        # B's minimizer near 0.225 sqrt(6/lam) is 5.5e-5 < T_MIN here: the
+        # value at T_MIN, about 7.2, is no minimum
+        with pytest.raises(DomainError, match="T_MIN"):
+            bounds.minimize_over_t("B", 1e8)
+
+
+def _kappa_grid_oracle(lam):
+    """(SeriesEval, kappa*) of min over kappa of B(lam, kappa sqrt(6/lam)):
+    a scan of kappa = 0.05, 0.055, ..., 3.0 trimmed to t < 1/2, then golden
+    section between the grid neighbours of the least value to width 1e-6."""
+    scale = math.sqrt(6.0 / lam)
+    f = lambda kap: bounds.eval_B(lam, kap * scale, tol=1e-8)
+    grid = [k for k in (0.05 + 0.005 * i for i in range(591)) if k * scale < 0.5]
+    vals = [f(k).value for k in grid]
+    i = vals.index(min(vals))
+    lo, hi = grid[max(i - 1, 0)], grid[min(i + 1, len(grid) - 1)]
+    g = (math.sqrt(5) - 1) / 2
+    while hi - lo > 1e-6:
+        x1, x2 = hi - g * (hi - lo), lo + g * (hi - lo)
+        if f(x1).value <= f(x2).value:
+            hi = x2
+        else:
+            lo = x1
+    return min(((f(k), k) for k in (lo, hi, grid[i])), key=lambda e: e[0].value)
+
 
 class TestConstants:
     def test_gamma2(self):
@@ -229,6 +255,26 @@ class TestConstants:
     def test_asymptote_scan_domain(self, lam):
         with pytest.raises(DomainError, match="needs finite lam > 1"):
             bounds.asymptote_scan(lam)
+
+    @pytest.mark.parametrize("lam", [100.0, 1e4, 1e6])
+    def test_asymptote_matches_kappa_grid_oracle(self, lam):
+        ev, kap = _kappa_grid_oracle(lam)
+        a = bounds.asymptote_scan(lam)
+        assert a.value <= ev.value + ev.tail_bound
+        assert abs(a.argmax - kap) <= 1e-5
+        assert a.argmax == a.certificate["t_star"] / math.sqrt(6.0 / lam)
+
+    def test_asymptote_beyond_scan_range_is_a_domain_error(self):
+        with pytest.raises(DomainError):
+            bounds.asymptote_scan(1e8)
+
+    def test_asymptote_between_first_grid_points(self):
+        # at lam = 1e7 the coarse argmin is the first column, yet the
+        # minimizer, 1.74e-4, lies inside the scan range and is found
+        ts = np.linspace(bounds.T_MIN, 0.5, 1024)
+        a = bounds.asymptote_scan(1e7)
+        assert ts[0] < a.certificate["t_star"] < ts[1]
+        assert abs(a.value - 4.13273) <= 1e-4
 
     def test_gamma_star_lower(self):
         assert abs(bounds.gamma_star_lower(2.0).value - 0.9226) <= 1e-3

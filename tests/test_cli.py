@@ -677,13 +677,13 @@ class TestNewFlags:
 @pytest.mark.parametrize("argv, expected", [
     (["constants"], "9f73ae52e196717d"),
     (["curve", "--which", "B", "--lam", "2.5", "--points", "5"], "34398d308844f044"),
-    (["search", "--q", "13", "--p", "2"], "b3514e999f13f9ab"),
-    (["search", "--q", "27", "--p", "1"], "e17d957f1f9370a1"),
+    (["search", "--q", "13", "--p", "2"], "4b10e896777606b5"),
+    (["search", "--q", "27", "--p", "1"], "51ab12687af4b312"),
     (["search", "--q", "5", "--p", "2", "--mode", "star", "--k-sensitivity"],
-     "52be2b670d92de10"),
+     "50eb04f08304f662"),
     (["round", "--q", "499", "--n", "125", "--L", "3", "--p", "3", "--epsilon", "0.2",
       "--trials", "20", "--seed", "1"], "b29c1367d527c311"),
-    ([*CONCENTRATE, "--p", "3"], "264bb1ad1d43d5c8"),
+    ([*CONCENTRATE, "--p", "3"], "0e905ed215cbb494"),
     (["decay", "--primes", "3,5,7,11,13,101", "--restarts", "2"], "2a5866f7b5962f88"),
 ], ids=["constants", "curve", "search", "search-heuristic", "search-star", "round",
         "concentrate", "decay"])

@@ -47,8 +47,8 @@ class TestFindFraction:
     def test_full_circle_takes_first_q(self):
         E = conc.IntervalSet(((0.0, 1.0),))
         hit = conc.find_fraction(E, 1.0, 0.1, 10, 100)
+        assert hit is not None
         assert (hit.q, hit.a, hit.coverage) == (11, 1, 1.0)
-        assert hit.meets_threshold
 
     def test_two_interval_hand_result(self):
         hit = conc.find_fraction(E_TWO, 1.0, 0.1, 10, 200)
@@ -57,8 +57,7 @@ class TestFindFraction:
 
     def test_impossible_window_flags(self):
         E = conc.IntervalSet(((0.5, 0.500001),))
-        hit = conc.find_fraction(E, 1.0, 0.01, 2, 6)
-        assert not hit.meets_threshold
+        assert conc.find_fraction(E, 1.0, 0.01, 2, 6) is None
 
     def test_respects_nu_coprimality(self):
         E = conc.IntervalSet(((0.0, 1.0),))
@@ -67,15 +66,15 @@ class TestFindFraction:
 
     @pytest.mark.parametrize("nu", [2, 3, 5, 7])
     def test_gap_factor_targets(self, nu):
-        # with nu = 2 no target lands in E_TWO: the flagged fallback must
-        # still be one of the admissible fractions
+        # with nu = 2 no target lands in E_TWO: every examined fraction is
+        # still an admissible one
         for E in (E_TWO, conc.IntervalSet(((0.0, 1.0),))):
             trace = []
             hit = conc.find_fraction(E, 0.5, 0.05, 8, 400, nu=nu, trace=trace)
-            assert (hit.q, hit.a, hit.coverage) in trace
             for q, a, _ in trace:
                 assert math.gcd(nu, q) == 1 and (nu * a) % q in (1, q - 1)
-        assert hit.meets_threshold
+            assert hit is None or (hit.q, hit.a, hit.coverage) == trace[-1]
+        assert hit is not None
 
     def test_rejects_zero_gap_factor(self):
         with pytest.raises(DomainError):
@@ -436,13 +435,13 @@ class TestEndToEnd:
         E = conc.IntervalSet(((200 / 601 - 2e-6, 200 / 601 + 2e-6),
                               (401 / 601 - 2e-6, 401 / 601 + 2e-6)), symmetric=True)
         hit = conc.find_fraction(E, 0.5, 0.05, 8, 4000)
-        assert hit.meets_threshold and hit.q == 601
+        assert hit is not None and hit.q == 601
         assert conc.choose_n(2.0, 0.05, 0.5 / 601) == 118633
         with pytest.raises(BudgetError):
             conc.end_to_end(E, 2.0, 0.05)
 
     def test_uncovered_window_is_a_budget_error(self):
         E = conc.IntervalSet(((0.499999, 0.500001),), symmetric=True)
-        assert not conc.find_fraction(E, 0.5, 0.05, 8, 40).meets_threshold
+        assert conc.find_fraction(E, 0.5, 0.05, 8, 40) is None
         with pytest.raises(BudgetError):
             conc.end_to_end(E, 2.0, 0.05, q_max=40)

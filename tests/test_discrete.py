@@ -589,6 +589,12 @@ class TestStarSearch:
         rep = discrete.exact_gamma_star(4, 2.0, K=1e4)
         assert rep.cond_K_ok
 
+    def test_recheck_slack_scales_with_the_numerator(self):
+        # 2|v_1|^20 = 9.28e14 here: the recheck's rounding is one ulp, 0.125
+        rep = discrete.exact_gamma_star(9, 20.0)
+        assert rep.cond_K_ok
+        assert rep.ratio_star.hex() == "0x1.0000000000001p+0"
+
     def test_K_monotone(self):
         rs = [discrete.exact_gamma_star(3, 2.0, K=K).ratio_star
               for K in (1.0, 100.0, 1e6)]
