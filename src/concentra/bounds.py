@@ -32,6 +32,19 @@ non-resonant modes bounded one by one through Abel summation:
 the reduced-angle sine of the mode.  Everything that is not computed is
 added to ``tail_bound``; the reported bound is honest (possibly larger
 than the requested tolerance when the term budget caps out).
+
+Rational path.  At t = a/b, |sin(k pi t)| has period b in k, so core_D is
+a finite sum of Hurwitz zeta values: with P = b (all k) or 2b (odd k),
+
+    core_D(lam, a/b) = (P S)^-lam sum_r |sin(pi r a/b)|^lam zeta(lam, r/P)
+
+over the residues r of D mod P, S = sin(pi t).  A double t whose exact
+denominator is at most _RATIONAL_CAP = 2^12 (every dyadic j/2^m with
+m <= 12) that neither large lam nor a short sum sends to the envelope path
+is evaluated this way: each residue class sums N terms directly and the
+rest by Euler-Maclaurin with its explicit remainder, N sized from the
+tolerance.  Every other double, the one nearest 1/3 among them, keeps the
+mode path.
 """
 
 from __future__ import annotations
@@ -59,6 +72,7 @@ _DIRECT_CAP = 2 ** 16        # envelope path allowed up to this many terms
 _CHUNK = 2 ** 20
 _SUB = 2 ** 16               # terms one range of a direct sum or mode table forms
 _BLOCK_BYTES = 2 ** 21       # scratch of the coarse-scan column blocks in flight
+_RATIONAL_CAP = 2 ** 12      # largest denominator of t the rational path takes
 # numpy ufuncs release the GIL, so elementwise work splits over threads,
 # one per core this process may run on
 _WORKERS = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
@@ -100,9 +114,10 @@ class ConstantResult:
 # zeta-style tails (direct summation + Euler-Maclaurin, explicit remainder)
 # ----------------------------------------------------------------------
 
-def _zeta_tail(lam: float, n: int):
-    """(sum_{k>=n} k^-lam, remainder bound).  Needs n >= 8, lam > 1."""
-    fn = float(n)
+def _zeta_tail(lam: float, n):
+    """(sum_{k>=0} (n + k)^-lam, remainder bound) by Euler-Maclaurin, for
+    lam > 1 and real n > 0 or an array of them."""
+    fn = n * 1.0
     v = (fn ** (1 - lam) / (lam - 1) + 0.5 * fn ** -lam
          + lam * fn ** (-lam - 1) / 12
          - lam * (lam + 1) * (lam + 2) * fn ** (-lam - 3) / 720)
@@ -354,12 +369,43 @@ def _core_envelope_path(lam, t, tol, odd):
     return direct, bound + slack, used
 
 
+def _core_rational(lam, t: Fraction, tol, odd):
+    """core_D(lam, t) at a rational t = a/b by the residue-class form of the
+    module docstring, w_r = |sin(pi r a/b)| from the exact reduction of
+    r a mod b.  Each class sums its first N terms directly and the rest
+    from ``_zeta_tail`` at N + r/P, N sized so that the Euler-Maclaurin
+    remainders stay below tol/4.  Returns (value, bound, terms)."""
+    a, b = t.numerator, t.denominator
+    P = 2 * b if odd else b
+    r = np.arange(1, P + 1, 2 if odd else 1)
+    x = r * a % b
+    w = np.sin(np.pi * np.minimum(x, b - x) / b)
+    S = math.sin(math.pi * a / b)
+    # sum_r w_r^lam <= len(r) and N + r/P >= N bound the remainders, solved in logs
+    em = lam * (lam + 1) * (lam + 2) * (lam + 3) * (lam + 4) / 30240
+    lnN = (math.log(len(r) * em * 4 / tol) - lam * math.log(P * S)) / (lam + 5)
+    N = max(2, min(math.ceil(math.exp(min(lnN, 60.0))), _CHUNK // len(r)))
+    k = np.arange(0, N * P, P, dtype=np.float64)[:, None] + r
+    direct = float(np.sum((w / (k * S)) ** lam))
+    g = (w / (P * S)) ** lam           # <= 2^-lam: P S >= 2a
+    v, err = _zeta_tail(lam, N + r / P)
+    tail, rem = float(np.sum(g * v)), float(np.sum(g * err))
+    total = direct + tail
+    # roundoff: each term and tail is a power lam of a few correctly
+    # rounded sines, products and quotients, then summed pairwise
+    return total, rem + (12 * lam + 32) * EPS * total, N * len(r)
+
+
 def _core(lam, t, tol, odd):
-    """core_D(lam,t) with an honest truncation bound, at most MAX_TERMS terms."""
+    """core_D(lam,t) with an honest truncation bound, at most MAX_TERMS terms,
+    on the first path that serves t: envelope, rational or mode."""
     S = math.sin(math.pi * t)
     lnK_env = -(math.log(tol) + lam * math.log(S) + math.log(lam - 1)) / (lam - 1)
     if lam > 16 or lnK_env <= math.log(_DIRECT_CAP):
         return _core_envelope_path(lam, t, tol, odd)
+    exact = Fraction(t)
+    if exact.denominator <= _RATIONAL_CAP:
+        return _core_rational(lam, exact, tol, odd)
     K, bound, tail_mean = _mode_tail(lam, t, tol, odd)
     direct, slack, used = _direct_scaled_sum(lam, t, K, odd)
     return direct + tail_mean, bound + slack, used
@@ -492,13 +538,21 @@ def _column_blocks(fn, shape) -> None:
 
 def _scan_values(which: str, lam: float, table) -> np.ndarray:
     """Coarse values of B or A at the columns of ``table`` = (ts, M), each
-    column of M**lam summed in row order (not rigorously bounded)."""
+    column of M**lam summed in row order (not rigorously bounded).
+
+    A block leaves out its rows k with (k S)^lam > 1.01^lam 2^54, S the
+    block's least sin(pi t): their powers are below 2^-54 even after
+    rounding, and each column's sum starts at its row k = 1, exactly 1.0,
+    so adding them leaves every sum as it is, bit for bit."""
     ts, M = table
     core = np.empty(len(ts))
+    k = _scan_k(which == "A")[:len(M)]
+    k_cut = 1.01 * 2.0 ** (54 / lam) / np.sin(np.pi * ts)
 
     def block(lo, hi):
+        rows = int(np.searchsorted(k, k_cut[lo:hi].max(), side="right"))
         with np.errstate(over="ignore", under="ignore"):
-            np.sum(M[:, lo:hi] ** lam, axis=0, out=core[lo:hi])
+            np.sum(M[:rows, lo:hi] ** lam, axis=0, out=core[lo:hi])
 
     _column_blocks(block, M.shape)
     if which == "A":
@@ -542,8 +596,8 @@ def minimize_over_t(which: str, lam: float) -> MinResult:
     """
     if which not in ("B", "A"):
         raise DomainError("which must be 'B' or 'A'")
-    if not (lam > 1 + 1e-6):
-        raise DomainError("minimize_over_t needs lam > 1")
+    if not (1 + 1e-6 < lam < math.inf):
+        raise DomainError(f"minimize_over_t needs finite lam > 1 + 1e-6, got {lam}")
     table = _scan_table(which == "A")
     evalf = eval_A if which == "A" else eval_B
     series_tol = _REFINE_TOL / 10
@@ -627,8 +681,6 @@ def gamma_sharp_lower(p: float) -> ConstantResult:
 def asymptote_scan(lam: float) -> ConstantResult:
     """min_t B(lam, t) by ``minimize_over_t``; the argmax field holds
     kappa* = t* / sqrt(6/lam), which tends to about 0.225 as lam grows."""
-    if not (1 < lam < math.inf):
-        raise DomainError(f"asymptote scan needs finite lam > 1, got {lam}")
     m = minimize_over_t("B", lam)
     cert = {"lam": lam, "t_star": m.t_star, "refine_tol": _REFINE_TOL}
     return ConstantResult(m.value, m.t_star / math.sqrt(6.0 / lam), cert)

@@ -59,6 +59,7 @@ _BLOCK = 64              # table rows per block of the ascent and the Dirichlet 
 _POOL_Q = 512            # the least q whose ascents run on the pool, a range each
 _PRE = 4                 # dilations that filter a whole scan batch first
 _NEAR = 1e-7             # candidate slack before exact re-evaluation
+_TABLE_BYTES = 2 ** 30   # cap of the complex frequency table: q <= 11584
 ALGORITHM_VERSION = 8    # in the search cache key; bump when an answer may change
 
 
@@ -339,12 +340,22 @@ def dirichlet_table(q: int, p: float) -> DirichletTable:
     return DirichletTable(q, p, rows, int(n[i]), float(ratios[i]))
 
 
+def _check_table_budget(q: int) -> None:
+    """Raise BudgetError when the table of ``_half_table(q)`` would pass
+    ``_TABLE_BYTES``."""
+    size = q * (q // 2 + 1) * 16
+    if size > _TABLE_BYTES:
+        raise BudgetError(f"the frequency table at q = {q} needs {size} bytes, "
+                          f"over the cap of {_TABLE_BYTES}")
+
+
 def _half_table(q: int) -> np.ndarray:
     """The q x (q//2 + 1) table e(h j / q) of every frequency h at the grid
     points j = 0..q//2, which hold a conjugate-symmetric grid function.
     Built one block of ``_row_blocks`` at a time (its entries are those of
     the whole-table expression, element by element), and read-only, so the
     scans and the ascents can share it."""
+    _check_table_budget(q)
     k = np.arange(q)
     E = np.empty((q, q // 2 + 1), dtype=complex)
     for i, j in _row_blocks(q):
@@ -445,6 +456,7 @@ def heuristic_gamma_sharp(q: int, p: float, restarts: int = 4,
         raise DomainError("need q >= 3")
     _check_p(p)
     _check_ascent(restarts, seed)
+    _check_table_budget(q)      # before any O(q^2) work
     table = dirichlet_table(q, p)
     order = sorted(table.rows, key=lambda r: -r[1])
     n_ascents = (q - 1) if q <= 64 else (8 if q <= 1024 else 3)

@@ -82,7 +82,9 @@ class TestSeriesValues:
         with pytest.raises(DomainError):
             bounds.eval_A(2.0, 0.0)
 
-    def test_near_divergence_is_finite_and_honest(self):
+    def test_near_divergence_is_finite_and_honest(self, monkeypatch):
+        # on the mode path: the rational path meets this request at t = 1/4
+        monkeypatch.setattr(bounds, "_RATIONAL_CAP", 1)
         ev = bounds.eval_B(1.01, 0.25, tol=1e-6)
         assert math.isfinite(ev.value) and ev.value > 0
         assert ev.tail_bound > ev.tol      # honest: request not met
@@ -92,6 +94,8 @@ class TestSeriesValues:
 class TestTailRigor:
     @pytest.mark.parametrize("lam", [2.0, 2.5, 3.0, 4.0, 10.0])
     def test_quadrupling_terms_stays_within_bound(self, lam, monkeypatch):
+        # on the mode and envelope paths, which the term budget sizes
+        monkeypatch.setattr(bounds, "_RATIONAL_CAP", 1)
         for t in (0.11, 0.25, 0.371, 0.5):
             for f in (bounds.eval_B, bounds.eval_A):
                 monkeypatch.setattr(bounds, "MAX_TERMS", 2 ** 16)
@@ -115,6 +119,8 @@ class TestTailRigor:
 
 # eval_B and eval_A through the mode path: value, tail_bound and terms_used
 # in hex as computed before the mode bookkeeping was memoised and threaded.
+# The rational path would take the dyadic rows, so the cap of its
+# denominators is lowered to 1, which leaves every t to the mode path.
 # The lam = 1.5 rows with terms_used at the budget (2^22 for B, 2^21 for A)
 # do not converge: they must keep reporting their honest, too large bound.
 MODE_PATH_PINS = [
@@ -155,11 +161,98 @@ MODE_PATH_PINS = [
 
 class TestModePathPinned:
     @pytest.mark.parametrize("which, lam, t, value, tail, terms", MODE_PATH_PINS)
-    def test_pinned(self, which, lam, t, value, tail, terms):
+    def test_pinned(self, monkeypatch, which, lam, t, value, tail, terms):
+        monkeypatch.setattr(bounds, "_RATIONAL_CAP", 1)
         ev = (bounds.eval_B if which == "B" else bounds.eval_A)(lam, t)
         assert (ev.value.hex(), ev.tail_bound.hex(), ev.terms_used) == (value, tail, terms)
         budget = bounds.MAX_TERMS // (2 if which == "B" else 4)
         assert ev.converged == (lam != 1.5 or terms < budget)
+
+
+_HURWITZ = {}
+
+
+def hurwitz_core(which, lam, a, m):
+    """core_D at t = a/m from mpmath's Hurwitz zeta at 30 digits: with
+    P = m (B) or 2m (A), core = (P sin pi t)^-lam sum_r |sin(pi r a/m)|^lam
+    zeta(lam, r/P) over r in 1..P (odd r for A); m may be any period."""
+    mp = pytest.importorskip("mpmath")
+    with mp.workdps(30):
+        P = m if which == "B" else 2 * m
+        rs = range(1, P + 1, 1 if which == "B" else 2)
+        s = mp.sin(mp.pi * a / m)
+        for r in rs:
+            if (lam, r, P) not in _HURWITZ:
+                _HURWITZ[lam, r, P] = mp.zeta(mp.mpf(lam), mp.mpf(r) / P)
+        return (P * s) ** -mp.mpf(lam) * mp.fsum(
+            abs(mp.sin(mp.pi * r * a / m)) ** mp.mpf(lam) * _HURWITZ[lam, r, P] for r in rs)
+
+
+def hurwitz_series(which, lam, a, m):
+    """B or A at t = a/m, from ``hurwitz_core``."""
+    mp = pytest.importorskip("mpmath")
+    with mp.workdps(30):
+        core = hurwitz_core(which, lam, a, m)
+        if which == "A":
+            return float(core)
+        return float((mp.pi * a / m / mp.sin(mp.pi * a / m)) ** mp.mpf(lam) + 2 * core)
+
+
+ORACLE_LAMBDAS = [1.2, 1.5, 1.999, 2.0, 2.5, 4.0]
+
+# eval_B and eval_A on the rational path at the default tolerance: value,
+# tail_bound and terms_used in hex, as first computed by that path.
+RATIONAL_PATH_PINS = [
+    ("B", 1.5, 5 / 64, "0x1.24e5014e91603p+4", "0x1.9f5ccc9276520p-37", 1536),
+    ("A", 1.5, 5 / 64, "0x1.24cd7ff890b47p+2", "0x1.425f7f10a86e6p-37", 1216),
+    ("B", 1.5, 1 / 2, "0x1.5628871982c08p+2", "0x1.48283edf4ac66p-37", 46),
+    ("A", 1.5, 1 / 2, "0x1.b052a7335f524p+0", "0x1.13674624d8bc6p-36", 36),
+    ("B", 1.999, 13 / 64, "0x1.69b1e922f5cc0p+2", "0x1.17510dceb4b13p-37", 896),
+    ("A", 2.0, 1 / 4, "0x1.3bd3cc9bdcbaep+0", "0x1.ec3fe1fad4ad0p-38", 60),
+    ("B", 2.5, 29 / 64, "0x1.2bc52381c912ap+2", "0x1.21450c6b767f1p-38", 576),
+    ("A", 1.2, 3 / 64, "0x1.c0eec9909e9b9p+3", "0x1.d589f97d7bb2ep-37", 1600),
+    ("B", 4.0, 1 / 64, "0x1.55e1d33c2a8eep+5", "0x1.2e50fdd0d34cap-38", 896),
+]
+
+
+class TestRationalPath:
+    @pytest.mark.parametrize("which", ["B", "A"])
+    @pytest.mark.parametrize("lam", ORACLE_LAMBDAS)
+    def test_dyadic_points_within_tail_bound_of_hurwitz_oracle(self, which, lam):
+        # every j/64 is a double; 32/64 is t = 1/2
+        f = bounds.eval_B if which == "B" else bounds.eval_A
+        for j in range(1, 33):
+            ev = f(lam, j / 64)
+            assert abs(ev.value - hurwitz_series(which, lam, j, 64)) <= ev.tail_bound
+            if lam < 4.0:   # the envelope path takes most points at lam = 4
+                assert ev.converged and ev.terms_used <= 2 ** 12
+
+    @pytest.mark.parametrize("which", ["B", "A"])
+    @pytest.mark.parametrize("lam", ORACLE_LAMBDAS + [1.01, 16.0])
+    def test_non_dyadic_rationals_within_bound_of_hurwitz_oracle(self, which, lam):
+        # no double is 1/3 or 3/7: the path itself, at the exact rational
+        for a, m in [(1, 3), (2, 7), (5, 11), (3, 7), (1, 97), (48, 97)]:
+            core, bound, _ = bounds._core_rational(lam, Fraction(a, m), 1e-10, which == "A")
+            assert bound <= 1e-10
+            assert abs(core - float(hurwitz_core(which, lam, a, m))) <= bound
+
+    @pytest.mark.parametrize("t", [j / 64 for j in range(1, 33)])
+    def test_A2_closed_form(self, t):
+        ev = bounds.eval_A(2.0, t)
+        assert abs(ev.value - closed_A2(t)) <= ev.tail_bound + 1e-14 * ev.value
+
+    @pytest.mark.parametrize("t", [1 / 3, 2 / 7, 5 / 11, 0.2371, 0.11 + 2 ** -40,
+                                   1e-3, 0.4999])
+    def test_other_doubles_keep_the_mode_path(self, monkeypatch, t):
+        # exact denominator past the cap: bit for bit the mode path alone
+        got = [f(lam, t) for f in (bounds.eval_B, bounds.eval_A) for lam in (1.5, 2.5)]
+        monkeypatch.setattr(bounds, "_RATIONAL_CAP", 1)
+        assert got == [f(lam, t) for f in (bounds.eval_B, bounds.eval_A) for lam in (1.5, 2.5)]
+
+    @pytest.mark.parametrize("which, lam, t, value, tail, terms", RATIONAL_PATH_PINS)
+    def test_pinned(self, which, lam, t, value, tail, terms):
+        ev = (bounds.eval_B if which == "B" else bounds.eval_A)(lam, t)
+        assert (ev.value.hex(), ev.tail_bound.hex(), ev.terms_used) == (value, tail, terms)
 
 
 class TestMinimization:
@@ -263,6 +356,11 @@ class TestConstants:
         assert a.value <= ev.value + ev.tail_bound
         assert abs(a.argmax - kap) <= 1e-5
         assert a.argmax == a.certificate["t_star"] / math.sqrt(6.0 / lam)
+
+    def test_asymptote_scan_states_the_true_bound(self):
+        # above 1, below the series' 1 + 1e-6: one check, in minimize_over_t
+        with pytest.raises(DomainError, match=r"needs finite lam > 1 \+ 1e-6, got 1.0000005"):
+            bounds.asymptote_scan(1.0000005)
 
     def test_asymptote_beyond_scan_range_is_a_domain_error(self):
         with pytest.raises(DomainError):
@@ -480,6 +578,19 @@ class TestKernels:
                     assert got.tobytes() == want.tobytes()
         finally:
             _restart_pool()
+
+    @pytest.mark.parametrize("which", ["B", "A"])
+    def test_scan_rows_cut_off_bit_identically(self, which):
+        # the slow oracle sums every row of the whole table; at large lam
+        # the column blocks leave out the rows their sums absorb
+        ts, M = _whole_scan_table(which == "A")
+        for lam in (6.0, 10.0, 25.0, 100.0, 1e4, 1e7):
+            with np.errstate(over="ignore", under="ignore"):
+                want = np.sum(M ** lam, axis=0)
+                if which == "B":
+                    pref = np.exp(lam * (np.log(np.pi * ts) - np.log(np.sin(np.pi * ts))))
+                    want = pref + 2 * want
+            assert bounds._scan_values(which, lam, (ts, M)).tobytes() == want.tobytes()
 
     @pytest.mark.parametrize("which", ["B", "A"])
     def test_span_holds_whole_table_argmin(self, which):

@@ -273,6 +273,12 @@ class TestSearchCommand:
                        "--cache-dir", str(tmp_path)], capsys)
         assert code == 3
 
+    def test_table_budget_exit_code(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.setattr(discrete, "_TABLE_BYTES", 2 ** 20)
+        code, _ = run(["search", "--q", "401", "--p", "2", "--mode", "heuristic",
+                       "--cache-dir", str(tmp_path)], capsys)
+        assert code == 3
+
     @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_large_p_search_raises_no_warning(self, tmp_path, capsys):
         # |f|^2000 overflows on the 13-point grid; the scores are scale-free

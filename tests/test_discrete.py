@@ -273,6 +273,20 @@ class TestHeuristic:
         h = discrete.heuristic_gamma_sharp(q, p, restarts=8, seed=3)
         assert abs(e.ratio - h.ratio) <= 1e-12
 
+    def test_table_budget_raises_before_any_table(self, monkeypatch):
+        # a cap just below the q = 101 table (101 x 51 complex values)
+        def no_table(*args):
+            raise AssertionError("Dirichlet table built")
+        monkeypatch.setattr(discrete, "_TABLE_BYTES", 101 * 51 * 16 - 1)
+        monkeypatch.setattr(discrete, "dirichlet_table", no_table)
+        with pytest.raises(BudgetError, match="q = 101"):
+            discrete.heuristic_gamma_sharp(101, 2.0)
+        assert discrete._half_table(100).shape == (100, 51)
+
+    def test_table_budget_far_above_reached_q(self):
+        # q = 4001, above the default q_max of concentrate, takes an eighth
+        assert 8 * 4001 * (4001 // 2 + 1) * 16 <= discrete._TABLE_BYTES
+
     def test_q101_near_limit_level(self):
         h = discrete.heuristic_gamma_sharp(101, 2.0, restarts=4, seed=7)
         assert h.ratio >= 0.4613 - 0.05
