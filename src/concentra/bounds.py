@@ -43,8 +43,10 @@ denominator is at most _RATIONAL_CAP = 2^12 (every dyadic j/2^m with
 m <= 12) that neither large lam nor a short sum sends to the envelope path
 is evaluated this way: each residue class sums N terms directly and the
 rest by Euler-Maclaurin with its explicit remainder, N sized from the
-tolerance.  Every other double, the one nearest 1/3 among them, keeps the
-mode path.
+tolerance.  Every other double keeps the mode path; the near-rational
+doubles, within EPS t of a fraction of denominator at most _RATIONAL_CAP
+(the one nearest 1/3 among them), keep the mode tail and sum their head
+k <= K by residue class.
 """
 
 from __future__ import annotations
@@ -355,10 +357,13 @@ def _core_envelope_path(lam, t, tol, odd):
     lnS = math.log(S)
     # Reserve an a-priori bound on the roundoff added to the truncation bound,
     # here and by the callers' 8 eps |value|: each term is <= min(1, (kS)^-lam),
-    # so the sum is <= 1 + lam / ((lam - 1) S), and B's prefactor is (pi t / S)^lam.
+    # so the sum is <= 1 + lam / ((lam - 1) S), and B's prefactor is (pi t / S)^lam;
+    # B's also carries the prefactor's own rounding (``_pref_error``).
     total = 1.0 + lam / ((lam - 1) * S)
     pref = math.exp(min(lam * math.log(math.pi * t / S), 700.0))
     reserve = _sum_slack(lam, t, MAX_TERMS, MAX_TERMS, total) + 8 * EPS * (total + pref)
+    if not odd:
+        reserve += pref * _pref_error(lam, t)
     # K from  S^-lam * K^(1-lam)/(lam-1) <= tol - reserve, solved in logs
     lnK = -(math.log(max(tol - reserve, tol / 2)) + lam * lnS + math.log(lam - 1)) / (lam - 1)
     K = int(math.ceil(math.exp(min(lnK, 60.0)))) + 1 if lnK < 60 else MAX_TERMS
@@ -369,36 +374,74 @@ def _core_envelope_path(lam, t, tol, odd):
     return direct, bound + slack, used
 
 
-def _core_rational(lam, t: Fraction, tol, odd):
+def _core_rational(lam, t: Fraction, tol, odd, K=None, S=None):
     """core_D(lam, t) at a rational t = a/b by the residue-class form of the
     module docstring, w_r = |sin(pi r a/b)| from the exact reduction of
-    r a mod b.  Each class sums its first N terms directly and the rest
-    from ``_zeta_tail`` at N + r/P, N sized so that the Euler-Maclaurin
-    remainders stay below tol/4.  Returns (value, bound, terms)."""
+    r a mod b, S = sin(pi a/b) unless given.  Each class sums its first N
+    terms directly and the rest from ``_zeta_tail`` at N + r/P, N sized so
+    that the Euler-Maclaurin remainders stay below tol/4.  With an upper
+    limit K, the partial sum over k <= K: a class of n > N terms up to K
+    less its tail from n, one more remainder; N is at most the longest
+    class.  Returns (value, bound, terms summed directly)."""
     a, b = t.numerator, t.denominator
     P = 2 * b if odd else b
     r = np.arange(1, P + 1, 2 if odd else 1)
     x = r * a % b
     w = np.sin(np.pi * np.minimum(x, b - x) / b)
-    S = math.sin(math.pi * a / b)
+    if S is None:
+        S = math.sin(math.pi * a / b)
     # sum_r w_r^lam <= len(r) and N + r/P >= N bound the remainders, solved in logs
     em = lam * (lam + 1) * (lam + 2) * (lam + 3) * (lam + 4) / 30240
     lnN = (math.log(len(r) * em * 4 / tol) - lam * math.log(P * S)) / (lam + 5)
     N = max(2, min(math.ceil(math.exp(min(lnN, 60.0))), _CHUNK // len(r)))
+    n = np.inf                          # terms of each class: all of them
+    if K is not None:
+        N = min(N, (K - 1) // P + 1)
+        n = (K - r) // P + 1
     k = np.arange(0, N * P, P, dtype=np.float64)[:, None] + r
-    direct = float(np.sum((w / (k * S)) ** lam))
-    g = (w / (P * S)) ** lam           # <= 2^-lam: P S >= 2a
+    terms = (w / (k * S)) ** lam
+    if K is not None:
+        terms[k > K] = 0.0
+    direct = float(np.sum(terms))
+    # the classes with terms past N; g <= 2^-lam: P S >= 2a
+    g = np.where(n > N, (w / (P * S)) ** lam, 0.0)
     v, err = _zeta_tail(lam, N + r / P)
-    tail, rem = float(np.sum(g * v)), float(np.sum(g * err))
+    v_n, err_n = _zeta_tail(lam, np.maximum(n, N) + r / P)     # 0 at n = inf
+    tail, rem = float(np.sum(g * (v - v_n))), float(np.sum(g * (err + err_n)))
     total = direct + tail
     # roundoff: each term and tail is a power lam of a few correctly
-    # rounded sines, products and quotients, then summed pairwise
-    return total, rem + (12 * lam + 32) * EPS * total, N * len(r)
+    # rounded sines, products and quotients, then summed pairwise; the
+    # tails from N and from n are each rounded as they would be alone
+    scale = total + 2 * float(np.sum(g * v_n))
+    return total, rem + (12 * lam + 32) * EPS * scale, N * len(r)
+
+
+def _residue_head(lam, t, near: Fraction, K, odd):
+    """(partial sum over k <= K in D, slack, count) of the mode path at a
+    double t within EPS t of ``near`` = a/b, b <= _RATIONAL_CAP, by residue
+    class: ``_core_rational`` at a/b with S = sin(pi t) of the double, N
+    sized so that its remainders stay below EPS/4 (the sum is at least its
+    k = 1 term, 1).
+
+    The slack is that path's bound (both Euler-Maclaurin remainders of each
+    class and the roundoff of its terms and tails) plus the move from a/b
+    to t: |sin k pi t| - |sin k pi a/b| is at most k pi |t - a/b| <= k pi EPS t,
+    so each term rho^lam, rho <= min(1, 1/(kS)), moves by at most
+    lam rho^(lam-1) EPS pi t/S.  That is a third of the argument roundoff
+    ``_sum_slack`` allows each term, summed with the same envelope;
+    second-order terms, below EPS^2 of the sum, fall within the residue
+    roundoff.
+    """
+    count = (K + 1) // 2 if odd else K
+    total, slack, _ = _core_rational(lam, near, EPS, odd, K, math.sin(math.pi * t))
+    return total, slack + _sum_slack(lam, t, K, count, 0.0) / 3, count
 
 
 def _core(lam, t, tol, odd):
     """core_D(lam,t) with an honest truncation bound, at most MAX_TERMS terms,
-    on the first path that serves t: envelope, rational or mode."""
+    on the first path that serves t: envelope, rational or mode.  The mode
+    path sums its head k <= K by residue class (``_residue_head``) where a
+    fraction of denominator <= _RATIONAL_CAP lies within EPS t, else directly."""
     S = math.sin(math.pi * t)
     lnK_env = -(math.log(tol) + lam * math.log(S) + math.log(lam - 1)) / (lam - 1)
     if lam > 16 or lnK_env <= math.log(_DIRECT_CAP):
@@ -407,7 +450,11 @@ def _core(lam, t, tol, odd):
     if exact.denominator <= _RATIONAL_CAP:
         return _core_rational(lam, exact, tol, odd)
     K, bound, tail_mean = _mode_tail(lam, t, tol, odd)
-    direct, slack, used = _direct_scaled_sum(lam, t, K, odd)
+    near = exact.limit_denominator(_RATIONAL_CAP)
+    if abs(exact - near) <= EPS * exact:
+        direct, slack, used = _residue_head(lam, t, near, K, odd)
+    else:
+        direct, slack, used = _direct_scaled_sum(lam, t, K, odd)
     return direct + tail_mean, bound + slack, used
 
 
@@ -420,6 +467,22 @@ def _check_domain(lam, t, tol):
         raise DomainError(f"series needs t in (0, 1/2], got {t}")
 
 
+def _pref_error(lam: float, t: float) -> float:
+    """Bound on the relative rounding error of B's prefactor as ``eval_B``
+    forms it, exp(lam (log(pi t) - log(sin pi t))), with log, sin and exp
+    within one ulp (2 EPS) and each product and difference correctly rounded.
+
+    pi t carries 2 EPS and sin(pi t) = S 4 EPS (the sine's slope times its
+    argument is at most S), so the two logs are off by 2 EPS (1 + |ln pi t|)
+    and 2 EPS (2 + |ln S|); their difference, at most ln(pi/2) < 1/2, and lam
+    times it are rounded once each; exp turns the error of its argument,
+    below 2 EPS lam (|ln pi t| + |ln S| + 3.5), into a relative one (1/2
+    covers the second order) and adds 2 EPS of its own.
+    """
+    return 2 * EPS * (lam * (abs(math.log(math.pi * t)) + abs(math.log(math.sin(math.pi * t)))
+                             + 4) + 1)
+
+
 def eval_B(lam: float, t: float, tol: float = 1e-10) -> SeriesEval:
     """Full-grid series B(lam, t); tail_bound is a rigorous remainder bound."""
     _check_domain(lam, t, tol)
@@ -429,7 +492,7 @@ def eval_B(lam: float, t: float, tol: float = 1e-10) -> SeriesEval:
     except OverflowError:
         raise DomainError(f"B overflows a float at lam = {lam}, t = {t}") from None
     value = pref + 2 * core
-    tail = 2 * bound + 8 * EPS * abs(value)
+    tail = 2 * bound + 8 * EPS * abs(value) + pref * _pref_error(lam, t)
     return SeriesEval(lam, t, value, tail, used, tol)
 
 

@@ -10,6 +10,7 @@ command), 1 replay mismatch, 5 unexpected error (traceback on stderr).
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import sys
@@ -204,7 +205,9 @@ def _render(cmd: str, payload: dict) -> str:
 # argument parsing
 # ----------------------------------------------------------------------
 
+@functools.cache
 def _build_parser():
+    """The command-line parser, built once: parsing leaves it as it is."""
     ap = argparse.ArgumentParser(
         prog="concentra",
         description="Concentration of grid/torus p-norms of idempotent "

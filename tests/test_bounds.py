@@ -110,6 +110,12 @@ class TestTailRigor:
         assert ev.converged
         assert abs(ev.value - closed_B4(5 / 64)) <= ev.tail_bound
 
+    @pytest.mark.parametrize("lam, a, m", [(40.0, 1, 2), (100.0, 1, 4), (200.0, 3, 8)])
+    def test_prefactor_rounding_within_tail_bound(self, lam, a, m):
+        # the rounding of (pi t / sin pi t)^lam grows like lam eps relative
+        ev = bounds.eval_B(lam, a / m)
+        assert abs(ev.value - hurwitz_series("B", lam, a, m)) <= ev.tail_bound
+
     def test_A_monotone_in_lam(self):
         for t in (0.1, 0.2, 0.3, 0.45):
             vals = [bounds.eval_A(lam, t, tol=1e-10).value
@@ -118,43 +124,44 @@ class TestTailRigor:
 
 
 # eval_B and eval_A through the mode path: value, tail_bound and terms_used
-# in hex as computed before the mode bookkeeping was memoised and threaded.
+# in hex as computed before the mode bookkeeping was memoised and threaded;
+# B's tail_bound as moved by the bound on its prefactor's rounding.
 # The rational path would take the dyadic rows, so the cap of its
 # denominators is lowered to 1, which leaves every t to the mode path.
 # The lam = 1.5 rows with terms_used at the budget (2^22 for B, 2^21 for A)
 # do not converge: they must keep reporting their honest, too large bound.
 MODE_PATH_PINS = [
-    ("B", 1.5, 1 / 3, "0x1.63225efe73dabp+2", "0x1.84f644c552336p-15", 4194304),
+    ("B", 1.5, 1 / 3, "0x1.63225efe73dabp+2", "0x1.84f644c59fb1ap-15", 4194304),
     ("A", 1.5, 1 / 3, "0x1.5d2010de1ad54p+0", "0x1.84f6abc05476dp-17", 2097152),
-    ("B", 1.5, 5 / 64, "0x1.24e5014e6d081p+4", "0x1.1c123e27c85cbp-28", 4194304),
+    ("B", 1.5, 5 / 64, "0x1.24e5014e6d081p+4", "0x1.1c12498e2cf03p-28", 4194304),
     ("A", 1.5, 5 / 64, "0x1.24cd7ff893351p+2", "0x1.2ee17b1bd5ce5p-30", 2097152),
-    ("B", 1.5, 1 / 2, "0x1.562887197595ep+2", "0x1.12b0de7174dc7p-33", 4194304),
+    ("B", 1.5, 1 / 2, "0x1.562887197595ep+2", "0x1.12b2c21b142e6p-33", 4194304),
     ("A", 1.5, 1 / 2, "0x1.b052a7337075fp+0", "0x1.9c33af4254782p-36", 8192),
-    ("B", 1.5, 0.2371, "0x1.b613947ef3dd4p+2", "0x1.8aa5247ff69b3p-32", 4194304),
+    ("B", 1.5, 0.2371, "0x1.b613947ef3dd4p+2", "0x1.8aa5b865ad69ap-32", 4194304),
     ("A", 1.5, 0.2371, "0x1.b912792163697p+0", "0x1.7d0a40c90019fp-33", 2097152),
-    ("B", 1.999, 1 / 3, "0x1.18cc774277514p+2", "0x1.26b766954c99fp-34", 1048576),
+    ("B", 1.999, 1 / 3, "0x1.18cc774277514p+2", "0x1.26bad3c86466dp-34", 1048576),
     ("A", 1.999, 1 / 3, "0x1.18cac5e965597p+0", "0x1.4dc5f13282778p-34", 131072),
-    ("B", 1.999, 5 / 64, "0x1.a218ed00aec47p+3", "0x1.33d0cfb4402bbp-34", 1048576),
+    ("B", 1.999, 5 / 64, "0x1.a218ed00aec47p+3", "0x1.33d48b2f79418p-34", 1048576),
     ("A", 1.999, 5 / 64, "0x1.a218e64a27b93p+1", "0x1.553db8624fc8ap-36", 524288),
-    ("B", 1.999, 1 / 2, "0x1.3bcf43b37c21fp+2", "0x1.2943f05db3f4ep-36", 262144),
+    ("B", 1.999, 1 / 2, "0x1.3bcf43b37c21fp+2", "0x1.295c5a1caef2cp-36", 262144),
     ("A", 1.999, 1 / 2, "0x1.3bef3b91c4d4cp+0", "0x1.4ca8bd37a7db1p-40", 8192),
-    ("B", 1.999, 0.2371, "0x1.46068cde2f6bap+2", "0x1.b3f6baae94befp-35", 262144),
+    ("B", 1.999, 0.2371, "0x1.46068cde2f6bap+2", "0x1.b3fcfbfb08226p-35", 262144),
     ("A", 1.999, 0.2371, "0x1.4607873b31f6cp+0", "0x1.2ecd8fd76ec7ap-36", 131072),
-    ("B", 2.0, 1 / 3, "0x1.18bc4418cafe2p+2", "0x1.8ad288de189eap-36", 262144),
+    ("B", 2.0, 1 / 3, "0x1.18bc4418cafe2p+2", "0x1.8ae03fe69d794p-36", 262144),
     ("A", 2.0, 1 / 3, "0x1.18bc4418c5a8cp+0", "0x1.8abe107bcc23dp-37", 131072),
-    ("B", 2.0, 5 / 64, "0x1.a1ecba27e8f4fp+3", "0x1.1766ba856007cp-34", 1048576),
+    ("B", 2.0, 5 / 64, "0x1.a1ecba27e8f4fp+3", "0x1.176a76750f699p-34", 1048576),
     ("A", 2.0, 5 / 64, "0x1.a1ecba27ea03fp+1", "0x1.205bfa7792b9bp-36", 524288),
-    ("B", 2.0, 1 / 2, "0x1.3bd3cc9be25dep+2", "0x1.00b9bb6407645p-36", 262144),
+    ("B", 2.0, 1 / 2, "0x1.3bd3cc9be25dep+2", "0x1.00d22ac5832b5p-36", 262144),
     ("A", 2.0, 1 / 2, "0x1.3bd3cc9be45ddp+0", "0x1.2c75fc2059197p-46", 8192),
-    ("B", 2.0, 0.2371, "0x1.45eb1e4cc3d4ap+2", "0x1.9b536ce41b0a4p-35", 262144),
+    ("B", 2.0, 0.2371, "0x1.45eb1e4cc3d4ap+2", "0x1.9b59af107cf74p-35", 262144),
     ("A", 2.0, 0.2371, "0x1.45eb1e4cbe168p+0", "0x1.17d0f9646f64fp-36", 131072),
-    ("B", 2.5, 1 / 3, "0x1.0798efdb51f55p+2", "0x1.df692e880ba5dp-37", 1048576),
+    ("B", 2.5, 1 / 3, "0x1.0798efdb51f55p+2", "0x1.df8e14dfd4b86p-37", 1048576),
     ("A", 2.5, 1 / 3, "0x1.0893730e4e2efp+0", "0x1.df43bee6e21a3p-36", 131072),
-    ("B", 2.5, 5 / 64, "0x1.663c01bc5749bp+3", "0x1.3483258154a5dp-38", 262144),
+    ("B", 2.5, 5 / 64, "0x1.663c01bc5749bp+3", "0x1.34cd2e1efde3dp-38", 262144),
     ("A", 2.5, 5 / 64, "0x1.663f0be9e99c3p+1", "0x1.3ab0c46a0a8f3p-35", 32768),
-    ("B", 2.5, 1 / 2, "0x1.53457b52037ffp+2", "0x1.096b3a05db536p-35", 16384),
+    ("B", 2.5, 1 / 2, "0x1.53457b52037ffp+2", "0x1.097dfb09d49cdp-35", 16384),
     ("A", 2.5, 1 / 2, "0x1.1ab642aa25d5fp+0", "0x1.c271cc60231c8p-46", 8192),
-    ("B", 2.5, 0.2371, "0x1.2366141d63f02p+2", "0x1.178aa5057f489p-38", 65536),
+    ("B", 2.5, 0.2371, "0x1.2366141d63f02p+2", "0x1.17cafbcc5cd07p-38", 65536),
     ("A", 2.5, 0.2371, "0x1.226a964e759e9p+0", "0x1.050111a44c840p-34", 8192),
 ]
 
@@ -200,18 +207,24 @@ def hurwitz_series(which, lam, a, m):
 
 ORACLE_LAMBDAS = [1.2, 1.5, 1.999, 2.0, 2.5, 4.0]
 
+# doubles within EPS t of a fraction of denominator <= 2^12, and doubles
+# with none that near
+NEAR_RATIONAL = [1 / 3, 2 / 7, 5 / 11, 1e-3, 48 / 97]
+FAR_FROM_RATIONAL = [0.2371, 0.11 + 2 ** -40, 0.4999]
+
 # eval_B and eval_A on the rational path at the default tolerance: value,
-# tail_bound and terms_used in hex, as first computed by that path.
+# tail_bound and terms_used in hex, as first computed by that path; B's
+# tail_bound as moved by the bound on its prefactor's rounding.
 RATIONAL_PATH_PINS = [
-    ("B", 1.5, 5 / 64, "0x1.24e5014e91603p+4", "0x1.9f5ccc9276520p-37", 1536),
+    ("B", 1.5, 5 / 64, "0x1.24e5014e91603p+4", "0x1.9f73995b9d60ep-37", 1536),
     ("A", 1.5, 5 / 64, "0x1.24cd7ff890b47p+2", "0x1.425f7f10a86e6p-37", 1216),
-    ("B", 1.5, 1 / 2, "0x1.5628871982c08p+2", "0x1.48283edf4ac66p-37", 46),
+    ("B", 1.5, 1 / 2, "0x1.5628871982c08p+2", "0x1.484679793fe4ep-37", 46),
     ("A", 1.5, 1 / 2, "0x1.b052a7335f524p+0", "0x1.13674624d8bc6p-36", 36),
-    ("B", 1.999, 13 / 64, "0x1.69b1e922f5cc0p+2", "0x1.17510dceb4b13p-37", 896),
+    ("B", 1.999, 13 / 64, "0x1.69b1e922f5cc0p+2", "0x1.176a22f173babp-37", 896),
     ("A", 2.0, 1 / 4, "0x1.3bd3cc9bdcbaep+0", "0x1.ec3fe1fad4ad0p-38", 60),
-    ("B", 2.5, 29 / 64, "0x1.2bc52381c912ap+2", "0x1.21450c6b767f1p-38", 576),
+    ("B", 2.5, 29 / 64, "0x1.2bc52381c912ap+2", "0x1.21bb68e1f7986p-38", 576),
     ("A", 1.2, 3 / 64, "0x1.c0eec9909e9b9p+3", "0x1.d589f97d7bb2ep-37", 1600),
-    ("B", 4.0, 1 / 64, "0x1.55e1d33c2a8eep+5", "0x1.2e50fdd0d34cap-38", 896),
+    ("B", 4.0, 1 / 64, "0x1.55e1d33c2a8eep+5", "0x1.2ef5b7184270cp-38", 896),
 ]
 
 
@@ -241,18 +254,74 @@ class TestRationalPath:
         ev = bounds.eval_A(2.0, t)
         assert abs(ev.value - closed_A2(t)) <= ev.tail_bound + 1e-14 * ev.value
 
-    @pytest.mark.parametrize("t", [1 / 3, 2 / 7, 5 / 11, 0.2371, 0.11 + 2 ** -40,
-                                   1e-3, 0.4999])
+    @pytest.mark.parametrize("t", NEAR_RATIONAL + FAR_FROM_RATIONAL)
     def test_other_doubles_keep_the_mode_path(self, monkeypatch, t):
-        # exact denominator past the cap: bit for bit the mode path alone
-        got = [f(lam, t) for f in (bounds.eval_B, bounds.eval_A) for lam in (1.5, 2.5)]
+        # exact denominator past the cap: the mode path.  A near-rational
+        # double sums its head by residue class: the same K, tail and terms
+        # used, the value within the two heads' slacks; any other double is
+        # bit for bit the mode path alone
+        tails = []
+        mode_tail = bounds._mode_tail
+        monkeypatch.setattr(bounds, "_mode_tail",
+                            lambda *a: tails.append(mode_tail(*a)) or tails[-1])
+        evals = [(f, lam) for f in (bounds.eval_B, bounds.eval_A) for lam in (1.5, 2.5)]
+        got = [f(lam, t) for f, lam in evals]
         monkeypatch.setattr(bounds, "_RATIONAL_CAP", 1)
-        assert got == [f(lam, t) for f in (bounds.eval_B, bounds.eval_A) for lam in (1.5, 2.5)]
+        plain = [f(lam, t) for f, lam in evals]
+        if t in FAR_FROM_RATIONAL:
+            assert got == plain
+            return
+        assert len(tails) == 8 and tails[:4] == tails[4:]
+        for (f, _), ev, ref, (_, bound, _) in zip(evals, got, plain, tails):
+            assert ev.terms_used == ref.terms_used
+            # tail_bound less the mode tail's bound: each head's slack, the
+            # same roundoff allowance of the value, and for B the prefactor's
+            m = 2 if f is bounds.eval_B else 1
+            slacks = (ev.tail_bound - m * bound) + (ref.tail_bound - m * bound)
+            assert abs(ev.value - ref.value) <= slacks
 
     @pytest.mark.parametrize("which, lam, t, value, tail, terms", RATIONAL_PATH_PINS)
     def test_pinned(self, which, lam, t, value, tail, terms):
         ev = (bounds.eval_B if which == "B" else bounds.eval_A)(lam, t)
         assert (ev.value.hex(), ev.tail_bound.hex(), ev.terms_used) == (value, tail, terms)
+
+
+def _near(t):
+    return Fraction(t).limit_denominator(bounds._RATIONAL_CAP)
+
+
+class TestNearRationalPartialSum:
+    @pytest.mark.parametrize("odd", [False, True])
+    @pytest.mark.parametrize("lam", [1.2, 1.5, 1.999, 2.5, 4.0])
+    def test_matches_plain_direct_sum(self, lam, odd):
+        # K below one period, at it and past it, below N0 P at P = 1000 and
+        # 97 (2000 and 194 for A), and the mode path's budget
+        for t in NEAR_RATIONAL:
+            near = _near(t)
+            assert abs(Fraction(t) - near) <= bounds.EPS * Fraction(t)
+            P = (2 if odd else 1) * near.denominator
+            for K in (1, P - 1, P, P + 1, 2 ** 16 + 3, 2 ** 22):
+                if K < 1:
+                    continue
+                got, slack, count = bounds._residue_head(lam, t, near, K, odd)
+                want, want_slack, want_count = bounds._direct_scaled_sum(lam, t, K, odd)
+                assert count == want_count
+                assert abs(got - want) <= slack + want_slack, (t, K)
+
+    @pytest.mark.parametrize("odd", [False, True])
+    @pytest.mark.parametrize("lam, t", [(1.5, 1 / 3), (2.5, 5 / 11), (1.2, 48 / 97)])
+    def test_partial_sum_within_slack_of_mpmath_oracle(self, lam, t, odd):
+        # the partial sum to K at the fraction itself, 30 digits: the head
+        # takes S of the double, which moves each term by less than the
+        # argument move its slack allows
+        mp = pytest.importorskip("mpmath")
+        near, K = _near(t), 3001
+        with mp.workdps(30):
+            x = mp.pi * near.numerator / near.denominator
+            want = mp.fsum((abs(mp.sin(k * x)) / (k * mp.sin(x))) ** mp.mpf(lam)
+                           for k in range(1, K + 1, 2 if odd else 1))
+        got, slack, _ = bounds._residue_head(lam, t, near, K, odd)
+        assert abs(got - float(want)) <= slack
 
 
 class TestMinimization:

@@ -183,7 +183,7 @@ def test_benchmark_selftest():
 # under functools.cache or lru_cache, and bounds._mode_coeffs, which keeps
 # one growing array a lam
 MEMOS = {("bounds", "_pool"): (), ("bounds", "_scan_table"): (False,),
-         ("bounds", "_mode_coeffs"): (1.5, 256)}
+         ("bounds", "_mode_coeffs"): (1.5, 256), ("cli", "_build_parser"): ()}
 
 
 def test_memoised_arrays_are_read_only():
