@@ -241,9 +241,7 @@ def _direct_scaled_sum(lam: float, t: float, K: int, odd: bool):
         np.abs(rm, out=rm)
         np.multiply(k, S, out=d)
         np.divide(rm, d, out=rm)
-        if lam == 2.0:
-            np.multiply(rm, rm, out=rm)
-        elif lam == 4.0:
+        if lam == 4.0:
             np.multiply(rm, rm, out=rm)
             np.multiply(rm, rm, out=rm)
         else:
@@ -336,13 +334,11 @@ def _mode_tail(lam, t, tol, odd):
     a_nr, s_nr = ac[1:][nonres], s_eff[nonres]
     a_res = float(np.sum(ac[1:][~nonres]))
     res_sum = float(np.sum(c[1:] * res_sign))
-    unbounded = np.flatnonzero(s_nr == 0.0)    # no Abel bound: g / 0 = inf
-    np.maximum(s_nr, 1e-300, out=s_nr)
     K = 2 ** 14
     while True:
         Z, ez = _domain_tail(lam, K, odd)
-        per_mode = (K + 1.0) ** -lam / s_nr
-        per_mode[unbounded] = np.inf
+        with np.errstate(divide="ignore"):      # no Abel bound at s = 0: g / 0 = inf
+            per_mode = (K + 1.0) ** -lam / s_nr
         np.minimum(Z, per_mode, out=per_mode)
         np.multiply(a_nr, per_mode, out=per_mode)
         bound = Sml * (float(np.sum(per_mode)) + _coeff_tail(lam, c) * Z
@@ -374,10 +370,10 @@ def _core_envelope_path(lam, t, tol, odd):
     return direct, bound + slack, used
 
 
-def _core_rational(lam, t: Fraction, tol, odd, K=None, S=None):
+def _core_rational(lam, t: Fraction, S, tol, odd, K=None):
     """core_D(lam, t) at a rational t = a/b by the residue-class form of the
     module docstring, w_r = |sin(pi r a/b)| from the exact reduction of
-    r a mod b, S = sin(pi a/b) unless given.  Each class sums its first N
+    r a mod b, and the caller's S.  Each class sums its first N
     terms directly and the rest from ``_zeta_tail`` at N + r/P, N sized so
     that the Euler-Maclaurin remainders stay below tol/4.  With an upper
     limit K, the partial sum over k <= K: a class of n > N terms up to K
@@ -388,8 +384,6 @@ def _core_rational(lam, t: Fraction, tol, odd, K=None, S=None):
     r = np.arange(1, P + 1, 2 if odd else 1)
     x = r * a % b
     w = np.sin(np.pi * np.minimum(x, b - x) / b)
-    if S is None:
-        S = math.sin(math.pi * a / b)
     # sum_r w_r^lam <= len(r) and N + r/P >= N bound the remainders, solved in logs
     em = lam * (lam + 1) * (lam + 2) * (lam + 3) * (lam + 4) / 30240
     lnN = (math.log(len(r) * em * 4 / tol) - lam * math.log(P * S)) / (lam + 5)
@@ -433,29 +427,32 @@ def _residue_head(lam, t, near: Fraction, K, odd):
     roundoff.
     """
     count = (K + 1) // 2 if odd else K
-    total, slack, _ = _core_rational(lam, near, EPS, odd, K, math.sin(math.pi * t))
+    total, slack, _ = _core_rational(lam, near, math.sin(math.pi * t), EPS, odd, K)
     return total, slack + _sum_slack(lam, t, K, count, 0.0) / 3, count
 
 
 def _core(lam, t, tol, odd):
     """core_D(lam,t) with an honest truncation bound, at most MAX_TERMS terms,
-    on the first path that serves t: envelope, rational or mode.  The mode
-    path sums its head k <= K by residue class (``_residue_head``) where a
-    fraction of denominator <= _RATIONAL_CAP lies within EPS t, else directly."""
+    on the first path that serves t: envelope, rational or mode.  S and the
+    fraction nearest t of denominator <= _RATIONAL_CAP are formed here once:
+    t is that fraction on the rational path, and the mode path sums its head
+    k <= K by residue class (``_residue_head``) where the fraction lies
+    within EPS t, else directly."""
     S = math.sin(math.pi * t)
     lnK_env = -(math.log(tol) + lam * math.log(S) + math.log(lam - 1)) / (lam - 1)
     if lam > 16 or lnK_env <= math.log(_DIRECT_CAP):
         return _core_envelope_path(lam, t, tol, odd)
     exact = Fraction(t)
-    if exact.denominator <= _RATIONAL_CAP:
-        return _core_rational(lam, exact, tol, odd)
-    K, bound, tail_mean = _mode_tail(lam, t, tol, odd)
     near = exact.limit_denominator(_RATIONAL_CAP)
+    if near == exact:
+        # t = a/b with b a power of two, so pi a / b rounds as pi t: S is sin(pi a/b)
+        return _core_rational(lam, exact, S, tol, odd)
+    K, bound, tail_mean = _mode_tail(lam, t, tol, odd)
     if abs(exact - near) <= EPS * exact:
         direct, slack, used = _residue_head(lam, t, near, K, odd)
     else:
         direct, slack, used = _direct_scaled_sum(lam, t, K, odd)
-    return direct + tail_mean, bound + slack, used
+    return float(direct + tail_mean), float(bound + slack), used
 
 
 def _check_domain(lam, t, tol):
@@ -709,11 +706,6 @@ def gamma4_sharp_lower() -> ConstantResult:
     return ConstantResult(-val, t_star, {"scan_points": _SUP_SCAN_POINTS})
 
 
-def _check_p(p: float):
-    if not (1 < p < math.inf):
-        raise DomainError(f"needs finite p > 1, got {p}")
-
-
 def gamma_sharp_lower(p: float) -> ConstantResult:
     """Lower bound 2 sup_{L>=1} 1/min_t B(L p, t) for the plain-grid level.
 
@@ -721,7 +713,6 @@ def gamma_sharp_lower(p: float) -> ConstantResult:
     whole power sweep applies.  The sweep stops once two successive L fail
     to improve the running best by 1e-6.  Every L reads one memoised table.
     """
-    _check_p(p)
     sweep = []
     best = 0.0
     stagnant = 0
@@ -751,7 +742,6 @@ def asymptote_scan(lam: float) -> ConstantResult:
 
 def gamma_star_lower(p: float) -> ConstantResult:
     """Lower bound 1/min_t A(p, t) for the half-grid relative level."""
-    _check_p(p)
     m = minimize_over_t("A", p)
     cert = {"t_star": m.t_star, "min_A": m.value, "refine_tol": _REFINE_TOL}
     return ConstantResult(1.0 / m.value, m.t_star, cert)

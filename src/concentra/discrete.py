@@ -579,7 +579,9 @@ def gamma1_decay_scan(primes, *, restarts: int = 4, seed: int = 0) -> list:
     Each row's level is ``gamma_sharp`` in mode ``auto``: exact up to
     ``EXHAUSTIVE_CAP``, heuristic beyond; every row also carries the best
     Dirichlet-interval witness and the two decay diagnostics.  The liminf
-    exponent itself is reported as data, never asserted.
+    exponent itself is reported as data, never asserted.  Rows above q = 26
+    are heuristic lower bounds, so only the exact rows bear on the paper's
+    statement that absolute L^1 concentration fails on Z/qZ.
     """
     rows = []
     for q in sorted(primes):

@@ -82,6 +82,15 @@ class TestSeriesValues:
         with pytest.raises(DomainError):
             bounds.eval_A(2.0, 0.0)
 
+    @pytest.mark.parametrize("lam, t", [(20.0, 0.3)] + [
+        (lam, t) for t in (5 / 64, 1 / 3, 0.2371) for lam in (1.5, 2.5)],
+        ids=["envelope", "rational-1.5", "rational-2.5", "near-rational-1.5",
+             "near-rational-2.5", "mode-1.5", "mode-2.5"])
+    def test_value_and_bound_are_python_floats(self, lam, t):
+        # one value type on every path, the mode path's numpy sums included
+        for ev in (bounds.eval_B(lam, t), bounds.eval_A(lam, t)):
+            assert type(ev.value) is float and type(ev.tail_bound) is float
+
     def test_near_divergence_is_finite_and_honest(self, monkeypatch):
         # on the mode path: the rational path meets this request at t = 1/4
         monkeypatch.setattr(bounds, "_RATIONAL_CAP", 1)
@@ -257,7 +266,8 @@ class TestRationalPath:
     def test_non_dyadic_rationals_within_bound_of_hurwitz_oracle(self, which, lam):
         # no double is 1/3 or 3/7: the path itself, at the exact rational
         for a, m in [(1, 3), (2, 7), (5, 11), (3, 7), (1, 97), (48, 97)]:
-            core, bound, _ = bounds._core_rational(lam, Fraction(a, m), 1e-10, which == "A")
+            S = math.sin(math.pi * a / m)
+            core, bound, _ = bounds._core_rational(lam, Fraction(a, m), S, 1e-10, which == "A")
             assert bound <= 1e-10
             assert abs(core - float(hurwitz_core(which, lam, a, m))) <= bound
 
@@ -443,6 +453,17 @@ class TestConstants:
         # above 1, below the series' 1 + 1e-6: one check, in minimize_over_t
         with pytest.raises(DomainError, match=r"needs finite lam > 1 \+ 1e-6, got 1.0000005"):
             bounds.asymptote_scan(1.0000005)
+
+    @pytest.mark.parametrize("p", [1.0000005, 1.0, 0.5, math.nan, math.inf])
+    @pytest.mark.parametrize("name", ["gamma_sharp_lower", "gamma_star_lower",
+                                      "gamma1_certified_lower"])
+    def test_constants_domain(self, name, p):
+        # p reaches minimize_over_t, which states the true bound, except
+        # where gamma1_certified_lower's own range (1, 2) refuses it first
+        match = (r"r must lie in \(1, 2\)" if name == "gamma1_certified_lower" and p != 1.0000005
+                 else r"needs finite lam > 1 \+ 1e-6")
+        with pytest.raises(DomainError, match=match):
+            getattr(bounds, name)(p)
 
     def test_asymptote_beyond_scan_range_is_a_domain_error(self):
         with pytest.raises(DomainError):

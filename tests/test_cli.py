@@ -8,6 +8,7 @@ import pytest
 from concentra import cli, discrete
 from concentra.cache import canonical_json, config_hash, to_jsonable
 from concentra.trigpoly import Spectrum
+from golden import regenerate
 
 
 def run(argv, capsys):
@@ -680,25 +681,23 @@ class TestNewFlags:
         assert (tmp_path / "envcache" / "records").exists()
 
 
-@pytest.mark.parametrize("argv, expected", [
-    (["constants"], "9f73ae52e196717d"),
-    (["curve", "--which", "B", "--lam", "2.5", "--points", "5"], "34398d308844f044"),
-    (["search", "--q", "13", "--p", "2"], "4b10e896777606b5"),
-    (["search", "--q", "27", "--p", "1"], "51ab12687af4b312"),
-    (["search", "--q", "5", "--p", "2", "--mode", "star", "--k-sensitivity"],
-     "50eb04f08304f662"),
-    (["round", "--q", "499", "--n", "125", "--L", "3", "--p", "3", "--epsilon", "0.2",
-      "--trials", "20", "--seed", "1"], "b29c1367d527c311"),
-    ([*CONCENTRATE, "--p", "3"], "0e905ed215cbb494"),
-    (["decay", "--primes", "3,5,7,11,13,101", "--restarts", "2"], "2a5866f7b5962f88"),
-], ids=["constants", "curve", "search", "search-heuristic", "search-star", "round",
-        "concentrate", "decay"])
-def test_record_hash_pinned(argv, expected, tmp_path):
-    # a record's name and replay key: the flags it hashes must not drift
+RECORD_HASHES = {
+    "constants": "9f73ae52e196717d", "curve": "34398d308844f044",
+    "search": "4b10e896777606b5", "search-heuristic": "51ab12687af4b312",
+    "search-star": "50eb04f08304f662", "round": "b29c1367d527c311",
+    "concentrate": "0e905ed215cbb494", "decay": "2a5866f7b5962f88",
+}
+
+
+@pytest.mark.parametrize("name", RECORD_HASHES)
+def test_record_hash_pinned(name, tmp_path):
+    # a record's name and replay key: the flags it hashes must not drift; the
+    # configurations are those of the golden records
     e = tmp_path / "E.json"
-    e.write_text(json.dumps(E_WIDE))
+    e.write_text(json.dumps(regenerate.E_WIDE))
+    argv = regenerate.RECORD_CALLS[name]
     a = cli._build_parser().parse_args([x.replace("{E}", str(e)) for x in argv])
-    assert config_hash(a.cmd, *cli._inputs_from_args(a)) == expected
+    assert config_hash(a.cmd, *cli._inputs_from_args(a)) == RECORD_HASHES[name]
 
 
 class TestSerialization:

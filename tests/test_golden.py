@@ -1,13 +1,15 @@
-"""The golden command-line outputs of ``tests/golden/``, byte for byte.
+"""The golden command-line outputs and RunRecords of ``tests/golden/``.
 
 An intended change of an output shows here as a failure: regenerate the
-file with ``PYTHONPATH=src python tests/golden/regenerate.py`` and say which
+files with ``PYTHONPATH=src python tests/golden/regenerate.py`` and say which
 outputs moved and why.
 """
 
+import json
+
 import pytest
 
-from concentra import bounds
+from concentra import bounds, cli
 from conftest import _restart_pool
 from golden import regenerate
 
@@ -24,3 +26,25 @@ def test_stdout_matches_golden_file(monkeypatch, tmp_path, workers):
     finally:
         _restart_pool()
         bounds._scan_table.cache_clear()
+
+
+
+@pytest.fixture
+def e_file(tmp_path):
+    path = tmp_path / "E.json"
+    path.write_text(json.dumps(regenerate.E_WIDE))
+    return str(path)
+
+
+def test_records_are_those_of_the_pinned_configurations(e_file):
+    names = sorted(regenerate.record_name(argv, e_file)
+                   for argv in regenerate.RECORD_CALLS.values())
+    assert sorted(p.name for p in regenerate.RECORDS.iterdir()) == names
+
+
+@pytest.mark.parametrize("argv", regenerate.RECORD_CALLS.values(),
+                         ids=regenerate.RECORD_CALLS.keys())
+def test_record_replays(argv, e_file, capsys):
+    path = regenerate.RECORDS / regenerate.record_name(argv, e_file)
+    code = cli.main(["replay", str(path)])
+    assert code == 0 and json.loads(capsys.readouterr().out)["match"] is True

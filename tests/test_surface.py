@@ -86,6 +86,20 @@ def test_search_policy_only_in_discrete():
     assert hits == ["__init__.py", "discrete.py"]
 
 
+def test_rational_route_decided_once_in_core():
+    # whether t takes the rational path, or the mode path's residue head, is
+    # decided in one place, bounds._core: as names in the code (docstrings do
+    # not count), limit_denominator and _RATIONAL_CAP occur only there and in
+    # the constant's own definition
+    names = {"limit_denominator", "_RATIONAL_CAP"}
+    owners = sorted({(path.name, getattr(top, "name", None)
+                      or ast.unparse(getattr(top, "targets", [top])[0]))
+                     for path in (ROOT / "src" / "concentra").glob("*.py")
+                     for top in ast.parse(path.read_text()).body for node in ast.walk(top)
+                     if getattr(node, "id", getattr(node, "attr", None)) in names})
+    assert owners == [("bounds.py", "_RATIONAL_CAP"), ("bounds.py", "_core")]
+
+
 def test_search_reads_decided_once_in_cli():
     # which flags a search reads, and so keeps in its record inputs, is decided
     # in one place in cli: every call of discrete.is_exact there is in _search_reads
