@@ -1,11 +1,12 @@
 """Run records, which are also the search cache.
 
 Every CLI invocation writes a RunRecord (JSON) named by a content hash of
-(command, canonical inputs, seed) and sealed by ``outputs_digest``, a hash
-of that config hash and the outputs; a search is answered from the record
-of its own configuration, so an identical search is served without
-recomputation.  Inputs are stored and hashed as given (JSON floats
-round-trip); every numeric output is serialized at 15 significant digits.
+its command and inputs, and sealed by ``outputs_digest``, a hash of that
+config hash and the outputs.  The seed is one of the inputs exactly where
+the command reads it.  A search is answered from the record of its own
+configuration, so an identical search is served without recomputation.
+Inputs are stored and hashed as given (JSON floats round-trip); every
+numeric output is serialized at ``SIG`` = 15 significant digits.
 """
 
 from __future__ import annotations
@@ -49,8 +50,8 @@ def canonical_json(obj) -> str:
     return json.dumps(to_jsonable(obj), sort_keys=True, separators=(",", ":"))
 
 
-def config_hash(command: str, inputs, seed) -> str:
-    blob = json.dumps({"command": command, "inputs": inputs, "seed": seed},
+def config_hash(command: str, inputs) -> str:
+    blob = json.dumps({"command": command, "inputs": inputs},
                       sort_keys=True, separators=(",", ":"))
     return hashlib.sha256(blob.encode()).hexdigest()[:16]
 
@@ -77,13 +78,13 @@ class ResultsCache:
     def get(self, command: str, key: str):
         """``(outputs, sealed)`` of the record under ``key``: ``sealed`` if its
         ``outputs_digest`` seals these outputs under ``key``.  None if there
-        is no readable RunRecord there, or if its own command, inputs and
-        seed do not hash to ``key`` (a renamed file or edited inputs)."""
+        is no readable RunRecord there, or if its own command and inputs do
+        not hash to ``key`` (a renamed file or edited inputs)."""
         try:
             rec = load_record(self.dir / f"{command}-{key}.json")
-            if config_hash(rec["command"], rec["inputs"], rec["seed"]) == key:
+            if config_hash(rec["command"], rec["inputs"]) == key:
                 return rec["outputs"], rec.get("outputs_digest") == _seal(key, rec["outputs"])
-        except (DomainError, KeyError):
+        except DomainError:
             pass
         return None
 
@@ -96,14 +97,12 @@ class ResultsCache:
         return path
 
 
-def write_record(root: Path, command: str, inputs, outputs, wall_time: float,
-                 seed) -> Path:
+def write_record(root: Path, command: str, inputs, outputs, wall_time: float) -> Path:
     """Build the RunRecord of one run and store it in the cache at ``root``."""
-    key = config_hash(command, inputs, seed)
+    key = config_hash(command, inputs)
     outputs = to_jsonable(outputs)
     record = {"command": command, "config_hash": key, "inputs": inputs,
-              "outputs": outputs, "outputs_digest": _seal(key, outputs), "seed": seed,
-              "wall_time": wall_time}
+              "outputs": outputs, "outputs_digest": _seal(key, outputs), "wall_time": wall_time}
     return ResultsCache(root).put(command, key, record)
 
 

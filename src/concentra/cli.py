@@ -21,7 +21,7 @@ from pathlib import Path
 import numpy as np
 
 from . import bounds, concentrator, discrete, rounding
-from .cache import (ResultsCache, canonical_json, config_hash,
+from .cache import (SIG, ResultsCache, canonical_json, config_hash,
                     default_cache_dir, load_record, read_json, to_jsonable,
                     write_record)
 from .errors import BudgetError, DomainError
@@ -29,7 +29,7 @@ from .trigpoly import Spectrum, fold_power, to_coeffs
 
 EXIT_OK, EXIT_MISMATCH, EXIT_DOMAIN, EXIT_BUDGET, EXIT_ACCEPT, EXIT_ERROR = 0, 1, 2, 3, 4, 5
 
-_F = "{:.15g}".format
+_F = f"{{:.{SIG}g}}".format
 _UNIFORM_P_SET = (2.5, 3.0, 4.0, 6.0, 10.0)  # constants: the p > 2 levels checked
 _ASYMPTOTE_LAMBDA = 1e4                      # constants: lam of the asymptote row
 _C_PROBE = 0.3                               # round: the c the hypotheses are probed at
@@ -304,29 +304,27 @@ def _primes(listed, up_to) -> list:
 _FRONT_END = ("cmd", "cache_dir", "output", "no_cache", "trace_path")  # kept out of records
 
 
-def _inputs_from_args(args) -> tuple:
-    """The record inputs (every parsed flag but the front end's own) and the
-    seed hashed beside them.  ``constants`` and ``curve`` read no seed, so
-    their inputs leave it out.  A search keeps only the mode-dependent flags
-    its mode reads: ``--K`` and ``--k-sensitivity`` for star, ``--restarts``
-    and the seed for the heuristic, none for the exact plain-grid scan.
-    Where the seed is left out, the hashed seed is None, so a flag the mode
-    never reads cannot make it miss the cache.  A search also stores
-    ``discrete.ALGORITHM_VERSION`` as ``algorithm``: a record of another
-    version has another name, and is not served."""
+def _inputs_from_args(args) -> dict:
+    """The record inputs, which alone with the command name a record: every
+    parsed flag but the front end's own, and the seed only where the run
+    reads it.  ``constants`` and ``curve`` read no seed.  A search keeps
+    only the mode-dependent flags its mode reads: ``--K`` and
+    ``--k-sensitivity`` for star, ``--restarts`` and the seed for the
+    heuristic, none for the exact plain-grid scan.  So a flag a run never
+    reads cannot give it another record, nor make a search miss the cache.
+    A search also stores ``discrete.ALGORITHM_VERSION`` as ``algorithm``: a
+    record of another version has another name, and is not served."""
     if args.seed < 0:
         raise DomainError(f"--seed must be >= 0, got {args.seed}")
     if getattr(args, "restarts", 0) < 0:
         raise DomainError(f"--restarts must be >= 0, got {args.restarts}")
     inputs = {k: v for k, v in vars(args).items() if k not in _FRONT_END}
-    seed = args.seed
     if args.cmd in ("constants", "curve"):
         del inputs["seed"]
     elif args.cmd == "search":
         reads = _search_reads(args.q, args.mode)
         for k in {"seed", "restarts", "K", "k_sensitivity"} - set(reads):
             del inputs[k]
-        seed = inputs.get("seed")
         inputs["algorithm"] = discrete.ALGORITHM_VERSION
     elif args.cmd == "concentrate":
         spec = read_json(inputs.pop("e_file"))
@@ -335,7 +333,7 @@ def _inputs_from_args(args) -> tuple:
         inputs["intervals"] = spec["intervals"]
     elif args.cmd == "decay":
         inputs["primes"] = _primes(inputs["primes"], inputs.pop("primes_up_to"))
-    return inputs, seed
+    return inputs
 
 
 def _cached_ratio_holds(payload, star: bool) -> bool:
@@ -384,12 +382,12 @@ def main(argv=None) -> int:
                 "match": same}, indent=2) + "\n")
             return EXIT_OK if same else EXIT_MISMATCH
 
-        inputs, seed = _inputs_from_args(args)
+        inputs = _inputs_from_args(args)
         t0 = time.time()
 
         hit = None
         if args.cmd == "search" and not args.no_cache:
-            hit = ResultsCache(cache_dir).get("search", config_hash("search", inputs, seed))
+            hit = ResultsCache(cache_dir).get("search", config_hash("search", inputs))
         served, sealed = hit or (None, False)
         if sealed and _cached_ratio_holds(served, inputs["mode"] == "star"):
             shown = dict(served, cached=True)
@@ -397,7 +395,7 @@ def main(argv=None) -> int:
             trace = [] if getattr(args, "trace_path", None) else None
             payload = (_RUNNERS[args.cmd](inputs) if trace is None
                        else run_concentrate(inputs, trace))
-            write_record(cache_dir, args.cmd, inputs, payload, time.time() - t0, seed)
+            write_record(cache_dir, args.cmd, inputs, payload, time.time() - t0)
             if trace is not None:
                 Path(args.trace_path).write_text(_csv(_TRACE_COLUMNS, trace))
             shown = payload if hit is None else dict(payload, cached=False)

@@ -286,13 +286,6 @@ def measure(Q: Spectrum, E: IntervalSet, p: float,
     return TorusReport(int_E, int_T, ratio, mesh, est, pe)
 
 
-def _witness_for(q: int, p: float, target: int, seed: int) -> Spectrum:
-    """Best known grid witness concentrated at the given coprime target."""
-    rep = discrete.gamma_sharp(q, p, seed=seed)
-    binv = pow(target, -1, q)
-    return Spectrum(tuple(sorted(binv * h % q for h in rep.spectrum.freqs)), q)
-
-
 def end_to_end(E: IntervalSet, p: float, eps: float, *, theta: float = 0.5,
                eta: float = 0.05, q0: int = 8, q_max: int = 4000, nu: int = 1,
                mesh_per_unit_degree: int = 8, seed: int = 0,
@@ -325,8 +318,11 @@ def end_to_end(E: IntervalSet, p: float, eps: float, *, theta: float = 0.5,
         raise BudgetError(f"assembled degree at least {q * (n - 1)} needs more "
                           f"than the {_SAMPLE_CAP} samples a quadrature may take")
     if nu == 1:
-        b = a
-        W = _witness_for(q, p, b, seed)
+        # the best known witness at target 1, dilated by 1/a mod q: its ratio
+        # at target a is the ratio of the undilated one at target 1
+        b, a_inv = a, pow(a, -1, q)
+        rep = discrete.gamma_sharp(q, p, seed=seed)
+        W = Spectrum(tuple(a_inv * h % q for h in rep.spectrum.freqs), q)
         pathway = "dirichlet-peak"
     else:
         # nu * a = +-1 (mod q): an interval witness aimed at target 1 (or

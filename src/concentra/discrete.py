@@ -122,14 +122,9 @@ def _pow_abs(m: np.ndarray, p: float, n: int) -> np.ndarray:
     return mp
 
 
-def _check_p(p: float) -> None:
-    if not (0 < p < math.inf):
-        raise DomainError(f"need finite p > 0, got {p}")
-
-
-def _check_K(K: float) -> None:
-    if not (0 < K < math.inf):
-        raise DomainError(f"need finite K > 0, got {K}")
+def _check_positive(name: str, x: float) -> None:
+    if not (0 < x < math.inf):
+        raise DomainError(f"need finite {name} > 0, got {x}")
 
 
 def _check_ascent(restarts: int, seed: int) -> None:
@@ -144,7 +139,7 @@ def ratio(values: np.ndarray, p: float, target: int) -> float:
     q = len(values)
     if not (1 <= target < q):
         raise DomainError(f"target must lie in [1, {q-1}]")
-    _check_p(p)
+    _check_positive("p", p)
     mp = _pow_abs(np.abs(values), p, q)
     denom = float(np.sum(mp))
     if denom == 0.0:
@@ -295,7 +290,7 @@ def exact_gamma_sharp(q: int, p: float, use_pruning: bool = True) -> Concentrati
     """
     if q < 2:
         raise DomainError("need q >= 2")
-    _check_p(p)
+    _check_positive("p", p)
     if q > EXHAUSTIVE_CAP:
         raise BudgetError(
             f"exhaustive search capped at q <= {EXHAUSTIVE_CAP} (2^{q-1} spectra); "
@@ -324,15 +319,14 @@ def dirichlet_table(q: int, p: float) -> DirichletTable:
     own)."""
     if q < 2:
         raise DomainError("need q >= 2")
-    _check_p(p)
-    k = np.arange(1, q)
-    s = np.sin(np.pi * k / q)
-    n = np.arange(1, q)
+    _check_positive("p", p)
+    n = np.arange(1, q)      # the interval lengths, and the grid points k
+    s = np.sin(np.pi * n / q)
     ratios = np.empty(q - 1)
     for i, j in _row_blocks(q - 1):
         M = np.empty((j - i, q))
         M[:, 0] = n[i:j]
-        M[:, 1:] = np.abs(np.sin(np.pi * np.outer(n[i:j], k) / q)) / s[None, :]
+        M[:, 1:] = np.abs(np.sin(np.pi * np.outer(n[i:j], n) / q)) / s[None, :]
         mp = _pow_abs(M, p, q)
         ratios[i:j] = 2.0 * mp[:, 1] / mp.sum(axis=1)
     i = int(np.argmax(ratios))
@@ -454,7 +448,7 @@ def heuristic_gamma_sharp(q: int, p: float, restarts: int = 4,
     """
     if q < 3:
         raise DomainError("need q >= 3")
-    _check_p(p)
+    _check_positive("p", p)
     _check_ascent(restarts, seed)
     _check_table_budget(q)      # before any O(q^2) work
     table = dirichlet_table(q, p)
@@ -486,9 +480,8 @@ def heuristic_gamma_sharp(q: int, p: float, restarts: int = 4,
         if sc > best_score:
             best_score = sc
             best_set = tuple(int(h) for h in members)
-    for n, r in table.rows:
-        if r > best_score:
-            best_score, best_set = r, tuple(range(n))
+    if table.best > best_score:      # the shortest best interval beats every walk
+        best_set = tuple(range(table.best_n))
     witness = Spectrum(best_set, q)
     final = concentration_ratio(witness, p, 1)
     return ConcentrationReport(q, p, 1, final, witness, "heuristic", evals)
@@ -526,8 +519,8 @@ def _star_level(num, d_star, d_plain, K):
 def star(spec: Spectrum, p: float, K: float):
     """(level, 2|v_1|^p, star sum, plain sum) of one spectrum on the Q-point
     grid, Q = ``spec.degree_bound``: the half-grid level at control constant K."""
-    _check_p(p)
-    _check_K(K)
+    _check_positive("p", p)
+    _check_positive("K", K)
     Q = spec.degree_bound
     vals = eval_grid(to_coeffs(spec), Grid(Q))
     mp = _pow_abs(np.abs(vals), p, Q)
@@ -548,8 +541,8 @@ def exact_gamma_star(q: int, p: float, K: float = 1e4,
     """
     if q < 2:
         raise DomainError("need q >= 2")
-    _check_p(p)
-    _check_K(K)
+    _check_positive("p", p)
+    _check_positive("K", K)
     if q > STAR_CAP:
         raise BudgetError(f"half-grid exhaustive search capped at q <= {STAR_CAP}")
     Q = 2 * q
@@ -579,9 +572,10 @@ def gamma1_decay_scan(primes, *, restarts: int = 4, seed: int = 0) -> list:
     Each row's level is ``gamma_sharp`` in mode ``auto``: exact up to
     ``EXHAUSTIVE_CAP``, heuristic beyond; every row also carries the best
     Dirichlet-interval witness and the two decay diagnostics.  The liminf
-    exponent itself is reported as data, never asserted.  Rows above q = 26
-    are heuristic lower bounds, so only the exact rows bear on the paper's
-    statement that absolute L^1 concentration fails on Z/qZ.
+    exponent itself is reported as data, never asserted.  Rows above
+    ``EXHAUSTIVE_CAP`` are heuristic lower bounds, so only the exact rows
+    bear on the paper's statement that absolute L^1 concentration fails on
+    Z/qZ.
     """
     rows = []
     for q in sorted(primes):

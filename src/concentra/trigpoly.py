@@ -72,9 +72,6 @@ class CoeffPoly:
         """True on the positive-definite subclass: every coefficient real and >= 0."""
         return bool(np.all((self.coeffs.imag == 0) & (self.coeffs.real >= 0)))
 
-    def __len__(self):
-        return len(self.coeffs)
-
 
 @dataclass(frozen=True)
 class Grid:

@@ -83,7 +83,7 @@ def render(cache_dir: str) -> str:
 def record_name(argv, e_file: str) -> str:
     """The file name of the record of ``argv``, ``{E}`` read as ``e_file``."""
     args = cli._build_parser().parse_args([x.replace("{E}", e_file) for x in argv])
-    return f"{args.cmd}-{config_hash(args.cmd, *cli._inputs_from_args(args))}.json"
+    return f"{args.cmd}-{config_hash(args.cmd, cli._inputs_from_args(args))}.json"
 
 
 def write_records(cache_dir: str) -> None:

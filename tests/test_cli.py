@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from concentra import cli, discrete
-from concentra.cache import canonical_json, config_hash, to_jsonable
+from concentra.cache import _seal, canonical_json, config_hash, to_jsonable
 from concentra.trigpoly import Spectrum
 from golden import regenerate
 
@@ -84,8 +84,8 @@ class TestSearchCommand:
     @pytest.mark.parametrize("damage", [
         lambda text: text[:len(text) // 2],
         lambda text: "[1, 2]",
-        lambda text: json.dumps({k: v for k, v in json.loads(text).items() if k != "seed"}),
-    ], ids=["truncated", "not-a-record", "no-seed"])
+        lambda text: json.dumps({k: v for k, v in json.loads(text).items() if k != "inputs"}),
+    ], ids=["truncated", "not-a-record", "no-inputs"])
     def test_unreadable_record_is_a_miss_and_is_rewritten(self, damage, tmp_path, capsys):
         # a writer killed mid-file leaves a truncated record
         args = ["search", "--q", "7", "--p", "1", "--cache-dir", str(tmp_path)]
@@ -127,6 +127,19 @@ class TestSearchCommand:
     def test_star_cache_row_with_edited_ratio_not_served(self, tmp_path, capsys):
         self.edited_row_not_served(["--q", "3", "--p", "2", "--mode", "star"],
                                    "ratio_star", capsys, tmp_path)
+
+    def test_sealed_row_of_another_shape_not_served(self, tmp_path, capsys):
+        # a spectrum that is a number, resealed: the ratio check cannot read
+        # the row, so it is recomputed
+        args = ["search", "--q", "7", "--p", "1", "--cache-dir", str(tmp_path)]
+        fresh = json.loads(run(args, capsys)[1])
+        [path] = search_records(tmp_path)
+        rec = json.loads(path.read_text())
+        rec["outputs"]["spectrum"] = 5
+        rec["outputs_digest"] = _seal(rec["config_hash"], rec["outputs"])
+        path.write_text(json.dumps(rec))
+        assert json.loads(run(args, capsys)[1]) == dict(fresh, cached=False)
+        assert json.loads(path.read_text())["outputs"] == fresh
 
     @pytest.mark.parametrize("args, key, value", [
         (["--q", "7", "--p", "1"], "evaluations", 1),
@@ -202,7 +215,7 @@ class TestSearchCommand:
                 for p in ("1", "2"))
         run(a, capsys)
         [path] = search_records(tmp_path)
-        key = config_hash("search", *cli._inputs_from_args(cli._build_parser().parse_args(b)))
+        key = config_hash("search", cli._inputs_from_args(cli._build_parser().parse_args(b)))
         path.rename(path.with_name(f"search-{key}.json"))
         code, out = run(b, capsys)
         assert code == 0 and "cached" not in json.loads(out)
@@ -230,8 +243,8 @@ class TestSearchCommand:
         # The other record's seal, copied with them, is keyed by its own config
         # hash, so it does not seal them under this one
         def path_of(args):
-            inputs, seed = cli._inputs_from_args(cli._build_parser().parse_args(args))
-            return tmp_path / "records" / f"search-{config_hash('search', inputs, seed)}.json"
+            inputs = cli._inputs_from_args(cli._build_parser().parse_args(args))
+            return tmp_path / "records" / f"search-{config_hash('search', inputs)}.json"
 
         a, b = (["search", *extra, "--cache-dir", str(tmp_path)] for extra in (theirs, ours))
         other = json.loads(run(a, capsys)[1])
@@ -252,8 +265,8 @@ class TestSearchCommand:
         # K_sensitivity rows dropped or added: every level in it is that of
         # its witness, so the ratio checks pass it
         def path_of(args):
-            inputs, seed = cli._inputs_from_args(cli._build_parser().parse_args(args))
-            return tmp_path / "records" / f"search-{config_hash('search', inputs, seed)}.json"
+            inputs = cli._inputs_from_args(cli._build_parser().parse_args(args))
+            return tmp_path / "records" / f"search-{config_hash('search', inputs)}.json"
 
         plain = ["search", "--q", "4", "--p", "2", "--mode", "star", "--cache-dir", str(tmp_path)]
         rows = plain + ["--k-sensitivity"]
@@ -395,6 +408,12 @@ class TestDecayCommand:
             parts = l.split(",")
             assert float(parts[2]) >= float(parts[3]) - 1e-12
 
+    def test_primes_up_to_lists_the_odd_primes(self, tmp_path, capsys):
+        code, out = run(["decay", "--primes-up-to", "13", "--cache-dir", str(tmp_path)],
+                        capsys)
+        assert code == 0
+        assert [int(l.split(",")[0]) for l in out.strip().split("\n")[1:]] == [3, 5, 7, 11, 13]
+
 
 E_WIDE = {"intervals": [[0.30, 0.35], [0.65, 0.70]]}
 E_MALFORMED = {
@@ -402,6 +421,8 @@ E_MALFORMED = {
     "not-a-list.json": {"intervals": 5},
     "strings.json": {"intervals": [["a", "b"]]},
     "null.json": {"intervals": [[0.3, None]]},
+    "a-list.json": [[0.30, 0.35], [0.65, 0.70]],
+    "no-intervals.json": {"sets": [[0.30, 0.35], [0.65, 0.70]]},
 }
 CONCENTRATE = ["concentrate", "--e-file", "{E}", "--epsilon", "0.05"]
 
@@ -450,6 +471,7 @@ CONCENTRATE = ["concentrate", "--e-file", "{E}", "--epsilon", "0.05"]
     ["curve", "--which", "A", "--lam", "2", "--t-min", "1e-300", "--t-max", "1e-300",
      "--points", "1"],
     [*CONCENTRATE, "--p", "200"],
+    ["decay"],
 ], ids=["search-p-nan", "search-p-inf", "star-p-nan", "heuristic-p-nan",
         "concentrate-p-nan", "concentrate-p-inf", "curve-lam-inf",
         "round-epsilon-negative", "round-p-nan", "decay-non-prime", "concentrate-nu-0",
@@ -462,7 +484,7 @@ CONCENTRATE = ["concentrate", "--e-file", "{E}", "--epsilon", "0.05"]
         "curve-tol-nan", "heuristic-restarts-negative", "decay-restarts-negative",
         "exhaustive-restarts-negative", "star-restarts-negative",
         "curve-B-prefactor-overflow", "curve-A-series-overflow",
-        "concentrate-power-overflow"])
+        "concentrate-power-overflow", "decay-no-primes"])
 def test_bad_input_exits_2(argv, tmp_path, capsys):
     e = tmp_path / "E.json"
     e.write_text(json.dumps(E_WIDE))
@@ -673,6 +695,15 @@ class TestNewFlags:
         vals = [sens[k] for k in sorted(sens, key=float)]
         assert vals == sorted(vals)
 
+    @pytest.mark.parametrize("argv", [
+        ["curve", "--which", "B", "--lam", "2.5", "--points", "3"],
+        ["search", "--q", "7", "--p", "1"],
+    ], ids=["curve-csv", "search-json"])
+    def test_output_file_holds_the_printed_bytes(self, argv, tmp_path, capsys):
+        path = tmp_path / "out.txt"
+        code, out = run([*argv, "--output", str(path), "--cache-dir", str(tmp_path)], capsys)
+        assert code == 0 and path.read_bytes() == out.encode()
+
     def test_env_var_cache_dir(self, tmp_path, capsys, monkeypatch):
         monkeypatch.setenv("CONCENTRA_CACHE", str(tmp_path / "envcache"))
         monkeypatch.chdir(tmp_path)
@@ -682,10 +713,10 @@ class TestNewFlags:
 
 
 RECORD_HASHES = {
-    "constants": "9f73ae52e196717d", "curve": "34398d308844f044",
-    "search": "4b10e896777606b5", "search-heuristic": "51ab12687af4b312",
-    "search-star": "50eb04f08304f662", "round": "b29c1367d527c311",
-    "concentrate": "0e905ed215cbb494", "decay": "2a5866f7b5962f88",
+    "constants": "cfb6129298c85cda", "curve": "1e91408f3974d8d6",
+    "search": "063510f4a43c49a8", "search-heuristic": "84e23b1b6c671f16",
+    "search-star": "069195f8c1773d04", "round": "4efde34a4d6c0522",
+    "concentrate": "85a6d554ee8fe818", "decay": "42e54bce5c6afb1e",
 }
 
 
@@ -697,7 +728,20 @@ def test_record_hash_pinned(name, tmp_path):
     e.write_text(json.dumps(regenerate.E_WIDE))
     argv = regenerate.RECORD_CALLS[name]
     a = cli._build_parser().parse_args([x.replace("{E}", str(e)) for x in argv])
-    assert config_hash(a.cmd, *cli._inputs_from_args(a)) == RECORD_HASHES[name]
+    assert config_hash(a.cmd, cli._inputs_from_args(a)) == RECORD_HASHES[name]
+
+
+@pytest.mark.parametrize("argv", [
+    ["constants"], ["curve", "--which", "B", "--lam", "2.5", "--points", "2"],
+], ids=["constants", "curve"])
+def test_seed_a_run_never_reads_names_no_other_record(argv, tmp_path, capsys):
+    # a record is named by its command and inputs, and neither run reads
+    # the seed: every --seed writes the one record
+    outs = [run([*argv, *seed, "--cache-dir", str(tmp_path)], capsys)
+            for seed in ([], ["--seed", "5"])]
+    assert outs[0] == outs[1] and outs[0][0] == 0
+    [rec] = (tmp_path / "records").glob(f"{argv[0]}-*.json")
+    assert "seed" not in json.loads(rec.read_text())
 
 
 class TestSerialization:

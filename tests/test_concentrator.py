@@ -426,6 +426,19 @@ class TestEndToEnd:
             conc.end_to_end(E_TWO, 1.2, 0.05)
         assert time.perf_counter() - t0 < 1.0
 
+    def test_assembled_degree_beyond_sample_cap_is_a_budget_error(self, monkeypatch):
+        # a cap just above q (n - 1) passes the kernel's check, and the
+        # witness's own degree then takes the assembly past it
+        q, n = 13, conc.choose_n(2.0, 0.05, 0.5 / 13)
+        assert conc.find_fraction(E_TWO, 0.5, 0.05, 8, 4000).q == q
+        monkeypatch.setattr(conc, "_SAMPLE_CAP", q * (n - 1) + 1)
+
+        def unreachable(*args):
+            raise AssertionError("build_Q reached")
+        monkeypatch.setattr(conc, "build_Q", unreachable)
+        with pytest.raises(BudgetError, match=r"assembled degree \d+ needs"):
+            conc.end_to_end(E_TWO, 2.0, 0.05)
+
     def test_sample_cap_checked_before_witness_search(self, monkeypatch):
         # q = 601 and n = 118633 give q (n - 1) = 71,297,832 >= 2^25 whatever
         # the witness: no grid search runs
@@ -445,3 +458,15 @@ class TestEndToEnd:
         assert conc.find_fraction(E, 0.5, 0.05, 8, 40) is None
         with pytest.raises(BudgetError):
             conc.end_to_end(E, 2.0, 0.05, q_max=40)
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: conc.IntervalSet(()), "empty interval set"),
+    (lambda: conc.find_fraction(E_TWO, 0.5, 0.05, 40, 40), "need q0 < q_max"),
+    (lambda: conc.build_Q(Spectrum((), 5), 3, 5), "witness spectrum is empty"),
+    (lambda: conc.build_Q(Spectrum((0, 1), 5), 3, 5, nu=0), "gap factor nu must be >= 1"),
+    (lambda: conc.measure(Spectrum((), 5), E_TWO, 2.0), "cannot measure the zero polynomial"),
+], ids=["empty-set", "q0-not-below-q-max", "empty-witness", "nu-0", "zero-polynomial"])
+def test_boundary_check_raises(call, message):
+    with pytest.raises(DomainError, match=message):
+        call()

@@ -650,3 +650,14 @@ class TestDecayScan:
         rows = discrete.gamma1_decay_scan([23])
         assert rows[0]["method"] == "exhaustive"
         assert rows[0]["gamma1_hat"] == discrete.exact_gamma_sharp(23, 1.0).ratio
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: discrete.exact_gamma_sharp(1, 2.0), "need q >= 2"),
+    (lambda: discrete.dirichlet_table(1, 2.0), "need q >= 2"),
+    (lambda: discrete.exact_gamma_star(1, 2.0), "need q >= 2"),
+    (lambda: discrete.heuristic_gamma_sharp(2, 2.0), "need q >= 3"),
+], ids=["exact-q-1", "table-q-1", "star-q-1", "heuristic-q-2"])
+def test_boundary_check_raises(call, message):
+    with pytest.raises(DomainError, match=message):
+        call()

@@ -326,3 +326,18 @@ class TestMomentCheck:
             rounding.moment_check(np.ones(3), np.array([0.5, 1.5, 0.5]), 3.0, 10, 0)
         with pytest.raises(DomainError):
             rounding.moment_check(np.ones(3), np.ones(3) / 2, 2.0, 10, 0)
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: rounding.verify_trial(to_coeffs(Spectrum((0, 1), 7)), Spectrum((0, 7), 8),
+                                   7, 3.0, 0.2),
+     "degree bound of Q must be <= q"),
+    # sum_{h<4} i^h: exactly 0 from the size-4 transform
+    (lambda: rounding.verify_trial(CoeffPoly(np.ones(4)), Spectrum((0,), 4), 4, 3.0, 0.2),
+     r"\|P\(1/q\)\| vanishes"),
+    (lambda: rounding.moment_check(np.ones(3), np.ones(3) / 2, 3.0, 0, 0),
+     "need trials >= 1"),
+], ids=["verify-Q-beyond-q", "verify-P-vanishes-at-target", "moment-trials-0"])
+def test_boundary_check_raises(call, message):
+    with pytest.raises(DomainError, match=message):
+        call()

@@ -203,3 +203,17 @@ class TestFoldPower:
     def test_rejects_bad_power(self):
         with pytest.raises(DomainError):
             fold_power(to_coeffs(Spectrum((0,), 2)), 0, 4)
+
+
+@pytest.mark.parametrize("build, message", [
+    (lambda: Spectrum((), 0), "degree_bound must be >= 1"),
+    (lambda: Grid(0), "grid size q must be >= 1"),
+], ids=["spectrum-degree-bound-0", "grid-0"])
+def test_boundary_check_raises(build, message):
+    with pytest.raises(DomainError, match=message):
+        build()
+
+
+@pytest.mark.parametrize("freqs", [(), (3,)])
+def test_min_gap_of_fewer_than_two_frequencies_is_0(freqs):
+    assert Spectrum(freqs, 5).min_gap() == 0
