@@ -75,6 +75,7 @@ _CHUNK = 2 ** 20
 _SUB = 2 ** 16               # terms one range of a direct sum or mode table forms
 _BLOCK_BYTES = 2 ** 21       # scratch of the coarse-scan column blocks in flight
 _RATIONAL_CAP = 2 ** 12      # largest denominator of t the rational path takes
+_MODE_HEAD = 4096            # modes of the mode tail's lower bound that passes a K over
 # numpy ufuncs release the GIL, so elementwise work splits over threads,
 # one per core this process may run on
 _WORKERS = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
@@ -296,12 +297,15 @@ def _mode_table(t: float, J: int, odd: bool):
         j = np.arange(lo + 1, hi + 1, dtype=np.float64)
         x = s_eff[lo:hi]
         np.multiply(m * t, j, out=x)
-        np.mod(x, 1.0, out=x)
-        np.minimum(x, 1.0 - x, out=x)
+        d = np.floor(x)
+        np.subtract(x, d, out=x)      # x mod 1 exactly, as np.mod gives it: x >= 0
+        np.subtract(1.0, x, out=d)
+        np.minimum(x, d, out=x)
         np.multiply(np.pi, x, out=x)
         np.sin(x, out=x)
         e = max(n_exact - lo, 0)      # j beyond the exact products: roundoff slack
-        x[e:] -= 4 * math.pi * EPS * m * abs(t) * j[e:]
+        np.multiply(4 * math.pi * EPS * m * abs(t), j[e:], out=d[e:])
+        np.subtract(x[e:], d[e:], out=x[e:])
         np.maximum(x[e:], 0.0, out=x[e:])
 
     _parallel(form, [(lo, min(lo + _SUB, J)) for lo in range(0, J, _SUB)])
@@ -315,9 +319,38 @@ def _mode_table(t: float, J: int, odd: bool):
     return s_eff, res_sign
 
 
+def _mode_bound(lam, K, odd, Sml, c, a_res, a, s, head=False):
+    """The honest bound on the tail k > K: Sml times the Abel bounds
+    a_j min(Z_D, (K+1)^-lam / s_j) of the non-resonant modes (a, s), the
+    coefficient tail and the Euler-Maclaurin remainders (``a_res`` the
+    resonant modes' sum of |c_j|).
+
+    With ``head``, a lower bound on that float, from the first _MODE_HEAD
+    modes alone.  Their terms are >= 0 and bit-equal to the whole array's
+    first ones, so their exact sum is at most the whole one; np.sum adds
+    pairwise, within 1e-14 relative of the exact sum, so the head's float
+    sum shrunk by 1 - 1e-12 is at most the whole float sum; and the sums
+    and products that follow round monotonically."""
+    Z, ez = _domain_tail(lam, K, odd)
+    n = _MODE_HEAD if head else None
+    with np.errstate(divide="ignore"):      # no Abel bound at s = 0: g / 0 = inf
+        per_mode = (K + 1.0) ** -lam / s[:n]
+    np.minimum(Z, per_mode, out=per_mode)
+    np.multiply(a[:n], per_mode, out=per_mode)
+    abel = float(np.sum(per_mode))
+    if head:
+        abel *= 1 - 1e-12
+    return Sml * (abel + _coeff_tail(lam, c) * Z + ez * (c[0] + a_res + 1.0))
+
+
 def _mode_tail(lam, t, tol, odd):
     """(K, bound, mean) for the tail k > K of the direct sum: its honest
-    bound and its exactly summed part."""
+    bound and its exactly summed part.
+
+    K is the first of 2^14, 2^16, ... whose bound is at most 0.75 tol, or
+    the last below MAX_TERMS.  A K below the last is first tried on the
+    head's lower bound (``_mode_bound``), which passes it over when that
+    bound already exceeds 0.75 tol: at lam = 1.5 every K but the last."""
     S = math.sin(math.pi * t)
     try:
         Sml = S ** -lam       # lam <= 16 on this path: finite for t >= 1e-4
@@ -330,21 +363,25 @@ def _mode_tail(lam, t, tol, odd):
         J *= 2
         c, ac = _mode_coeffs(lam, J)
     s_eff, res_sign = _mode_table(t, J, odd)
-    nonres = res_sign == 0.0
-    a_nr, s_nr = ac[1:][nonres], s_eff[nonres]
-    a_res = float(np.sum(ac[1:][~nonres]))
-    res_sum = float(np.sum(c[1:] * res_sign))
+    if res_sign.any():
+        nonres = res_sign == 0.0
+        a_nr, s_nr = ac[1:][nonres], s_eff[nonres]
+        a_res = float(np.sum(ac[1:][~nonres]))
+        res_sum = float(np.sum(c[1:] * res_sign))
+    else:           # no resonant mode: c[0] + (+-0.0), a sum over none, is c[0]
+        a_nr, s_nr, a_res, res_sum = ac[1:], s_eff, 0.0, 0.0
+
+    def bound_at(K, head=False):
+        return _mode_bound(lam, K, odd, Sml, c, a_res, a_nr, s_nr, head)
+
     K = 2 ** 14
     while True:
-        Z, ez = _domain_tail(lam, K, odd)
-        with np.errstate(divide="ignore"):      # no Abel bound at s = 0: g / 0 = inf
-            per_mode = (K + 1.0) ** -lam / s_nr
-        np.minimum(Z, per_mode, out=per_mode)
-        np.multiply(a_nr, per_mode, out=per_mode)
-        bound = Sml * (float(np.sum(per_mode)) + _coeff_tail(lam, c) * Z
-                       + ez * (c[0] + a_res + 1.0))
-        if bound <= 0.75 * tol or K * 4 > MAX_TERMS:
-            return K, bound, Sml * Z * (c[0] + res_sum)
+        last = K * 4 > MAX_TERMS
+        if last or bound_at(K, head=True) <= 0.75 * tol:
+            bound = bound_at(K)
+            if bound <= 0.75 * tol or last:
+                Z, _ = _domain_tail(lam, K, odd)
+                return K, bound, Sml * Z * (c[0] + res_sum)
         K *= 4
 
 

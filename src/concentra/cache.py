@@ -46,19 +46,24 @@ def to_jsonable(obj):
     return obj
 
 
+def _compact(data) -> str:
+    """JSON data as one line with sorted keys."""
+    return json.dumps(data, sort_keys=True, separators=(",", ":"))
+
+
 def canonical_json(obj) -> str:
-    return json.dumps(to_jsonable(obj), sort_keys=True, separators=(",", ":"))
+    return _compact(to_jsonable(obj))
 
 
 def config_hash(command: str, inputs) -> str:
-    blob = json.dumps({"command": command, "inputs": inputs},
-                      sort_keys=True, separators=(",", ":"))
+    blob = _compact({"command": command, "inputs": inputs})
     return hashlib.sha256(blob.encode()).hexdigest()[:16]
 
 
 def _seal(key: str, outputs) -> str:
-    """The digest of ``outputs`` (in wire form) under the config hash ``key``."""
-    return hashlib.sha256((key + canonical_json(outputs)).encode()).hexdigest()
+    """The digest of ``outputs``, already in wire form, under the config hash
+    ``key``: ``to_jsonable`` leaves its own output as it is."""
+    return hashlib.sha256((key + _compact(outputs)).encode()).hexdigest()
 
 
 def default_cache_dir() -> Path:
@@ -98,9 +103,9 @@ class ResultsCache:
 
 
 def write_record(root: Path, command: str, inputs, outputs, wall_time: float) -> Path:
-    """Build the RunRecord of one run and store it in the cache at ``root``."""
+    """Build the RunRecord of one run, its ``outputs`` in wire form, and
+    store it in the cache at ``root``."""
     key = config_hash(command, inputs)
-    outputs = to_jsonable(outputs)
     record = {"command": command, "config_hash": key, "inputs": inputs,
               "outputs": outputs, "outputs_digest": _seal(key, outputs), "wall_time": wall_time}
     return ResultsCache(root).put(command, key, record)

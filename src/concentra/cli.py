@@ -194,11 +194,12 @@ def _csv(cols, rows) -> str:
 
 
 def _render(cmd: str, payload: dict) -> str:
-    """What a command prints: CSV rows for ``curve`` and ``decay``, else JSON."""
+    """What a command prints from its ``payload`` in wire form: CSV rows for
+    ``curve`` and ``decay``, else JSON."""
     if cmd in _CSV_COLUMNS:
         cols = _CSV_COLUMNS[cmd]
         return _csv(cols, ([r[c] for c in cols] for r in payload["rows"]))
-    return json.dumps(to_jsonable(payload), indent=2) + "\n"
+    return json.dumps(payload, indent=2) + "\n"
 
 
 # ----------------------------------------------------------------------
@@ -286,19 +287,24 @@ def _build_parser():
 
 
 def _primes(listed, up_to) -> list:
-    """The primes of ``decay``: --primes as listed, else the odd primes up to
-    --primes-up-to."""
-    if listed:
+    """The primes of ``decay``: --primes as listed, each once, else the odd
+    primes up to --primes-up-to.  An empty list is a DomainError."""
+    if listed is not None:
         try:
-            return [int(x) for x in listed.split(",") if x.strip()]
+            primes = list(dict.fromkeys(int(x) for x in listed.split(",") if x.strip()))
         except ValueError:
             raise DomainError(f"--primes takes comma-separated integers, "
                               f"got {listed!r}") from None
-    if not up_to:
+    elif up_to is None:
         raise DomainError("need --primes or --primes-up-to")
-    if up_to < 0:
+    elif up_to < 0:
         raise DomainError(f"--primes-up-to must be >= 0, got {up_to}")
-    return [q for q in range(3, up_to + 1) if discrete.is_prime(q)]
+    else:
+        primes = [q for q in range(3, up_to + 1) if discrete.is_prime(q)]
+    if not primes:
+        raise DomainError(f"decay needs at least one prime, got --primes {listed!r}"
+                          if listed is not None else f"no odd prime up to {up_to}")
+    return primes
 
 
 _FRONT_END = ("cmd", "cache_dir", "output", "no_cache", "trace_path")  # kept out of records
@@ -393,8 +399,9 @@ def main(argv=None) -> int:
             shown = dict(served, cached=True)
         else:
             trace = [] if getattr(args, "trace_path", None) else None
-            payload = (_RUNNERS[args.cmd](inputs) if trace is None
-                       else run_concentrate(inputs, trace))
+            # the wire form, built once: recorded, sealed and printed as it is
+            payload = to_jsonable(_RUNNERS[args.cmd](inputs) if trace is None
+                                  else run_concentrate(inputs, trace))
             write_record(cache_dir, args.cmd, inputs, payload, time.time() - t0)
             if trace is not None:
                 Path(args.trace_path).write_text(_csv(_TRACE_COLUMNS, trace))

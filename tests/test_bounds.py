@@ -581,6 +581,38 @@ def _allocating_mode_table(t, J, odd):
     return s_eff, res_sign
 
 
+def _allocating_mode_tail(lam, t, tol, odd):
+    """The mode tail forming the whole bound at every K, from boolean-indexed
+    copies of the non-resonant modes and the allocating mode table: the
+    skipping tail's oracle, (K, bound, mean) and the bound at each K formed."""
+    S = math.sin(math.pi * t)
+    Sml = S ** -lam
+    J = max(256, int(lam / 2) + 8)
+    Zref, _ = bounds._domain_tail(lam, 2 ** 14, odd)
+    c, ac = bounds._mode_coeffs(lam, J)
+    while bounds._coeff_tail(lam, c) * Zref * Sml > tol / 4 and J < 200000:
+        J *= 2
+        c, ac = bounds._mode_coeffs(lam, J)
+    s_eff, res_sign = _allocating_mode_table(t, J, odd)
+    nonres = res_sign == 0.0
+    a_nr, s_nr = ac[1:][nonres], s_eff[nonres]
+    a_res = float(np.sum(ac[1:][~nonres]))
+    res_sum = float(np.sum(c[1:] * res_sign))
+    K, formed = 2 ** 14, {}
+    while True:
+        Z, ez = bounds._domain_tail(lam, K, odd)
+        with np.errstate(divide="ignore"):
+            per_mode = (K + 1.0) ** -lam / s_nr
+        np.minimum(Z, per_mode, out=per_mode)
+        np.multiply(a_nr, per_mode, out=per_mode)
+        bound = Sml * (float(np.sum(per_mode)) + bounds._coeff_tail(lam, c) * Z
+                       + ez * (c[0] + a_res + 1.0))
+        formed[K] = bound
+        if bound <= 0.75 * tol or K * 4 > bounds.MAX_TERMS:
+            return (K, bound, Sml * Z * (c[0] + res_sum)), formed
+        K *= 4
+
+
 def _direct_mode_coeffs(lam, J):
     """c[0..J] built whole to J: the grown coefficient arrays' oracle."""
     c = np.zeros(J + 1)
@@ -609,6 +641,15 @@ def _traced_peak(f):
         return tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
+
+
+# the mode tail at doubles that exhaust the budget (near-rational, lam < 2),
+# that stop at the first K or a middle one, and at j/64 with their exactly
+# resonant modes, as the mode path takes them with _RATIONAL_CAP = 1
+MODE_TAIL_CASES = (
+    [(lam, t) for lam in (1.2, 1.5) for t in NEAR_RATIONAL[:3]]
+    + [(2.5, 0.2371), (4.0, 0.11), (1.999, 1 / 3), (2.5, 2 / 7), (2.0, 0.11)]
+    + [(1.5, 5 / 64), (1.2, 1 / 2), (2.5, 3 / 64)])
 
 
 class TestKernels:
@@ -809,6 +850,50 @@ class TestKernels:
         finally:
             sys.setswitchinterval(interval)
             _restart_pool()
+
+    @pytest.mark.parametrize("lam, t", MODE_TAIL_CASES)
+    def test_mode_tail_matches_allocating_oracle(self, monkeypatch, lam, t):
+        # (K, bound, mean) in hex; each K below the one returned is passed
+        # over on the head's lower bound, which is at most the whole bound
+        # there, and the whole bound is formed only where the head allows it
+        formed = []
+        mode_bound = bounds._mode_bound
+
+        def spy(*args):
+            formed.append((args[1], args[-1], mode_bound(*args)))
+            return formed[-1][2]
+
+        monkeypatch.setattr(bounds, "_mode_bound", spy)
+        try:
+            for tol in (1e-10, 1e-6):
+                for odd in (False, True):
+                    want, whole = _allocating_mode_tail(lam, t, tol, odd)
+                    for workers in (1, 2):
+                        monkeypatch.setattr(bounds, "_WORKERS", workers)
+                        _restart_pool()
+                        formed.clear()
+                        got = bounds._mode_tail(lam, t, tol, odd)
+                        assert [float(x).hex() for x in got] == [float(x).hex() for x in want]
+                        heads = {K: b for K, head, b in formed if head}
+                        assert sorted(heads) == [K for K in whole if 4 * K <= bounds.MAX_TERMS]
+                        assert all(b <= whole[K] for K, b in heads.items())
+                        for K, head, b in formed:
+                            if not head:
+                                assert b == whole[K]
+                                assert K == got[0] or heads[K] <= 0.75 * tol
+                        if got[0] == 2 ** 22 and lam < 2:
+                            assert [K for K, head, _ in formed if not head] == [2 ** 22]
+        finally:
+            _restart_pool()
+
+    def test_mode_path_peak_memory(self):
+        # lam's coefficients warm: a near-rational point at lam = 1.5 holds
+        # the mode table (s_eff, res_sign) and one per-mode array, J = 2^18,
+        # and no copies of the non-resonant modes
+        for f, t in ((bounds.eval_B, 1 / 3), (bounds.eval_A, 2 / 7)):
+            f(1.5, t)
+            peak = _traced_peak(lambda: f(1.5, t))
+            assert peak <= 4 * 2 ** 18 * 8 + 2 ** 20
 
     @pytest.mark.parametrize("lam", [1.2, 1.5, 1.999, 2.0, 2.5, 7.3, 16.0])
     def test_grown_mode_coeffs_match_arrays_built_whole(self, lam):

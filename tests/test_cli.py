@@ -5,7 +5,7 @@ import warnings
 import numpy as np
 import pytest
 
-from concentra import cli, discrete
+from concentra import cache, cli, discrete
 from concentra.cache import _seal, canonical_json, config_hash, to_jsonable
 from concentra.trigpoly import Spectrum
 from golden import regenerate
@@ -414,6 +414,19 @@ class TestDecayCommand:
         assert code == 0
         assert [int(l.split(",")[0]) for l in out.strip().split("\n")[1:]] == [3, 5, 7, 11, 13]
 
+    def test_repeated_prime_is_one_row(self, tmp_path, capsys):
+        # --primes 3,5,3 is --primes 3,5: the same rows and the same record
+        outs = [run(["decay", "--primes", primes, "--cache-dir", str(tmp_path)], capsys)
+                for primes in ("3,5,3", "3,5")]
+        assert outs[0] == outs[1] and outs[0][0] == 0
+        assert [l.split(",")[0] for l in outs[0][1].split("\n")[1:-1]] == ["3", "5"]
+        assert len(list((tmp_path / "records").glob("decay-*.json"))) == 1
+
+    def test_empty_range_names_the_flag_given(self, tmp_path, capsys):
+        assert cli.main(["decay", "--primes-up-to", "0", "--cache-dir", str(tmp_path)]) == 2
+        err = capsys.readouterr().err
+        assert "no odd prime up to 0" in err and "need --primes" not in err
+
 
 E_WIDE = {"intervals": [[0.30, 0.35], [0.65, 0.70]]}
 E_MALFORMED = {
@@ -472,6 +485,10 @@ CONCENTRATE = ["concentrate", "--e-file", "{E}", "--epsilon", "0.05"]
      "--points", "1"],
     [*CONCENTRATE, "--p", "200"],
     ["decay"],
+    ["decay", "--primes", ",,"],
+    ["decay", "--primes", ""],
+    ["decay", "--primes-up-to", "2"],
+    ["decay", "--primes-up-to", "0"],
 ], ids=["search-p-nan", "search-p-inf", "star-p-nan", "heuristic-p-nan",
         "concentrate-p-nan", "concentrate-p-inf", "curve-lam-inf",
         "round-epsilon-negative", "round-p-nan", "decay-non-prime", "concentrate-nu-0",
@@ -484,7 +501,8 @@ CONCENTRATE = ["concentrate", "--e-file", "{E}", "--epsilon", "0.05"]
         "curve-tol-nan", "heuristic-restarts-negative", "decay-restarts-negative",
         "exhaustive-restarts-negative", "star-restarts-negative",
         "curve-B-prefactor-overflow", "curve-A-series-overflow",
-        "concentrate-power-overflow", "decay-no-primes"])
+        "concentrate-power-overflow", "decay-no-primes", "decay-primes-empty",
+        "decay-primes-blank", "decay-primes-up-to-2", "decay-primes-up-to-0"])
 def test_bad_input_exits_2(argv, tmp_path, capsys):
     e = tmp_path / "E.json"
     e.write_text(json.dumps(E_WIDE))
@@ -751,3 +769,23 @@ class TestSerialization:
         parsed = json.loads(blob)["x"]
         assert parsed == [float(f"{v:.15g}") for v in vals]
         assert canonical_json({"x": parsed}) == blob
+
+    def test_outputs_normalized_once(self, monkeypatch, tmp_path, capsys):
+        # a run's wire form is built once, then recorded, sealed and printed
+        # as it is; the record and the output keep their bytes
+        calls = []
+        wire = cache.to_jsonable
+
+        def spy(obj):
+            calls.append(isinstance(obj, dict) and "ratio" in obj)
+            return wire(obj)
+
+        monkeypatch.setattr(cache, "to_jsonable", spy)
+        monkeypatch.setattr(cli, "to_jsonable", spy)
+        code, out = run(["search", "--q", "7", "--p", "1", "--cache-dir", str(tmp_path)],
+                        capsys)
+        assert code == 0 and sum(calls) == 1
+        [path] = search_records(tmp_path)
+        rec = json.loads(path.read_text())
+        assert json.loads(out) == rec["outputs"]
+        assert rec["outputs_digest"] == _seal(rec["config_hash"], to_jsonable(rec["outputs"]))
