@@ -9,8 +9,8 @@ from .bounds import (ConstantResult, MinResult, SeriesEval, asymptote_scan,
                      minimize_over_t)
 from .discrete import (ConcentrationReport, DirichletTable, StarReport,
                        concentration_ratio, dirichlet_table, exact_gamma_sharp,
-                       exact_gamma_star, gamma1_decay_scan, gamma_sharp,
-                       heuristic_gamma_sharp, ratio)
+                       exact_gamma_star, exact_gamma_stars, gamma1_decay_scan,
+                       gamma_sharp, heuristic_gamma_sharp, ratio)
 from .rounding import (MomentReport, MonteCarloReport, RoundingTrial,
                        bernoulli_round, hypothesis_constants, monte_carlo,
                        moment_check, normalize_peak, verify_trial)

@@ -98,14 +98,15 @@ def run_search(inputs: dict) -> dict:
     q, p, mode = inputs["q"], inputs["p"], inputs["mode"]
     if mode == "star":
         K = inputs["K"]
-        rep = discrete.exact_gamma_star(q, p, K=K)
+        if not inputs["k_sensitivity"]:
+            return to_jsonable(discrete.exact_gamma_star(q, p, K=K))
+        # one scan; K is checked first, so a bad --K is the one named
+        rep, low, high = discrete.exact_gamma_stars(q, p, (K, K / 10, 10 * K))
+        reps = {str(K / 10): low, str(K): rep, str(10 * K): high}
         out = to_jsonable(rep)
-        if inputs["k_sensitivity"]:
-            reps = {str(k): rep if k == K else discrete.exact_gamma_star(q, p, K=k)
-                    for k in (K / 10, K, 10 * K)}
-            out["K_sensitivity"] = {k: r.ratio_star for k, r in reps.items()}
-            out["K_sensitivity_witnesses"] = {k: r.spectrum for k, r in reps.items()
-                                              if r is not rep}
+        out["K_sensitivity"] = {k: r.ratio_star for k, r in reps.items()}
+        out["K_sensitivity_witnesses"] = {k: r.spectrum for k, r in reps.items()
+                                          if r is not rep}
         return out
     # the heuristic's outputs name the run they come from; an exact scan reads none
     ascent = {k: inputs[k] for k in _search_reads(q, mode)}
@@ -276,8 +277,9 @@ def _build_parser():
 
     d = sub.add_parser("decay", parents=[common],
                        help="integral-norm level decay table over primes")
-    d.add_argument("--primes", default=None, help="comma-separated primes")
-    d.add_argument("--primes-up-to", type=int, default=None)
+    which = d.add_mutually_exclusive_group()
+    which.add_argument("--primes", default=None, help="comma-separated primes")
+    which.add_argument("--primes-up-to", type=int, default=None)
     d.add_argument("--restarts", type=int, default=4)
 
     rp = sub.add_parser("replay", parents=[common],

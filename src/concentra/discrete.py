@@ -49,7 +49,8 @@ __all__ = [
     "ConcentrationReport", "StarReport", "DirichletTable",
     "ratio", "concentration_ratio", "exact_gamma_sharp",
     "heuristic_gamma_sharp", "gamma_sharp", "is_exact", "dirichlet_table",
-    "exact_gamma_star", "star", "gamma1_decay_scan", "is_prime",
+    "exact_gamma_star", "exact_gamma_stars", "star", "gamma1_decay_scan",
+    "is_prime",
 ]
 
 EXHAUSTIVE_CAP = 26      # plain-grid cap: 2^(q-1) spectra after translation pruning
@@ -180,10 +181,12 @@ def _scan(E, lead, score, W=None, limit=math.inf):
     popcount, so the masks of popcount <= ``limit`` (complement cut) are a
     prefix of each batch.  Under dilation weights ``W`` a mask that a
     dilation maps lower is skipped; permuted masks split the same way, and
-    dilations keep popcount.  ``score`` maps a batch to a (spectra x
-    targets) array.  Returns the spectra whose best target is within
-    ``_NEAR`` of the best score, and the number of (spectrum, target)
-    evaluations.
+    dilations keep popcount.  ``score`` maps a batch to one (spectra x
+    targets) array per group, each group a score of its own; it may yield
+    them one at a time, and the next batch may overwrite this one.
+    Returns, for each group, the spectra whose best target is within
+    ``_NEAR`` of the group's best score, and the number of (spectrum,
+    target) evaluations, counted once for all groups.
     """
     rows = np.arange(1 if lead else 0, len(E))
     lo = min(len(rows), _LO)
@@ -210,7 +213,10 @@ def _scan(E, lead, score, W=None, limit=math.inf):
         D = W[:lo, order].T.astype(np.int32) @ bits_lo.T.astype(np.int32)
         np.subtract(low, D, out=D)
         U = (bits_hi @ W[lo:, order] - (np.arange(len(H)) << lo)[:, None]).astype(np.int32)
-    best, pool, evals = -1.0, [], 0
+    best, pools, evals = {}, {}, 0
+    # an unpruned batch is formed in one buffer kept through the scan; a
+    # pruned one is a copy of its kept rows, summed in place
+    batch = np.empty_like(T) if W is None else None
     for h in range(len(H)):
         room = limit - int(pop_hi[h])
         if room < 0:
@@ -218,7 +224,7 @@ def _scan(E, lead, score, W=None, limit=math.inf):
         n = int(ends[min(room, lo)])
         masks = (h << lo) | low[:n]
         if W is None:
-            V = T[:n] + H[h]
+            V = np.add(T[:n], H[h], out=batch[:n])
         else:
             # no column (q = 2): the identity is the only dilation
             ok = np.ones(n, dtype=bool)
@@ -229,20 +235,23 @@ def _scan(E, lead, score, W=None, limit=math.inf):
                 kept = kept[D[c, kept] <= U[h, c]]
             if len(kept) == 0:
                 continue
-            masks, V = masks[kept], T[kept] + H[h]
-        R = score(V)
-        evals += R.size
-        R = R.max(axis=1)
-        best = max(best, float(R.max()))
-        r = np.nonzero(R >= best - _NEAR)[0]
-        pool.extend(zip(R[r].tolist(), masks[r].tolist()))
+            masks, V = masks[kept], T[kept]
+            V += H[h]
+        for g, R in enumerate(score(V)):
+            if g == 0:
+                evals += R.size
+            R = R.max(axis=1)
+            top = best[g] = max(best.get(g, -1.0), float(R.max()))
+            r = np.nonzero(R >= top - _NEAR)[0]
+            pools.setdefault(g, []).extend(zip(R[r].tolist(), masks[r].tolist()))
     head = [0] if lead else []
 
     def spectrum(m):
         return Spectrum(tuple(head + [int(r) for i, r in enumerate(rows) if m >> i & 1]),
                         len(E))
 
-    return [spectrum(m) for s, m in pool if s >= best - _NEAR], evals
+    return [[spectrum(m) for s, m in pool if s >= best[g] - _NEAR]
+            for g, pool in pools.items()], evals
 
 
 def _orbit(spec: Spectrum, dilate: bool):
@@ -302,10 +311,10 @@ def exact_gamma_sharp(q: int, p: float, use_pruning: bool = True) -> Concentrati
 
     def score(V):
         mp = _pow_abs(np.abs(V), p, q)
-        return 2.0 * mp[:, units] / (mp @ w)[:, None]
+        return [2.0 * mp[:, units] / (mp @ w)[:, None]]
 
     W = _canonical_weights(q) if use_pruning else None
-    pool, evals = _scan(E, True, score, W, limit=q // 2 - 1)
+    (pool,), evals = _scan(E, True, score, W, limit=q // 2 - 1)
     # the ratio at target a is the ratio of a * spectrum at target 1: the
     # unit orbits of the candidates hold every such witness
     top, witness, n = _best_of(pool, True, lambda s: concentration_ratio(s, p, 1))
@@ -509,8 +518,10 @@ def gamma_sharp(q: int, p: float, *, mode: str = "auto", restarts: int = 4,
 
 def _star_level(num, d_star, d_plain, K):
     """Half-grid level min(num / d_star, K num / d_plain) of arrays or numpy
-    scalars: 0 where num or d_star is 0, num / d_star where d_plain is 0."""
-    with np.errstate(divide="ignore", invalid="ignore"):
+    scalars: 0 where num or d_star is 0, num / d_star where d_plain is 0.
+    A K num that overflows is larger than the finite num / d_star, so the
+    min never takes it."""
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         g = np.where(d_star > 0, num / d_star, 0.0)
         g2 = np.where(d_plain > 0, K * num / d_plain, np.inf)
         return np.minimum(g, np.where(num > 0, g2, 0.0))
@@ -539,10 +550,22 @@ def exact_gamma_star(q: int, p: float, K: float = 1e4,
     vector on the 2q-point grid, star points are the odd indices and the
     target is index 1 (the point 1/(2q)).
     """
+    return exact_gamma_stars(q, p, (K,), use_pruning)[0]
+
+
+def exact_gamma_stars(q: int, p: float, Ks, use_pruning: bool = True) -> tuple:
+    """``exact_gamma_star`` at each control constant of ``Ks``, in order, from
+    one scan, a score group a K: only the last step of a level reads K.
+    Each report is the one ``exact_gamma_star`` returns at its K.  Every K
+    is checked, in order, before the scan."""
+    Ks = tuple(Ks)
     if q < 2:
         raise DomainError("need q >= 2")
     _check_positive("p", p)
-    _check_positive("K", K)
+    if not Ks:
+        raise DomainError("need at least one K")
+    for K in Ks:
+        _check_positive("K", K)
     if q > STAR_CAP:
         raise BudgetError(f"half-grid exhaustive search capped at q <= {STAR_CAP}")
     Q = 2 * q
@@ -552,18 +575,25 @@ def exact_gamma_star(q: int, p: float, K: float = 1e4,
     w_odd, w_even = w * odd, w * (1 - odd)
 
     def score(V):
+        # a K at a time: the levels of one K are dropped before the next
         mp = _pow_abs(np.abs(V), p, Q)
-        return _star_level(2.0 * mp[:, 1], mp @ w_odd, mp @ w_even, K)[:, None]
+        num, ds, dp = 2.0 * mp[:, 1], mp @ w_odd, mp @ w_even
+        for K in Ks:
+            yield _star_level(num, ds, dp, K)[:, None]
 
-    pool, evals = _scan(E, use_pruning, score)
-    top, witness, n = _best_of(pool, False, lambda s: star(s, p, K)[0])
-    witness = Spectrum(witness, Q)
-    # recheck both defining inequalities at the reported constant
-    _, num, ds, dp = star(witness, p, K)
-    # with a relative slack: num is 2|v_1|^p, as large as (2q)^p
-    slack = num * (1 + 1e-12)
-    ok = slack >= top * ds and slack >= (top / K) * dp
-    return StarReport(q, p, K, top, bool(ok), witness, "exhaustive", evals + n)
+    pools, evals = _scan(E, use_pruning, score)
+    reports = []
+    for K, pool in zip(Ks, pools):
+        top, witness, n = _best_of(pool, False, lambda s: star(s, p, K)[0])
+        witness = Spectrum(witness, Q)
+        # recheck both defining inequalities at the reported constant
+        _, num, ds, dp = star(witness, p, K)
+        # with a relative slack: num is 2|v_1|^p, as large as (2q)^p
+        slack = num * (1 + 1e-12)
+        ok = slack >= top * ds and slack >= (top / K) * dp
+        reports.append(StarReport(q, p, K, top, bool(ok), witness, "exhaustive",
+                                  evals + n))
+    return tuple(reports)
 
 
 def gamma1_decay_scan(primes, *, restarts: int = 4, seed: int = 0) -> list:

@@ -422,6 +422,15 @@ class TestDecayCommand:
         assert [l.split(",")[0] for l in outs[0][1].split("\n")[1:-1]] == ["3", "5"]
         assert len(list((tmp_path / "records").glob("decay-*.json"))) == 1
 
+    def test_both_prime_flags_exit_2(self, tmp_path, capsys):
+        # the two flags name the primes two ways: argparse refuses the pair
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["decay", "--primes", "3", "--primes-up-to", "7",
+                      "--cache-dir", str(tmp_path)])
+        assert exc.value.code == 2
+        assert "not allowed with argument" in capsys.readouterr().err
+        assert not (tmp_path / "records").exists()
+
     def test_empty_range_names_the_flag_given(self, tmp_path, capsys):
         assert cli.main(["decay", "--primes-up-to", "0", "--cache-dir", str(tmp_path)]) == 2
         err = capsys.readouterr().err
@@ -534,6 +543,23 @@ class TestLargeP:
         code, out = self.run_strict(argv, tmp_path, capsys)
         assert code == 0
         json.loads(out, parse_constant=pytest.fail)      # no NaN or Infinity
+
+    def test_star_K_near_the_float_limit(self, tmp_path, capsys):
+        # K num overflows; the min takes the finite num / d_star
+        code, out = self.run_strict(["search", "--q", "4", "--p", "2", "--mode", "star",
+                                     "--K", "1e308"], tmp_path, capsys)
+        assert code == 0
+        row = json.loads(out)
+        _, num, ds, _ = discrete.star(Spectrum(row["spectrum"], 8), 2.0, 1e308)
+        assert row["ratio_star"] == to_jsonable(num / ds)
+
+    def test_star_k_sensitivity_checks_10K_before_any_scan(self, tmp_path, capsys):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            code = cli.main(["search", "--q", "4", "--p", "2", "--mode", "star", "--K",
+                             "1e308", "--k-sensitivity", "--cache-dir", str(tmp_path)])
+        assert code == 2
+        assert capsys.readouterr().err == "domain error: need finite K > 0, got inf\n"
 
     def test_concentrate_power_overflow_exits_2(self, tmp_path, capsys):
         e = tmp_path / "E.json"

@@ -101,8 +101,8 @@ class TestExactSearch:
         k = np.arange(q)
         E = np.exp(2j * np.pi * np.outer(k, k) / q)
         want = E[list(freqs)].sum(axis=0)
-        pool, evals = discrete._scan(
-            E, lead, lambda V: -np.abs(V - want).sum(axis=1)[:, None])
+        (pool,), evals = discrete._scan(
+            E, lead, lambda V: -np.abs(V - want).sum(axis=1)[None, :, None])
         assert [s.freqs for s in pool] == [freqs]
         assert evals == 1 << (q - 1 if lead else q)
 
@@ -123,7 +123,7 @@ class TestExactSearch:
         orbits = sum(1 << cycles(u) for u in units) // len(units)
         k = np.arange(q)
         E = np.exp(2j * np.pi * np.outer(k, k) / q)
-        _, evals = discrete._scan(E, True, lambda V: np.zeros((len(V), 1)),
+        _, evals = discrete._scan(E, True, lambda V: np.zeros((1, len(V), 1)),
                                   discrete._canonical_weights(q))
         assert evals == orbits
 
@@ -138,10 +138,10 @@ class TestExactSearch:
 
         def score(V):
             seen.append(V[:, 0].astype(np.int64))
-            return -V    # one best mask (0) keeps the pool small
+            return -V[None]    # one best mask (0) keeps the pool small
 
         weights = discrete._canonical_weights(q) if W else None
-        pool, evals = discrete._scan(E, True, score, weights, limit=limit)
+        (pool,), evals = discrete._scan(E, True, score, weights, limit=limit)
         masks = np.arange(1 << (q - 1))
         keep = np.bitwise_count(masks) <= limit
         if W:
@@ -154,6 +154,25 @@ class TestExactSearch:
         np.testing.assert_array_equal(np.sort(np.concatenate(seen)), masks[keep])
         assert evals == keep.sum() and [s.freqs for s in pool] == [(0,)]
 
+    @pytest.mark.parametrize("W", [False, True])
+    def test_scan_keeps_a_pool_per_group(self, W):
+        # the one value column is the mask itself: group 0 scores the least
+        # mask best, group 1 the greatest, each over two targets
+        q = 19
+        E = np.concatenate([[0.0], 2.0 ** np.arange(q - 1)])[:, None]
+
+        def score(V):
+            yield np.hstack([-V, -2 * V])
+            yield np.hstack([V, V / 2])
+
+        weights = discrete._canonical_weights(q) if W else None
+        pools, evals = discrete._scan(E, True, score, weights)
+        (_,), one = discrete._scan(E, True, lambda V: [np.hstack([-V, -2 * V])], weights)
+        assert [[s.freqs for s in pool] for pool in pools] == [[(0,)], [tuple(range(q))]]
+        # each (spectrum, target) is counted once, not once a group
+        assert evals == one
+        assert W or evals == 2 << (q - 1)
+
     @pytest.mark.parametrize("q, p", [(12, 1.0), (15, 2.0), (16, 4.0), (18, 3.0)])
     def test_reduced_scan_rebuilds_the_full_candidates(self, q, p):
         # the scan without either reduction: all q columns, every unit as a
@@ -164,9 +183,9 @@ class TestExactSearch:
 
         def score(V):
             mp = np.abs(V) ** p
-            return 2.0 * mp[:, units] / mp.sum(axis=1)[:, None]
+            return (2.0 * mp[:, units] / mp.sum(axis=1)[:, None])[None]
 
-        pool, _ = discrete._scan(E, True, score)
+        (pool,), _ = discrete._scan(E, True, score)
         top, witness, n = discrete._best_of(
             pool, True, lambda s: discrete.concentration_ratio(s, p, 1))
         rep = discrete.exact_gamma_sharp(q, p)
@@ -623,6 +642,27 @@ class TestStarSearch:
     def test_budget(self):
         with pytest.raises(BudgetError):
             discrete.exact_gamma_star(12, 2.0)
+
+    @pytest.mark.parametrize("use_pruning", [True, False])
+    @pytest.mark.parametrize("p", [1.0, 2.0, 3.0, 4.0, 10.0])
+    @pytest.mark.parametrize("q", range(2, 11))
+    def test_one_scan_gives_each_K_its_own_report(self, q, p, use_pruning):
+        # the oracle is a scan a K: level, witness, count and recheck agree
+        Ks = (1.0, 100.0, 1e4)
+        shared = discrete.exact_gamma_stars(q, p, Ks, use_pruning)
+        for K, rep in zip(Ks, shared):
+            one = discrete.exact_gamma_star(q, p, K, use_pruning)
+            assert rep.ratio_star.hex() == one.ratio_star.hex()
+            assert rep == one
+
+    @pytest.mark.parametrize("Ks, bad", [
+        ((1e307, -1.0, math.inf), "-1.0"), ((1.0, 0.0), "0.0"), ((math.nan,), "nan")])
+    def test_every_K_checked_before_the_scan(self, monkeypatch, Ks, bad):
+        monkeypatch.setattr(discrete, "_scan", pytest.fail)
+        with pytest.raises(DomainError, match=f"need finite K > 0, got {bad}$"):
+            discrete.exact_gamma_stars(3, 2.0, Ks)
+        with pytest.raises(DomainError, match="need at least one K"):
+            discrete.exact_gamma_stars(3, 2.0, ())
 
 
 class TestDecayScan:

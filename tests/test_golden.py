@@ -5,6 +5,7 @@ files with ``PYTHONPATH=src python tests/golden/regenerate.py`` and say which
 outputs moved and why.
 """
 
+import contextlib
 import json
 
 import pytest
@@ -14,19 +15,25 @@ from conftest import _restart_pool
 from golden import regenerate
 
 
-@pytest.mark.parametrize("workers", [1, 2, 3])
-def test_stdout_matches_golden_file(monkeypatch, tmp_path, workers):
-    # the coarse-scan table is rebuilt on the pool of each size
+@contextlib.contextmanager
+def pool_of(workers, monkeypatch):
+    """The bounds pool at ``workers`` threads; the coarse-scan table is
+    rebuilt on it."""
     monkeypatch.setattr(bounds, "_WORKERS", workers)
     _restart_pool()
     bounds._scan_table.cache_clear()
     try:
         assert bounds._pool()._max_workers == workers
-        assert regenerate.render(str(tmp_path)) == regenerate.GOLDEN.read_text()
+        yield
     finally:
         _restart_pool()
         bounds._scan_table.cache_clear()
 
+
+@pytest.mark.parametrize("workers", [1, 2, 3])
+def test_stdout_matches_golden_file(monkeypatch, tmp_path, workers):
+    with pool_of(workers, monkeypatch):
+        assert regenerate.render(str(tmp_path)) == regenerate.GOLDEN.read_text()
 
 
 @pytest.fixture
@@ -44,7 +51,9 @@ def test_records_are_those_of_the_pinned_configurations(e_file):
 
 @pytest.mark.parametrize("argv", regenerate.RECORD_CALLS.values(),
                          ids=regenerate.RECORD_CALLS.keys())
-def test_record_replays(argv, e_file, capsys):
+def test_record_replays(argv, e_file, monkeypatch, capsys):
     path = regenerate.RECORDS / regenerate.record_name(argv, e_file)
-    code = cli.main(["replay", str(path)])
-    assert code == 0 and json.loads(capsys.readouterr().out)["match"] is True
+    for workers in (1, 2, 3):
+        with pool_of(workers, monkeypatch):
+            code = cli.main(["replay", str(path)])
+        assert code == 0 and json.loads(capsys.readouterr().out)["match"] is True, workers

@@ -200,6 +200,21 @@ class TestFoldPower:
         assert out.nonneg
         assert np.all(out.coeffs.real >= 0)
 
+    @pytest.mark.parametrize("residue", [-1e-6, 1e-6j], ids=["negative", "complex"])
+    def test_residue_beyond_dust_raises(self, monkeypatch, residue):
+        # a coefficient below -1e-9 of the peak, or an imaginary part above
+        # it, is more than transform dust: it is refused, not clamped
+        fft = np.fft.fft
+
+        def skewed(values):
+            c = fft(values)
+            c[1] = residue * np.abs(c).max()
+            return c
+
+        monkeypatch.setattr(np.fft, "fft", skewed)
+        with pytest.raises(DomainError, match="non-clampable negative/complex residue"):
+            fold_power(to_coeffs(Spectrum((0, 1, 2), 3)), 3, 4)
+
     def test_rejects_bad_power(self):
         with pytest.raises(DomainError):
             fold_power(to_coeffs(Spectrum((0,), 2)), 0, 4)
