@@ -24,14 +24,13 @@ modeled through the cosine expansion of |sin theta|^lam:
     c_1 = -a0 * 2 lam/(lam+2),   c_{j+1} = c_j (j - lam/2)/(j + 1 + lam/2).
 
 The tail then splits into the exactly summable mean part a0 * Z_D(lam, K)
-(Z_D = zeta-style tail, Euler-Maclaurin with explicit remainder), exactly
-resonant modes (2 pi j t k = const mod 2 pi, contributing +-c_j Z_D with no
-error -- detected exactly because binary floats are dyadic rationals), and
-non-resonant modes bounded one by one through Abel summation:
+(Z_D = zeta-style tail, Euler-Maclaurin with explicit remainder) and the
+modes, bounded one by one through Abel summation:
 |sum_{k>K} cos(2 pi j t k) k^-lam| <= min(Z_D, (K+1)^-lam / s_j) with s_j
-the reduced-angle sine of the mode.  Everything that is not computed is
-added to ``tail_bound``; the reported bound is honest (possibly larger
-than the requested tolerance when the term budget caps out).
+the reduced-angle sine of the mode (a mode with s_j = 0 takes Z_D, the
+bound of its whole sum).  Everything that is not computed is added to
+``tail_bound``; the reported bound is honest (possibly larger than the
+requested tolerance when the term budget caps out).
 
 Rational path.  At t = a/b, |sin(k pi t)| has period b in k, so core_D is
 a finite sum of Hurwitz zeta values: with P = b (all k) or 2b (odd k),
@@ -219,14 +218,14 @@ if hasattr(os, "register_at_fork"):
 # direct partial sums of the scaled series
 # ----------------------------------------------------------------------
 
-def _direct_scaled_sum(lam: float, t: float, K: int, odd: bool):
-    """(partial sum of (|sin k pi t|/(k sin pi t))^lam over k<=K in D, roundoff bound).
+def _direct_scaled_sum(lam: float, t: float, S: float, K: int, odd: bool):
+    """(partial sum of (|sin k pi t|/(k S))^lam over k<=K in D, roundoff bound),
+    S = sin(pi t).
 
     Chunks of _CHUNK terms go into one buffer allocated once, each summed
     whole; a chunk's terms are formed in ranges of _SUB, run on the pool,
     each through two scratch vectors (k is exact: integers below 2^53).
     """
-    S = math.sin(math.pi * t)
     pt = math.pi * t
     step = 2 if odd else 1
     count = len(range(1, K + 1, step))
@@ -255,16 +254,15 @@ def _direct_scaled_sum(lam: float, t: float, K: int, odd: bool):
                   [(lo, min(lo + _SUB, m)) for lo in range(0, m, _SUB)])
         chunks.append(float(np.sum(r[:m])))
     total = math.fsum(chunks)
-    return total, _sum_slack(lam, t, K, count, total), count
+    return total, _sum_slack(lam, t, S, K, count, total), count
 
 
-def _sum_slack(lam: float, t: float, K: int, count: int, total: float) -> float:
+def _sum_slack(lam: float, t: float, S: float, K: int, count: int, total: float) -> float:
     """Roundoff bound of a partial sum to K, of ``count`` terms, equal to ``total``.
 
     Argument roundoff: |d term| <= lam * rho^(lam-1) * 3 eps pi t / S with
     rho_k <= min(1, 1/(kS)); sum the envelope of rho^(lam-1) in closed form.
     """
-    S = math.sin(math.pi * t)
     if lam > 2.001:
         env = (1.0 / S) * (1.0 + 1.0 / (lam - 2))
     elif lam > 1.999:
@@ -278,18 +276,16 @@ def _sum_slack(lam: float, t: float, K: int, count: int, total: float) -> float:
 # mode bookkeeping
 # ----------------------------------------------------------------------
 
-def _mode_table(t: float, J: int, odd: bool):
-    """Per-mode reduced sines and exact-resonance signs for j = 1..J.
-
-    Returns (s_eff, res_sign) where res_sign[j-1] is +-1 for an exactly
-    resonant mode and 0 otherwise, and s_eff[j-1] > 0 is a safe lower bound
-    on the Abel denominator |sin(pi * (m j t))| (m = 1 plain, 2 odd domain).
+def _mode_table(exact: Fraction, J: int, odd: bool):
+    """s_eff for j = 1..J at the double t = ``exact``: s_eff[j-1] >= 0 is a
+    safe lower bound on the Abel denominator |sin(pi * (m j t))| (m = 1
+    plain, 2 odd domain).  Up to the last j whose m j num is below 2^53 the
+    products are exact, so no roundoff slack is subtracted there.
     """
-    fr = Fraction(float(t))
-    num, den = fr.numerator, fr.denominator   # exact: floats are dyadic
+    t = float(exact)
     m = 2 if odd else 1
-    # products m*j*num below 2^53 are exact in double precision
-    n_exact = min(J, 2 ** 53 // (m * num)) if den <= 2 ** 52 else 0
+    n_exact = (min(J, 2 ** 53 // (m * exact.numerator))
+               if exact.denominator <= 2 ** 52 else 0)
     s_eff = np.empty(J)
 
     def form(lo, hi):
@@ -309,21 +305,14 @@ def _mode_table(t: float, J: int, odd: bool):
         np.maximum(x[e:], 0.0, out=x[e:])
 
     _parallel(form, [(lo, min(lo + _SUB, J)) for lo in range(0, J, _SUB)])
-    # m j num = 0 (mod den) exactly when den / gcd(m, den) divides j; the
-    # odd domain's sign is + exactly when den divides j
-    res_sign = np.zeros(J)
-    period = den // math.gcd(m, den)
-    res_sign[period - 1:n_exact:period] = -1.0
-    res_sign[den - 1:n_exact:den] = 1.0
-    s_eff[period - 1:n_exact:period] = 0.0
-    return s_eff, res_sign
+    return s_eff
 
 
-def _mode_bound(lam, K, odd, Sml, c, a_res, a, s, head=False):
+def _mode_bound(lam, K, odd, Sml, c, a, s, head=False):
     """The honest bound on the tail k > K: Sml times the Abel bounds
-    a_j min(Z_D, (K+1)^-lam / s_j) of the non-resonant modes (a, s), the
-    coefficient tail and the Euler-Maclaurin remainders (``a_res`` the
-    resonant modes' sum of |c_j|).
+    a_j min(Z_D, (K+1)^-lam / s_j) of the modes (a, s), the coefficient
+    tail and the Euler-Maclaurin remainders.  A mode with s_j = 0 has no
+    Abel bound and takes Z_D, the bound of its whole sum.
 
     With ``head``, a lower bound on that float, from the first _MODE_HEAD
     modes alone.  Their terms are >= 0 and bit-equal to the whole array's
@@ -340,39 +329,32 @@ def _mode_bound(lam, K, odd, Sml, c, a_res, a, s, head=False):
     abel = float(np.sum(per_mode))
     if head:
         abel *= 1 - 1e-12
-    return Sml * (abel + _coeff_tail(lam, c) * Z + ez * (c[0] + a_res + 1.0))
+    return Sml * (abel + _coeff_tail(lam, c) * Z + ez * (c[0] + 1.0))
 
 
-def _mode_tail(lam, t, tol, odd):
-    """(K, bound, mean) for the tail k > K of the direct sum: its honest
-    bound and its exactly summed part.
+def _mode_tail(lam, S, exact: Fraction, tol, odd):
+    """(K, bound, mean) for the tail k > K of the direct sum at the double
+    t = ``exact``, S = sin(pi t): its honest bound and its exactly summed part.
 
     K is the first of 2^14, 2^16, ... whose bound is at most 0.75 tol, or
     the last below MAX_TERMS.  A K below the last is first tried on the
     head's lower bound (``_mode_bound``), which passes it over when that
     bound already exceeds 0.75 tol: at lam = 1.5 every K but the last."""
-    S = math.sin(math.pi * t)
     try:
         Sml = S ** -lam       # lam <= 16 on this path: finite for t >= 1e-4
     except OverflowError:
-        raise DomainError(f"series overflows a float at lam = {lam}, t = {t}") from None
+        raise DomainError(f"series overflows a float at lam = {lam}, "
+                          f"t = {float(exact)}") from None
     J = max(256, int(lam / 2) + 8)
     Zref, _ = _domain_tail(lam, 2 ** 14, odd)
     c, ac = _mode_coeffs(lam, J)
     while _coeff_tail(lam, c) * Zref * Sml > tol / 4 and J < 200000:
         J *= 2
         c, ac = _mode_coeffs(lam, J)
-    s_eff, res_sign = _mode_table(t, J, odd)
-    if res_sign.any():
-        nonres = res_sign == 0.0
-        a_nr, s_nr = ac[1:][nonres], s_eff[nonres]
-        a_res = float(np.sum(ac[1:][~nonres]))
-        res_sum = float(np.sum(c[1:] * res_sign))
-    else:           # no resonant mode: c[0] + (+-0.0), a sum over none, is c[0]
-        a_nr, s_nr, a_res, res_sum = ac[1:], s_eff, 0.0, 0.0
+    s_eff = _mode_table(exact, J, odd)
 
     def bound_at(K, head=False):
-        return _mode_bound(lam, K, odd, Sml, c, a_res, a_nr, s_nr, head)
+        return _mode_bound(lam, K, odd, Sml, c, ac[1:], s_eff, head)
 
     K = 2 ** 14
     while True:
@@ -381,12 +363,11 @@ def _mode_tail(lam, t, tol, odd):
             bound = bound_at(K)
             if bound <= 0.75 * tol or last:
                 Z, _ = _domain_tail(lam, K, odd)
-                return K, bound, Sml * Z * (c[0] + res_sum)
+                return K, bound, Sml * Z * c[0]
         K *= 4
 
 
-def _core_envelope_path(lam, t, tol, odd):
-    S = math.sin(math.pi * t)
+def _core_envelope_path(lam, t, S, tol, odd):
     lnS = math.log(S)
     # Reserve an a-priori bound on the roundoff added to the truncation bound,
     # here and by the callers' 8 eps |value|: each term is <= min(1, (kS)^-lam),
@@ -394,7 +375,7 @@ def _core_envelope_path(lam, t, tol, odd):
     # B's also carries the prefactor's own rounding (``_pref_error``).
     total = 1.0 + lam / ((lam - 1) * S)
     pref = math.exp(min(lam * math.log(math.pi * t / S), 700.0))
-    reserve = _sum_slack(lam, t, MAX_TERMS, MAX_TERMS, total) + 8 * EPS * (total + pref)
+    reserve = _sum_slack(lam, t, S, MAX_TERMS, MAX_TERMS, total) + 8 * EPS * (total + pref)
     if not odd:
         reserve += pref * _pref_error(lam, t)
     # K from  S^-lam * K^(1-lam)/(lam-1) <= tol - reserve, solved in logs
@@ -403,7 +384,7 @@ def _core_envelope_path(lam, t, tol, odd):
     K = max(32, min(K, MAX_TERMS))
     ln_bound = -lam * lnS + _ln_zeta_tail(lam, K + 1)
     bound = math.exp(ln_bound) if ln_bound < 700 else math.inf
-    direct, slack, used = _direct_scaled_sum(lam, t, K, odd)
+    direct, slack, used = _direct_scaled_sum(lam, t, S, K, odd)
     return direct, bound + slack, used
 
 
@@ -447,7 +428,7 @@ def _core_rational(lam, t: Fraction, S, tol, odd, K=None):
     return total, rem + (12 * lam + 32) * EPS * scale, N * len(r)
 
 
-def _residue_head(lam, t, near: Fraction, K, odd):
+def _residue_head(lam, t, S, near: Fraction, K, odd):
     """(partial sum over k <= K in D, slack, count) of the mode path at a
     double t within EPS t of ``near`` = a/b, b <= _RATIONAL_CAP, by residue
     class: ``_core_rational`` at a/b with S = sin(pi t) of the double, N
@@ -464,31 +445,32 @@ def _residue_head(lam, t, near: Fraction, K, odd):
     roundoff.
     """
     count = (K + 1) // 2 if odd else K
-    total, slack, _ = _core_rational(lam, near, math.sin(math.pi * t), EPS, odd, K)
-    return total, slack + _sum_slack(lam, t, K, count, 0.0) / 3, count
+    total, slack, _ = _core_rational(lam, near, S, EPS, odd, K)
+    return total, slack + _sum_slack(lam, t, S, K, count, 0.0) / 3, count
 
 
 def _core(lam, t, tol, odd):
     """core_D(lam,t) with an honest truncation bound, at most MAX_TERMS terms,
-    on the first path that serves t: envelope, rational or mode.  S and the
-    fraction nearest t of denominator <= _RATIONAL_CAP are formed here once:
-    t is that fraction on the rational path, and the mode path sums its head
-    k <= K by residue class (``_residue_head``) where the fraction lies
-    within EPS t, else directly."""
+    on the first path that serves t: envelope, rational or mode.  S = sin(pi t),
+    the exact value of the double t and the fraction nearest t of denominator
+    <= _RATIONAL_CAP are formed here once, and the paths take them: t is that
+    fraction on the rational path, and the mode path sums its head k <= K by
+    residue class (``_residue_head``) where the fraction lies within EPS t,
+    else directly."""
     S = math.sin(math.pi * t)
     lnK_env = -(math.log(tol) + lam * math.log(S) + math.log(lam - 1)) / (lam - 1)
     if lam > 16 or lnK_env <= math.log(_DIRECT_CAP):
-        return _core_envelope_path(lam, t, tol, odd)
+        return _core_envelope_path(lam, t, S, tol, odd)
     exact = Fraction(t)
     near = exact.limit_denominator(_RATIONAL_CAP)
     if near == exact:
         # t = a/b with b a power of two, so pi a / b rounds as pi t: S is sin(pi a/b)
         return _core_rational(lam, exact, S, tol, odd)
-    K, bound, tail_mean = _mode_tail(lam, t, tol, odd)
+    K, bound, tail_mean = _mode_tail(lam, S, exact, tol, odd)
     if abs(exact - near) <= EPS * exact:
-        direct, slack, used = _residue_head(lam, t, near, K, odd)
+        direct, slack, used = _residue_head(lam, t, S, near, K, odd)
     else:
-        direct, slack, used = _direct_scaled_sum(lam, t, K, odd)
+        direct, slack, used = _direct_scaled_sum(lam, t, S, K, odd)
     return float(direct + tail_mean), float(bound + slack), used
 
 

@@ -165,10 +165,10 @@ def find_fraction(E: IntervalSet, theta: float, eta: float, q0: int,
 def choose_n(p: float, eps: float, delta: float) -> int:
     """Peaking-kernel length guaranteeing <= eps relative mass outside
     (-delta, delta), from the explicit tail constant (pi/2)^p / (p-1)."""
-    if not p > 1:
-        raise DomainError(f"peaking pathway needs p > 1, got {p}")
-    if not (0 < eps < 1 and delta > 0):
-        raise DomainError(f"need 0 < eps < 1 and delta > 0, got {eps}, {delta}")
+    if not 1 < p < math.inf:
+        raise DomainError(f"peaking pathway needs p > 1, finite, got {p}")
+    if not (0 < eps < 1 and 0 < delta < math.inf):
+        raise DomainError(f"need 0 < eps < 1 and finite delta > 0, got {eps}, {delta}")
     try:
         kp = (math.pi / 2) ** p / (p - 1)
         return int(math.ceil((2 * kp / eps) ** (1.0 / (p - 1)) / delta))

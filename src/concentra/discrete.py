@@ -605,12 +605,17 @@ def gamma1_decay_scan(primes, *, restarts: int = 4, seed: int = 0) -> list:
     exponent itself is reported as data, never asserted.  Rows above
     ``EXHAUSTIVE_CAP`` are heuristic lower bounds, so only the exact rows
     bear on the paper's statement that absolute L^1 concentration fails on
-    Z/qZ.
+    Z/qZ.  Every q is checked before the first row: a prime >= 3, and a
+    heuristic row's frequency table within its budget.
     """
-    rows = []
-    for q in sorted(primes):
+    primes = sorted(primes)
+    for q in primes:
+        if q > EXHAUSTIVE_CAP:
+            _check_table_budget(q)      # before the trial division of a large q
         if q < 3 or not is_prime(q):
             raise DomainError(f"decay scan needs primes >= 3, got {q}")
+    rows = []
+    for q in primes:
         dir_best = dirichlet_table(q, 1.0)
         rep = gamma_sharp(q, 1.0, restarts=restarts, seed=seed)
         g = rep.ratio

@@ -12,6 +12,7 @@ trials are reproducible bit-for-bit and independent of execution order.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -60,8 +61,11 @@ class MonteCarloReport:
 
 
 def _stream(seed: int, index: int) -> np.random.Generator:
-    key = np.array([seed & (2**64 - 1), index], dtype=np.uint64)
-    return np.random.Generator(np.random.Philox(key=key))
+    """The Philox stream keyed (seed, index); a seed outside [0, 2^64), which
+    is no key of its own, is a DomainError."""
+    if not 0 <= operator.index(seed) < 2 ** 64:
+        raise DomainError(f"seed must lie in [0, 2^64), got {seed}")
+    return np.random.Generator(np.random.Philox(key=np.array([seed, index], dtype=np.uint64)))
 
 
 def _draw(alpha: np.ndarray, seed: int, index: int, out=None) -> np.ndarray:
@@ -210,8 +214,8 @@ def moment_check(b, alpha, p: float, trials: int, seed: int) -> MomentReport:
     if not np.any(b.imag):
         b = b.real           # a real product: about three times faster
     alpha = np.asarray(alpha, dtype=np.float64)
-    if len(b) != len(alpha):
-        raise DomainError("b and alpha must have equal length")
+    if b.ndim != 1 or not len(b) or alpha.shape != b.shape:
+        raise DomainError("b and alpha must be non-empty vectors of equal length")
     if not np.all((alpha >= 0) & (alpha <= 1)):
         raise DomainError("alpha entries must lie in [0, 1]")
     if not (2 < p < np.inf):

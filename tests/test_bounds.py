@@ -136,41 +136,26 @@ class TestTailRigor:
 # in hex as computed before the mode bookkeeping was memoised and threaded;
 # B's tail_bound without the bound on its prefactor's rounding, which
 # ``with_pref_rounding`` adds as eval_B does.
-# The rational path would take the dyadic rows, so the cap of its
-# denominators is lowered to 1, which leaves every t to the mode path.
+# The cap of the rational path's denominators is lowered to 1, so that the
+# mode path sums the head of every row directly (it sums the head at the
+# double nearest 1/3 by residue class).
 # The lam = 1.5 rows with terms_used at the budget (2^22 for B, 2^21 for A)
 # do not converge: they must keep reporting their honest, too large bound.
 MODE_PATH_PINS = [
     ("B", 1.5, 1 / 3, "0x1.63225efe73dabp+2", "0x1.84f644c552336p-15", 4194304),
     ("A", 1.5, 1 / 3, "0x1.5d2010de1ad54p+0", "0x1.84f6abc05476dp-17", 2097152),
-    ("B", 1.5, 5 / 64, "0x1.24e5014e6d081p+4", "0x1.1c123e27c85cbp-28", 4194304),
-    ("A", 1.5, 5 / 64, "0x1.24cd7ff893351p+2", "0x1.2ee17b1bd5ce5p-30", 2097152),
-    ("B", 1.5, 1 / 2, "0x1.562887197595ep+2", "0x1.12b0de7174dc7p-33", 4194304),
-    ("A", 1.5, 1 / 2, "0x1.b052a7337075fp+0", "0x1.9c33af4254782p-36", 8192),
     ("B", 1.5, 0.2371, "0x1.b613947ef3dd4p+2", "0x1.8aa5247ff69b3p-32", 4194304),
     ("A", 1.5, 0.2371, "0x1.b912792163697p+0", "0x1.7d0a40c90019fp-33", 2097152),
     ("B", 1.999, 1 / 3, "0x1.18cc774277514p+2", "0x1.26b766954c99fp-34", 1048576),
     ("A", 1.999, 1 / 3, "0x1.18cac5e965597p+0", "0x1.4dc5f13282778p-34", 131072),
-    ("B", 1.999, 5 / 64, "0x1.a218ed00aec47p+3", "0x1.33d0cfb4402bbp-34", 1048576),
-    ("A", 1.999, 5 / 64, "0x1.a218e64a27b93p+1", "0x1.553db8624fc8ap-36", 524288),
-    ("B", 1.999, 1 / 2, "0x1.3bcf43b37c21fp+2", "0x1.2943f05db3f4ep-36", 262144),
-    ("A", 1.999, 1 / 2, "0x1.3bef3b91c4d4cp+0", "0x1.4ca8bd37a7db1p-40", 8192),
     ("B", 1.999, 0.2371, "0x1.46068cde2f6bap+2", "0x1.b3f6baae94befp-35", 262144),
     ("A", 1.999, 0.2371, "0x1.4607873b31f6cp+0", "0x1.2ecd8fd76ec7ap-36", 131072),
     ("B", 2.0, 1 / 3, "0x1.18bc4418cafe2p+2", "0x1.8ad288de189eap-36", 262144),
     ("A", 2.0, 1 / 3, "0x1.18bc4418c5a8cp+0", "0x1.8abe107bcc23dp-37", 131072),
-    ("B", 2.0, 5 / 64, "0x1.a1ecba27e8f4fp+3", "0x1.1766ba856007cp-34", 1048576),
-    ("A", 2.0, 5 / 64, "0x1.a1ecba27ea03fp+1", "0x1.205bfa7792b9bp-36", 524288),
-    ("B", 2.0, 1 / 2, "0x1.3bd3cc9be25dep+2", "0x1.00b9bb6407645p-36", 262144),
-    ("A", 2.0, 1 / 2, "0x1.3bd3cc9be45ddp+0", "0x1.2c75fc2059197p-46", 8192),
     ("B", 2.0, 0.2371, "0x1.45eb1e4cc3d4ap+2", "0x1.9b536ce41b0a4p-35", 262144),
     ("A", 2.0, 0.2371, "0x1.45eb1e4cbe168p+0", "0x1.17d0f9646f64fp-36", 131072),
     ("B", 2.5, 1 / 3, "0x1.0798efdb51f55p+2", "0x1.df692e880ba5dp-37", 1048576),
     ("A", 2.5, 1 / 3, "0x1.0893730e4e2efp+0", "0x1.df43bee6e21a3p-36", 131072),
-    ("B", 2.5, 5 / 64, "0x1.663c01bc5749bp+3", "0x1.3483258154a5dp-38", 262144),
-    ("A", 2.5, 5 / 64, "0x1.663f0be9e99c3p+1", "0x1.3ab0c46a0a8f3p-35", 32768),
-    ("B", 2.5, 1 / 2, "0x1.53457b52037ffp+2", "0x1.096b3a05db536p-35", 16384),
-    ("A", 2.5, 1 / 2, "0x1.1ab642aa25d5fp+0", "0x1.c271cc60231c8p-46", 8192),
     ("B", 2.5, 0.2371, "0x1.2366141d63f02p+2", "0x1.178aa5057f489p-38", 65536),
     ("A", 2.5, 0.2371, "0x1.226a964e759e9p+0", "0x1.050111a44c840p-34", 8192),
 ]
@@ -194,6 +179,17 @@ class TestModePathPinned:
             value, with_pref_rounding(which, lam, t, tail), terms)
         budget = bounds.MAX_TERMS // (2 if which == "B" else 4)
         assert ev.converged == (lam != 1.5 or terms < budget)
+
+    @pytest.mark.parametrize("which, lam, t", [
+        (which, lam, t) for lam in (1.5, 1.999, 2.0, 2.5) for t in (5 / 64, 1 / 2)
+        for which in "BA"])
+    def test_dyadic_within_tail_bound(self, monkeypatch, which, lam, t):
+        # the rational path takes these t; with the cap of its denominators
+        # lowered to 1 the mode path does, and its resonant modes have s_j = 0
+        monkeypatch.setattr(bounds, "_RATIONAL_CAP", 1)
+        ev = (bounds.eval_B if which == "B" else bounds.eval_A)(lam, t)
+        a, m = Fraction(t).as_integer_ratio()
+        assert abs(ev.value - hurwitz_series(which, lam, a, m)) <= ev.tail_bound
 
 
 _HURWITZ = {}
@@ -326,8 +322,9 @@ class TestNearRationalPartialSum:
             for K in (1, P - 1, P, P + 1, 2 ** 16 + 3, 2 ** 22):
                 if K < 1:
                     continue
-                got, slack, count = bounds._residue_head(lam, t, near, K, odd)
-                want, want_slack, want_count = bounds._direct_scaled_sum(lam, t, K, odd)
+                S = math.sin(math.pi * t)
+                got, slack, count = bounds._residue_head(lam, t, S, near, K, odd)
+                want, want_slack, want_count = bounds._direct_scaled_sum(lam, t, S, K, odd)
                 assert count == want_count
                 assert abs(got - want) <= slack + want_slack, (t, K)
 
@@ -343,7 +340,7 @@ class TestNearRationalPartialSum:
             x = mp.pi * near.numerator / near.denominator
             want = mp.fsum((abs(mp.sin(k * x)) / (k * mp.sin(x))) ** mp.mpf(lam)
                            for k in range(1, K + 1, 2 if odd else 1))
-        got, slack, _ = bounds._residue_head(lam, t, near, K, odd)
+        got, slack, _ = bounds._residue_head(lam, t, math.sin(math.pi * t), near, K, odd)
         assert abs(got - float(want)) <= slack
 
 
@@ -554,8 +551,8 @@ def _allocating_direct_sum(lam, t, K, odd):
 
 
 def _allocating_mode_table(t, J, odd):
-    """The mode table from fresh whole-length arrays, with the resonances
-    found by int64 residues: the in-place table's oracle, (s_eff, res_sign)."""
+    """The mode table from fresh whole-length arrays: the in-place table's
+    oracle, s_eff."""
     fr = Fraction(float(t))
     num, den = fr.numerator, fr.denominator
     j = np.arange(1, J + 1, dtype=np.float64)
@@ -566,25 +563,13 @@ def _allocating_mode_table(t, J, odd):
     m_int = 2 * num if odd else num
     j_exact = int(2 ** 53 // m_int) if den <= 2 ** 52 and m_int > 0 else 0
     slack = np.where(j <= j_exact, 0.0, 4 * math.pi * bounds.EPS * mult * abs(t) * j)
-    s_eff = np.maximum(s - slack, 0.0)
-    res_sign = np.zeros(J)
-    if j_exact >= 1:
-        exact = j[: min(J, j_exact)].astype(np.int64)
-        if odd:
-            res = (2 * exact * num) % den == 0
-            sign = np.where((exact * num) % den == 0, 1.0, -1.0)
-        else:
-            res = (exact * num) % den == 0
-            sign = np.ones(len(exact))
-        res_sign[: len(exact)] = np.where(res, sign, 0.0)
-        s_eff[: len(exact)][res != 0] = 0.0
-    return s_eff, res_sign
+    return np.maximum(s - slack, 0.0)
 
 
 def _allocating_mode_tail(lam, t, tol, odd):
-    """The mode tail forming the whole bound at every K, from boolean-indexed
-    copies of the non-resonant modes and the allocating mode table: the
-    skipping tail's oracle, (K, bound, mean) and the bound at each K formed."""
+    """The mode tail forming the whole bound at every K, from the allocating
+    mode table: the skipping tail's oracle, (K, bound, mean) and the bound at
+    each K formed."""
     S = math.sin(math.pi * t)
     Sml = S ** -lam
     J = max(256, int(lam / 2) + 8)
@@ -593,23 +578,19 @@ def _allocating_mode_tail(lam, t, tol, odd):
     while bounds._coeff_tail(lam, c) * Zref * Sml > tol / 4 and J < 200000:
         J *= 2
         c, ac = bounds._mode_coeffs(lam, J)
-    s_eff, res_sign = _allocating_mode_table(t, J, odd)
-    nonres = res_sign == 0.0
-    a_nr, s_nr = ac[1:][nonres], s_eff[nonres]
-    a_res = float(np.sum(ac[1:][~nonres]))
-    res_sum = float(np.sum(c[1:] * res_sign))
+    s_eff = _allocating_mode_table(t, J, odd)
     K, formed = 2 ** 14, {}
     while True:
         Z, ez = bounds._domain_tail(lam, K, odd)
         with np.errstate(divide="ignore"):
-            per_mode = (K + 1.0) ** -lam / s_nr
+            per_mode = (K + 1.0) ** -lam / s_eff
         np.minimum(Z, per_mode, out=per_mode)
-        np.multiply(a_nr, per_mode, out=per_mode)
+        np.multiply(ac[1:], per_mode, out=per_mode)
         bound = Sml * (float(np.sum(per_mode)) + bounds._coeff_tail(lam, c) * Z
-                       + ez * (c[0] + a_res + 1.0))
+                       + ez * (c[0] + 1.0))
         formed[K] = bound
         if bound <= 0.75 * tol or K * 4 > bounds.MAX_TERMS:
-            return (K, bound, Sml * Z * (c[0] + res_sum)), formed
+            return (K, bound, Sml * Z * c[0]), formed
         K *= 4
 
 
@@ -644,8 +625,8 @@ def _traced_peak(f):
 
 
 # the mode tail at doubles that exhaust the budget (near-rational, lam < 2),
-# that stop at the first K or a middle one, and at j/64 with their exactly
-# resonant modes, as the mode path takes them with _RATIONAL_CAP = 1
+# that stop at the first K or a middle one, and at j/64, whose resonant
+# modes have s_j = 0, as the mode path takes them with _RATIONAL_CAP = 1
 MODE_TAIL_CASES = (
     [(lam, t) for lam in (1.2, 1.5) for t in NEAR_RATIONAL[:3]]
     + [(2.5, 0.2371), (4.0, 0.11), (1.999, 1 / 3), (2.5, 2 / 7), (2.0, 0.11)]
@@ -660,7 +641,7 @@ class TestKernels:
         monkeypatch.setattr(bounds, "_SUB", 3)
         # K spans several full chunks and a partial one, or exactly full ones
         for t, K in ((1 / 3, 61), (0.2371, 61), (5 / 64, 64), (0.41, 5)):
-            total, _, count = bounds._direct_scaled_sum(lam, t, K, odd)
+            total, _, count = bounds._direct_scaled_sum(lam, t, math.sin(math.pi * t), K, odd)
             want, want_count = _allocating_direct_sum(lam, t, K, odd)
             assert total.hex() == want.hex() and count == want_count
 
@@ -671,6 +652,7 @@ class TestKernels:
         # ranges of _SUB terms, run on the pool, the partial one runs inline
         K = 2 ** 21 + 12345
         want, want_count = _allocating_direct_sum(lam, 0.2371, K, odd)
+        S = math.sin(math.pi * 0.2371)
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-5)     # interleave the workers often
         try:
@@ -678,7 +660,7 @@ class TestKernels:
                 monkeypatch.setattr(bounds, "_WORKERS", workers)
                 _restart_pool()
                 assert bounds._pool()._max_workers == workers
-                total, _, count = bounds._direct_scaled_sum(lam, 0.2371, K, odd)
+                total, _, count = bounds._direct_scaled_sum(lam, 0.2371, S, K, odd)
                 assert total.hex() == want.hex() and count == want_count
         finally:
             sys.setswitchinterval(interval)
@@ -783,12 +765,13 @@ class TestKernels:
     def test_forked_child_starts_its_own_pool(self):
         # the parent's pool threads do not exist in a child; a child that
         # reused the parent's pool would wait on them for ever
-        code = ("import os, signal; from concentra import bounds\n"
-                "a = bounds._direct_scaled_sum(1.5, 1 / 3, 2 ** 20, False)\n"
+        code = ("import math, os, signal; from concentra import bounds\n"
+                "S = math.sin(math.pi / 3)\n"
+                "a = bounds._direct_scaled_sum(1.5, 1 / 3, S, 2 ** 20, False)\n"
                 "pid = os.fork()\n"
                 "if pid == 0:\n"
                 "    signal.alarm(30)\n"
-                "    b = bounds._direct_scaled_sum(1.5, 1 / 3, 2 ** 20, False)\n"
+                "    b = bounds._direct_scaled_sum(1.5, 1 / 3, S, 2 ** 20, False)\n"
                 "    os._exit(0 if a == b else 1)\n"
                 "assert os.waitpid(pid, 0)[1] == 0\n")
         src = str(Path(__file__).resolve().parent.parent / "src")
@@ -845,8 +828,8 @@ class TestKernels:
                     monkeypatch.setattr(bounds, "_WORKERS", workers)
                     _restart_pool()
                     assert bounds._pool()._max_workers == workers
-                    got = bounds._mode_table(t, J, odd)
-                    assert [a.tobytes() for a in got] == [a.tobytes() for a in want]
+                    got = bounds._mode_table(Fraction(t), J, odd)
+                    assert got.tobytes() == want.tobytes()
         finally:
             sys.setswitchinterval(interval)
             _restart_pool()
@@ -872,7 +855,8 @@ class TestKernels:
                         monkeypatch.setattr(bounds, "_WORKERS", workers)
                         _restart_pool()
                         formed.clear()
-                        got = bounds._mode_tail(lam, t, tol, odd)
+                        got = bounds._mode_tail(lam, math.sin(math.pi * t), Fraction(t),
+                                                tol, odd)
                         assert [float(x).hex() for x in got] == [float(x).hex() for x in want]
                         heads = {K: b for K, head, b in formed if head}
                         assert sorted(heads) == [K for K in whole if 4 * K <= bounds.MAX_TERMS]
@@ -888,7 +872,7 @@ class TestKernels:
 
     def test_mode_path_peak_memory(self):
         # lam's coefficients warm: a near-rational point at lam = 1.5 holds
-        # the mode table (s_eff, res_sign) and one per-mode array, J = 2^18,
+        # the mode table s_eff and one per-mode array, J = 2^18,
         # and no copies of the non-resonant modes
         for f, t in ((bounds.eval_B, 1 / 3), (bounds.eval_A, 2 / 7)):
             f(1.5, t)
@@ -935,7 +919,8 @@ class TestKernels:
         assert list(bounds._COEFFS) == [1.5, 3.5]
 
     def test_direct_sum_peak_memory(self):
-        peak = _traced_peak(lambda: bounds._direct_scaled_sum(1.5, 1 / 3, 2 ** 22, False))
+        S = math.sin(math.pi / 3)
+        peak = _traced_peak(lambda: bounds._direct_scaled_sum(1.5, 1 / 3, S, 2 ** 22, False))
         assert peak <= 3 * bounds._CHUNK * 8 + 2 ** 20
 
     def test_minimize_peak_memory(self):

@@ -431,6 +431,19 @@ class TestDecayCommand:
         assert "not allowed with argument" in capsys.readouterr().err
         assert not (tmp_path / "records").exists()
 
+    @pytest.mark.parametrize("flags", [["--primes", "101,1009,20011"],
+                                       ["--primes-up-to", "30000"]])
+    def test_prime_past_the_table_budget_exits_3_before_any_row(
+            self, monkeypatch, flags, tmp_path, capsys):
+        # 20011 and 11587 pass the 1 GiB frequency table; no row is computed
+        def no_row(*args, **kwargs):
+            raise AssertionError("row computed")
+        monkeypatch.setattr(discrete, "dirichlet_table", no_row)
+        monkeypatch.setattr(discrete, "gamma_sharp", no_row)
+        assert cli.main(["decay", *flags, "--cache-dir", str(tmp_path)]) == 3
+        assert "budget error: the frequency table" in capsys.readouterr().err
+        assert not (tmp_path / "records").exists()
+
     def test_empty_range_names_the_flag_given(self, tmp_path, capsys):
         assert cli.main(["decay", "--primes-up-to", "0", "--cache-dir", str(tmp_path)]) == 2
         err = capsys.readouterr().err
@@ -498,6 +511,8 @@ CONCENTRATE = ["concentrate", "--e-file", "{E}", "--epsilon", "0.05"]
     ["decay", "--primes", ""],
     ["decay", "--primes-up-to", "2"],
     ["decay", "--primes-up-to", "0"],
+    ["round", "--q", "97", "--n", "24", "--L", "3", "--p", "3", "--epsilon", "0.2",
+     "--trials", "1", "--seed", str(2 ** 64)],
 ], ids=["search-p-nan", "search-p-inf", "star-p-nan", "heuristic-p-nan",
         "concentrate-p-nan", "concentrate-p-inf", "curve-lam-inf",
         "round-epsilon-negative", "round-p-nan", "decay-non-prime", "concentrate-nu-0",
@@ -511,7 +526,8 @@ CONCENTRATE = ["concentrate", "--e-file", "{E}", "--epsilon", "0.05"]
         "exhaustive-restarts-negative", "star-restarts-negative",
         "curve-B-prefactor-overflow", "curve-A-series-overflow",
         "concentrate-power-overflow", "decay-no-primes", "decay-primes-empty",
-        "decay-primes-blank", "decay-primes-up-to-2", "decay-primes-up-to-0"])
+        "decay-primes-blank", "decay-primes-up-to-2", "decay-primes-up-to-0",
+        "round-seed-2-64"])
 def test_bad_input_exits_2(argv, tmp_path, capsys):
     e = tmp_path / "E.json"
     e.write_text(json.dumps(E_WIDE))

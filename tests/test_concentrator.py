@@ -121,6 +121,14 @@ class TestChooseN:
         with pytest.raises(DomainError, match=message):
             conc.choose_n(*args)
 
+    @pytest.mark.parametrize("args, message", [
+        ((math.inf, 0.05, 0.01), "needs p > 1, finite"),
+        ((2.0, 0.05, math.inf), "finite delta > 0")])
+    def test_infinite_p_or_delta_rejected(self, args, message):
+        # they gave a kernel length of 100 (p) and 0 (delta)
+        with pytest.raises(DomainError, match=message):
+            conc.choose_n(*args)
+
 
 class TestAssembly:
     def test_unit_witness_gives_arithmetic_progression(self):

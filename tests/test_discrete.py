@@ -691,6 +691,26 @@ class TestDecayScan:
         assert rows[0]["method"] == "exhaustive"
         assert rows[0]["gamma1_hat"] == discrete.exact_gamma_sharp(23, 1.0).ratio
 
+    @pytest.mark.parametrize("primes, error", [
+        ([101, 1009, 20011], BudgetError), ([3, 5, 9], DomainError), ([2, 3], DomainError),
+        ([3, 10 ** 18 + 9], BudgetError)],
+        ids=["table-budget", "composite", "two", "budget-before-trial-division"])
+    def test_every_prime_checked_before_the_first_row(self, monkeypatch, primes, error):
+        # the last q is refused before any row: no table, no search; a q past
+        # the budget is refused before its trial division
+        def no_row(*args, **kwargs):
+            raise AssertionError("row computed")
+        monkeypatch.setattr(discrete, "dirichlet_table", no_row)
+        monkeypatch.setattr(discrete, "gamma_sharp", no_row)
+        is_prime = discrete.is_prime
+
+        def small_prime(q):
+            assert q < 10 ** 6, "trial division of a large q"
+            return is_prime(q)
+        monkeypatch.setattr(discrete, "is_prime", small_prime)
+        with pytest.raises(error):
+            discrete.gamma1_decay_scan(primes)
+
 
 @pytest.mark.parametrize("call, message", [
     (lambda: discrete.exact_gamma_sharp(1, 2.0), "need q >= 2"),

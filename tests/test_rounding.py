@@ -99,6 +99,16 @@ class TestBernoulliRound:
         b = rounding._stream(2**64 - 3, 0).random(4)
         assert not np.array_equal(a, b)
 
+    @pytest.mark.parametrize("seed", [-1, 2**64, 2**64 + 5])
+    def test_seed_outside_the_key_range_rejected(self, seed):
+        # no seed aliases another one's stream modulo 2^64
+        P = to_coeffs(Spectrum((0, 1, 2), 7))
+        for call in (lambda: rounding.bernoulli_round(P, seed),
+                     lambda: rounding.monte_carlo(P, 7, 3.0, 0.2, 2, seed),
+                     lambda: rounding.moment_check(np.ones(3), np.ones(3) / 2, 3.0, 10, seed)):
+            with pytest.raises(DomainError, match="seed must lie in"):
+                call()
+
 
 class TestLpNorm:
     """The module's one ell^p norm, of deviations and of hypothesis (ii)."""
@@ -326,6 +336,10 @@ class TestMomentCheck:
             rounding.moment_check(np.ones(3), np.array([0.5, 1.5, 0.5]), 3.0, 10, 0)
         with pytest.raises(DomainError):
             rounding.moment_check(np.ones(3), np.ones(3) / 2, 2.0, 10, 0)
+        for b, alpha in (([], []), (np.ones((3, 3)), np.ones(3) / 2),
+                         (np.ones(3), np.ones((3, 3)) / 2)):
+            with pytest.raises(DomainError, match="non-empty vectors"):
+                rounding.moment_check(b, alpha, 3.0, 10, 0)
 
 
 @pytest.mark.parametrize("call, message", [

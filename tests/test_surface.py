@@ -100,6 +100,28 @@ def test_rational_route_decided_once_in_core():
     assert owners == [("bounds.py", "_RATIONAL_CAP"), ("bounds.py", "_core")]
 
 
+def test_sine_and_exact_t_formed_once_in_core():
+    # S = sin(pi t) and the exact value Fraction(t) of the double t are formed
+    # in bounds._core alone among the functions it reaches, and passed to the
+    # paths; _pref_error forms its own, as its model of eval_B's rounding
+    tree = ast.parse((ROOT / "src" / "concentra" / "bounds.py").read_text())
+    defs = {top.name: top for top in tree.body if isinstance(top, ast.FunctionDef)}
+    reached, todo = set(), ["_core"]
+    while todo:
+        name = todo.pop()
+        if name in reached or name == "_pref_error":
+            continue
+        reached.add(name)
+        todo += [node.id for node in ast.walk(defs[name])
+                 if isinstance(node, ast.Name) and node.id in defs]
+    assert {"_core_envelope_path", "_mode_tail", "_mode_table", "_direct_scaled_sum",
+            "_sum_slack", "_residue_head", "_core_rational"} <= reached
+    owners = sorted({name for name in reached for node in ast.walk(defs[name])
+                     if isinstance(node, ast.Call)
+                     and ast.unparse(node.func) in ("math.sin", "Fraction")})
+    assert owners == ["_core"]
+
+
 def test_search_reads_decided_once_in_cli():
     # which flags a search reads, and so keeps in its record inputs, is decided
     # in one place in cli: every call of discrete.is_exact there is in _search_reads
