@@ -201,6 +201,20 @@ def _parallel(fn, ranges) -> None:
         f.result()
 
 
+def _blocks(n: int, width: int) -> list:
+    """Ranges [i, j) covering range(n) that start on multiples of ``width``;
+    a tail shorter than min(width, 4) joins the range before it.  Elementwise
+    ufuncs give each element the same bits in any range, and an axis-0 sum
+    of two or more columns adds each column's rows in order.  A matrix
+    product needs the aligned starts: numpy multiplies a one-row matrix on
+    another BLAS path, whose sums may differ in the last bit, so a row keeps
+    the path it takes in the whole table."""
+    starts = list(range(0, n, width))
+    if len(starts) > 1 and n - starts[-1] < min(width, 4):
+        starts.pop()
+    return list(zip(starts, starts[1:] + [n]))
+
+
 @functools.cache
 def _pool():
     """The threads of ``_parallel``, one per core, started on first use (and
@@ -250,8 +264,7 @@ def _direct_scaled_sum(lam: float, t: float, S: float, K: int, odd: bool):
     chunks = []
     for done in range(0, count, _CHUNK):
         m = min(_CHUNK, count - done)
-        _parallel(functools.partial(terms, 1 + step * done),
-                  [(lo, min(lo + _SUB, m)) for lo in range(0, m, _SUB)])
+        _parallel(functools.partial(terms, 1 + step * done), _blocks(m, _SUB))
         chunks.append(float(np.sum(r[:m])))
     total = math.fsum(chunks)
     return total, _sum_slack(lam, t, S, K, count, total), count
@@ -304,7 +317,7 @@ def _mode_table(exact: Fraction, J: int, odd: bool):
         np.subtract(x[e:], d[e:], out=x[e:])
         np.maximum(x[e:], 0.0, out=x[e:])
 
-    _parallel(form, [(lo, min(lo + _SUB, J)) for lo in range(0, J, _SUB)])
+    _parallel(form, _blocks(J, _SUB))
     return s_eff
 
 
@@ -606,13 +619,12 @@ def _scan_rows(k, ts) -> np.ndarray:
 def _column_blocks(fn, shape) -> None:
     """fn(lo, hi) over the column blocks [lo, hi) of a float table of
     ``shape``, one range each, with _BLOCK_BYTES of block-sized scratch in
-    flight.  Every block is at least two columns wide: numpy sums a single
-    column pairwise, and several columns in row order."""
+    flight.  At most cols // 2 blocks: every block is at least two columns
+    wide, as numpy sums a single column pairwise."""
     rows, cols = shape
     width = max(2, _BLOCK_BYTES // (8 * rows * _WORKERS))
     blocks = max(1, min(-(-cols // width), cols // 2))
-    edges = [cols * i // blocks for i in range(blocks + 1)]
-    _parallel(fn, list(zip(edges, edges[1:])))
+    _parallel(fn, _blocks(cols, -(-cols // blocks)))
 
 
 def _scan_values(which: str, lam: float, table) -> np.ndarray:

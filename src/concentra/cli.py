@@ -302,7 +302,7 @@ def _primes(listed, up_to) -> list:
     elif up_to < 0:
         raise DomainError(f"--primes-up-to must be >= 0, got {up_to}")
     else:
-        primes = [q for q in range(3, up_to + 1) if discrete.is_prime(q)]
+        primes = discrete.odd_primes_up_to(up_to)
     if not primes:
         raise DomainError(f"decay needs at least one prime, got --primes {listed!r}"
                           if listed is not None else f"no odd prime up to {up_to}")

@@ -210,10 +210,12 @@ def _frac_times(d: np.ndarray, x: float) -> np.ndarray:
     return ((((d * hi) % (1 << max(K - 32, 0))) << 32) + d * lo) % den / den
 
 
-def _integrals(Q: Spectrum, E: IntervalSet, p: float, N: int, even: bool):
+def _integrals(Q: Spectrum, E: IntervalSet, p: float, mesh: int):
     """(int_E, int_T, rounding bound) of g = |Q|^p from one FFT of its samples
-    at N points.  Q has a 0/1 spectrum, so g(-x) = g(x) and its coefficients
-    g(d) are real: int_T = g(0) and, over the intervals (lo, hi) of E,
+    at N points, the least 5-smooth N > p deg at even p and the least one
+    >= mesh max(deg, 1) at other p, deg the degree of Q.  Q has a 0/1
+    spectrum, so g(-x) = g(x) and its coefficients g(d) are real:
+    int_T = g(0) and, over the intervals (lo, hi) of E,
     int_E = g(0)|E| + sum_{d>=1} g(d) (sin 2 pi d hi - sin 2 pi d lo) / (pi d).
 
     At even p = 2k, g has degree k deg < N/2, so its g(d), d <= k deg, are
@@ -235,10 +237,12 @@ def _integrals(Q: Spectrum, E: IntervalSet, p: float, N: int, even: bool):
     Exact phases, sines (22 u per endpoint) and sums over m intervals add
     u (2m (28 + 2m) / pi sum_{d>=1} |g(d)| / d + (m + 5) g(0)) to int_E.
     """
+    even, deg = p % 2 == 0, Q.freqs[-1]
+    N = _smooth_size(int(p) * deg + 1 if even else mesh * max(deg, 1))
     if N > _SAMPLE_CAP:
         raise BudgetError(f"quadrature needs {N} samples > cap {_SAMPLE_CAP}")
     n, m = len(Q), len(E.intervals)
-    D = int(p) // 2 * Q.freqs[-1] if even else (N - 1) // 2
+    D = int(p) // 2 * deg if even else (N - 1) // 2
     v = eval_grid(to_coeffs(Q), Grid(N))
     with np.errstate(over="ignore", invalid="ignore"):
         g = (v.real ** 2 + v.imag ** 2) ** (p / 2)
@@ -273,13 +277,10 @@ def measure(Q: Spectrum, E: IntervalSet, p: float,
         raise DomainError("cannot measure the zero polynomial")
     if not (0 < p < math.inf):
         raise DomainError(f"need finite p > 0, got {p}")
-    mesh, deg = mesh_per_unit_degree, Q.freqs[-1]
-    if p % 2 == 0:
-        int_E, int_T, est = _integrals(Q, E, p, _smooth_size(int(p) * deg + 1), True)
-    else:
-        rule = lambda m: _integrals(Q, E, p, _smooth_size(m * max(deg, 1)), False)
-        int_E, int_T, est = rule(mesh)
-        e_c, t_c, _ = rule(max(4, mesh // 2))
+    mesh = mesh_per_unit_degree
+    int_E, int_T, est = _integrals(Q, E, p, mesh)
+    if p % 2:
+        e_c, t_c, _ = _integrals(Q, E, p, max(4, mesh // 2))
         est += abs(int_E - e_c) + abs(int_T - t_c) + 1e-12 * (1.0 + abs(int_T))
     ratio = min(int_E / int_T if int_T > 0 else 0.0, 1.0)
     pe = abs(int_T - len(Q)) / len(Q) if p == 2.0 else None

@@ -41,7 +41,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bounds import _parallel
+from .bounds import _blocks, _parallel
 from .errors import BudgetError, DomainError
 from .trigpoly import Grid, Spectrum, eval_grid, to_coeffs
 
@@ -50,7 +50,7 @@ __all__ = [
     "ratio", "concentration_ratio", "exact_gamma_sharp",
     "heuristic_gamma_sharp", "gamma_sharp", "is_exact", "dirichlet_table",
     "exact_gamma_star", "exact_gamma_stars", "star", "gamma1_decay_scan",
-    "is_prime",
+    "odd_primes_up_to",
 ]
 
 EXHAUSTIVE_CAP = 26      # plain-grid cap: 2^(q-1) spectra after translation pruning
@@ -172,35 +172,32 @@ def _bit_table(n: int) -> np.ndarray:
     return ((np.arange(1 << n)[:, None] >> np.arange(n)) & 1).astype(np.uint8)
 
 
-def _scan(E, lead, score, W=None, limit=math.inf):
-    """Exhaustive scan of the spectra of the value matrix E (row h = e(h x)).
-
-    Mask bit i selects row i + 1 if ``lead`` (row 0 always in: translation
-    pruning), else row i.  With value tables T of the low ``_LO`` bits and H
-    of the rest, batch h is ``T + H[h]``.  The low table is sorted by
-    popcount, so the masks of popcount <= ``limit`` (complement cut) are a
-    prefix of each batch.  Under dilation weights ``W`` a mask that a
-    dilation maps lower is skipped; permuted masks split the same way, and
-    dilations keep popcount.  ``score`` maps a batch to one (spectra x
-    targets) array per group, each group a score of its own; it may yield
-    them one at a time, and the next batch may overwrite this one.
-    Returns, for each group, the spectra whose best target is within
-    ``_NEAR`` of the group's best score, and the number of (spectrum,
-    target) evaluations, counted once for all groups.
+def _scan(E, score, W=None, limit=math.inf):
+    """Exhaustive scan of the spectra of the value matrix E (row h = e(h x))
+    that hold frequency 0 (translation pruning): mask bit i selects row
+    i + 1.  With value tables T of the low ``_LO`` bits and H of the rest,
+    batch h is ``T + H[h]``.  The low table is sorted by popcount, so the
+    masks of popcount <= ``limit`` (complement cut) are a prefix of each
+    batch.  Under dilation weights ``W`` a mask that a dilation maps lower
+    is skipped; permuted masks split the same way, and dilations keep
+    popcount.  ``score`` maps a batch to one (spectra x targets) array per
+    group, each group a score of its own; it may yield them one at a time,
+    and the next batch may overwrite this one.  Returns, for each group,
+    the spectra whose best target is within ``_NEAR`` of the group's best
+    score, and the number of (spectrum, target) evaluations, counted once
+    for all groups.
     """
-    rows = np.arange(1 if lead else 0, len(E))
-    lo = min(len(rows), _LO)
-    bits_lo, bits_hi = _bit_table(lo), _bit_table(len(rows) - lo)
+    lo = min(len(E) - 1, _LO)
+    bits_lo, bits_hi = _bit_table(lo), _bit_table(len(E) - 1 - lo)
     pop_lo = bits_lo.sum(axis=1)
     low = np.argsort(pop_lo, kind="stable")
     bits_lo = bits_lo[low]
     # ends[j]: the number of low masks of popcount <= j
     ends = np.cumsum(np.bincount(pop_lo, minlength=lo + 1))
     pop_hi = bits_hi.sum(axis=1)
-    T = bits_lo @ E[rows[:lo]]
-    if lead:
-        T += E[0]
-    H = bits_hi @ E[rows[lo:]]
+    T = bits_lo @ E[1:lo + 1]
+    T += E[0]
+    H = bits_hi @ E[lo + 1:]
     if W is not None:
         # mask (h << lo) | low[i] is no greater than its image under the
         # dilation of column c iff D[c, i] <= U[h, c]; the first _PRE
@@ -244,11 +241,9 @@ def _scan(E, lead, score, W=None, limit=math.inf):
             top = best[g] = max(best.get(g, -1.0), float(R.max()))
             r = np.nonzero(R >= top - _NEAR)[0]
             pools.setdefault(g, []).extend(zip(R[r].tolist(), masks[r].tolist()))
-    head = [0] if lead else []
 
     def spectrum(m):
-        return Spectrum(tuple(head + [int(r) for i, r in enumerate(rows) if m >> i & 1]),
-                        len(E))
+        return Spectrum((0,) + tuple(i + 1 for i in range(len(E) - 1) if m >> i & 1), len(E))
 
     return [[spectrum(m) for s, m in pool if s >= best[g] - _NEAR]
             for g, pool in pools.items()], evals
@@ -314,7 +309,7 @@ def exact_gamma_sharp(q: int, p: float, use_pruning: bool = True) -> Concentrati
         return [2.0 * mp[:, units] / (mp @ w)[:, None]]
 
     W = _canonical_weights(q) if use_pruning else None
-    (pool,), evals = _scan(E, True, score, W, limit=q // 2 - 1)
+    (pool,), evals = _scan(E, score, W, limit=q // 2 - 1)
     # the ratio at target a is the ratio of a * spectrum at target 1: the
     # unit orbits of the candidates hold every such witness
     top, witness, n = _best_of(pool, True, lambda s: concentration_ratio(s, p, 1))
@@ -324,7 +319,7 @@ def exact_gamma_sharp(q: int, p: float, use_pruning: bool = True) -> Concentrati
 
 def dirichlet_table(q: int, p: float) -> DirichletTable:
     """Ratios of all interval spectra {0..n-1}, n = 1..q-1, at target 1,
-    built one block of ``_row_blocks`` at a time (each row is summed on its
+    built one block of ``_BLOCK`` rows at a time (each row is summed on its
     own)."""
     if q < 2:
         raise DomainError("need q >= 2")
@@ -332,7 +327,7 @@ def dirichlet_table(q: int, p: float) -> DirichletTable:
     n = np.arange(1, q)      # the interval lengths, and the grid points k
     s = np.sin(np.pi * n / q)
     ratios = np.empty(q - 1)
-    for i, j in _row_blocks(q - 1):
+    for i, j in _blocks(q - 1, _BLOCK):
         M = np.empty((j - i, q))
         M[:, 0] = n[i:j]
         M[:, 1:] = np.abs(np.sin(np.pi * np.outer(n[i:j], n) / q)) / s[None, :]
@@ -355,13 +350,13 @@ def _check_table_budget(q: int) -> None:
 def _half_table(q: int) -> np.ndarray:
     """The q x (q//2 + 1) table e(h j / q) of every frequency h at the grid
     points j = 0..q//2, which hold a conjugate-symmetric grid function.
-    Built one block of ``_row_blocks`` at a time (its entries are those of
+    Built one block of ``_BLOCK`` rows at a time (its entries are those of
     the whole-table expression, element by element), and read-only, so the
     scans and the ascents can share it."""
     _check_table_budget(q)
     k = np.arange(q)
     E = np.empty((q, q // 2 + 1), dtype=complex)
-    for i, j in _row_blocks(q):
+    for i, j in _blocks(q, _BLOCK):
         E[i:j] = np.exp(2j * np.pi * np.outer(k[i:j], k[:q // 2 + 1]) / q)
     E.flags.writeable = False
     return E
@@ -374,18 +369,6 @@ def _half_weights(q: int) -> np.ndarray:
     return np.where((k == 0) | (2 * k == q), 1.0, 2.0)
 
 
-def _row_blocks(n: int) -> list:
-    """Row ranges [i, j) of ``_BLOCK`` rows covering range(n).  Blocks start
-    on multiples of ``_BLOCK``, and a tail of fewer than 4 rows joins the
-    block before it: numpy multiplies a matrix of one row by a vector on
-    another BLAS path, whose sums may differ in the last bit, and the
-    aligned starts keep each row on the path it takes in the whole table."""
-    starts = list(range(0, n, _BLOCK))
-    if len(starts) > 1 and n - starts[-1] < 4:
-        starts.pop()
-    return list(zip(starts, starts[1:] + [n]))
-
-
 def _ascend(q, p, E, start_set, max_steps=None):
     """Deterministic steepest-ascent over single-frequency flips, target 1.
 
@@ -394,7 +377,7 @@ def _ascend(q, p, E, start_set, max_steps=None):
     e(hk/q)) to |c_k|^2, so a step scores all q flips as the real view of
     E, (Re, Im) interleaved, times (2 Re c, 2 Im c), summed in pairs and
     negated on the rows of h in the spectrum (the 2 and the sign are
-    exact), one block of ``_row_blocks`` at a time in reused buffers.
+    exact), one block of ``_BLOCK`` rows at a time in reused buffers.
     ``E`` is only read, so ascents may share it.  The value vector is
     rebuilt exactly after each accepted flip, and any denominator below
     1/2 is treated as the zero polynomial (a nonempty spectrum always has
@@ -404,7 +387,7 @@ def _ascend(q, p, E, start_set, max_steps=None):
     w = _half_weights(q)
     members = np.zeros(q, dtype=bool)
     members[list(start_set)] = True
-    blocks = _row_blocks(q)
+    blocks = _blocks(q, _BLOCK)
     rows = max(j - i for i, j in blocks)
     F = E.view(np.float64)
     A, T = np.empty((rows, E.shape[1])), np.empty((rows, F.shape[1]))
@@ -481,8 +464,7 @@ def heuristic_gamma_sharp(q: int, p: float, restarts: int = 4,
 
     # a range a start from q = _POOL_Q (below it GIL handoffs outlast a
     # step); the walks are combined in start order, as in a serial loop
-    _parallel(ascend, [(i, i + 1) for i in range(len(starts))] if q >= _POOL_Q
-              else [(0, len(starts))])
+    _parallel(ascend, _blocks(len(starts), 1 if q >= _POOL_Q else len(starts)))
     best_set, best_score, evals = None, -1.0, q - 1
     for members, sc, ev in walks:
         evals += ev
@@ -541,8 +523,7 @@ def star(spec: Spectrum, p: float, K: float):
     return float(_star_level(num, ds, dp, K)), float(num), float(ds), float(dp)
 
 
-def exact_gamma_star(q: int, p: float, K: float = 1e4,
-                     use_pruning: bool = True) -> StarReport:
+def exact_gamma_star(q: int, p: float, K: float = 1e4) -> StarReport:
     """Exact half-grid relative level with plain-grid control constant K.
 
     Enumerates spectra in {0..2q-1}; for each the admissible constant is
@@ -550,10 +531,10 @@ def exact_gamma_star(q: int, p: float, K: float = 1e4,
     vector on the 2q-point grid, star points are the odd indices and the
     target is index 1 (the point 1/(2q)).
     """
-    return exact_gamma_stars(q, p, (K,), use_pruning)[0]
+    return exact_gamma_stars(q, p, (K,))[0]
 
 
-def exact_gamma_stars(q: int, p: float, Ks, use_pruning: bool = True) -> tuple:
+def exact_gamma_stars(q: int, p: float, Ks) -> tuple:
     """``exact_gamma_star`` at each control constant of ``Ks``, in order, from
     one scan, a score group a K: only the last step of a level reads K.
     Each report is the one ``exact_gamma_star`` returns at its K.  Every K
@@ -581,7 +562,7 @@ def exact_gamma_stars(q: int, p: float, Ks, use_pruning: bool = True) -> tuple:
         for K in Ks:
             yield _star_level(num, ds, dp, K)[:, None]
 
-    pools, evals = _scan(E, use_pruning, score)
+    pools, evals = _scan(E, score)
     reports = []
     for K, pool in zip(Ks, pools):
         top, witness, n = _best_of(pool, False, lambda s: star(s, p, K)[0])
@@ -594,6 +575,19 @@ def exact_gamma_stars(q: int, p: float, Ks, use_pruning: bool = True) -> tuple:
         reports.append(StarReport(q, p, K, top, bool(ok), witness, "exhaustive",
                                   evals + n))
     return tuple(reports)
+
+
+def odd_primes_up_to(n: int) -> list:
+    """The odd primes up to n, each above ``EXHAUSTIVE_CAP`` checked against
+    its frequency table budget as it is found, as ``gamma1_decay_scan``
+    checks it: the first prime past the budget raises BudgetError before
+    any larger q is tried."""
+    primes = []
+    for q in filter(is_prime, range(3, n + 1)):
+        if q > EXHAUSTIVE_CAP:
+            _check_table_budget(q)
+        primes.append(q)
+    return primes
 
 
 def gamma1_decay_scan(primes, *, restarts: int = 4, seed: int = 0) -> list:

@@ -90,16 +90,22 @@ def _check(P: CoeffPoly, q: int, p: float, eps=None) -> None:
 
 def _lp_norm(m: np.ndarray, p: float) -> float:
     """(sum |m|^p)^(1/p): the plain expression where that sum is finite and
-    positive, else that of m divided by its largest modulus, times it."""
+    positive, else that of m divided by its largest modulus, times it.  At
+    small p the root of a sum above 1 can pass a float, which no rescaling
+    avoids: that is a DomainError."""
     a = np.abs(m)
     with np.errstate(over="ignore"):
         s = float(np.sum(a ** p))
-    if 0 < s < np.inf:
-        return s ** (1.0 / p)
-    top = float(a.max(initial=0.0))
-    if top == 0:
-        return 0.0
-    return top * float(np.sum((a / top) ** p)) ** (1.0 / p)
+    top = 1.0
+    if not 0 < s < np.inf:
+        top = float(a.max(initial=0.0))
+        if top == 0:
+            return 0.0
+        s = float(np.sum((a / top) ** p))
+    try:
+        return top * s ** (1.0 / p)
+    except OverflowError:             # the Python float power
+        raise DomainError(f"the ell^p norm overflows a float at p = {p}") from None
 
 
 def _verify(Qv: np.ndarray, Pv: np.ndarray, p: float, eps: float):

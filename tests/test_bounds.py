@@ -755,6 +755,41 @@ class TestKernels:
             bounds._parallel(fn, [(i, i + 1) for i in range(6)])
         assert sorted(done) == [1, 2, 3, 4, 5]
 
+    @pytest.mark.parametrize("width", [1, 2, 3, 64, 2 ** 16])
+    def test_blocks_are_aligned_with_no_short_tail(self, width):
+        for n in range(301):
+            ranges = bounds._blocks(n, width)
+            assert [i for lo, hi in ranges for i in range(lo, hi)] == list(range(n))
+            # every start aligned: a short tail joined the range before it
+            assert all(lo % width == 0 for lo, _ in ranges)
+            assert all(hi - lo == width for lo, hi in ranges[:-1])
+            assert all(hi - lo >= min(width, 4) for lo, hi in ranges[1:])
+
+    def test_blocks_give_the_old_callers_ranges(self):
+        # the row blocks of the Dirichlet table, the frequency table and the
+        # ascent as their own splitter gave them: 64 rows, and a tail of
+        # fewer than 4 joined to the block before
+        for n in range(5001):
+            starts = list(range(0, n, 64))
+            if len(starts) > 1 and n - starts[-1] < 4:
+                starts.pop()
+            assert bounds._blocks(n, 64) == list(zip(starts, starts[1:] + [n]))
+        # the heuristic's starts: a range each, or one range of them all
+        for n in range(1, 300):
+            assert bounds._blocks(n, 1) == [(i, i + 1) for i in range(n)]
+            assert bounds._blocks(n, n) == [(0, n)]
+
+    @pytest.mark.parametrize("block_bytes", [1, 2 ** 16, 2 ** 21])
+    def test_column_blocks_are_two_columns_wide(self, monkeypatch, block_bytes):
+        # numpy sums a single column pairwise, several in row order
+        monkeypatch.setattr(bounds, "_BLOCK_BYTES", block_bytes)
+        for shape in ((4096, 1024), (256, 1024), (7, 5), (3, 2), (2048, 3)):
+            seen = []
+            bounds._column_blocks(lambda lo, hi: seen.append((lo, hi)), shape)
+            seen.sort()
+            assert [i for lo, hi in seen for i in range(lo, hi)] == list(range(shape[1]))
+            assert all(hi - lo >= 2 for lo, hi in seen)
+
     def test_constants_build_each_table_once(self):
         # one table of each domain at the default scan size
         bounds._scan_table.cache_clear()

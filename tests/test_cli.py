@@ -367,6 +367,20 @@ class TestRoundCommand:
         payload = json.loads(a[1])
         assert "hypotheses" in payload and "frequency" in payload
 
+    def test_small_p_norm_overflow_exits_2(self, tmp_path, capsys):
+        # the root of the ell^p norm passes a float at p = 0.001; at p = 0.01
+        # it does not, and the record's outputs are pinned
+        base = ["round", "--q", "7", "--n", "3", "--L", "1", "--epsilon", "0.5",
+                "--trials", "2", "--cache-dir", str(tmp_path)]
+        assert cli.main([*base, "--p", "0.001"]) == 2
+        assert capsys.readouterr().err == (
+            "domain error: the ell^p norm overflows a float at p = 0.001\n")
+        assert not (tmp_path / "records").exists()
+        assert run([*base, "--p", "0.01"], capsys)[0] == 0
+        (record,) = (tmp_path / "records").glob("round-*.json")
+        assert json.loads(record.read_text())["outputs_digest"] == (
+            "a4de3e8120987f472ddbf479e4d1c6034a167caba0557dd8a72a251a73ebf576")
+
 
 class TestConcentrateCommand:
     def test_full_circle(self, tmp_path, capsys):
@@ -443,6 +457,27 @@ class TestDecayCommand:
         assert cli.main(["decay", *flags, "--cache-dir", str(tmp_path)]) == 3
         assert "budget error: the frequency table" in capsys.readouterr().err
         assert not (tmp_path / "records").exists()
+
+    def test_primes_up_to_stops_at_the_first_prime_past_the_budget(
+            self, monkeypatch, tmp_path, capsys):
+        # each prime is checked as it is found: 11587 is refused after
+        # 11585 trial divisions, not after all 199,998 up to 200,000
+        calls = []
+        is_prime = discrete.is_prime
+        monkeypatch.setattr(discrete, "is_prime", lambda q: calls.append(q) or is_prime(q))
+        assert cli.main(["decay", "--primes-up-to", "200000",
+                         "--cache-dir", str(tmp_path)]) == 3
+        assert "at q = 11587" in capsys.readouterr().err
+        assert len(calls) <= 12000
+
+    def test_primes_up_to_writes_the_record_of_its_primes(self, tmp_path, capsys):
+        # the odd primes to 100: the record's name and outputs are pinned
+        assert run(["decay", "--primes-up-to", "100", "--restarts", "1",
+                    "--cache-dir", str(tmp_path)], capsys)[0] == 0
+        (record,) = (tmp_path / "records").glob("decay-*.json")
+        assert record.name == "decay-0b8e91df04552a6d.json"
+        assert json.loads(record.read_text())["outputs_digest"] == (
+            "90d25bf9b509125105a219c354712f20a31c2f4b643c0d1f495ad0a3223b261f")
 
     def test_empty_range_names_the_flag_given(self, tmp_path, capsys):
         assert cli.main(["decay", "--primes-up-to", "0", "--cache-dir", str(tmp_path)]) == 2

@@ -91,20 +91,22 @@ class TestExactSearch:
         assert a.ratio == b.ratio
         assert a.spectrum.freqs == b.spectrum.freqs
 
-    @pytest.mark.parametrize("lead, freqs", [
+    @pytest.mark.parametrize("half, freqs", [
         (True, (0, 3, 17, 18)), (True, (0, 1, 2, 16)), (True, (0,)),
-        (False, (5, 17, 18)), (False, (16,)), (False, (0, 15))])
-    def test_scan_finds_each_spectrum_by_its_values(self, lead, freqs):
-        # 17 or 18 mask bits: two or four batches; value vectors of
-        # distinct spectra differ, so exactly one spectrum scores 0
+        (False, (0, 5, 17, 18)), (False, (0, 16)), (False, (0, 15))])
+    def test_scan_finds_each_spectrum_by_its_values(self, half, freqs):
+        # 18 mask bits, four batches, over the spectra holding 0; value
+        # vectors of distinct spectra differ on all q columns, and on the
+        # columns 0..q//2 of the searches' half table (a 0/1 spectrum's
+        # values are conjugate-symmetric), so exactly one spectrum scores 0
         q = 19
         k = np.arange(q)
-        E = np.exp(2j * np.pi * np.outer(k, k) / q)
+        E = discrete._half_table(q) if half else np.exp(2j * np.pi * np.outer(k, k) / q)
         want = E[list(freqs)].sum(axis=0)
         (pool,), evals = discrete._scan(
-            E, lead, lambda V: -np.abs(V - want).sum(axis=1)[None, :, None])
+            E, lambda V: -np.abs(V - want).sum(axis=1)[None, :, None])
         assert [s.freqs for s in pool] == [freqs]
-        assert evals == 1 << (q - 1 if lead else q)
+        assert evals == 1 << (q - 1)
 
     @pytest.mark.parametrize("q", [5, 19, 8, 9, 12, 15, 16])
     def test_dilation_pruning_keeps_one_mask_per_orbit(self, q):
@@ -123,7 +125,7 @@ class TestExactSearch:
         orbits = sum(1 << cycles(u) for u in units) // len(units)
         k = np.arange(q)
         E = np.exp(2j * np.pi * np.outer(k, k) / q)
-        _, evals = discrete._scan(E, True, lambda V: np.zeros((1, len(V), 1)),
+        _, evals = discrete._scan(E, lambda V: np.zeros((1, len(V), 1)),
                                   discrete._canonical_weights(q))
         assert evals == orbits
 
@@ -141,7 +143,7 @@ class TestExactSearch:
             return -V[None]    # one best mask (0) keeps the pool small
 
         weights = discrete._canonical_weights(q) if W else None
-        (pool,), evals = discrete._scan(E, True, score, weights, limit=limit)
+        (pool,), evals = discrete._scan(E, score, weights, limit=limit)
         masks = np.arange(1 << (q - 1))
         keep = np.bitwise_count(masks) <= limit
         if W:
@@ -166,8 +168,8 @@ class TestExactSearch:
             yield np.hstack([V, V / 2])
 
         weights = discrete._canonical_weights(q) if W else None
-        pools, evals = discrete._scan(E, True, score, weights)
-        (_,), one = discrete._scan(E, True, lambda V: [np.hstack([-V, -2 * V])], weights)
+        pools, evals = discrete._scan(E, score, weights)
+        (_,), one = discrete._scan(E, lambda V: [np.hstack([-V, -2 * V])], weights)
         assert [[s.freqs for s in pool] for pool in pools] == [[(0,)], [tuple(range(q))]]
         # each (spectrum, target) is counted once, not once a group
         assert evals == one
@@ -185,7 +187,7 @@ class TestExactSearch:
             mp = np.abs(V) ** p
             return (2.0 * mp[:, units] / mp.sum(axis=1)[:, None])[None]
 
-        (pool,), _ = discrete._scan(E, True, score)
+        (pool,), _ = discrete._scan(E, score)
         top, witness, n = discrete._best_of(
             pool, True, lambda s: discrete.concentration_ratio(s, p, 1))
         rep = discrete.exact_gamma_sharp(q, p)
@@ -455,7 +457,7 @@ class TestAscentStep:
         (257, [(0, 64), (64, 128), (128, 192), (192, 257)])])
     def test_row_blocks(self, n, blocks):
         # aligned starts, and no tail of fewer than 4 rows
-        assert discrete._row_blocks(n) == blocks
+        assert bounds._blocks(n, discrete._BLOCK) == blocks
 
     @settings(max_examples=150, deadline=None)
     @given(spectra(), st.sampled_from([1.0, 2.0, 3.0, 4.0]))
@@ -603,19 +605,23 @@ class TestStarSearch:
         assert rep.ratio_star == pytest.approx(best, abs=1e-12)
         assert rep.cond_K_ok
 
-    @pytest.mark.parametrize("q", [3, 4, 7, 8])
+    @pytest.mark.parametrize("q", [2, 3, 4, 7, 8, 9])
     @pytest.mark.parametrize("p, K", [(1.0, 1e4), (2.0, 1.0), (3.0, 100.0)])
     def test_matches_full_grid_enumeration(self, q, p, K):
-        # every spectrum in {0..2q-1}, scored on all 2q points
+        # every spectrum in {0..2q-1}, not only those holding 0 as the scan's
+        # (translation pruning), scored on all 2q points, 2^14 masks at a time
         Q = 2 * q
-        masks = np.arange(1, 1 << Q)
-        mp = np.abs(((masks[:, None] >> np.arange(Q)) & 1)
-                    @ np.exp(2j * np.pi * np.outer(np.arange(Q), np.arange(Q)) / Q)) ** p
-        num, ds, dp = 2 * mp[:, 1], mp[:, 1::2].sum(axis=1), mp[:, 0::2].sum(axis=1)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            g = np.where((num > 0) & (ds > 0), np.minimum(num / ds, K * num / dp), 0.0)
+        E = np.exp(2j * np.pi * np.outer(np.arange(Q), np.arange(Q)) / Q)
+        best = 0.0
+        for lo in range(1, 1 << Q, 1 << 14):
+            masks = np.arange(lo, min(lo + (1 << 14), 1 << Q))
+            mp = np.abs(((masks[:, None] >> np.arange(Q)) & 1) @ E) ** p
+            num, ds, dp = 2 * mp[:, 1], mp[:, 1::2].sum(axis=1), mp[:, 0::2].sum(axis=1)
+            with np.errstate(divide="ignore", invalid="ignore"):
+                g = np.where((num > 0) & (ds > 0), np.minimum(num / ds, K * num / dp), 0.0)
+            best = max(best, float(g.max()))
         rep = discrete.exact_gamma_star(q, p, K=K)
-        assert rep.ratio_star == pytest.approx(g.max(), rel=1e-12, abs=0)
+        assert rep.ratio_star == pytest.approx(best, rel=1e-12, abs=0)
         assert rep.cond_K_ok
 
     def test_witness_recheck(self):
@@ -633,25 +639,20 @@ class TestStarSearch:
               for K in (1.0, 100.0, 1e6)]
         assert rs[0] <= rs[1] + 1e-12 <= rs[2] + 2e-12
 
-    def test_pruning_soundness(self):
-        for q in (2, 3, 9):
-            a = discrete.exact_gamma_star(q, 2.0, K=100.0, use_pruning=True)
-            b = discrete.exact_gamma_star(q, 2.0, K=100.0, use_pruning=False)
-            assert abs(a.ratio_star - b.ratio_star) <= 1e-12
-
     def test_budget(self):
         with pytest.raises(BudgetError):
             discrete.exact_gamma_star(12, 2.0)
 
-    @pytest.mark.parametrize("use_pruning", [True, False])
+    @pytest.mark.parametrize("ascending", [True, False])
     @pytest.mark.parametrize("p", [1.0, 2.0, 3.0, 4.0, 10.0])
     @pytest.mark.parametrize("q", range(2, 11))
-    def test_one_scan_gives_each_K_its_own_report(self, q, p, use_pruning):
-        # the oracle is a scan a K: level, witness, count and recheck agree
-        Ks = (1.0, 100.0, 1e4)
-        shared = discrete.exact_gamma_stars(q, p, Ks, use_pruning)
+    def test_one_scan_gives_each_K_its_own_report(self, q, p, ascending):
+        # the oracle is a scan a K: level, witness, count and recheck agree,
+        # whatever place a K holds among the scan's groups
+        Ks = (1.0, 100.0, 1e4) if ascending else (1e4, 100.0, 1.0)
+        shared = discrete.exact_gamma_stars(q, p, Ks)
         for K, rep in zip(Ks, shared):
-            one = discrete.exact_gamma_star(q, p, K, use_pruning)
+            one = discrete.exact_gamma_star(q, p, K)
             assert rep.ratio_star.hex() == one.ratio_star.hex()
             assert rep == one
 

@@ -133,6 +133,13 @@ class TestLpNorm:
             consts = rounding.hypothesis_constants(P, q, p)
         assert 0.8 < consts["c_concentr"] <= 1.0
 
+    def test_small_p_root_overflow_is_a_domain_error(self):
+        # the sum of |P(k/q)|^0.002 is about 7, and 7^500 passes a float:
+        # the root, not the sum, overflows, so no rescaling keeps it
+        P = rounding.normalize_peak(folded_kernel_power(3, 1, 7))
+        with pytest.raises(DomainError, match="overflows a float at p = 0.002$"):
+            rounding.hypothesis_constants(P, 7, 0.002)
+
 
 class TestVerifyTrial:
     def test_roundtrip_on_idempotent(self):
