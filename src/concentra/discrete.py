@@ -29,6 +29,13 @@ reductions (each validated against an unreduced scan in the test suite):
   N-point grid, so only the columns 0..N/2 are evaluated, weighted by
   ``_half_weights``, and on the plain grid only the unit targets a <= q/2.
 
+The heuristic's single-flip ascent adds one reduction of its own:
+
+* Parseval (p = 2): sum_k |f(k/q)|^2 = q sum_h |c_h|^2 = q|H| for a 0/1
+  spectrum H (the characters are orthogonal on the grid), so a flip of h
+  has the exact denominator q(|H| +- 1), and the ascent scores all q
+  flips from the column e(h/q) alone, with no table.
+
 The final reported ratio is always recomputed from the witness with the
 standard grid evaluator, so exhaustive results are bit-for-bit
 reproducible by an independent enumeration.
@@ -61,7 +68,7 @@ _POOL_Q = 512            # the least q whose ascents run on the pool, a range ea
 _PRE = 4                 # dilations that filter a whole scan batch first
 _NEAR = 1e-7             # candidate slack before exact re-evaluation
 _TABLE_BYTES = 2 ** 30   # cap of the complex frequency table: q <= 11584
-ALGORITHM_VERSION = 8    # in the search cache key; bump when an answer may change
+ALGORITHM_VERSION = 9    # in the search cache key; bump when an answer may change
 
 
 @dataclass(frozen=True)
@@ -369,56 +376,83 @@ def _half_weights(q: int) -> np.ndarray:
     return np.where((k == 0) | (2 * k == q), 1.0, 2.0)
 
 
+def _flip_score(num, d):
+    """The ascent's score 2 num / d, where num is the target's term and d
+    the grid sum; 0 where d is below 1/2, which only the zero polynomial
+    reaches (a nonempty spectrum has grid p-sum >= |f(0)|^p >= 1), so
+    cancellation dust can never win a step."""
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return np.where(d >= 0.5, 2.0 * num / d, 0.0)
+
+
 def _ascend(q, p, E, start_set, max_steps=None):
     """Deterministic steepest-ascent over single-frequency flips, target 1.
 
-    ``E`` holds the columns 0..q//2 of e(hk/q), enough for 0/1 coefficients
-    as |f(k/q)| = |f((q-k)/q)|.  Flipping h adds 1 + sign_h 2 Re(conj(c_k)
-    e(hk/q)) to |c_k|^2, so a step scores all q flips as the real view of
-    E, (Re, Im) interleaved, times (2 Re c, 2 Im c), summed in pairs and
-    negated on the rows of h in the spectrum (the 2 and the sign are
-    exact), one block of ``_BLOCK`` rows at a time in reused buffers.
-    ``E`` is only read, so ascents may share it.  The value vector is
-    rebuilt exactly after each accepted flip, and any denominator below
-    1/2 is treated as the zero polynomial (a nonempty spectrum always has
-    grid p-sum >= |f(0)|^p >= 1), so cancellation dust can never win a
-    step.
+    Flipping h adds 1 + sign_h 2 Re(conj(c_k) e(hk/q)) to |c_k|^2, with
+    sign_h = -1 on the h of the spectrum H.  At p = 2 ``E`` is the column
+    e(h/q) alone, and a step scores all q flips in O(q): by Parseval a
+    flip's denominator is the exact q(|H| +- 1), and each numerator is
+    formed from c_1 as in column 1 of the table step.  The rebuild after
+    an accepted flip sums c_1 alone, in one 1-D reduction over the column,
+    whose order is not the table's row-by-row one (c_1 may differ from the
+    table's in its last bits).  At every other p ``E`` holds the columns
+    0..q//2 of e(hk/q), enough for 0/1 coefficients as |f(k/q)| =
+    |f((q-k)/q)|, and a step scores the flips from the whole table, as its
+    real view, (Re, Im) interleaved, times (2 Re c, 2 Im c), summed in
+    pairs and negated on the rows of H (the 2 and the sign are exact), one
+    block of ``_BLOCK`` rows at a time in reused buffers; the value vector
+    is rebuilt exactly after each accepted flip.  ``E`` is only read, so
+    ascents may share it.
     """
-    w = _half_weights(q)
     members = np.zeros(q, dtype=bool)
     members[list(start_set)] = True
-    blocks = _blocks(q, _BLOCK)
-    rows = max(j - i for i, j in blocks)
     F = E.view(np.float64)
-    A, T = np.empty((rows, E.shape[1])), np.empty((rows, F.shape[1]))
     sc = np.empty(q)
     evals = 0
     if max_steps is None:
         max_steps = 4 * q
 
-    def score(mp):
-        d = mp @ w
-        with np.errstate(divide="ignore", invalid="ignore"):
-            return np.where(d >= 0.5, 2.0 * mp[..., 1] / d, 0.0)
+    if p == 2.0:
+        def rebuild():
+            c = np.add.reduce(E, where=members, initial=0.0)
+            a2 = c.real * c.real + c.imag * c.imag
+            return c, a2, float(_flip_score(a2, q * np.count_nonzero(members)))
 
-    def rebuild():
-        cur = np.add.reduce(E, axis=0, where=members[:, None], initial=0.0)
-        a2 = cur.real * cur.real + cur.imag * cur.imag
-        return cur, a2, float(score(_pow_abs(a2, p / 2, q * q)))
+        def step(c, a2):
+            # column 1 of the table step below, over q(|H| +- 1)
+            a = F[0::2] * (2.0 * c.real) + F[1::2] * (2.0 * c.imag)
+            np.negative(a, out=a, where=members)
+            a += a2 + 1.0
+            n = np.count_nonzero(members) + np.where(members, -1.0, 1.0)
+            sc[:] = _flip_score(a, q * n)
+    else:
+        w = _half_weights(q)
+        blocks = _blocks(q, _BLOCK)
+        rows = max(j - i for i, j in blocks)
+        A, T = np.empty((rows, E.shape[1])), np.empty((rows, F.shape[1]))
+
+        def rebuild():
+            cur = np.add.reduce(E, axis=0, where=members[:, None], initial=0.0)
+            a2 = cur.real * cur.real + cur.imag * cur.imag
+            mp = _pow_abs(a2, p / 2, q * q)
+            return cur, a2, float(_flip_score(mp[1], mp @ w))
+
+        def step(cur, a2):
+            a2p1 = a2 + 1.0
+            c2 = 2.0 * cur.view(np.float64)
+            for i, j in blocks:
+                a, t = A[:j - i], T[:j - i]
+                np.multiply(F[i:j], c2, out=t)
+                np.add(t[:, 0::2], t[:, 1::2], out=a)
+                np.negative(a, out=a, where=members[i:j, None])
+                a += a2p1
+                np.maximum(a, 0.0, out=a)     # rounding dust below 0
+                mp = _pow_abs(a, p / 2, q * q)
+                sc[i:j] = _flip_score(mp[:, 1], mp @ w)
 
     cur, a2, cur_score = rebuild()
     for _ in range(max_steps):
-        a2p1 = a2 + 1.0
-        c2 = 2.0 * cur.view(np.float64)
-        for i, j in blocks:
-            a, t = A[:j - i], T[:j - i]
-            np.multiply(F[i:j], c2, out=t)
-            np.add(t[:, 0::2], t[:, 1::2], out=a)
-            np.negative(a, out=a, where=members[i:j, None])
-            a += a2p1
-            if p != 2.0:
-                np.maximum(a, 0.0, out=a)     # rounding dust below 0
-            sc[i:j] = score(_pow_abs(a, p / 2, q * q))
+        step(cur, a2)
         evals += q
         h = int(np.argmax(sc))
         if sc[h] <= cur_score + 1e-15:
@@ -455,7 +489,8 @@ def heuristic_gamma_sharp(q: int, p: float, restarts: int = 4,
         mask[0] = True
         # random starts sit far from any optimum; cap their walk at large q
         starts.append((np.nonzero(mask)[0], 64 if q > 512 else None))
-    E = _half_table(q)
+    # at p = 2 the ascents read column 1 alone, with the bits of the table's
+    E = np.exp(2j * np.pi * np.arange(q) / q) if p == 2.0 else _half_table(q)
     walks = [None] * len(starts)
 
     def ascend(lo, hi):

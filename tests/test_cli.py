@@ -809,8 +809,8 @@ class TestNewFlags:
 
 RECORD_HASHES = {
     "constants": "cfb6129298c85cda", "curve": "1e91408f3974d8d6",
-    "search": "063510f4a43c49a8", "search-heuristic": "84e23b1b6c671f16",
-    "search-star": "069195f8c1773d04", "round": "4efde34a4d6c0522",
+    "search": "c012b7564b1706c3", "search-heuristic": "66b13a8294119790",
+    "search-star": "a9c71bc17788a3ab", "round": "4efde34a4d6c0522",
     "concentrate": "85a6d554ee8fe818", "decay": "42e54bce5c6afb1e",
 }
 

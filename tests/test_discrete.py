@@ -8,7 +8,7 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from concentra import bounds, discrete
 from concentra.errors import BudgetError, DomainError
@@ -312,6 +312,41 @@ class TestHeuristic:
         h = discrete.heuristic_gamma_sharp(101, 2.0, restarts=4, seed=7)
         assert h.ratio >= 0.4613 - 0.05
 
+    def test_p2_exact_denominators_move_a_tie(self):
+        # flip scores over the exact q(|H| +- 1) no longer carry the grid
+        # sum's rounding: the walk that ended at the translate {0..35, 100}
+        # ends at the interval {0..36}, of the same level 3 ulps away, and
+        # the first walk wins the tie
+        h = discrete.heuristic_gamma_sharp(101, 2.0, restarts=4, seed=7)
+        digest = hashlib.sha256(repr(h.spectrum.freqs).encode()).hexdigest()[:16]
+        assert (h.ratio.hex(), h.evaluations, digest) == (
+            "0x1.d871370330ce4p-2", 18583, "4566e3dff587bb95")
+        assert abs(h.ratio - float.fromhex("0x1.d871370330ce7p-2")) <= 1e-12
+
+    @pytest.mark.parametrize("q", [31, 257, 1009])
+    def test_p2_builds_no_table(self, monkeypatch, q):
+        # at p = 2 the ascents read the column e(h/q) alone, with the bits
+        # of column 1 of the table; every other p builds the table
+        half_table, ascend = discrete._half_table, discrete._ascend
+        built, columns = [], []
+
+        def no_table(q):
+            raise AssertionError("table built")
+
+        def spy(q, p, E, start, max_steps=None):
+            columns.append(E)
+            return ascend(q, p, E, start, max_steps)
+
+        monkeypatch.setattr(discrete, "_half_table", no_table)
+        monkeypatch.setattr(discrete, "_ascend", spy)
+        discrete.heuristic_gamma_sharp(q, 2.0)
+        want = np.ascontiguousarray(half_table(q)[:, 1]).tobytes()
+        assert columns and all(E.tobytes() == want for E in columns)
+        monkeypatch.setattr(discrete, "_half_table",
+                            lambda q: built.append(q) or half_table(q))
+        discrete.heuristic_gamma_sharp(q, 1.0)
+        assert built == [q]
+
     def test_deterministic(self):
         a = discrete.heuristic_gamma_sharp(31, 1.0, restarts=3, seed=11)
         b = discrete.heuristic_gamma_sharp(31, 1.0, restarts=3, seed=11)
@@ -461,22 +496,28 @@ class TestAscentStep:
 
     @settings(max_examples=150, deadline=None)
     @given(spectra(), st.sampled_from([1.0, 2.0, 3.0, 4.0]))
+    # one frequency: its flip out is the zero polynomial, scored 0
+    @example((7, (3,)), 2.0)
+    @example((7, (3,)), 1.0)
     def test_step_matches_oracle(self, spec, p):
         q, H = spec
         k = np.arange(q)
         E = np.exp(2j * np.pi * np.outer(k, k[:q // 2 + 1]) / q)
         flips = [tuple(sorted(set(H) ^ {h})) for h in range(q)]
         oracle = [discrete.concentration_ratio(Spectrum(f, q), p, 1) for f in flips]
-        tables, pow_abs = [], discrete._pow_abs
+        calls, flip_score = [], discrete._flip_score
 
-        def spy(a2, power, n):
-            if a2.ndim == 2:
-                tables.append(a2.copy())
-            return pow_abs(a2, power, n)
+        def spy(num, d):
+            got = flip_score(num, d)
+            if np.ndim(num) == 1:       # a step's flips, in one call at p = 2
+                calls.append((num.copy(), np.array(d), got))
+            return got
 
         with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(discrete, "_pow_abs", spy)
-            members, score, evals = discrete._ascend(q, p, E, H, max_steps=1)
+            mp.setattr(discrete, "_flip_score", spy)
+            # at p = 2 the ascent reads column 1 of the table alone
+            members, score, evals = discrete._ascend(
+                q, p, E[:, 1].copy() if p == 2.0 else E, H, max_steps=1)
         got = tuple(int(h) for h in members)
         here = discrete.concentration_ratio(Spectrum(got, q), p, 1)
         assert evals == q
@@ -486,10 +527,26 @@ class TestAscentStep:
         else:
             assert oracle[flips.index(got)] >= max(oracle) - 1e-12
         if p == 2.0:
-            # Parseval: flipping h in or out gives grid 2-sum q(|H| +- 1)
-            denom = tables[0] @ discrete._half_weights(q)
-            want = q * (len(H) + np.where(np.isin(k, H), -1.0, 1.0))
-            np.testing.assert_allclose(denom, want, rtol=1e-9, atol=1e-9)
+            (num, d, sc), = calls
+            # every flip scored as its flipped spectrum
+            np.testing.assert_allclose(sc, oracle, rtol=0, atol=1e-12)
+            # the numerators are column 1 of the whole-table step, with
+            # c_1 summed over that column as the ascent sums it
+            T = discrete._half_table(q)
+            inside = np.isin(k, H)
+            cur = np.add.reduce(T, axis=0, where=inside[:, None], initial=0.0)
+            cur[1] = np.add.reduce(T[:, 1], where=inside, initial=0.0)
+            t = T.view(np.float64) * (2.0 * cur.view(np.float64))
+            a = t[:, 0::2] + t[:, 1::2]
+            np.negative(a, out=a, where=inside[:, None])
+            a += cur.real * cur.real + cur.imag * cur.imag + 1.0
+            assert num.tobytes() == a[:, 1].tobytes()
+            # Parseval: flipping h in or out gives grid 2-sum q(|H| +- 1),
+            # exactly, and the whole table sums to it up to rounding
+            want = q * (len(H) + np.where(inside, -1.0, 1.0))
+            assert np.array_equal(d, want)
+            np.testing.assert_allclose(a @ discrete._half_weights(q), want,
+                                       rtol=1e-9, atol=1e-9)
 
 
 class TestDirichletTable:
